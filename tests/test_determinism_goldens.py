@@ -7,6 +7,13 @@ overhaul; any optimization that perturbs event order, timing, fault
 scheduling, or telemetry whitelisted series changes a digest and fails
 this suite.
 
+The ``standard`` campaign only ever runs the idealized stable disk, so
+the store cells (3 seeds x ``stop-and-sync``/``diskless`` over
+``store-crash-burst`` = ``replication_factor=2`` and ``tier-failover``
+= memory+disk+fabric tiers with ``delta_depth=3``) pin the other two
+store configurations; they were generated *before* the three store
+classes were folded into one.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -45,9 +52,16 @@ POLICY = "restart"
 
 MATRIX = [(seed, protocol) for seed in SEEDS for protocol in PROTOCOLS]
 
+STORE_CAMPAIGNS = ("store-crash-burst", "tier-failover")
+STORE_SEEDS = (0, 1, 2)
+STORE_PROTOCOLS = ("stop-and-sync", "diskless")
 
-def _run_report(seed: int, protocol: str):
-    return CampaignRunner(CAMPAIGN, seed=seed, protocol=protocol,
+STORE_MATRIX = [(campaign, seed, protocol) for campaign in STORE_CAMPAIGNS
+                for seed in STORE_SEEDS for protocol in STORE_PROTOCOLS]
+
+
+def _run_report(seed: int, protocol: str, campaign: str = CAMPAIGN):
+    return CampaignRunner(campaign, seed=seed, protocol=protocol,
                           policy=POLICY, compare_golden=False).run()
 
 
@@ -74,8 +88,8 @@ def telemetry_digest(data: dict) -> str:
                     "restart_events": data["restart_events"]})
 
 
-def _key(seed: int, protocol: str) -> str:
-    return f"{CAMPAIGN}/seed{seed}/{protocol}/{POLICY}"
+def _key(seed: int, protocol: str, campaign: str = CAMPAIGN) -> str:
+    return f"{campaign}/seed{seed}/{protocol}/{POLICY}"
 
 
 def _load_goldens() -> dict:
@@ -107,6 +121,21 @@ def test_campaign_report_matches_golden(goldens, seed, protocol):
     assert report.data["status"] == entry["status"]
     assert report.data["engine"]["final_time"] == entry["final_time"]
     assert len(report.data["actions"]) == entry["n_actions"]
+
+
+@pytest.mark.parametrize("campaign,seed,protocol", STORE_MATRIX,
+                         ids=[_key(s, p, c) for c, s, p in STORE_MATRIX])
+def test_store_campaign_report_matches_golden(goldens, campaign, seed,
+                                              protocol):
+    report = _run_report(seed, protocol, campaign)
+    entry = goldens["entries"][_key(seed, protocol, campaign)]
+    assert report_digest(report.data) == entry["report_sha256"], (
+        f"campaign report for {_key(seed, protocol, campaign)} diverged "
+        f"from the pre-fold golden — the one store no longer behaves like "
+        f"the replicated/tiered store it replaced.\n{report.summary()}")
+    assert telemetry_digest(report.data) == entry["telemetry_sha256"]
+    assert report.data["status"] == entry["status"]
+    assert report.data["engine"]["final_time"] == entry["final_time"]
 
 
 @pytest.mark.parametrize("seed,protocol", [MATRIX[0], MATRIX[-1]],
@@ -144,17 +173,18 @@ def test_normalization_only_drops_the_work_measure():
 
 def regenerate() -> None:
     entries = {}
-    for seed, protocol in MATRIX:
-        report = _run_report(seed, protocol)
-        entries[_key(seed, protocol)] = {
+    cells = [(CAMPAIGN, seed, protocol) for seed, protocol in MATRIX]
+    for campaign, seed, protocol in cells + STORE_MATRIX:
+        report = _run_report(seed, protocol, campaign)
+        key = _key(seed, protocol, campaign)
+        entries[key] = {
             "report_sha256": report_digest(report.data),
             "telemetry_sha256": telemetry_digest(report.data),
             "status": report.data["status"],
             "final_time": report.data["engine"]["final_time"],
             "n_actions": len(report.data["actions"]),
         }
-        print(f"  {_key(seed, protocol)}: "
-              f"{entries[_key(seed, protocol)]['report_sha256'][:16]}…")
+        print(f"  {key}: {entries[key]['report_sha256'][:16]}…")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(
         {"campaign": CAMPAIGN, "policy": POLICY,
