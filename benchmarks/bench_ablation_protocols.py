@@ -46,7 +46,8 @@ def run_one(protocol):
     ckpts = len(sf.store.versions_of(handle.app_id, 0))
     blocked = rank0.paused_accum if rank0 is not None else 0.0
     return {"elapsed": elapsed, "ckpts": ckpts,
-            "bytes": sf.store.stats["bytes_written"], "blocked": blocked}
+            "bytes": int(sf.engine.metrics.value("ckpt.store.bytes_written")),
+            "blocked": blocked}
 
 
 def run_all():

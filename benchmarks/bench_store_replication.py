@@ -56,7 +56,7 @@ def run_cell(nodes: int, k: int) -> dict:
     assert committed is not None
 
     # Crash the rank-0 host: primary holder of rank 0's copies.
-    victim = store.peek(app_id, 0, committed).holder_nodes[0]
+    victim = store.peek(app_id, 0, committed).all_holders()[0]
     record = sf.any_daemon().registry.get(app_id)
     restarts_before = record.restarts
     t_crash = sf.engine.now

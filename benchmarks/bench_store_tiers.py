@@ -127,11 +127,11 @@ def run_delta_cell(delta_depth: int) -> dict:
         checkpoint=CheckpointConfig(protocol="stop-and-sync", level="vm",
                                     interval=0.25)))
     sf.run_to_completion(handle)
-    stats = sf.store.stats
+    metrics = sf.engine.metrics
     return {"config": f"delta-depth-{delta_depth}",
             "delta_depth": delta_depth,
-            "ckpt_writes": stats["writes"],
-            "ckpt_bytes": stats["bytes_written"],
+            "ckpt_writes": int(metrics.value("ckpt.store.writes")),
+            "ckpt_bytes": int(metrics.value("ckpt.store.bytes_written")),
             "wall_s": round(time.perf_counter() - t_wall, 3)}
 
 

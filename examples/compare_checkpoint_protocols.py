@@ -57,9 +57,11 @@ def main():
         print(f"  {proto:>15}: finished {iters} iterations, "
               f"restarts={record.restarts}, "
               f"final placement {record.placement}")
-    print(f"\nstable storage: {sf.store.stats['writes']} checkpoint files, "
-          f"{sf.store.stats['bytes_written'] / 1e6:.1f} MB written, "
-          f"{sf.store.stats['reads']} restored")
+    metrics = sf.engine.metrics
+    print(f"\nstable storage: "
+          f"{metrics.value('ckpt.store.writes'):.0f} checkpoint files, "
+          f"{metrics.value('ckpt.store.bytes_written') / 1e6:.1f} MB written, "
+          f"{metrics.value('ckpt.store.reads'):.0f} restored")
 
 
 if __name__ == "__main__":

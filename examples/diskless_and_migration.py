@@ -33,7 +33,7 @@ def main():
     rec = sf.store.peek(handle.app_id, 0, version)
     disk = sum(n.disk.bytes_written for n in sf.cluster.nodes.values())
     print(f"t={sf.engine.now:.2f}: line v{version} committed; rank 0's "
-          f"{rec.nbytes / 1e6:.1f} MB image mirrored on {rec.holder_nodes} "
+          f"{rec.nbytes / 1e6:.1f} MB image mirrored on {rec.all_holders()} "
           f"(disk bytes written: {disk})")
 
     print(f"t={sf.engine.now:.2f}: operator migrates rank 1 to the idle "

@@ -32,7 +32,8 @@ def main():
     sf.engine.run(until=sf.engine.now + 4.0)
     committed = sf.store.latest_committed(handle.app_id)
     print(f"t={sf.engine.now:.2f}: recovery line = version {committed} "
-          f"({sf.store.stats['writes']} checkpoint files on stable storage)")
+          f"({sf.engine.metrics.value('ckpt.store.writes'):.0f} checkpoint "
+          f"files on stable storage)")
 
     victim = handle._record().placement[1]
     print(f"t={sf.engine.now:.2f}: CRASHING node {victim} (hosts rank 1)")
@@ -47,7 +48,8 @@ def main():
     print(f"  restarts             : {record.restarts}")
     print(f"  rank 1 now runs on   : {record.placement[1]} "
           f"(was {victim})")
-    print(f"  checkpoints read back: {sf.store.stats['reads']}")
+    print(f"  checkpoints read back: "
+          f"{sf.engine.metrics.value('ckpt.store.reads'):.0f}")
 
 
 if __name__ == "__main__":

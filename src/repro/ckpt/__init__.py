@@ -8,8 +8,9 @@ virtual-machine level (heterogeneous, §4).
 
 Contents:
 
-* :mod:`repro.ckpt.storage` — stable-storage model: checkpoint records
-  written through the per-node disk devices (the timing of Figures 3/4);
+* the records the checkpointers build are kept by the one checkpoint
+  store, :class:`repro.store.CheckpointStore`, written through the
+  per-node disk devices (the timing of Figures 3/4);
 * :mod:`repro.ckpt.local` — the two local checkpointers: ``native``
   (process image: VM + heap, same-representation restore only) and ``vm``
   (portable encoding via :mod:`repro.hetero`, restores anywhere);
@@ -22,15 +23,12 @@ Contents:
   rollback-dependency graph, including domino-effect detection.
 """
 
-from repro.ckpt.storage import CheckpointRecord, CheckpointStore
 from repro.ckpt.local import (LocalCheckpointer, NativeCheckpointer,
                               VmCheckpointer, make_checkpointer)
 from repro.ckpt.recovery_line import (DependencyGraph, RecoveryLine,
                                       compute_recovery_line)
 
 __all__ = [
-    "CheckpointRecord",
-    "CheckpointStore",
     "DependencyGraph",
     "LocalCheckpointer",
     "NativeCheckpointer",

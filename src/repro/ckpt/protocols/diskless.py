@@ -14,7 +14,7 @@ recovery lines never share holders: a single node crash wipes at most one
 rank's copy of each version, and since the crash also always leaves the
 *previous* line intact on different holders, single failures remain
 recoverable (the restart coordinator uses
-:meth:`~repro.ckpt.storage.CheckpointStore.latest_restorable`).
+:meth:`~repro.store.CheckpointStore.latest_restorable`).
 
 Trade-offs measured in ``benchmarks/bench_ablation_diskless.py``:
 checkpoints are ~5x faster, restores skip the disk read, but a crash can
@@ -29,8 +29,8 @@ from typing import Optional
 from repro.ckpt.protocols.roles import DeliveryTap
 from repro.ckpt.protocols.stop_and_sync import (DRAIN_POLL,
                                                 StopAndSyncProtocol)
-from repro.ckpt.storage import TIER_MEMORY
 from repro.mpi.constants import CKPT_TAG_BASE
+from repro.store.checkpoint import TIER_MEMORY
 from repro.store.placement import rotating_mirrors
 
 #: In-band tag for checkpoint-image transfers and their acks.
@@ -68,10 +68,10 @@ class DisklessProtocol(StopAndSyncProtocol):
 
         The protocol is a thin client of ``repro.store``: the rotation
         rule lives in :func:`repro.store.placement.rotating_mirrors` and
-        the copy count comes from the store (double mirroring on the
-        idealized store — Plank-style diskless checkpointing uses
-        parity; mirroring is the simple variant — and the configured
-        ``k`` on a :class:`~repro.store.ReplicatedStore`).
+        the copy count comes from the store (its replication factor
+        ``k``; double mirroring when none is configured — Plank-style
+        diskless checkpointing uses parity; mirroring is the simple
+        variant).
         """
         return rotating_mirrors(self.live_peers(), self.ctx.rank, version,
                                 copies=self.ctx.store.mirror_fanout())

@@ -10,7 +10,7 @@ four.  This module splits them out so protocols compose them instead:
   per-rank ticker of their own.
 * :class:`StateCapturer` — *what* to save.  Snapshot the program + MPI
   runtime state, materialize an image through the checkpointer, build the
-  :class:`~repro.ckpt.storage.CheckpointRecord`, persist it to the store.
+  :class:`~repro.store.CheckpointRecord`, persist it to the store.
 * :class:`DeliveryTap` — the interception point on the message path.
   Protocols piggyback metadata on outgoing data messages, log or record
   arriving ones, and may suppress a delivery entirely (duplicate
@@ -31,8 +31,8 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.ckpt.recovery_line import DependencyGraph, compute_recovery_line
-from repro.ckpt.storage import CheckpointRecord
 from repro.errors import Interrupt
+from repro.store.checkpoint import CheckpointRecord
 
 
 # ----------------------------------------------------------------------

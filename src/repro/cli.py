@@ -235,11 +235,11 @@ def cmd_store(args) -> int:
         print(f"placement policy={store.policy.name} k={store.k} "
               f"nodes={args.nodes}")
         newest = store.max_version(app_id)
-        for (key, rec, _avail) in store.replica_map(app_id):
+        for key, rec in store.iter_records(app_id):
             if key[2] != (version if version is not None else newest) \
                     or not keep(key):
                 continue
-            primary = rec.holder_nodes[0] if rec.holder_nodes else "?"
+            primary = next(iter(rec.holders.get(rec.tier, ())), "?")
             extra = store.policy.replicas(key, primary,
                                           store.candidates(primary),
                                           store.k)
@@ -250,11 +250,12 @@ def cmd_store(args) -> int:
         restorable = store.latest_restorable(app_id, range(nprocs))
         print(f"replica map app={app_id} committed={committed} "
               f"restorable={restorable} deficit={store.replica_deficit()}")
-        for (key, rec, avail) in store.replica_map(app_id):
+        for key, rec in store.iter_records(app_id):
             if not keep(key):
                 continue
             print(f"  {key[0]} rank={key[1]} v{key[2]} "
-                  f"holders={rec.holder_nodes} reachable={avail}")
+                  f"holders={rec.holders.get(rec.tier, [])} "
+                  f"reachable={store.available_holders(rec)}")
     if "repair" in sections:
         if store.repair is None:
             print(f"repair: disabled (k={store.k}; no replicas to maintain)")
@@ -263,22 +264,20 @@ def cmd_store(args) -> int:
             print("repair: " + " ".join(f"{k}={status[k]}"
                                         for k in sorted(status)))
     if "tiers" in sections:
-        if not hasattr(store, "tier_map"):
-            print("tiers: disabled (build with --tiers memory,disk,fabric)")
-        else:
-            print(f"tier map app={app_id} tiers={'+'.join(store.tiers)} "
-                  f"promotion={store.promotion} "
-                  f"delta_depth={store.delta_depth}")
-            for (key, rec, by_tier) in store.tier_map(app_id):
-                if not keep(key):
-                    continue
-                held = " ".join(
-                    f"{t}={by_tier.get(t, [])}" for t in store.tiers)
-                delta = (f" delta_of=v{rec.delta_of}"
-                         f" full={rec.full_nbytes}B"
-                         if rec.is_delta else " full-image")
-                print(f"  rank={key[1]} v{key[2]} nbytes={rec.nbytes}"
-                      f"{delta} {held}")
+        print(f"tier map app={app_id} tiers={'+'.join(store.tiers)} "
+              f"promotion={store.promotion} "
+              f"delta_depth={store.delta_depth}")
+        for key, rec in store.iter_records(app_id):
+            if not keep(key):
+                continue
+            by_tier = store.available_by_tier(rec)
+            held = " ".join(
+                f"{t}={by_tier.get(t, [])}" for t in store.tiers)
+            delta = (f" delta_of=v{rec.delta_of}"
+                     f" full={rec.full_nbytes}B"
+                     if rec.is_delta else " full-image")
+            print(f"  rank={key[1]} v{key[2]} nbytes={rec.nbytes}"
+                  f"{delta} {held}")
     return 0
 
 
@@ -525,8 +524,9 @@ def main(argv=None) -> int:
                        help="crash an app host mid-run (and recover it) to "
                             "exercise failure-driven repair")
     store.add_argument("--tiers", default=None, metavar="T1,T2,...",
-                       help="build a multi-level TieredStore instead "
-                            "(comma list from: memory, disk, fabric)")
+                       help="storage tiers to walk instead of disk + "
+                            "replicas (comma list from: memory, disk, "
+                            "fabric)")
     store.add_argument("--delta-depth", type=int, default=0,
                        help="delta-checkpoint chain depth (with --tiers)")
     store.add_argument("--tier-policy", default="write-through",

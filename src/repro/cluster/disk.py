@@ -3,7 +3,7 @@
 The paper attributes its checkpoint times to "regular IDE bus and
 controller" hardware; this model charges ``latency + nbytes / bandwidth``
 per operation and serializes concurrent operations (one head).  Checkpoint
-storage (:mod:`repro.ckpt.storage`) writes through this model, which is what
+storage (:mod:`repro.store.checkpoint`) writes through this model, which is what
 produces the Figure 3/4 curves.
 """
 

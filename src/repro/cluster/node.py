@@ -5,7 +5,7 @@ fabric, and a registry of the simulated processes currently running on it.
 Crashing a node interrupts every registered process, shuts down its NICs
 (pending frames are lost), and invalidates its volatile state — exactly the
 fail-stop model the paper's recovery protocols assume.  Checkpoints written
-through :mod:`repro.ckpt.storage` live on *stable storage* and survive.
+through :mod:`repro.store.checkpoint` live on *stable storage* and survive.
 """
 
 from __future__ import annotations

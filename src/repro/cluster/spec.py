@@ -60,29 +60,29 @@ class ClusterSpec:
     #: Client accounts as ``{user: (password, is_mgmt)}`` (``None`` =
     #: :data:`repro.daemon.daemon.DEFAULT_USERS`).
     users: Optional[Dict[str, Tuple[str, bool]]] = None
-    #: Checkpoint replication factor.  ``None`` (default) keeps the
-    #: paper's idealized single-copy stable storage
-    #: (:class:`repro.ckpt.CheckpointStore`, byte-identical behaviour);
-    #: an int ``>= 1`` builds a :class:`repro.store.ReplicatedStore`
-    #: with honest node-local durability — k copies per record, placed
-    #: by ``placement_policy``, repaired after failures when ``k >= 2``.
+    #: Checkpoint replication factor of :class:`repro.store.
+    #: CheckpointStore`.  ``None`` (default) is the paper's idealized
+    #: stable storage: a dumped image has no holder and cannot be lost.
+    #: An int ``>= 1`` makes durability honest and node-local — k copies
+    #: per record (the writer's disk + k-1 replicas placed by
+    #: ``placement_policy``), repaired after failures when ``k >= 2``.
     replication_factor: Optional[int] = None
     #: Replica placement policy (see :data:`PLACEMENT_POLICIES`).
     placement_policy: str = "ring"
     #: Repair-service re-replication budget, bytes/second.
     repair_bandwidth: float = 4.0e6
-    #: Multi-level checkpoint tiers (:class:`repro.store.TieredStore`).
-    #: ``None`` (default) keeps the legacy single-level stores; a tuple
-    #: drawn from :data:`STORE_TIERS` (e.g. ``("memory", "disk",
-    #: "fabric")``) builds the L1/L2/L3 hierarchy.  The replica width of
-    #: the memory/fabric levels is ``replication_factor`` (default 2
-    #: when unset).
+    #: Storage tiers the checkpoint store walks.  ``None`` (default) is
+    #: the single ``disk`` tier; a tuple drawn from :data:`STORE_TIERS`
+    #: (e.g. ``("memory", "disk", "fabric")``, stored fastest-first)
+    #: builds the L1/L2/L3 hierarchy.  The replica width of the
+    #: memory/fabric levels is ``replication_factor`` (default 2 when
+    #: unset).
     store_tiers: Optional[Tuple[str, ...]] = None
-    #: Delta-checkpoint chain depth (tiered store only): ``0`` dumps
+    #: Delta-checkpoint chain depth (needs ``store_tiers``): ``0`` dumps
     #: full images; ``n > 0`` stores up to ``n`` incremental images
     #: between full bases.
     delta_depth: int = 0
-    #: Tier promotion policy (tiered store only): ``write-through``
+    #: Tier promotion policy (needs ``store_tiers``): ``write-through``
     #: waits for every tier inside the dump; ``write-back`` returns
     #: after the fastest tier and flushes the rest in the background.
     tier_policy: str = "write-through"
@@ -129,38 +129,22 @@ class ClusterSpec:
                 "ClusterSpec.delivery_jitter needs a perturb_seed (the "
                 "jitter draws come from the perturbation's seeded stream)")
         if self.store_tiers is not None:
-            if not isinstance(self.store_tiers, tuple):
-                object.__setattr__(self, "store_tiers",
-                                   tuple(self.store_tiers))
-            if not self.store_tiers:
-                raise ValueError(
-                    "ClusterSpec.store_tiers must name at least one tier "
-                    "(or be None for the legacy stores)")
-            for t in self.store_tiers:
-                if t not in STORE_TIERS:
-                    raise ValueError(
-                        f"ClusterSpec.store_tiers entries must be drawn "
-                        f"from {STORE_TIERS}, got {t!r}")
-            if len(set(self.store_tiers)) != len(self.store_tiers):
-                raise ValueError(
-                    f"ClusterSpec.store_tiers has duplicates: "
-                    f"{self.store_tiers}")
+            object.__setattr__(self, "store_tiers",
+                               normalize_tiers(self.store_tiers))
         if self.delta_depth < 0:
             raise ValueError(
                 f"ClusterSpec.delta_depth must be >= 0, got "
                 f"{self.delta_depth}")
         if self.delta_depth > 0 and self.store_tiers is None:
             raise ValueError(
-                "ClusterSpec.delta_depth needs store_tiers (delta "
-                "checkpoints are a tiered-store feature)")
+                "ClusterSpec.delta_depth needs store_tiers")
         if self.tier_policy not in TIER_POLICIES:
             raise ValueError(
                 f"ClusterSpec.tier_policy must be one of {TIER_POLICIES}, "
                 f"got {self.tier_policy!r}")
         if self.tier_policy != "write-through" and self.store_tiers is None:
             raise ValueError(
-                "ClusterSpec.tier_policy needs store_tiers (promotion "
-                "policies are a tiered-store feature)")
+                "ClusterSpec.tier_policy needs store_tiers")
 
     def with_(self, **overrides) -> "ClusterSpec":
         """A copy with some fields replaced (specs are frozen)."""
@@ -190,18 +174,33 @@ class ClusterSpec:
 #: so spec validation stays import-light).
 SCHEDULERS = ("heap", "calendar")
 
-#: Valid ``placement_policy`` names (kept in sync with
-#: :data:`repro.store.placement.POLICIES` by a unit test — this module
-#: must not import the store package at runtime, layering).
+#: Valid ``placement_policy`` names.  :mod:`repro.store` imports these
+#: three definitions (this module must not import the store package,
+#: layering).
 PLACEMENT_POLICIES = ("ring", "random", "partition-aware")
 
-#: Valid ``store_tiers`` entries (kept in sync with
-#: :data:`repro.ckpt.storage.TIER_ORDER` by the same unit test).
+#: Checkpoint storage tiers, fastest first: partner RAM, the writer's
+#: local disk, remote disks over the fabric.
 STORE_TIERS = ("memory", "disk", "fabric")
 
-#: Valid ``tier_policy`` names (sync:
-#: :data:`repro.store.tiers.PROMOTIONS`).
+#: Valid ``tier_policy`` names.
 TIER_POLICIES = ("write-through", "write-back")
+
+
+def normalize_tiers(tiers) -> Tuple[str, ...]:
+    """Validate a ``store_tiers`` selection and order it fastest-first."""
+    tiers = tuple(tiers)
+    if not tiers:
+        raise ValueError("store_tiers must name at least one tier (or be "
+                         "None for the single disk tier)")
+    for t in tiers:
+        if t not in STORE_TIERS:
+            raise ValueError(f"unknown store tier {t!r} (known: "
+                             f"{', '.join(STORE_TIERS)})")
+    if len(set(tiers)) != len(tiers):
+        raise ValueError(f"store_tiers has duplicates: {tiers}")
+    return tuple(t for t in STORE_TIERS if t in tiers)
+
 
 #: Sentinel distinguishing "kwarg not passed" from an explicit default.
 _UNSET = object()

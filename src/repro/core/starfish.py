@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.ckpt import CheckpointStore
 from repro.cluster import Architecture, Cluster, ClusterSpec
 from repro.cluster.spec import _UNSET
 from repro.core.appspec import AppSpec
@@ -33,6 +32,7 @@ from repro.daemon.registry import AppRecord
 from repro.errors import (ConvergenceTimeout, DaemonError, MajorityLost,
                           UnknownApplication)
 from repro.gcs import GcsConfig
+from repro.store import CheckpointStore, RepairService
 
 _app_ids = itertools.count(1)
 
@@ -100,55 +100,20 @@ class StarfishCluster:
             self._boot_daemon(node_id)
 
     def _build_store(self, cluster: Cluster) -> CheckpointStore:
-        """The checkpoint store, per ``ClusterSpec``.
-
-        ``store_tiers`` builds the multi-level :class:`~repro.store.
-        TieredStore` (L1 memory / L2 disk / L3 fabric, delta capture);
-        otherwise ``replication_factor`` picks the k-way
-        :class:`~repro.store.ReplicatedStore`; otherwise the paper's
-        idealized single-copy stable storage (and the determinism
-        goldens byte-identical).  Replicating stores with ``k >= 2``
-        get the failure-driven repair daemon.
+        """The checkpoint store, configured by ``ClusterSpec``: stable
+        disk by default, local disk + replicas with a
+        ``replication_factor``, the listed hierarchy with ``store_tiers``.
+        With ``k >= 2`` copies it gets the failure-driven repair daemon.
         """
-        spec = getattr(cluster, "spec", None)
-        k = spec.replication_factor if spec is not None else None
-        tiers = spec.store_tiers if spec is not None else None
-        if tiers is not None:
-            from repro.store import RepairService, TieredStore
-            store = TieredStore(self.engine, cluster, tiers=tiers,
-                                k=k if k is not None else 2,
+        spec = cluster.spec
+        store = CheckpointStore(self.engine, cluster, tiers=spec.store_tiers,
+                                k=spec.replication_factor,
                                 policy=spec.placement_policy,
                                 delta_depth=spec.delta_depth,
                                 promotion=spec.tier_policy)
-            if store.k > 1:
-                store.repair = RepairService(
-                    self.engine, cluster, store,
-                    bandwidth=spec.repair_bandwidth)
-            cluster.watchers.append(store.on_membership)
-            return store
-        if k is not None:
-            from repro.store import RepairService, ReplicatedStore
-            store = ReplicatedStore(self.engine, cluster, k=k,
-                                    policy=spec.placement_policy)
-            if k > 1:
-                store.repair = RepairService(
-                    self.engine, cluster, store,
-                    bandwidth=spec.repair_bandwidth)
-            cluster.watchers.append(store.on_membership)
-            return store
-        store = CheckpointStore(self.engine)
-        # Volatile (diskless) copies stop counting the instant their
-        # holder goes down — availability checks never race the watcher.
-        from repro.cluster.node import NodeState
-
-        def _memory_live(node_id: str) -> bool:
-            node = cluster.nodes.get(node_id)
-            return node is not None and node.state is not NodeState.DOWN
-
-        store.node_liveness = _memory_live
-        # Diskless checkpoints live in node memory: a crash destroys the
-        # copies that node was holding for its buddies (the base store's
-        # on_membership does exactly that and nothing more).
+        if store.k is not None and store.k > 1:
+            store.repair = RepairService(self.engine, cluster, store,
+                                         bandwidth=spec.repair_bandwidth)
         cluster.watchers.append(store.on_membership)
         return store
 

@@ -23,7 +23,6 @@ import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.calibration import SPAWN_COST
-from repro.ckpt import CheckpointStore
 from repro.daemon.protocol import (MGMT_COMMANDS, USER_COMMANDS,
                                    format_response, parse_command,
                                    parse_submit_options)
@@ -35,6 +34,7 @@ from repro.gcs.endpoint import EndpointId
 from repro.lwg import LwgCast, LwgManager, LwgView
 from repro.net.conn import Listener
 from repro.obs.registry import get_registry
+from repro.store import CheckpointStore
 
 CTL_PORT = "starfish-ctl"
 

@@ -151,16 +151,16 @@ class NoLostResult(InvariantChecker):
 
 
 class CheckpointSurvivability(InvariantChecker):
-    """The replicated store's availability contract: while at most
+    """The checkpoint store's availability contract: while at most
     ``k - 1`` nodes are down, the latest committed recovery line must
     still be restorable — crashing any k-1 replica holders between a
     commit and the restart may never lose the line.
 
-    Vacuous for the legacy idealized store (no ``k``: global stable
-    storage can't lose copies) and whenever >= k nodes are down at
-    check time (beyond the contract; ``latest_restorable`` falling back
-    is then the *correct* behaviour, which the k=1 guard test relies
-    on).  ``k=None`` reads the store's configured factor.
+    Vacuous when the store has no replication factor (``store.k is
+    None``: stable storage can't lose copies) and whenever >= k nodes
+    are down at check time (beyond the contract; ``latest_restorable``
+    falling back is then the *correct* behaviour, which the k=1 guard
+    test relies on).  ``k=None`` reads the store's configured factor.
     """
 
     name = "checkpoint-survivability"
@@ -171,10 +171,9 @@ class CheckpointSurvivability(InvariantChecker):
     def check(self, ctx) -> List[str]:
         from repro.cluster.node import NodeState
         store = ctx.sf.store
-        store_k = getattr(store, "k", None)
-        if store_k is None:
-            return []                      # legacy single-copy store
-        k = self.k if self.k is not None else store_k
+        if store.k is None:
+            return []                      # stable storage: no contract
+        k = self.k if self.k is not None else store.k
         app_id = ctx.handle.app_id
         committed = store.latest_committed(app_id)
         if committed is None:
@@ -195,7 +194,7 @@ class CheckpointSurvivability(InvariantChecker):
         # log is scanned once per run, at the final check, so a breach is
         # reported exactly once (the checker instance carries no state).
         if getattr(ctx, "phase", "final") == "final":
-            for breach in getattr(store, "breaches", ()):
+            for breach in store.breaches:
                 if breach["app_id"] != app_id or len(breach["down"]) >= k:
                     continue
                 out.append(

@@ -84,15 +84,9 @@ class MpiEndpoint:
         #: Hook intercepting control messages (tag <= CKPT_TAG_BASE);
         #: installed by the C/R module (e.g. Chandy–Lamport markers).
         self.control_hook: Optional[Callable[[InboundMsg, int], Any]] = None
-        #: Piggyback provider: called per outgoing data message; its return
-        #: value rides the packet (uncoordinated C/R dependency tracking).
-        self.piggyback_provider: Optional[Callable[[], Any]] = None
-        #: Tap on arriving data messages: ``tap(src_world, msg, piggyback)``
-        #: (legacy hook; superseded by :attr:`tap`).
-        self.data_tap: Optional[Callable[[int, InboundMsg, Any], None]] = None
         #: DeliveryTap role object (repro.ckpt.protocols.roles): the C/R
         #: module's interception point on both the send and delivery
-        #: paths.  When set, its piggyback() wins over piggyback_provider.
+        #: paths; its piggyback() value rides every outgoing data packet.
         self.tap: Optional[Any] = None
         self._dispatcher = None
         if polling:
@@ -133,8 +127,6 @@ class MpiEndpoint:
             self.sent_count[dest_world] += 1
             if self.tap is not None:
                 pb = self.tap.piggyback(dest_world)
-            elif self.piggyback_provider is not None:
-                pb = self.piggyback_provider()
         packet = (_PKT_TAG, comm_id, src_comm_rank, tag, data, nbytes,
                   self.world_rank, pb)
         if self.tap is not None and tag > CKPT_TAG_BASE:
@@ -248,8 +240,6 @@ class MpiEndpoint:
             # solo restore): the counter must not move.
             return False
         self.recv_count[src_world] += 1
-        if self.data_tap is not None:
-            self.data_tap(src_world, inbound, pb)
         self.matching.arrived(inbound)
         return False
 

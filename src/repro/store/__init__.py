@@ -1,40 +1,34 @@
-"""Checkpoint storage backends (replicated fabric, multi-level tiers).
+"""Checkpoint storage: one store, its repair daemon, placement, deltas.
 
-The public store surface (ISSUE 7's api_redesign):
-
-* :class:`~repro.store.base.StoreBackend` — the ``typing.Protocol``
-  every store implements; protocol code programs against it only;
-* :class:`~repro.ckpt.storage.CheckpointStore` — the paper's idealized
-  single-copy stable storage (the default);
-* :class:`~repro.store.replicated.ReplicatedStore` — k-replica fan-out,
-  pluggable placement, reachability-aware availability, read-pinned GC;
-* :class:`~repro.store.tiers.TieredStore` — the L1 memory / L2 disk /
-  L3 fabric hierarchy with write-through/write-back promotion and delta
-  checkpoints (:mod:`~repro.store.delta`);
+* :class:`~repro.store.checkpoint.CheckpointStore` — the one checkpoint
+  store: a write lands each configured tier's copies (L1 partner memory /
+  L2 local disk / L3 fabric replicas, write-through or write-back, with
+  optional delta capture via :mod:`~repro.store.delta`), a read fetches
+  each delta-chain link from the fastest tier holding a usable copy;
+  :class:`~repro.store.checkpoint.CheckpointRecord` is what it stores;
 * :class:`~repro.store.repair.RepairService` — failure-driven, budgeted
   re-replication;
 * :mod:`~repro.store.placement` — placement policies (ring successor,
   seeded-random, partition-aware) and the diskless protocol's
   :func:`rotating_mirrors` rule.
 
-Enable per cluster with ``ClusterSpec(replication_factor=2)`` or
-``ClusterSpec(store_tiers=("memory", "disk", "fabric"))``; the default
-keeps the idealized store, byte-identical to previous releases.
+``ClusterSpec()`` configures it as the paper's idealized stable disk,
+``ClusterSpec(replication_factor=2)`` as local disk + k-1 replicas with
+honest node-local durability, ``ClusterSpec(store_tiers=("memory",
+"disk", "fabric"))`` as the full hierarchy.
 """
 
-from repro.ckpt.storage import (CheckpointRecord, CheckpointStore,
-                                TIER_DISK, TIER_FABRIC, TIER_MEMORY,
-                                TIER_ORDER)
-from repro.store.base import StoreBackend
+from repro.store.checkpoint import (CheckpointRecord, CheckpointStore,
+                                    MIN_DELTA_NBYTES, PROMOTIONS, TIER_DISK,
+                                    TIER_FABRIC, TIER_MEMORY, TIER_ORDER,
+                                    WRITE_BACK, WRITE_THROUGH,
+                                    normalize_tiers)
 from repro.store.delta import (BLOCK, Delta, delta_apply, delta_encode,
                                squash)
 from repro.store.placement import (PartitionAwarePlacement, PlacementPolicy,
                                    POLICIES, RandomPlacement, RingPlacement,
                                    make_placement, rotating_mirrors)
 from repro.store.repair import DEFAULT_REPAIR_BANDWIDTH, RepairService
-from repro.store.replicated import ReplicatedStore
-from repro.store.tiers import (MIN_DELTA_NBYTES, PROMOTIONS, TieredStore,
-                               WRITE_BACK, WRITE_THROUGH, normalize_tiers)
 
 __all__ = [
     "BLOCK",
@@ -49,10 +43,7 @@ __all__ = [
     "PROMOTIONS",
     "RandomPlacement",
     "RepairService",
-    "ReplicatedStore",
     "RingPlacement",
-    "StoreBackend",
-    "TieredStore",
     "TIER_DISK",
     "TIER_FABRIC",
     "TIER_MEMORY",

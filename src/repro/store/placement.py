@@ -30,6 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.cluster.spec import PLACEMENT_POLICIES as POLICIES
 from repro.errors import CheckpointError
 
 #: A checkpoint record key: (app_id, rank, version).
@@ -157,11 +158,6 @@ class PartitionAwarePlacement(PlacementPolicy):
         pool = [c for c in candidates if c != primary
                 and (self.reachable is None or self.reachable(primary, c))]
         return _ring_successors(primary, pool, k - 1)
-
-
-#: Registered policy names (must stay in sync with
-#: :data:`repro.cluster.spec.PLACEMENT_POLICIES`).
-POLICIES = ("ring", "random", "partition-aware")
 
 
 def make_placement(name: str, *, rng=None,

@@ -24,6 +24,7 @@ from __future__ import annotations
 from repro.errors import Interrupt
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
+from repro.store.checkpoint import TIER_MEMORY
 
 #: Default re-replication budget: ~4 MB/s, below Myrinet line rate so
 #: repair never starves application traffic in the model.
@@ -100,13 +101,10 @@ class RepairService:
 
         Deterministic scan order (the store's sorted-key walk) keeps
         same-seed campaign reports byte-identical.  Everything here goes
-        through the public :class:`StoreBackend` surface — iter_records /
-        node_up / reachable / candidates / repair_tier."""
+        through the store's public surface — iter_records / node_up /
+        reachable / candidates / repair_tier / repair_sources."""
         store = self.store
-        from repro.cluster.node import NodeState
-        n_up = sum(1 for n in self.cluster.nodes.values()
-                   if n.state is NodeState.UP)
-        target_copies = min(store.k, max(1, n_up))
+        target_copies = store.replica_target()
         for key, rec in store.iter_records():
             if key in skip:
                 continue
@@ -127,7 +125,6 @@ class RepairService:
         return None
 
     def _repair_one(self, key, rec, source, target, tier):
-        from repro.ckpt.storage import TIER_MEMORY
         engine = self.engine
         t0 = engine.now
         fabric = self.cluster.myrinet

@@ -11,12 +11,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.calibration import LOCAL_TCP_HOP
-from repro.ckpt import CheckpointStore, make_checkpointer
+from repro.ckpt import make_checkpointer
 from repro.ckpt.protocols import make_protocol
 from repro.ckpt.protocols.base import CrContext
 from repro.cluster import Cluster
 from repro.mpi import MpiApi, MpiEndpoint
 from repro.sim.events import Event
+from repro.store import CheckpointStore
 
 
 class FakeContext(CrContext):

@@ -6,10 +6,11 @@ import pytest
 from repro.calibration import (NATIVE_DISK_BANDWIDTH, NATIVE_EMPTY_IMAGE,
                                VM_DUMP_BANDWIDTH, VM_EMPTY_IMAGE,
                                native_checkpoint_time, vm_checkpoint_time)
-from repro.ckpt import (CheckpointRecord, CheckpointStore,
-                        NativeCheckpointer, VmCheckpointer, make_checkpointer)
+from repro.ckpt import (NativeCheckpointer, VmCheckpointer,
+                        make_checkpointer)
 from repro.cluster import Cluster, arch_by_name
 from repro.errors import CheckpointError, NoCheckpoint
+from repro.store import CheckpointRecord, CheckpointStore
 
 LINUX = arch_by_name("Intel P-II 350 MHz, i686")
 SUN = arch_by_name("Sun Ultra Enterprise 3000")
@@ -95,8 +96,8 @@ def test_store_write_read_cycle():
 
     out = cluster.engine.run(cluster.engine.process(writer()))
     assert out is rec
-    assert store.stats["writes"] == 1
-    assert store.stats["reads"] == 1
+    assert cluster.engine.metrics.value("ckpt.store.writes") == 1
+    assert cluster.engine.metrics.value("ckpt.store.reads") == 1
 
 
 def test_store_missing_checkpoint_raises():
@@ -116,14 +117,37 @@ def test_store_commit_tracking():
 
 
 def test_store_drop_app():
-    store = CheckpointStore(None)
-    rec = CheckpointRecord(app_id="a", rank=0, version=0, level="vm",
-                           nbytes=10, image=b"", arch_name="x", taken_at=0)
-    store._records[("a", 0, 0)] = rec
-    store.commit("a", 0)
+    """drop_app forgets everything keyed by the app.  Regression: it left
+    the GC floor, read pins and the delta base cache behind, so a
+    resubmitted app with the same id had its fresh v1 swept by the first
+    read's unpin (stale floor 5)."""
+    cluster = Cluster.build(nodes=1)
+    engine, node = cluster.engine, cluster.node("n0")
+    store = CheckpointStore(engine, cluster, tiers=("disk",), delta_depth=2)
+
+    def dump(version):
+        rec = CheckpointRecord(app_id="a", rank=0, version=version,
+                               level="vm", nbytes=4096,
+                               image=bytes([version]) * 4096,
+                               arch_name="x", taken_at=float(version))
+        engine.run(engine.process(store.write(node, rec)))
+        store.commit("a", version)
+
+    for version in range(1, 6):
+        dump(version)
+    store.gc_committed("a")
+    assert store._base_cache and store._gc_floor == {"a": 5}
     store.drop_app("a")
-    assert not store.has("a", 0, 0)
+    assert not store.has("a", 0, 5)
     assert store.latest_committed("a") is None
+    assert not store._base_cache and not store._chain_len
+    assert not store._gc_floor and not store._pins
+
+    dump(1)                                   # same app id, resubmitted
+    got = engine.run(engine.process(store.read(node, "a", 0, 1)))
+    assert got.image == bytes([1]) * 4096
+    assert store.has("a", 0, 1)               # the read kept the record
+    assert store.latest_restorable("a", [0]) == 1
 
 
 def test_write_time_follows_level_bandwidth():

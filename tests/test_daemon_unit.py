@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import ComputeSleep
-from repro.ckpt import CheckpointRecord, CheckpointStore
+from repro.store import CheckpointRecord, CheckpointStore
 from repro.cluster import arch_by_name
 from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
 from repro.daemon import AppRecord, AppStatus, Registry

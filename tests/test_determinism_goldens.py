@@ -104,38 +104,27 @@ def goldens():
     return _load_goldens()
 
 
-@pytest.mark.parametrize("seed,protocol", MATRIX,
-                         ids=[_key(s, p) for s, p in MATRIX])
-def test_campaign_report_matches_golden(goldens, seed, protocol):
-    report = _run_report(seed, protocol)
-    entry = goldens["entries"][_key(seed, protocol)]
+ALL_CELLS = [(CAMPAIGN, seed, protocol) for seed, protocol in MATRIX] \
+    + STORE_MATRIX
+
+
+@pytest.mark.parametrize("campaign,seed,protocol", ALL_CELLS,
+                         ids=[_key(s, p, c) for c, s, p in ALL_CELLS])
+def test_campaign_report_matches_golden(goldens, campaign, seed, protocol):
+    report = _run_report(seed, protocol, campaign)
+    key = _key(seed, protocol, campaign)
+    entry = goldens["entries"][key]
     assert report_digest(report.data) == entry["report_sha256"], (
-        f"campaign report for {_key(seed, protocol)} diverged from the "
-        f"pre-overhaul golden — an engine change perturbed event order "
-        f"or timing.\n{report.summary()}")
+        f"campaign report for {key} diverged from its golden — a change "
+        f"perturbed event order, timing, or the store's behaviour.\n"
+        f"{report.summary()}")
     assert telemetry_digest(report.data) == entry["telemetry_sha256"], (
-        f"telemetry series for {_key(seed, protocol)} diverged from the "
-        f"pre-overhaul golden")
+        f"telemetry series for {key} diverged from its golden")
     # Spot-check stable scalars too, so a digest mismatch in the future
     # comes with a human-readable first diff.
     assert report.data["status"] == entry["status"]
     assert report.data["engine"]["final_time"] == entry["final_time"]
     assert len(report.data["actions"]) == entry["n_actions"]
-
-
-@pytest.mark.parametrize("campaign,seed,protocol", STORE_MATRIX,
-                         ids=[_key(s, p, c) for c, s, p in STORE_MATRIX])
-def test_store_campaign_report_matches_golden(goldens, campaign, seed,
-                                              protocol):
-    report = _run_report(seed, protocol, campaign)
-    entry = goldens["entries"][_key(seed, protocol, campaign)]
-    assert report_digest(report.data) == entry["report_sha256"], (
-        f"campaign report for {_key(seed, protocol, campaign)} diverged "
-        f"from the pre-fold golden — the one store no longer behaves like "
-        f"the replicated/tiered store it replaced.\n{report.summary()}")
-    assert telemetry_digest(report.data) == entry["telemetry_sha256"]
-    assert report.data["status"] == entry["status"]
-    assert report.data["engine"]["final_time"] == entry["final_time"]
 
 
 @pytest.mark.parametrize("seed,protocol", [MATRIX[0], MATRIX[-1]],
@@ -173,8 +162,7 @@ def test_normalization_only_drops_the_work_measure():
 
 def regenerate() -> None:
     entries = {}
-    cells = [(CAMPAIGN, seed, protocol) for seed, protocol in MATRIX]
-    for campaign, seed, protocol in cells + STORE_MATRIX:
+    for campaign, seed, protocol in ALL_CELLS:
         report = _run_report(seed, protocol, campaign)
         key = _key(seed, protocol, campaign)
         entries[key] = {

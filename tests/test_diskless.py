@@ -6,6 +6,7 @@ import pytest
 from repro.apps import ComputeSleep, Jacobi1D
 from repro.ckpt.protocols import DisklessProtocol, make_protocol
 from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
+from repro.store import TIER_MEMORY
 
 
 def submit_diskless(sf, nprocs=3, steps=80, state_bytes=2_000_000,
@@ -34,9 +35,9 @@ def test_records_live_in_buddy_memory_not_disk():
     assert disk_bytes == 0                       # no disk involved
     for rank in range(3):
         rec = sf.store.peek(handle.app_id, rank, version)
-        assert rec.in_memory
-        assert len(rec.holder_nodes) == 2        # double mirroring
-        assert f"n{rank}" not in rec.holder_nodes  # both copies off-node
+        assert rec.tier == TIER_MEMORY
+        assert len(rec.all_holders()) == 2       # double mirroring
+        assert f"n{rank}" not in rec.all_holders()  # both copies off-node
 
 
 def test_rotating_buddies_across_versions():
@@ -48,8 +49,8 @@ def test_rotating_buddies_across_versions():
     versions = sf.store.committed_versions(handle.app_id)
     assert len(versions) >= 2
     v1, v2 = versions[-2], versions[-1]
-    h1 = set(sf.store.peek(handle.app_id, 0, v1).holder_nodes)
-    h2 = set(sf.store.peek(handle.app_id, 0, v2).holder_nodes)
+    h1 = set(sf.store.peek(handle.app_id, 0, v1).all_holders())
+    h2 = set(sf.store.peek(handle.app_id, 0, v2).all_holders())
     assert h1 != h2                              # rotation
 
 
@@ -96,14 +97,14 @@ def test_crash_invalidates_held_copies_but_mirrors_survive():
     sf.engine.run(until=sf.engine.now + 1.3)
     version = sf.store.latest_committed(handle.app_id)
     held = [r for r in range(3)
-            if "n2" in sf.store.peek(handle.app_id, r, version).holder_nodes]
+            if "n2" in sf.store.peek(handle.app_id, r, version).all_holders()]
     assert held
     sf.cluster.crash_node("n2")
     # The mirror on the surviving node keeps every record alive...
     for rank in held:
         rec = sf.store.peek(handle.app_id, rank, version)
-        assert "n2" not in rec.holder_nodes
-        assert rec.holder_nodes                   # at least one copy left
+        assert "n2" not in rec.all_holders()
+        assert sf.store.available_holders(rec)    # at least one copy left
     # ...so the newest line is still fully restorable after one crash.
     assert sf.store.latest_restorable(handle.app_id, range(3)) == version
 
@@ -111,23 +112,23 @@ def test_crash_invalidates_held_copies_but_mirrors_survive():
 def test_latest_restorable_falls_back_past_wiped_line():
     # Pure-store scenario: version 2 of rank 1 lost all copies (e.g. two
     # crashes); recovery falls back to version 1, which is intact.
-    from repro.ckpt import CheckpointRecord, CheckpointStore
+    from repro.store import CheckpointRecord, CheckpointStore
     store = CheckpointStore(None)
     for version in (1, 2):
         for rank in range(2):
             rec = CheckpointRecord(app_id="a", rank=rank, version=version,
                                    level="vm", nbytes=10, image=b"",
                                    arch_name="x", taken_at=0.0)
-            store.write_memory(rec, holder_node=f"h{version}{rank}a")
-            store.write_memory(rec, holder_node=f"h{version}{rank}b")
+            store.write_tier(rec, TIER_MEMORY, f"h{version}{rank}a")
+            store.write_tier(rec, TIER_MEMORY, f"h{version}{rank}b")
         store.commit("a", version)
     assert store.latest_restorable("a", range(2)) == 2
-    store.drop_volatile("h21a")
+    store.drop_copies("h21a")
     assert store.latest_restorable("a", range(2)) == 2   # mirror survives
-    store.drop_volatile("h21b")                           # both copies gone
+    store.drop_copies("h21b")                           # both copies gone
     assert store.latest_restorable("a", range(2)) == 1
-    store.drop_volatile("h10a")
-    store.drop_volatile("h10b")
+    store.drop_copies("h10a")
+    store.drop_copies("h10b")
     assert store.latest_restorable("a", range(2)) is None
 
 
@@ -158,5 +159,6 @@ def test_singleton_app_keeps_local_memory_copy():
     sf.engine.run(until=sf.engine.now + 1.0)
     version = sf.store.latest_committed(handle.app_id)
     rec = sf.store.peek(handle.app_id, 0, version)
-    assert rec.in_memory and rec.holder_node == "n0"
+    assert rec.tier == TIER_MEMORY
+    assert sf.store.available_holders(rec) == ["n0"]
     sf.run_to_completion(handle, timeout=120)

@@ -10,14 +10,13 @@ invariants, and full solo restarts through the Starfish stack.
 
 import pytest
 
-from repro.ckpt import CheckpointStore
 from repro.ckpt.protocols.msg_logging import (CausalLoggingProtocol,
                                               SenderLoggingProtocol)
 from repro.ckpt.protocols.roles import (DependencyRollbackPlanner,
                                         SoloReplayPlanner)
-from repro.ckpt.storage import CheckpointRecord
 from repro.cluster import Cluster
 from repro.errors import OracleViolation
+from repro.store import CheckpointRecord, CheckpointStore
 
 from ckpt_helpers import CrHarness
 

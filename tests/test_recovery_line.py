@@ -199,7 +199,7 @@ def test_uncoordinated_restore_truncates_at_unreachable_replicas():
     dominoes) when a checkpoint's every replica is gone."""
     from repro.apps import ComputeSleep
     from repro.ckpt.protocols.roles import DependencyRollbackPlanner
-    from repro.ckpt.storage import CheckpointRecord
+    from repro.store import CheckpointRecord
     from repro.cluster.spec import ClusterSpec
     from repro.core import StarfishCluster
     from repro.daemon.registry import AppRecord
@@ -223,7 +223,7 @@ def test_uncoordinated_restore_truncates_at_unreachable_replicas():
     cluster.myrinet.set_partition(["n0", "n2", "n3", "n4"], ["n1"])
     put(0, "n0", 2)
     cluster.myrinet.clear_partition()
-    assert store.peek("app", 0, 2).holder_nodes == ["n0"]
+    assert store.peek("app", 0, 2).all_holders() == ["n0"]
 
     record = AppRecord(
         app_id="app", owner="t", nprocs=2, program=ComputeSleep, params={},

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.cluster.spec import PLACEMENT_POLICIES, ClusterSpec
+from repro.cluster.spec import ClusterSpec
 from repro.errors import CheckpointError
 from repro.sim.engine import Engine
-from repro.store import (PartitionAwarePlacement, POLICIES, RandomPlacement,
+from repro.store import (PartitionAwarePlacement, RandomPlacement,
                          RingPlacement, make_placement, rotating_mirrors)
 
 
@@ -99,12 +99,6 @@ def test_make_placement_registry():
     assert make_placement("partition-aware").name == "partition-aware"
     with pytest.raises(CheckpointError, match="unknown placement policy"):
         make_placement("rack-aware")
-
-
-def test_spec_policy_list_stays_in_sync_with_store():
-    # cluster.spec keeps its own literal to avoid importing repro.store
-    # at spec-validation time; this is the sync guard.
-    assert PLACEMENT_POLICIES == POLICIES
 
 
 def test_cluster_spec_store_field_validation():

@@ -1,11 +1,12 @@
-"""ReplicatedStore + RepairService: k copies, honest availability."""
+"""The checkpoint store with a replication factor + RepairService: k
+copies, honest availability."""
 
 import pytest
 
-from repro.ckpt.storage import CheckpointRecord, CheckpointStore
 from repro.cluster import Cluster, ClusterSpec
 from repro.errors import NoCheckpoint
-from repro.store import RepairService, ReplicatedStore
+from repro.store import (TIER_MEMORY, CheckpointRecord, CheckpointStore,
+                         RepairService)
 
 
 def _rec(app_id, rank, version, nbytes=20_000):
@@ -16,7 +17,7 @@ def _rec(app_id, rank, version, nbytes=20_000):
 
 def _build(nodes=5, seed=0, k=2, policy="ring", repair=None):
     cluster = Cluster.build(spec=ClusterSpec(nodes=nodes, seed=seed))
-    store = ReplicatedStore(cluster.engine, cluster, k=k, policy=policy)
+    store = CheckpointStore(cluster.engine, cluster, k=k, policy=policy)
     cluster.watchers.append(store.on_membership)
     if repair is not None:
         store.repair = RepairService(cluster.engine, cluster, store,
@@ -53,9 +54,9 @@ def test_write_fans_out_to_k_holders():
     _write_all(cluster, store, "app", range(3), 1)
     for rank in range(3):
         rec = store.peek("app", rank, 1)
-        assert len(rec.holder_nodes) == 3
-        assert rec.holder_nodes[0] == f"n{rank}"     # primary first
-        assert len(set(rec.holder_nodes)) == 3
+        assert len(rec.all_holders()) == 3
+        assert rec.all_holders()[0] == f"n{rank}"    # primary first
+        assert len(set(rec.all_holders())) == 3
     assert store.replica_deficit() == 0
 
 
@@ -63,7 +64,7 @@ def test_small_cluster_caps_fanout_and_reports_deficit_honestly():
     cluster, store = _build(nodes=2, k=3)
     _write_all(cluster, store, "app", [0], 1)
     rec = store.peek("app", 0, 1)
-    assert sorted(rec.holder_nodes) == ["n0", "n1"]
+    assert sorted(rec.all_holders()) == ["n0", "n1"]
     # target is min(k, up nodes) = 2: fully provisioned for this cluster
     assert store.replica_deficit() == 0
 
@@ -99,18 +100,18 @@ def test_read_from_remote_replica_after_primary_crash():
     _drive(cluster.engine,
            store.read(cluster.nodes["n2"], "app", 0, 1), out)
     assert out["record"].version == 1
-    assert int(store._m_remote_reads.value) == 1
+    assert cluster.engine.metrics.value("store.replica.remote_reads") == 1
 
 
 def test_read_with_no_reachable_replica_raises_nocheckpoint():
     cluster, store = _build(nodes=3, k=2)
     _write_all(cluster, store, "app", [0], 1)
-    for holder in list(store.peek("app", 0, 1).holder_nodes):
+    for holder in store.peek("app", 0, 1).all_holders():
         cluster.crash_node(holder)
     out = {}
     _drive(cluster.engine,
            store.read(cluster.nodes["n2"], "app", 0, 1), out)
-    assert "no reachable replica" in str(out["error"])
+    assert "no tier holds a reachable copy" in str(out["error"])
 
 
 def test_partitioned_reader_cannot_count_remote_replicas():
@@ -130,8 +131,8 @@ def test_partition_during_write_fails_replica_and_leaves_deficit():
     cluster.myrinet.set_partition(["n0", "n2", "n3"], ["n1"])
     _write_all(cluster, store, "app", [0], 1)
     rec = store.peek("app", 0, 1)
-    assert rec.holder_nodes == ["n0"]
-    assert int(store._m_repl_failed.value) == 1
+    assert rec.all_holders() == ["n0"]
+    assert cluster.engine.metrics.value("store.replica.failed") == 1
     assert store.replica_deficit() == 1
 
 
@@ -150,8 +151,7 @@ def test_repair_restores_replication_after_crash():
     status = store.repair.status()
     assert status["repaired"] >= 1 and status["failed"] == 0
     for rank in range(3):
-        live = [h for h in store.peek("app", rank, 1).holder_nodes
-                if store._node_up(h)]
+        live = store.available_holders(store.peek("app", rank, 1))
         assert len(live) == 2, rank
     # the line stayed restorable throughout (k=2 contract)
     assert store.latest_restorable("app", range(3)) == 1
@@ -180,7 +180,7 @@ def test_repair_after_partition_heals():
     store.repair.kick(reason="heal")
     cluster.engine.run(until=cluster.engine.now + 3.0)
     assert store.replica_deficit() == 0
-    assert len(store.peek("app", 0, 1).holder_nodes) == 2
+    assert len(store.peek("app", 0, 1).all_holders()) == 2
 
 
 def test_node_removal_drops_disk_holders_and_repairs():
@@ -188,23 +188,20 @@ def test_node_removal_drops_disk_holders_and_repairs():
     _write_all(cluster, store, "app", [0], 1)   # holders n0, n1
     cluster.remove_node("n1")
     rec = store.peek("app", 0, 1)
-    assert "n1" not in rec.holder_nodes         # disk left for good
+    assert "n1" not in rec.all_holders()        # disk left for good
     cluster.engine.run(until=cluster.engine.now + 3.0)
-    assert len(store.peek("app", 0, 1).holder_nodes) == 2
+    assert len(store.peek("app", 0, 1).all_holders()) == 2
 
 
 # ---------------------------------------------------------------------------
 # satellite (a): GC vs concurrent restart read
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("store_kind", ["legacy", "replicated"])
-def test_gc_cannot_collect_a_version_mid_read(store_kind):
+@pytest.mark.parametrize("k", [None, 2], ids=["stable", "replicated"])
+def test_gc_cannot_collect_a_version_mid_read(k):
     cluster = Cluster.build(spec=ClusterSpec(nodes=3, seed=0))
     engine = cluster.engine
-    if store_kind == "legacy":
-        store = CheckpointStore(engine)
-    else:
-        store = ReplicatedStore(engine, cluster, k=2)
+    store = CheckpointStore(engine, cluster, k=k)
     node = cluster.nodes["n0"]
     for v in (1, 2, 3):
         engine.process(store.write(node, _rec("app", 0, v, nbytes=500_000)))
@@ -232,15 +229,12 @@ def test_gc_cannot_collect_a_version_mid_read(store_kind):
 
 def test_crashed_holder_volatile_copy_never_counts_restorable():
     cluster = Cluster.build(spec=ClusterSpec(nodes=3, seed=0))
-    store = CheckpointStore(cluster.engine)
-    # the Starfish layer's liveness probe, wired by hand here
-    store.node_liveness = lambda nid: (nid in cluster.nodes
-                                       and cluster.nodes[nid].is_up)
+    store = CheckpointStore(cluster.engine, cluster)
     rec = _rec("app", 0, 1)
-    store.write_memory(rec, holder_node="n1")
+    store.write_tier(rec, TIER_MEMORY, "n1")
     store.commit("app", 1)
     assert store.latest_restorable("app", [0]) == 1
-    # crash the node directly — NO watcher runs, drop_volatile not called
+    # crash the node directly — NO watcher runs, drop_copies not called
     cluster.nodes["n1"].crash()
     assert store.has("app", 0, 1)           # record still registered, but
     assert not store.record_available("app", 0, 1)

@@ -1,17 +1,16 @@
-"""TieredStore: L1/L2/L3 failover, delta chains, the StoreBackend API."""
+"""The checkpoint store over explicit tiers: L1/L2/L3 failover, delta
+chains, configuration plumbing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckpt.storage import (TIER_DISK, TIER_FABRIC, TIER_MEMORY,
-                                TIER_ORDER, CheckpointRecord, CheckpointStore)
 from repro.cluster import Cluster, ClusterSpec
-from repro.cluster.spec import STORE_TIERS, TIER_POLICIES
 from repro.errors import NoCheckpoint
-from repro.store import (Delta, ReplicatedStore, StoreBackend, TieredStore,
-                         delta_apply, delta_encode, squash)
-from repro.store.tiers import PROMOTIONS, WRITE_BACK, normalize_tiers
+from repro.store import (TIER_DISK, TIER_FABRIC, TIER_MEMORY, TIER_ORDER,
+                         WRITE_BACK, CheckpointRecord, CheckpointStore,
+                         Delta, delta_apply, delta_encode, normalize_tiers,
+                         squash)
 
 
 def _rec(app_id, rank, version, image=b"x" * 2048, taken_at=0.0):
@@ -23,8 +22,8 @@ def _rec(app_id, rank, version, image=b"x" * 2048, taken_at=0.0):
 def _build(nodes=5, seed=0, tiers=TIER_ORDER, k=2, delta_depth=0,
            promotion="write-through"):
     cluster = Cluster.build(spec=ClusterSpec(nodes=nodes, seed=seed))
-    store = TieredStore(cluster.engine, cluster, tiers=tiers, k=k,
-                        delta_depth=delta_depth, promotion=promotion)
+    store = CheckpointStore(cluster.engine, cluster, tiers=tiers, k=k,
+                            delta_depth=delta_depth, promotion=promotion)
     cluster.watchers.append(store.on_membership)
     return cluster, store
 
@@ -69,7 +68,7 @@ def test_failover_l1_partner_crash_restores_from_l2_disk():
     _write(cluster, store, _rec("app", 0, 1))
     store.commit("app", 1)
     rec = store.peek("app", 0, 1)
-    for holder in list(rec.tier_holders(TIER_MEMORY)):
+    for holder in list(rec.holders[TIER_MEMORY]):
         cluster.crash_node(holder)
     by_tier = store.available_by_tier(rec)
     assert by_tier.get(TIER_MEMORY, []) == []
@@ -84,10 +83,10 @@ def test_failover_node_removal_restores_from_l3_fabric():
     _write(cluster, store, _rec("app", 0, 1))
     store.commit("app", 1)
     rec = store.peek("app", 0, 1)
-    # Reboot every memory partner: a crash wipes RAM (drop_volatile) but
+    # Reboot every memory partner: a crash wipes RAM (drop_copies) but
     # the machine's disk survives its recovery — so the fabric copy one
     # partner also holds on disk comes back while all L1 copies stay lost.
-    for holder in list(rec.tier_holders(TIER_MEMORY)):
+    for holder in list(rec.holders[TIER_MEMORY]):
         cluster.crash_node(holder)
         cluster.recover_node(holder)
     cluster.remove_node("n0")                   # writer + its disk, for good
@@ -167,6 +166,21 @@ def test_chain_squashes_at_configured_depth():
     assert kinds == [False, True, True, False, True, True]
 
 
+def test_rewritten_version_starts_a_fresh_base_not_a_delta_loop():
+    """Regression: a restarted rank re-dumping the version it wrote last
+    got ``delta_of == version`` — a self-loop that hung every
+    ``record_available`` chain walk (standard campaign, stop-and-sync,
+    ``delta_depth=3``)."""
+    cluster, store = _build(nodes=5, k=2, delta_depth=3)
+    for v, fill in ((1, 1), (2, 2), (2, 9)):    # v2 dumped twice
+        _write(cluster, store, _rec("app", 0, v, image=bytes([fill]) * 4096,
+                                    taken_at=float(fill)))
+    assert not store.peek("app", 0, 2).is_delta
+    assert store.record_available("app", 0, 2)
+    assert _read(cluster, store, "app", 0, 2)["record"].image \
+        == bytes([9]) * 4096
+
+
 def test_gc_keeps_bases_needed_by_live_delta_chains():
     cluster, store = _build(nodes=5, k=2, delta_depth=8)
     for v in range(1, 5):                       # v1 base; v2..v4 deltas
@@ -202,59 +216,65 @@ def test_write_back_defers_slow_tiers_then_flushes():
 
 
 # ---------------------------------------------------------------------------
-# holder_node liveness (regression: used to return a DOWN holder)
+# holder liveness (regression: a DOWN holder used to be handed out)
 # ---------------------------------------------------------------------------
 
-def test_holder_node_skips_down_holders():
+def test_available_holders_skip_down_holders():
     cluster, store = _build(nodes=5, k=3, tiers=(TIER_DISK, TIER_FABRIC))
     _write(cluster, store, _rec("app", 0, 1))
     rec = store.peek("app", 0, 1)
-    assert rec.holder_node == "n0"
+    assert store.available_by_tier(rec)[TIER_DISK] == ["n0"]
     cluster.crash_node("n0")
-    assert rec.holder_node != "n0"              # never hand out a DOWN node
-    assert rec.holder_node is None              # home tier (disk) was n0 only
+    # never hand out a DOWN node: the home tier (disk) was n0 only
+    assert TIER_DISK not in store.available_by_tier(rec)
     fallback = store.available_holders(rec)
     assert fallback and "n0" not in fallback    # fabric copies still served
 
 
-def test_holder_node_none_when_every_holder_is_down():
+def test_available_holders_empty_when_every_holder_is_down():
     cluster = Cluster.build(spec=ClusterSpec(nodes=3, seed=0))
-    store = CheckpointStore(cluster.engine)
-    store.node_liveness = lambda nid: cluster.nodes[nid].is_up
+    store = CheckpointStore(cluster.engine, cluster)
     rec = _rec("app", 0, 1)
-    store.write_tier(rec, TIER_DISK, holder_node="n1")
-    assert rec.holder_node == "n1"
+    store.write_tier(rec, TIER_MEMORY, holder_node="n1")
+    assert store.available_holders(rec) == ["n1"]
     cluster.nodes["n1"].crash()
-    assert rec.holder_node is None
+    assert store.available_holders(rec) == []
+    assert not store.record_available("app", 0, 1)
 
 
 # ---------------------------------------------------------------------------
-# StoreBackend protocol conformance + config plumbing
+# the three configurations of the one store + config plumbing
 # ---------------------------------------------------------------------------
 
-def test_every_store_satisfies_storebackend():
-    cluster = Cluster.build(spec=ClusterSpec(nodes=3, seed=0))
-    stores = (CheckpointStore(cluster.engine),
-              ReplicatedStore(cluster.engine, cluster, k=2),
-              TieredStore(cluster.engine, cluster))
-    for store in stores:
-        assert isinstance(store, StoreBackend), type(store).__name__
+def test_three_configurations_file_copies_where_documented():
+    """Stable disk has no holder; a replication factor files the k-1
+    replicas beside the primary under ``disk``; explicit tiers file them
+    under ``fabric``."""
+    held = {}
+    for label, kwargs in (("stable", {}), ("replicated", {"k": 3}),
+                          ("tiered", {"k": 2,
+                                      "tiers": (TIER_DISK, TIER_FABRIC)})):
+        cluster = Cluster.build(spec=ClusterSpec(nodes=4, seed=0))
+        store = CheckpointStore(cluster.engine, cluster, **kwargs)
+        _write(cluster, store, _rec("app", 0, 1))
+        cluster.crash_node("n0")                # the writer
+        held[label] = (dict(store.peek("app", 0, 1).holders),
+                       store.record_available("app", 0, 1),
+                       store.mirror_fanout())
+    assert held["stable"] == ({}, True, 2)
+    assert held["replicated"] == ({TIER_DISK: ["n0", "n1", "n2"]}, True, 3)
+    assert held["tiered"] == ({TIER_DISK: ["n0"], TIER_FABRIC: ["n1"]},
+                              True, 2)
 
 
 def test_normalize_tiers_orders_and_validates():
-    from repro.errors import CheckpointError
     assert normalize_tiers(("fabric", "memory")) == ("memory", "fabric")
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ValueError):
         normalize_tiers(())
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ValueError):
         normalize_tiers(("memory", "memory"))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(ValueError):
         normalize_tiers(("tape",))
-
-
-def test_spec_constants_stay_in_sync_with_store():
-    assert STORE_TIERS == TIER_ORDER
-    assert TIER_POLICIES == tuple(PROMOTIONS)
 
 
 def test_cluster_spec_rejects_bad_tier_configs():
@@ -329,6 +349,6 @@ def test_starfish_builds_tiered_store_from_spec():
     sf = StarfishCluster.build(spec=ClusterSpec(
         nodes=4, seed=1, store_tiers=("memory", "disk", "fabric"),
         replication_factor=2, delta_depth=3))
-    assert isinstance(sf.store, TieredStore)
+    assert sf.store.tiers == ("memory", "disk", "fabric")
     assert sf.store.delta_depth == 3
     assert sf.store.repair is not None          # k=2 keeps repair on
