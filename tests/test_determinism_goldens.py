@@ -14,6 +14,15 @@ the store cells (3 seeds x ``stop-and-sync``/``diskless`` over
 store configurations; they were generated *before* the three store
 classes were folded into one.
 
+Neither family installs a schedule perturbation, so the perturbed cells
+(``crash-recover`` / ``partition-flap`` x ``stop-and-sync`` /
+``sender-logging`` x perturbation seeds 1-3 through the ``repro check``
+harness, plus one cell with ``delivery_jitter > 0``) pin the tie-shuffled
+dispatch; they were generated *before* perturbation was folded into the
+engine's shared "next entry" primitive.  Their entries also carry
+``events_processed``: with the digest of everything else, that makes the
+whole report byte-pinned.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -41,6 +50,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.check import CheckRunner
 from repro.faults import CampaignRunner
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "determinism.json"
@@ -59,8 +69,25 @@ STORE_PROTOCOLS = ("stop-and-sync", "diskless")
 STORE_MATRIX = [(campaign, seed, protocol) for campaign in STORE_CAMPAIGNS
                 for seed in STORE_SEEDS for protocol in STORE_PROTOCOLS]
 
+PERTURB_CAMPAIGNS = ("crash-recover", "partition-flap")
+PERTURB_PROTOCOLS = ("stop-and-sync", "sender-logging")
+PERTURB_SEEDS = (1, 2, 3)
+JITTER = 1e-6
 
-def _run_report(seed: int, protocol: str, campaign: str = CAMPAIGN):
+#: ``(campaign, campaign seed, protocol, perturbation seed, jitter)``.
+PERTURB_MATRIX = [(campaign, 0, protocol, perturb, 0.0)
+                  for campaign in PERTURB_CAMPAIGNS
+                  for protocol in PERTURB_PROTOCOLS
+                  for perturb in PERTURB_SEEDS] \
+    + [("crash-recover", 0, "stop-and-sync", 1, JITTER)]
+
+
+def _run_report(seed: int, protocol: str, campaign: str = CAMPAIGN,
+                perturb=None, jitter: float = 0.0):
+    if perturb is not None:
+        return CheckRunner(campaign, seed=seed, protocol=protocol,
+                           policy=POLICY, jitter=jitter
+                           ).run_one(perturb).report
     return CampaignRunner(campaign, seed=seed, protocol=protocol,
                           policy=POLICY, compare_golden=False).run()
 
@@ -88,8 +115,14 @@ def telemetry_digest(data: dict) -> str:
                     "restart_events": data["restart_events"]})
 
 
-def _key(seed: int, protocol: str, campaign: str = CAMPAIGN) -> str:
-    return f"{campaign}/seed{seed}/{protocol}/{POLICY}"
+def _key(seed: int, protocol: str, campaign: str = CAMPAIGN,
+         perturb=None, jitter: float = 0.0) -> str:
+    key = f"{campaign}/seed{seed}/{protocol}/{POLICY}"
+    if perturb is not None:
+        key += f"/perturb{perturb}"
+    if jitter:
+        key += f"/jitter{jitter:g}"
+    return key
 
 
 def _load_goldens() -> dict:
@@ -104,15 +137,32 @@ def goldens():
     return _load_goldens()
 
 
-ALL_CELLS = [(CAMPAIGN, seed, protocol) for seed, protocol in MATRIX] \
-    + STORE_MATRIX
+ALL_CELLS = [(CAMPAIGN, seed, protocol, None, 0.0)
+             for seed, protocol in MATRIX] \
+    + [cell + (None, 0.0) for cell in STORE_MATRIX] + PERTURB_MATRIX
 
 
-@pytest.mark.parametrize("campaign,seed,protocol", ALL_CELLS,
-                         ids=[_key(s, p, c) for c, s, p in ALL_CELLS])
-def test_campaign_report_matches_golden(goldens, campaign, seed, protocol):
-    report = _run_report(seed, protocol, campaign)
-    key = _key(seed, protocol, campaign)
+def _entry(report) -> dict:
+    entry = {
+        "report_sha256": report_digest(report.data),
+        "telemetry_sha256": telemetry_digest(report.data),
+        "status": report.data["status"],
+        "final_time": report.data["engine"]["final_time"],
+        "n_actions": len(report.data["actions"]),
+    }
+    if "perturbation" in report.data:
+        entry["events_processed"] = \
+            report.data["engine"]["events_processed"]
+    return entry
+
+
+@pytest.mark.parametrize("campaign,seed,protocol,perturb,jitter", ALL_CELLS,
+                         ids=[_key(s, p, c, ps, j)
+                              for c, s, p, ps, j in ALL_CELLS])
+def test_campaign_report_matches_golden(goldens, campaign, seed, protocol,
+                                        perturb, jitter):
+    report = _run_report(seed, protocol, campaign, perturb, jitter)
+    key = _key(seed, protocol, campaign, perturb, jitter)
     entry = goldens["entries"][key]
     assert report_digest(report.data) == entry["report_sha256"], (
         f"campaign report for {key} diverged from its golden — a change "
@@ -120,11 +170,9 @@ def test_campaign_report_matches_golden(goldens, campaign, seed, protocol):
         f"{report.summary()}")
     assert telemetry_digest(report.data) == entry["telemetry_sha256"], (
         f"telemetry series for {key} diverged from its golden")
-    # Spot-check stable scalars too, so a digest mismatch in the future
-    # comes with a human-readable first diff.
-    assert report.data["status"] == entry["status"]
-    assert report.data["engine"]["final_time"] == entry["final_time"]
-    assert len(report.data["actions"]) == entry["n_actions"]
+    # Stable scalars too, so a digest mismatch in the future comes with
+    # a human-readable first diff.
+    assert _entry(report) == entry
 
 
 @pytest.mark.parametrize("seed,protocol", [MATRIX[0], MATRIX[-1]],
@@ -162,16 +210,10 @@ def test_normalization_only_drops_the_work_measure():
 
 def regenerate() -> None:
     entries = {}
-    for campaign, seed, protocol in ALL_CELLS:
-        report = _run_report(seed, protocol, campaign)
-        key = _key(seed, protocol, campaign)
-        entries[key] = {
-            "report_sha256": report_digest(report.data),
-            "telemetry_sha256": telemetry_digest(report.data),
-            "status": report.data["status"],
-            "final_time": report.data["engine"]["final_time"],
-            "n_actions": len(report.data["actions"]),
-        }
+    for campaign, seed, protocol, perturb, jitter in ALL_CELLS:
+        report = _run_report(seed, protocol, campaign, perturb, jitter)
+        key = _key(seed, protocol, campaign, perturb, jitter)
+        entries[key] = _entry(report)
         print(f"  {key}: {entries[key]['report_sha256'][:16]}…")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(
