@@ -19,22 +19,13 @@ cluster size and message density for three workload shapes:
 * ``chaos``     — the ``crash-recover`` fault campaign (full stack:
   GCS + daemons + C/R + fault injection + golden-run comparison).
 
-Selected configurations additionally run under the **calendar** event
-scheduler (``ClusterSpec.scheduler="calendar"``) as ``.../calendar``
-rows; their speedups are computed against the *heap* baseline row of the
-same configuration.
-
 Results go to ``benchmarks/BENCH_scaling.json``.  If a committed
 pre-change baseline (``BENCH_scaling_baseline.json``) exists, per-config
 speedups are computed against it; the acceptance gates are >= 1.5x
 events/sec on the 128-node event-dense Jacobi configuration (the PR-3
-hot-path overhaul) and >= 1.3x on the 256-node one (the scheduler-seam
-PR must not tax the default dispatch path).  The ``.../calendar`` rows'
-ratios are reported for comparison but not asserted — the pure-Python
-calendar queue trades constant-factor overhead for O(1) asymptotics
-against C-implemented ``heapq``.  Speedup assertions only run when
-``REPRO_BENCH_ASSERT_SPEEDUP=1`` (the ratio is only meaningful on the
-machine that recorded the baseline).
+hot-path overhaul) and >= 1.3x on the 256-node one.  Speedup assertions
+only run when ``REPRO_BENCH_ASSERT_SPEEDUP=1`` (the ratio is only
+meaningful on the machine that recorded the baseline).
 
 Every configuration runs ``REPRO_BENCH_REPEATS`` times (default 2 full /
 1 fast) and reports the best events/sec — single-shot numbers swing
@@ -68,8 +59,7 @@ BASELINE_PATH = HERE / "BENCH_scaling_baseline.json"
 #: Acceptance gates: required events/sec speedup vs the pre-overhaul
 #: baseline, per configuration.  ``jacobi/128/dense`` is the PR-3
 #: hot-path-overhaul gate; ``jacobi/256/dense`` is the PR-10 gate (the
-#: scheduler seam and the bench restructuring must not tax the default
-#: heap data path at the largest dense configuration).
+#: default data path at the largest dense configuration).
 TARGETS = {
     "jacobi/128/dense": 1.5,
     "jacobi/256/dense": 1.3,
@@ -79,22 +69,14 @@ TARGETS = {
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "1" if FAST else "2"))
 
 
-def _spec(nodes: int, scheduler: str = "heap",
-          heartbeat: float = 2.0) -> ClusterSpec:
+def _spec(nodes: int, heartbeat: float = 2.0) -> ClusterSpec:
     # Quiet heartbeats keep the sweep focused on the data path; the chaos
     # configs use the campaign default (control-path-dense) instead.
-    return ClusterSpec(nodes=nodes, seed=SEED, scheduler=scheduler,
+    return ClusterSpec(nodes=nodes, seed=SEED,
                        gcs_config=quiet_gcs(heartbeat))
 
 
-def _config_key(label: str, nodes: int, density: str,
-                scheduler: str) -> str:
-    key = f"{label}/{nodes}/{density}"
-    return key if scheduler == "heap" else f"{key}/{scheduler}"
-
-
-def _measure(label: str, nodes: int, density: str, fn,
-             scheduler: str = "heap"):
+def _measure(label: str, nodes: int, density: str, fn):
     """Run one config ``REPEATS`` times; keep the fastest run's
     events/sec (the event count itself is deterministic)."""
     best = None
@@ -106,11 +88,10 @@ def _measure(label: str, nodes: int, density: str, fn,
             best = (wall, engine.events_processed, sim_end)
     wall, events, sim_end = best
     return {
-        "config": _config_key(label, nodes, density, scheduler),
+        "config": f"{label}/{nodes}/{density}",
         "workload": label,
         "nodes": nodes,
         "density": density,
-        "scheduler": scheduler,
         "wall_s": round(wall, 4),
         "events": events,
         "events_per_sec": round(events / wall, 1),
@@ -127,9 +108,8 @@ def run_pingpong(nodes: int, reps: int, sizes) -> tuple:
 
 
 def run_jacobi(nodes: int, iterations: int, cells_per_rank: int,
-               scheduler: str = "heap", heartbeat: float = 2.0,
-               iters_per_step: int = 10) -> tuple:
-    sf = StarfishCluster.build(spec=_spec(nodes, scheduler, heartbeat))
+               heartbeat: float = 2.0, iters_per_step: int = 10) -> tuple:
+    sf = StarfishCluster.build(spec=_spec(nodes, heartbeat))
     sf.run(AppSpec(program=Jacobi1D, nprocs=nodes,
                    params={"n": cells_per_rank * nodes,
                            "iterations": iterations,
@@ -138,10 +118,10 @@ def run_jacobi(nodes: int, iterations: int, cells_per_rank: int,
     return sf.engine, sf.engine.now
 
 
-def run_traffic(nodes: int, jobs: int, scheduler: str = "heap") -> tuple:
+def run_traffic(nodes: int, jobs: int) -> tuple:
     """Control-path churn: short-lived client jobs through the fleet
     scheduler (see :mod:`repro.apps.traffic`)."""
-    sf = StarfishCluster.build(spec=_spec(nodes, scheduler))
+    sf = StarfishCluster.build(spec=_spec(nodes))
     controller = FleetController(sf, auto_drain=False)
     gen = TrafficGenerator(controller, jobs=jobs, rate=10.0,
                            nprocs=(1, 4), seed=SEED)
@@ -168,25 +148,20 @@ def sweep(fast: bool = FAST):
     if fast:
         pingpong_cfgs = [(8, 30, (1, 1024))]
         jacobi_cfgs = [(8, "dense", 20, 64)]
-        # Both schedulers on one small config: the CI byte-identity +
-        # liveness smoke for the calendar queue.
-        jacobi_sched_cfgs = [(16, "dense", 20, 64, ("heap", "calendar"))]
         bignode_cfgs = []
-        traffic_cfgs = [(8, 20, ("heap", "calendar"))]
+        traffic_cfgs = [(8, 20)]
         chaos_nodes = [8]
     else:
         pingpong_cfgs = [(8, 300, (1, 1024, 65536))]
         jacobi_cfgs = [(8, "sparse", 40, 256), (32, "sparse", 40, 256),
                        (8, "dense", 60, 64), (32, "dense", 60, 64),
-                       (128, "dense", 60, 64)]
-        jacobi_sched_cfgs = [(256, "dense", 60, 64, ("heap", "calendar"))]
+                       (128, "dense", 60, 64), (256, "dense", 60, 64)]
         # 512/1024-node rows: quiet heartbeats (30s) and a single
         # collective wave — the n^2 full-group multicast during the
         # serialized collectives otherwise explodes the event count
         # (tens of millions at 1024 nodes) and drowns the data path.
-        bignode_cfgs = [(512, ("heap", "calendar")),
-                        (1024, ("heap", "calendar"))]
-        traffic_cfgs = [(32, 200, ("heap", "calendar"))]
+        bignode_cfgs = [512, 1024]
+        traffic_cfgs = [(32, 200)]
         chaos_nodes = [8, 32]
 
     rows = []
@@ -198,26 +173,15 @@ def sweep(fast: bool = FAST):
         rows.append(_measure("jacobi", nodes, density,
                              lambda n=nodes, i=iters, c=cells:
                              run_jacobi(n, i, c)))
-    for nodes, density, iters, cells, schedulers in jacobi_sched_cfgs:
-        for sched in schedulers:
-            rows.append(_measure("jacobi", nodes, density,
-                                 lambda n=nodes, i=iters, c=cells, s=sched:
-                                 run_jacobi(n, i, c, scheduler=s),
-                                 scheduler=sched))
-    for nodes, schedulers in bignode_cfgs:
-        for sched in schedulers:
-            rows.append(_measure(
-                "jacobi", nodes, "sparse",
-                lambda n=nodes, s=sched:
-                run_jacobi(n, iterations=8, cells_per_rank=16,
-                           scheduler=s, heartbeat=30.0, iters_per_step=8),
-                scheduler=sched))
-    for nodes, jobs, schedulers in traffic_cfgs:
-        for sched in schedulers:
-            rows.append(_measure("traffic", nodes, f"jobs{jobs}",
-                                 lambda n=nodes, j=jobs, s=sched:
-                                 run_traffic(n, j, scheduler=s),
-                                 scheduler=sched))
+    for nodes in bignode_cfgs:
+        rows.append(_measure(
+            "jacobi", nodes, "sparse",
+            lambda n=nodes:
+            run_jacobi(n, iterations=8, cells_per_rank=16,
+                       heartbeat=30.0, iters_per_step=8)))
+    for nodes, jobs in traffic_cfgs:
+        rows.append(_measure("traffic", nodes, f"jobs{jobs}",
+                             lambda n=nodes, j=jobs: run_traffic(n, j)))
     for nodes in chaos_nodes:
         rows.append(_measure("chaos", nodes, "standard",
                              lambda n=nodes: run_chaos(n)))
@@ -237,12 +201,7 @@ def build_report(rows, fast: bool):
         base_by_key = {c["config"]: c for c in baseline.get("configs", [])}
         speedups = {}
         for row in rows:
-            # Scheduler variants compare against the heap baseline row
-            # of the same configuration (the baseline predates the
-            # calendar queue and never grows scheduler-suffixed rows).
-            base_key = f"{row['workload']}/{row['nodes']}/{row['density']}"
-            base = base_by_key.get(row["config"]) \
-                or base_by_key.get(base_key)
+            base = base_by_key.get(row["config"])
             if base is None or not base.get("wall_s"):
                 continue
             speedups[row["config"]] = {

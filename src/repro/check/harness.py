@@ -136,7 +136,6 @@ class CheckRunner:
                  seed: int = 0, jitter: float = 0.0,
                  policy: Any = FaultPolicy.RESTART,
                  nodes: Optional[int] = None,
-                 scheduler: Optional[str] = None,
                  compare_golden: bool = False,
                  workload_timeout: float = 240.0):
         from repro.ckpt.protocols import PROTOCOLS
@@ -152,9 +151,6 @@ class CheckRunner:
         self.jitter = jitter
         self.policy = policy
         self.nodes = nodes
-        #: Engine scheduler overlay (``None`` = the campaign's choice);
-        #: the sweep's verdicts are scheduler-independent by design.
-        self.scheduler = scheduler
         self.compare_golden = compare_golden
         self.workload_timeout = workload_timeout
 
@@ -163,8 +159,6 @@ class CheckRunner:
     def _spec(self, perturb_seed: Optional[int]):
         from repro.cluster.spec import ClusterSpec
         base = self.campaign.cluster_spec or ClusterSpec()
-        if self.scheduler is not None:
-            base = base.with_(scheduler=self.scheduler)
         if perturb_seed is None:
             return base
         return base.with_(perturb_seed=perturb_seed,

@@ -104,8 +104,7 @@ def cmd_chaos(args) -> int:
                   file=sys.stderr)
             return 1
     runner = CampaignRunner(campaign, seed=args.seed, protocol=args.protocol,
-                            policy=args.policy, nodes=args.nodes,
-                            scheduler=args.scheduler)
+                            policy=args.policy, nodes=args.nodes)
     try:
         report = runner.run(raise_on_error=False)
     except Exception:
@@ -144,8 +143,7 @@ def cmd_check(args) -> int:
     for name in campaigns:
         for protocol in protocols:
             runner = CheckRunner(name, protocol=protocol, seed=args.seed,
-                                 jitter=args.jitter, nodes=args.nodes,
-                                 scheduler=args.scheduler)
+                                 jitter=args.jitter, nodes=args.nodes)
             if args.replay is not None:
                 outcome, identical = runner.replay(args.replay)
                 print(f"check {name!r} protocol={protocol} "
@@ -462,11 +460,6 @@ def main(argv=None) -> int:
                        choices=protocol_names)
     chaos.add_argument("--policy", default="restart",
                        choices=["kill", "view-notify", "restart"])
-    chaos.add_argument("--scheduler", default=None,
-                       choices=["heap", "calendar"],
-                       help="engine future-event-list implementation "
-                            "(default: the campaign's spec; dispatch is "
-                            "byte-identical either way)")
     chaos.add_argument("--json", default=None, metavar="OUT.json",
                        help="write the full campaign report as JSON")
     chaos.set_defaults(fn=cmd_chaos)
@@ -495,11 +488,6 @@ def main(argv=None) -> int:
     check.add_argument("--replay", type=int, default=None, metavar="PSEED",
                        help="replay one perturbation seed twice and verify "
                             "the report reproduces byte-identically")
-    check.add_argument("--scheduler", default=None,
-                       choices=["heap", "calendar"],
-                       help="engine future-event-list implementation "
-                            "(default: the campaign's spec; verdicts are "
-                            "scheduler-independent)")
     check.add_argument("--json", default=None, metavar="OUT.json",
                        help="write all sweep results as JSON")
     check.set_defaults(fn=cmd_check)

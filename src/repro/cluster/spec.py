@@ -44,11 +44,6 @@ class ClusterSpec:
     #: ``net.loss``).  For a *windowed* loss fault, prefer
     #: :class:`repro.faults.FrameLossWindow`.
     loss_prob: float = 0.0
-    #: Future-event-list scheduler for the engine: ``"heap"`` (default,
-    #: the reference binary heap) or ``"calendar"`` (the amortized-O(1)
-    #: :class:`repro.sim.sched.CalendarQueue`).  Dispatch order is
-    #: byte-identical between the two — this is a pure wall-clock knob.
-    scheduler: str = "heap"
     #: Record a per-event trace (``repro.obs`` Chrome export).
     trace: bool = False
     #: Enable the metrics registry (``False`` swaps in no-op instruments).
@@ -101,10 +96,6 @@ class ClusterSpec:
         if not 0.0 <= self.loss_prob < 1.0:
             raise ValueError(
                 f"ClusterSpec.loss_prob must be in [0, 1), got {self.loss_prob}")
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"ClusterSpec.scheduler must be one of {SCHEDULERS}, "
-                f"got {self.scheduler!r}")
         if self.archs is not None and not isinstance(self.archs, tuple):
             object.__setattr__(self, "archs", tuple(self.archs))
         if self.replication_factor is not None \
@@ -168,11 +159,6 @@ class ClusterSpec:
             return spec
         return cls(**legacy)
 
-
-#: Valid ``scheduler`` names (kept in sync with
-#: :data:`repro.sim.sched.SCHEDULERS` by a unit test — duplicated here
-#: so spec validation stays import-light).
-SCHEDULERS = ("heap", "calendar")
 
 #: Valid ``placement_policy`` names.  :mod:`repro.store` imports these
 #: three definitions (this module must not import the store package,

@@ -103,7 +103,6 @@ class CampaignRunner:
                  nodes: Optional[int] = None,
                  checkers=None,
                  cluster_spec=None,
-                 scheduler: Optional[str] = None,
                  compare_golden: bool = True,
                  app_id: str = "campaign",
                  settle_grace: float = 1.5,
@@ -125,10 +124,6 @@ class CampaignRunner:
         #: Overrides the campaign's base ClusterSpec (e.g. the k=1 guard
         #: re-runs a replicated campaign without its replication factor).
         self.cluster_spec = cluster_spec
-        #: Engine scheduler overlay (``"heap"``/``"calendar"``/``None``
-        #: = keep the base spec's choice).  Dispatch is byte-identical
-        #: across schedulers, so reports and goldens are unaffected.
-        self.scheduler = scheduler
         self.compare_golden = compare_golden
         self.app_id = app_id
         self.settle_grace = settle_grace
@@ -147,10 +142,7 @@ class CampaignRunner:
         from repro.cluster.spec import ClusterSpec
         base = self.cluster_spec or self.campaign.cluster_spec \
             or ClusterSpec()
-        spec = base.with_(nodes=self.nodes, seed=self.seed)
-        if self.scheduler is not None:
-            spec = spec.with_(scheduler=self.scheduler)
-        return spec
+        return base.with_(nodes=self.nodes, seed=self.seed)
 
     def _build(self):
         from repro.core.starfish import StarfishCluster
@@ -313,7 +305,7 @@ class CampaignRunner:
         # Only present under the repro.check harness: adding the key
         # unconditionally would change the determinism goldens' bytes.
         spec = self._cluster_spec()
-        if getattr(spec, "perturb_seed", None) is not None:
+        if spec.perturb_seed is not None:
             data["perturbation"] = {"seed": spec.perturb_seed,
                                     "jitter": spec.delivery_jitter}
         return CampaignReport(data=data)

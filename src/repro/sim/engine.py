@@ -7,21 +7,19 @@ instant with the same priority are always processed in the order they were
 scheduled, which makes every simulation in this repository fully
 deterministic and reproducible.
 
-Hot-path layout: the heap entries are bare ``(time, priority, seq, event)``
-tuples, event triggering pushes them through the engine's pre-bound
-``_push`` callable (see :mod:`repro.sim.events`), and :meth:`Engine.run`
-inlines the per-event work of :meth:`Engine.step` with the queue, clock,
-and tracer bound to locals — the tracer branch is hoisted out of the loop
-entirely by selecting the traced or untraced loop body once per
-:meth:`run` call.  :meth:`step` remains the single-event reference
-implementation; both must dispatch events identically.
+Execution has two bodies.  :meth:`Engine._next` is the one "next entry
+<= limit" primitive — the only code that knows about the parked tie-group
+remainder, an installed perturbation and which event list is in use — and
+:meth:`Engine.step` is that primitive plus one :meth:`Engine._dispatch`.
+:meth:`Engine.run` wraps one prologue/epilogue around either a loop over
+those two, or, for the default heap with no perturbation, the same work
+inlined: bare ``(time, priority, seq, event)`` tuples popped with the
+heap, clock and tracer bound to locals.  Both must dispatch identically.
 
-The future event list itself is pluggable (``scheduler=`` / the
-``ClusterSpec.scheduler`` field): ``"heap"`` (default) keeps the single
-binary heap and the inlined PR-3 fast loops; ``"calendar"`` swaps in the
-amortized-O(1) :class:`~repro.sim.sched.CalendarQueue`, whose dispatch
-order is byte-identical by construction (``(time, priority, seq)`` total
-order preserved inside buckets).
+``scheduler="calendar"`` swaps the heap for the
+:class:`~repro.sim.sched.CalendarQueue` (same ``(time, priority, seq)``
+total order); it survives only as the seam the repository benchmark
+measures (DESIGN §19).
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
+from math import inf
 from typing import Any, Generator, Optional
 
 from repro.errors import SimulationError, StopSimulation
@@ -36,7 +35,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
-from repro.sim.sched import _REWIDTH_POPS, SCHEDULERS, CalendarQueue
+from repro.sim.sched import SCHEDULERS, CalendarQueue
 from repro.sim.trace import Tracer
 
 #: Priority for ordinary events.
@@ -63,7 +62,7 @@ class Engine:
         instruments (the zero-cost-ish ablation path).
     scheduler:
         Future-event-list implementation: ``"heap"`` (default, the
-        reference binary heap) or ``"calendar"`` (the amortized-O(1)
+        reference binary heap) or ``"calendar"`` (the
         :class:`~repro.sim.sched.CalendarQueue`; dispatch order is
         byte-identical).
     """
@@ -83,11 +82,7 @@ class Engine:
         self.scheduler = scheduler
         if scheduler == "calendar":
             self._sched: Optional[CalendarQueue] = CalendarQueue()
-            # C-level push, same cost as the heap's bound heappush: the
-            # entry lands on the staging list and is folded into the
-            # buckets (in push order — byte-identical heaps) by the
-            # dispatch loop or the queue's own drain.
-            self._push = self._sched._staging.append
+            self._push = self._sched.push
         else:
             self._sched = None
             self._push = partial(heappush, self._queue)
@@ -98,53 +93,31 @@ class Engine:
         self.metrics = MetricsRegistry(enabled=telemetry)
         # Schedule perturbation (repro.check): when installed, same-instant
         # same-priority event runs are dispatched in a seeded shuffled
-        # order instead of insertion order.  ``None`` keeps the untouched
-        # deterministic fast path (byte-identical to pre-perturbation
-        # engines).  ``_tie_pending`` holds the already-shuffled remainder
-        # of the current tie group.
+        # order instead of insertion order.  ``_tie_pending`` holds the
+        # already-shuffled remainder of the current tie group.
         self._perturb = None
         self._tie_pending: deque = deque()
         # Live engine internals surface as sampled gauges: no per-event
         # registry work on the hot path, always-current at collect time.
         self.metrics.gauge_fn("sim.events_processed",
                               lambda: self._nprocessed)
-        self.metrics.gauge_fn(
-            "sim.queue_depth",
-            lambda: (len(self._queue) if self._sched is None
-                     else len(self._sched)) + len(self._tie_pending))
+        self.metrics.gauge_fn("sim.queue_depth", lambda: self.pending)
         self.metrics.gauge_fn(
             "sim.trace.events_dropped",
             lambda: self.tracer.events_dropped if self.tracer else 0)
-        if self._sched is not None:
-            sched = self._sched
-            self.metrics.gauge_fn("sim.sched.buckets",
-                                  lambda: sched.nbuckets)
-            self.metrics.gauge_fn("sim.sched.occupancy",
-                                  lambda: len(sched))
-            self.metrics.gauge_fn("sim.sched.width", lambda: sched.width)
-            self.metrics.gauge_fn("sim.sched.resizes",
-                                  lambda: sched.resizes)
-            self.metrics.gauge_fn("sim.sched.direct_searches",
-                                  lambda: sched.direct_searches)
 
     @classmethod
     def from_spec(cls, spec) -> "Engine":
-        """Build an engine from a :class:`~repro.cluster.spec.ClusterSpec`.
-
-        Duck-typed on the kernel-relevant fields (``seed``, ``trace``,
-        ``telemetry``, and the optional ``perturb_seed`` /
-        ``delivery_jitter`` pair) so the sim layer does not import the
-        cluster layer.
-        """
+        """Build an engine from a :class:`~repro.cluster.spec.ClusterSpec`
+        (its ``seed``, ``trace``, ``telemetry``, ``perturb_seed`` and
+        ``delivery_jitter`` fields; the sim layer does not import the
+        cluster layer)."""
         eng = cls(seed=spec.seed, trace=spec.trace,
-                  telemetry=spec.telemetry,
-                  scheduler=getattr(spec, "scheduler", "heap"))
-        perturb_seed = getattr(spec, "perturb_seed", None)
-        if perturb_seed is not None:
+                  telemetry=spec.telemetry)
+        if spec.perturb_seed is not None:
             from repro.check.perturb import SchedulePerturbation
             eng.set_perturbation(SchedulePerturbation(
-                perturb_seed,
-                jitter=getattr(spec, "delivery_jitter", 0.0)))
+                spec.perturb_seed, jitter=spec.delivery_jitter))
         return eng
 
     def set_perturbation(self, perturb) -> None:
@@ -173,6 +146,12 @@ class Engine:
     def events_processed(self) -> int:
         """Total number of events processed so far (a work measure)."""
         return self._nprocessed
+
+    @property
+    def pending(self) -> int:
+        """Number of scheduled events not yet dispatched."""
+        queued = self._queue if self._sched is None else self._sched
+        return len(queued) + len(self._tie_pending)
 
     def _enqueue(self, event: Event, priority: Optional[int],
                  delay: float = 0.0) -> None:
@@ -204,67 +183,56 @@ class Engine:
 
     # -- execution ---------------------------------------------------------
 
-    def _pop_perturbed(self):
-        """Pop the next heap entry under an installed perturbation.
+    def _pop_until(self, limit: float):
+        """Raw event-list pop: the minimal entry if it is due by
+        ``limit``, else ``None``."""
+        if self._sched is not None:
+            return self._sched.pop_until(limit)
+        queue = self._queue
+        return heappop(queue) if queue and queue[0][0] <= limit else None
 
-        A run of entries tying on ``(time, priority)`` at the heap head is
-        drained as one group, shuffled by the perturbation's seeded RNG,
-        and dispatched from ``_tie_pending``.  Events scheduled *while* the
-        group dispatches form later groups of their own, so every shuffled
+    def _head_key(self):
+        """``(time, priority)`` at the head of the event list, or ``None``."""
+        if self._sched is not None:
+            return self._sched.peek_key()
+        queue = self._queue
+        return queue[0][:2] if queue else None
+
+    def _next(self, limit: float = inf):
+        """Pop the next entry to dispatch if its time is ``<= limit``.
+
+        Under an installed perturbation, a run of entries tying on
+        ``(time, priority)`` at the head of the event list is drained as
+        one group, shuffled by the perturbation's seeded RNG, and handed
+        out from ``_tie_pending``.  Events scheduled *while* the group
+        dispatches form later groups of their own, so every shuffled
         schedule is still causally valid; URGENT never mixes with NORMAL
-        (unequal priority ends the group).
+        (unequal priority ends the group).  A ``StopSimulation``
+        mid-group is safe: the remainder stays parked for the next call.
         """
         pending = self._tie_pending
         if pending:
-            return pending.popleft()
-        sched = self._sched
-        if sched is None:
-            queue = self._queue
-            entry = heappop(queue)
-            if queue and queue[0][0] == entry[0] \
-                    and queue[0][1] == entry[1]:
-                group = [entry]
-                when, prio = entry[0], entry[1]
-                while queue and queue[0][0] == when \
-                        and queue[0][1] == prio:
-                    group.append(heappop(queue))
-                self._perturb.shuffle_ties(group)
-                pending.extend(group)
-                return pending.popleft()
+            return pending.popleft() if pending[0][0] <= limit else None
+        entry = self._pop_until(limit)
+        if entry is None or self._perturb is None:
             return entry
-        entry = sched.pop()
-        key = (entry[0], entry[1])
-        if sched.peek_key() == key:
-            group = [entry]
-            while sched.peek_key() == key:
-                group.append(sched.pop())
-            self._perturb.shuffle_ties(group)
-            pending.extend(group)
-            return pending.popleft()
-        return entry
+        key = entry[:2]
+        group = [entry]
+        while self._head_key() == key:
+            group.append(self._pop_until(limit))
+        if len(group) == 1:
+            return entry
+        self._perturb.shuffle_ties(group)
+        pending.extend(group)
+        return pending.popleft()
 
-    def step(self) -> None:
-        """Process exactly one event; raise
-        :class:`~repro.errors.SimulationError` if the queue is empty.
+    def _dispatch(self, entry) -> None:
+        """Advance the clock to ``entry`` and run its event's callbacks.
 
         Reference implementation of event dispatch — the inlined loop in
-        :meth:`run` must stay behaviorally identical to this.
+        :meth:`_run_heap` must stay behaviorally identical to this.
         """
-        sched = self._sched
-        if self._perturb is not None:
-            empty = (not self._queue if sched is None else not sched)
-            if empty and not self._tie_pending:
-                raise SimulationError("event queue is empty")
-            when, _prio, _seq, event = self._pop_perturbed()
-        elif sched is not None:
-            entry = sched.pop()
-            if entry is None:
-                raise SimulationError("event queue is empty")
-            when, _prio, _seq, event = entry
-        elif not self._queue:
-            raise SimulationError("event queue is empty")
-        else:
-            when, _prio, _seq, event = heappop(self._queue)
+        when, _prio, _seq, event = entry
         if when < self._now:
             raise SimulationError("event queue went back in time")
         self._now = when
@@ -276,8 +244,15 @@ class Engine:
             cb(event)
         if not event._ok and not event._defused:
             # A failure nobody was waiting on: surface it loudly.
-            exc = event.value
-            raise exc
+            raise event._value
+
+    def step(self) -> None:
+        """Process exactly one event; raise
+        :class:`~repro.errors.SimulationError` if the queue is empty."""
+        entry = self._next()
+        if entry is None:
+            raise SimulationError("event queue is empty")
+        self._dispatch(entry)
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -307,285 +282,58 @@ class Engine:
             if stop_at < self._now:
                 raise SimulationError(
                     f"run(until={stop_at}) is in the past (now={self._now})")
+        limit = inf if stop_at is None else stop_at
 
-        if self._perturb is not None:
-            return self._run_perturbed(until, stop_at)
-        if self._sched is not None:
-            return self._run_calendar(until, stop_at)
+        try:
+            if self._sched is not None or self._perturb is not None:
+                while (entry := self._next(limit)) is not None:
+                    self._dispatch(entry)
+            else:
+                self._run_heap(limit)
+        except StopSimulation as stop:
+            ev: Event = stop.value
+            if not ev.ok:
+                raise ev.value from None
+            return ev.value
+        if isinstance(until, Event):
+            raise SimulationError(
+                f"simulation ran dry before {until!r} triggered")
+        if stop_at is not None:
+            self._now = stop_at
+        return None
 
+    def _run_heap(self, limit: float) -> None:
+        """:meth:`_next` + :meth:`_dispatch` inlined for the default heap
+        with no perturbation installed."""
         queue = self._queue
         pop = heappop
         tracer = self.tracer
         record = tracer.record if tracer is not None else None
         nprocessed = self._nprocessed
         try:
-            # Two copies of the dispatch loop: the run-to-event/drain case
-            # (no deadline) skips the per-event deadline peek entirely.
-            if stop_at is None:
-                while queue:
-                    when, _prio, _seq, event = pop(queue)
-                    if when < self._now:
-                        raise SimulationError("event queue went back in time")
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    nprocessed += 1
-                    if record is not None:
-                        record(when, event)
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc
-            else:
-                while queue:
-                    if queue[0][0] > stop_at:
-                        self._now = stop_at
-                        return None
-                    when, _prio, _seq, event = pop(queue)
-                    if when < self._now:
-                        raise SimulationError("event queue went back in time")
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    nprocessed += 1
-                    if record is not None:
-                        record(when, event)
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc
-        except StopSimulation as stop:
-            ev: Event = stop.value
-            if not ev.ok:
-                raise ev.value from None
-            return ev.value
-        finally:
-            self._nprocessed = nprocessed
-        if isinstance(until, Event):
-            raise SimulationError(
-                f"simulation ran dry before {until!r} triggered")
-        if stop_at is not None:
-            self._now = stop_at
-        return None
-
-    def _run_calendar(self, until: Any, stop_at: Optional[float]) -> Any:
-        """The :meth:`run` loop over a :class:`CalendarQueue`.
-
-        Identical epilogue semantics to the inlined heap loops.  Like the
-        heap loops inline ``heappop``, this one inlines the calendar's
-        whole per-event cycle — staging drain, day-walk, pop (the bodies
-        of ``CalendarQueue._drain`` / ``pop`` / ``pop_until``) — because
-        even one Python call per event is a measurable tax at bench
-        scale.  The buckets/mask/width locals are cached and re-read
-        only when the queue's resize ``_version`` moves.
-
-        Every ``_REWIDTH_POPS`` pops the day array is rebuilt so the
-        bucket width tracks the *current* schedule density (Brown's
-        queue only adapts on occupancy resizes; a long steady-state
-        phase would otherwise keep the boot-time width forever).  The
-        rebuild is a pure layout change keyed off the pop counter, so
-        it is deterministic and invisible to dispatch order.
-        """
-        sched = self._sched
-        tracer = self.tracer
-        record = tracer.record if tracer is not None else None
-        nprocessed = self._nprocessed
-        pops = 0
-        try:
-            staging = sched._staging
-            version = sched._version
-            buckets = sched._buckets
-            mask = sched._mask
-            inv_w = sched._inv_width
-            if stop_at is None:
-                while True:
-                    if version != sched._version:
-                        version = sched._version
-                        buckets = sched._buckets
-                        mask = sched._mask
-                        inv_w = sched._inv_width
-                    if staging:
-                        for entry in staging:
-                            heappush(buckets[int(entry[0] * inv_w) & mask],
-                                     entry)
-                        count = sched._count + len(staging)
-                        sched._count = count
-                        staging.clear()
-                        if count > sched._grow_at:
-                            sched._resize()
-                            continue
-                    else:
-                        count = sched._count
-                    if not count:
-                        break
-                    day = sched._epoch
-                    remaining = mask + 2
-                    while remaining:
-                        bucket = buckets[day & mask]
-                        if bucket and int(bucket[0][0] * inv_w) <= day:
-                            break
-                        day += 1
-                        remaining -= 1
-                    else:
-                        sched.direct_searches += 1
-                        bucket = None
-                        for b in buckets:
-                            if b and (bucket is None or b[0] < bucket[0]):
-                                bucket = b
-                    entry = heappop(bucket)
-                    when = entry[0]
-                    sched._last = when
-                    sched._epoch = int(when * inv_w)
-                    sched._count = count - 1
-                    pops += 1
-                    if count - 1 < sched._shrink_at or \
-                            pops >= _REWIDTH_POPS:
-                        sched._resize()
-                        pops = 0
-                    event = entry[3]
-                    if when < self._now:
-                        raise SimulationError("event queue went back in time")
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    nprocessed += 1
-                    if record is not None:
-                        record(when, event)
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc
-            else:
-                while True:
-                    if version != sched._version:
-                        version = sched._version
-                        buckets = sched._buckets
-                        mask = sched._mask
-                        inv_w = sched._inv_width
-                    if staging:
-                        for entry in staging:
-                            heappush(buckets[int(entry[0] * inv_w) & mask],
-                                     entry)
-                        count = sched._count + len(staging)
-                        sched._count = count
-                        staging.clear()
-                        if count > sched._grow_at:
-                            sched._resize()
-                            continue
-                    else:
-                        count = sched._count
-                    if not count:
-                        break
-                    day = sched._epoch
-                    remaining = mask + 2
-                    while remaining:
-                        bucket = buckets[day & mask]
-                        if bucket and int(bucket[0][0] * inv_w) <= day:
-                            break
-                        day += 1
-                        remaining -= 1
-                    else:
-                        sched.direct_searches += 1
-                        bucket = None
-                        for b in buckets:
-                            if b and (bucket is None or b[0] < bucket[0]):
-                                bucket = b
-                    if bucket[0][0] > stop_at:
-                        break
-                    entry = heappop(bucket)
-                    when = entry[0]
-                    sched._last = when
-                    sched._epoch = int(when * inv_w)
-                    sched._count = count - 1
-                    pops += 1
-                    if count - 1 < sched._shrink_at or \
-                            pops >= _REWIDTH_POPS:
-                        sched._resize()
-                        pops = 0
-                    event = entry[3]
-                    if when < self._now:
-                        raise SimulationError("event queue went back in time")
-                    self._now = when
-                    callbacks, event.callbacks = event.callbacks, None
-                    nprocessed += 1
-                    if record is not None:
-                        record(when, event)
-                    for cb in callbacks:
-                        cb(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        raise exc
-        except StopSimulation as stop:
-            ev: Event = stop.value
-            if not ev.ok:
-                raise ev.value from None
-            return ev.value
-        finally:
-            self._nprocessed = nprocessed
-        if isinstance(until, Event):
-            raise SimulationError(
-                f"simulation ran dry before {until!r} triggered")
-        if stop_at is not None:
-            self._now = stop_at
-        return None
-
-    def _run_perturbed(self, until: Any, stop_at: Optional[float]) -> Any:
-        """The :meth:`run` loop under an installed perturbation.
-
-        Same epilogue semantics as the fast loops; dispatch goes through
-        :meth:`_pop_perturbed`.  A ``StopSimulation`` mid-group is safe:
-        the shuffled remainder stays parked in ``_tie_pending`` and the
-        next call (or :meth:`step`) continues from it.
-        """
-        queue = self._queue
-        sched = self._sched
-        pending = self._tie_pending
-        try:
-            while (queue if sched is None else sched) or pending:
-                if stop_at is not None:
-                    if pending:
-                        nxt = pending[0][0]
-                    elif sched is None:
-                        nxt = queue[0][0]
-                    else:
-                        nxt = sched.peek_time()
-                    if nxt > stop_at:
-                        self._now = stop_at
-                        return None
-                when, _prio, _seq, event = self._pop_perturbed()
+            while queue and queue[0][0] <= limit:
+                when, _prio, _seq, event = pop(queue)
                 if when < self._now:
                     raise SimulationError("event queue went back in time")
                 self._now = when
                 callbacks, event.callbacks = event.callbacks, None
-                self._nprocessed += 1
-                if self.tracer is not None:
-                    self.tracer.record(when, event)
+                nprocessed += 1
+                if record is not None:
+                    record(when, event)
                 for cb in callbacks:
                     cb(event)
                 if not event._ok and not event._defused:
                     raise event._value
-        except StopSimulation as stop:
-            ev: Event = stop.value
-            if not ev.ok:
-                raise ev.value from None
-            return ev.value
-        if isinstance(until, Event):
-            raise SimulationError(
-                f"simulation ran dry before {until!r} triggered")
-        if stop_at is not None:
-            self._now = stop_at
-        return None
+        finally:
+            self._nprocessed = nprocessed
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._tie_pending:
             return self._tie_pending[0][0]
-        if self._sched is not None:
-            return self._sched.peek_time()
-        return self._queue[0][0] if self._queue else float("inf")
+        key = self._head_key()
+        return key[0] if key is not None else inf
 
     def __repr__(self) -> str:
-        queued = (len(self._queue) if self._sched is None
-                  else len(self._sched)) + len(self._tie_pending)
-        return (f"<Engine t={self._now:.9g} queued={queued} "
+        return (f"<Engine t={self._now:.9g} queued={self.pending} "
                 f"processed={self._nprocessed} sched={self.scheduler}>")

@@ -6,8 +6,8 @@ an implementation choice behind that contract:
 
 ``heap``
     the reference implementation — a single binary heap (``heapq``),
-    O(log n) per operation.  The engine keeps its PR-3 inlined fast
-    path for this scheduler; it is the default everywhere.
+    O(log n) per operation.  The engine keeps its inlined fast path for
+    this scheduler; it is the default everywhere.
 
 ``calendar``
     a Brown-style **calendar queue** [Brown 1988]: a circular day-array
@@ -30,7 +30,9 @@ queue falls back to a direct scan for the minimum head (counted in
 ``direct_searches``; rare once the width matches the schedule density).
 
 The queue resizes itself when the pending count grows past twice the
-day count or shrinks below a quarter of it.  Each resize re-estimates
+day count or shrinks below a quarter of it, and every ``_REWIDTH_POPS``
+pops (so the width tracks the current schedule density even when the
+pending count is steady).  Each resize re-estimates
 the bucket width from the head of the schedule the way Brown's paper
 does: take the first ~25 pending entries, average their inter-event
 gaps, drop outlier gaps (>= 2x the average) and use 3x the refined
@@ -42,10 +44,10 @@ resize identically (determinism holds through resizes).
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from math import inf
 from typing import List, Optional, Tuple
 
-#: Valid ``ClusterSpec.scheduler`` / ``Engine(scheduler=...)`` names
-#: (mirrored by :data:`repro.cluster.spec.SCHEDULERS`, sync-tested).
+#: Valid ``Engine(scheduler=...)`` names.
 SCHEDULERS = ("heap", "calendar")
 
 #: Smallest day-array ever used (shrinks stop here).
@@ -68,16 +70,16 @@ _REWIDTH_POPS = 8192
 class CalendarQueue:
     """Amortized-O(1) future event list with heap-identical ordering.
 
-    The public surface is exactly what :class:`~repro.sim.engine.Engine`
-    needs: :meth:`push`, :meth:`pop`, :meth:`pop_until`,
-    :meth:`peek_time`, :meth:`peek_key` and ``len()``.  Entries are the
+    The public surface is what :class:`~repro.sim.engine.Engine` uses:
+    ``push(entry)``, :meth:`pop_until`, :meth:`peek_key` and ``len()``
+    (plus :meth:`pop`, the unbounded ``pop_until``).  Entries are the
     engine's ``(time, priority, seq, event)`` tuples and come back in
     strictly non-decreasing ``(time, priority, seq)`` order.
     """
 
     __slots__ = ("_buckets", "_mask", "_width", "_inv_width", "_epoch",
-                 "_last", "_count", "_grow_at", "_shrink_at", "_version",
-                 "_staging", "resizes", "direct_searches")
+                 "_last", "_count", "_pops", "_grow_at", "_shrink_at",
+                 "_staging", "push", "resizes", "direct_searches")
 
     def __init__(self, width: float = _DEFAULT_WIDTH,
                  nbuckets: int = MIN_BUCKETS):
@@ -99,14 +101,15 @@ class CalendarQueue:
         self._epoch = 0
         self._last = 0.0
         self._count = 0
-        # Bumped by every resize; lets the engine's inlined dispatch
-        # loop cache the buckets/mask/width locals between events.
-        self._version = 0
-        # Pushes land here as a C-level ``list.append`` (the engine
-        # binds ``_push`` straight to ``_staging.append`` — the only
-        # way a push costs no Python frame) and are folded into the
-        # buckets, in push order, before the next dequeue/peek.
+        # Pops since the last resize (the ``_REWIDTH_POPS`` trigger).
+        self._pops = 0
+        # Pushes land here and are folded into the buckets, in push
+        # order, before the next dequeue/peek.
         self._staging: List[tuple] = []
+        #: Enqueue one ``(time, priority, seq, event)`` entry.  Bound
+        #: straight to the staging list's C-level ``append`` so a push
+        #: costs no Python frame, like the heap's bound ``heappush``.
+        self.push = self._staging.append
         self._grow_at = 2 * nbuckets
         self._shrink_at = 0 if nbuckets <= MIN_BUCKETS else nbuckets // 4
         #: Telemetry: day-array rebuilds / full-scan fallbacks so far.
@@ -126,14 +129,7 @@ class CalendarQueue:
     def __len__(self) -> int:
         return self._count + len(self._staging)
 
-    def __bool__(self) -> bool:
-        return bool(self._count or self._staging)
-
     # -- core operations -------------------------------------------------
-
-    def push(self, entry: tuple) -> None:
-        """Enqueue one ``(time, priority, seq, event)`` entry."""
-        self._staging.append(entry)
 
     def _drain(self) -> None:
         """Fold staged pushes into the buckets, in push order.
@@ -185,40 +181,8 @@ class CalendarQueue:
         return best
 
     def pop(self) -> Optional[tuple]:
-        """Dequeue and return the minimal entry, or ``None`` when empty.
-
-        Body inlines :meth:`_find` — this is the engine's per-event hot
-        path and the extra call measurably taxes large sweeps.
-        """
-        if self._staging:
-            self._drain()
-        count = self._count
-        if not count:
-            return None
-        buckets = self._buckets
-        mask = self._mask
-        inv_w = self._inv_width
-        day = self._epoch
-        remaining = mask + 2
-        while remaining:
-            bucket = buckets[day & mask]
-            if bucket and int(bucket[0][0] * inv_w) <= day:
-                break
-            day += 1
-            remaining -= 1
-        else:
-            self.direct_searches += 1
-            bucket = None
-            for b in buckets:
-                if b and (bucket is None or b[0] < bucket[0]):
-                    bucket = b
-        entry = heappop(bucket)
-        self._last = t = entry[0]
-        self._epoch = int(t * inv_w)
-        self._count = count - 1
-        if count - 1 < self._shrink_at:
-            self._resize()
-        return entry
+        """Dequeue and return the minimal entry, or ``None`` when empty."""
+        return self.pop_until(inf)
 
     def pop_until(self, limit: float) -> Optional[tuple]:
         """Dequeue the minimal entry if its time is ``<= limit``; return
@@ -231,14 +195,10 @@ class CalendarQueue:
         self._last = t = entry[0]
         self._epoch = int(t * self._inv_width)
         self._count -= 1
-        if self._count < self._shrink_at:
+        self._pops += 1
+        if self._count < self._shrink_at or self._pops >= _REWIDTH_POPS:
             self._resize()
         return entry
-
-    def peek_time(self) -> float:
-        """Time of the minimal entry, or ``inf`` when empty."""
-        bucket = self._find()
-        return bucket[0][0] if bucket is not None else float("inf")
 
     def peek_key(self) -> Optional[Tuple[float, int]]:
         """``(time, priority)`` of the minimal entry (``None`` if empty)."""
@@ -279,7 +239,7 @@ class CalendarQueue:
             entries.extend(bucket)
         entries.sort()
         self.resizes += 1
-        self._version += 1
+        self._pops = 0
         nbuckets = MIN_BUCKETS
         while nbuckets < len(entries):
             nbuckets <<= 1

@@ -85,9 +85,8 @@ def test_traffic_generator_is_seed_deterministic():
     from repro.cluster import ClusterSpec
     from repro.fleet import FleetController
 
-    def run(scheduler):
-        sf = StarfishCluster.build(spec=ClusterSpec(nodes=4, seed=11,
-                                                    scheduler=scheduler))
+    def run():
+        sf = StarfishCluster.build(spec=ClusterSpec(nodes=4, seed=11))
         gen = TrafficGenerator(FleetController(sf, auto_drain=False),
                                jobs=12, rate=8.0, seed=5)
         finished = gen.drain(timeout=120.0)
@@ -95,11 +94,10 @@ def test_traffic_generator_is_seed_deterministic():
                   j.state) for j in gen.submitted]
         return finished, trace, sf.engine.events_processed
 
-    a = run("heap")
+    a = run()
     assert a[0] == 12
     assert all(state == "done" for *_rest, state in a[1])
-    assert a == run("heap")         # same seed, same everything
-    assert a == run("calendar")     # scheduler-independent by contract
+    assert a == run()               # same seed, same everything
 
 
 def test_traffic_generator_validates_parameters():

@@ -101,7 +101,7 @@ def test_set_perturbation_mid_group_refused():
     # step() far enough to have a shuffled remainder parked.
     while not done:
         eng.step()
-    assert eng._tie_pending
+    assert eng.pending
     with pytest.raises(SimulationError):
         eng.set_perturbation(None)
 
@@ -119,7 +119,7 @@ def test_peek_sees_parked_tie_group():
         eng.process(proc(i))
     while not done:
         eng.step()
-    assert eng._tie_pending
+    assert eng.pending
     assert eng.peek() == 1.0
     eng.run()
     assert sorted(done) == list(range(8))

@@ -175,23 +175,6 @@ def test_campaign_report_matches_golden(goldens, campaign, seed, protocol,
     assert _entry(report) == entry
 
 
-@pytest.mark.parametrize("seed,protocol", [MATRIX[0], MATRIX[-1]],
-                         ids=[_key(*MATRIX[0]) + "/calendar",
-                              _key(*MATRIX[-1]) + "/calendar"])
-def test_calendar_scheduler_matches_heap_goldens(goldens, seed, protocol):
-    """The calendar queue's byte-identity contract, end to end: the same
-    pre-overhaul golden digests must hold with ``scheduler="calendar"``
-    — the goldens are the gate, never regenerated for a scheduler."""
-    report = CampaignRunner(
-        CAMPAIGN, seed=seed, protocol=protocol, policy=POLICY,
-        compare_golden=False, scheduler="calendar").run()
-    entry = goldens["entries"][_key(seed, protocol)]
-    assert report_digest(report.data) == entry["report_sha256"], (
-        f"calendar-scheduler report for {_key(seed, protocol)} diverged "
-        f"from the heap golden — dispatch order is no longer identical")
-    assert telemetry_digest(report.data) == entry["telemetry_sha256"]
-
-
 def test_same_process_rerun_is_byte_identical():
     """Two same-seed runs in one process: identical bytes, including the
     engine work measures (no process-global state leaks into reports)."""

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import SchedulePerturbation
 from repro.errors import SimulationError
-from repro.sim import Engine
+from repro.sim import SCHEDULERS, Engine
 from repro.sim.engine import NORMAL, URGENT
 from repro.sim.events import Timeout
 
@@ -84,7 +85,7 @@ def test_peek_is_monotone_under_stepping(entries, step_count):
     eng = Engine()
     _schedule(eng, entries)
     last_peek = eng.peek()
-    while eng._queue:
+    while eng.pending:
         assert eng.peek() >= last_peek
         assert eng.peek() >= eng.now
         last_peek = eng.peek()
@@ -128,21 +129,37 @@ def test_run_until_past_deadline_rejected():
         eng.run(until=1.0)
 
 
-@settings(max_examples=30, deadline=None)
-@given(entries=st.lists(entry, min_size=1, max_size=20))
-def test_step_and_run_agree(entries):
-    """Stepping one event at a time produces the identical dispatch order
-    as the inlined run() loop — step() is the reference implementation."""
-    global fired
-    fired = []
-    eng = Engine()
-    _schedule(eng, entries)
-    while eng._queue:
+def _step_all(eng, cuts):
+    while eng.pending:
         eng.step()
-    by_step = list(fired)
 
-    fired = []
-    eng2 = Engine()
-    _schedule(eng2, entries)
-    eng2.run()
-    assert fired == by_step
+
+def _sliced_run(eng, cuts):
+    for t in sorted(c * 0.25 for c in cuts):
+        eng.run(until=t)
+    eng.run()
+
+
+@pytest.mark.parametrize("perturb_seed", [None, 3])
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@settings(max_examples=30, deadline=None)
+@given(entries=st.lists(entry, min_size=1, max_size=20),
+       cuts=st.lists(st.integers(0, 4), min_size=1, max_size=4))
+def test_step_and_run_agree(scheduler, perturb_seed, entries, cuts):
+    """step() == run() == sliced run(until=t): one event at a time, the
+    run() loop (inlined for the unperturbed heap) and run() re-entered at
+    arbitrary deadlines all produce the identical dispatch order, on
+    either event list, with or without a (same-seed) perturbation."""
+    global fired
+    orders = []
+    for drive in (lambda eng, cuts: eng.run(), _step_all, _sliced_run):
+        fired = []
+        eng = Engine(scheduler=scheduler)
+        if perturb_seed is not None:
+            eng.set_perturbation(SchedulePerturbation(perturb_seed))
+        _schedule(eng, entries)
+        drive(eng, cuts)
+        assert eng.pending == 0
+        orders.append(fired)
+    assert orders[0] == orders[1] == orders[2]
+    assert len(orders[0]) == len(entries)

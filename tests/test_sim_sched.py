@@ -6,8 +6,8 @@ same-instant ``(time, priority)`` tie groups, which the perturbation
 machinery shuffles as a unit.  These tests pin that contract directly
 (randomized heap-vs-calendar drains) and at the engine level (identical
 dispatch sequences with and without an installed perturbation), plus the
-calendar's own mechanics: staging, resizing, the epoch floor, and the
-``sim.sched.*`` telemetry gauges.
+calendar's own mechanics: staging, resizing, periodic re-widthing and the
+epoch floor.
 """
 
 import heapq
@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Engine
-from repro.sim.sched import (MIN_BUCKETS, SCHEDULERS, CalendarQueue)
+from repro.sim.sched import (_REWIDTH_POPS, MIN_BUCKETS, SCHEDULERS,
+                             CalendarQueue)
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -43,13 +44,6 @@ def _drain(queue):
 # construction / validation
 # ---------------------------------------------------------------------------
 
-def test_schedulers_tuple_matches_cluster_spec():
-    """The spec module duplicates SCHEDULERS to avoid importing the sim
-    layer from the config layer; the two must never drift."""
-    from repro.cluster import spec
-    assert spec.SCHEDULERS == SCHEDULERS
-
-
 def test_invalid_width_rejected():
     with pytest.raises(ValueError):
         CalendarQueue(width=0.0)
@@ -69,12 +63,6 @@ def test_engine_rejects_unknown_scheduler():
         Engine(scheduler="splay-tree")
 
 
-def test_cluster_spec_rejects_unknown_scheduler():
-    from repro.cluster.spec import ClusterSpec
-    with pytest.raises(ValueError):
-        ClusterSpec(scheduler="splay-tree")
-
-
 # ---------------------------------------------------------------------------
 # basic ordering
 # ---------------------------------------------------------------------------
@@ -85,7 +73,6 @@ def test_empty_queue_behaviour():
     assert not q
     assert q.pop() is None
     assert q.pop_until(10.0) is None
-    assert q.peek_time() == float("inf")
     assert q.peek_key() is None
 
 
@@ -113,7 +100,7 @@ def test_len_and_bool_include_staged_pushes():
     # Nothing drained yet — the staging list must still count.
     assert len(q) == 2
     assert bool(q)
-    assert q.peek_time() == 1.0     # peek folds staging in
+    assert q.peek_key() == (1.0, 1)     # peek folds staging in
     assert len(q) == 2
 
 
@@ -146,12 +133,12 @@ def test_declined_pop_until_does_not_advance_epoch():
 
 
 def test_peek_after_far_future_entry_keeps_order():
-    """Same hazard via peek_time: peeking at an entry a full year of days
+    """Same hazard via peek_key: peeking at an entry a full year of days
     away (direct-search path) must leave the epoch on the floor."""
     q = CalendarQueue(width=0.001, nbuckets=16)
     far = _entry(10.0)              # >> 16 buckets * 1ms = one 16ms year
     q.push(far)
-    assert q.peek_time() == 10.0
+    assert q.peek_key() == (10.0, 1)
     near = _entry(0.005)
     q.push(near)
     assert q.pop() == near
@@ -166,7 +153,7 @@ def test_grows_past_min_buckets_and_counts_resizes():
     q = CalendarQueue()
     for i in range(200):
         q.push(_entry(i * 0.01))
-    q.peek_time()                   # forces the drain (and the grow)
+    q.peek_key()                    # forces the drain (and the grow)
     assert q.nbuckets > MIN_BUCKETS
     assert q.resizes >= 1
     assert len(q) == 200
@@ -193,7 +180,7 @@ def test_resize_preserves_order_and_ties():
 def test_direct_search_counted_for_far_future_entry():
     q = CalendarQueue(width=0.001, nbuckets=16)
     q.push(_entry(100.0))           # far beyond one year of days
-    assert q.peek_time() == 100.0
+    assert q.peek_key() == (100.0, 1)
     assert q.direct_searches >= 1
 
 
@@ -201,9 +188,26 @@ def test_width_adapts_to_schedule_density():
     q = CalendarQueue()
     for i in range(200):
         q.push(_entry(i * 0.5))     # 0.5s spacing
-    q.peek_time()
+    q.peek_key()
     assert q.resizes >= 1
     assert q.width == pytest.approx(1.5)     # 3x the uniform gap
+
+
+def test_width_re_estimated_at_steady_occupancy():
+    """A hold model (one push per pop) never crosses an occupancy
+    threshold; the queue's own pop counter must still re-estimate the
+    width when the schedule density changes — for any driver, not only
+    an engine loop."""
+    q = CalendarQueue()
+    for i in range(64):
+        q.push(_entry(i * 0.5))
+    assert q.pop() is not None
+    wide, resizes = q.width, q.resizes
+    for i in range(_REWIDTH_POPS):
+        q.push(_entry(32.0 + i * 0.001))     # 500x denser from here on
+        assert q.pop() is not None
+    assert q.resizes > resizes
+    assert q.width < wide / 100
 
 
 def test_width_estimate_survives_all_ties_sample():
@@ -213,19 +217,9 @@ def test_width_estimate_survives_all_ties_sample():
     entries = [_entry(2.0) for _ in range(200)]
     for e in entries:
         q.push(e)
-    q.peek_time()
+    q.peek_key()
     assert q.width > 0.0
     assert _drain(q) == entries
-
-
-def test_engine_exports_sched_gauges():
-    eng = Engine(scheduler="calendar")
-    names = {name for name, _labels, _v in eng.metrics.sampled_gauges()}
-    assert {"sim.sched.buckets", "sim.sched.occupancy", "sim.sched.width",
-            "sim.sched.resizes", "sim.sched.direct_searches"} <= names
-    heap_names = {name for name, _l, _v
-                  in Engine().metrics.sampled_gauges()}
-    assert "sim.sched.buckets" not in heap_names
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +307,7 @@ def test_engine_calendar_matches_heap_dispatch():
 
 @pytest.mark.parametrize("perturb_seed", [1, 2, 3])
 def test_engine_calendar_matches_heap_under_perturbation(perturb_seed):
-    """Perturbed tie groups are collected via peek_key/pop on the
+    """Perturbed tie groups are collected via peek_key/pop_until on the
     scheduler; the shuffled outcome must match the heap's exactly (same
     groups in, same seeded shuffle out)."""
     assert (_tie_heavy_run("calendar", perturb_seed)
@@ -355,10 +349,3 @@ def test_engine_step_parity():
         assert eng.now == 0.5
         eng.step()
         assert eng.now == 1.0
-
-
-def test_from_spec_picks_up_scheduler():
-    from repro.cluster.spec import ClusterSpec
-    eng = Engine.from_spec(ClusterSpec(scheduler="calendar"))
-    assert eng.scheduler == "calendar"
-    assert Engine.from_spec(ClusterSpec()).scheduler == "heap"
