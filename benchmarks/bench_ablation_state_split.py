@@ -49,7 +49,8 @@ def run_split():
                      for r in daemon.registry.all()],
         "config": dict(daemon.config),
         "members": [str(m) for m in daemon.gm.view.members],
-        "delivered": daemon.gm.stats["delivered"],
+        "delivered": int(sf.engine.metrics.value(
+            "gcs.delivered", node=daemon.node.node_id)),
     }
     # Serializable subset of daemon state (programs are classes; name them).
     for blob in live_state["registry"]:

@@ -4,8 +4,9 @@ The protocol (coordinator-based, sequencer total order, flush on every
 membership change) is described in the package docstring.  A short map of
 the moving parts inside each member:
 
-* ``_rx`` process — drains the NIC port into the local inbox;
-* ``_tx`` process — serializes outgoing protocol frames onto the NIC;
+* ``_on_frame`` — the NIC port's sink: arriving messages go straight
+  into the local inbox;
+* ``_wire`` — posts outgoing protocol frames to the NIC's transmit FIFO;
 * ``_main`` process — the protocol state machine: one handler per message
   type, run strictly one message at a time (a real daemon's event loop);
 * ``_ticker`` process — heartbeats, failure suspicion, flush retry,
@@ -22,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.errors import Interrupt, NetworkError, NodeDown, NotMember
+from repro.errors import Interrupt, NotMember
 from repro.gcs.config import GcsConfig
 from repro.gcs.endpoint import EndpointId, View, fresh_incarnation
 from repro.gcs.events import CastEvent, P2pEvent, ViewEvent
 from repro.gcs.messages import (Announce, CastReq, Flush, FlushOk, Hb, Join,
                                 Leave, Msg, Ordered, P2p, Rel, RelAck, Sync,
                                 ViewMsg)
-from repro.net.message import Frame
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
 
@@ -95,9 +95,9 @@ class GroupMember:
         # fresh sends get acked away as "duplicates" without delivery) —
         # the transport drops stale-incarnation frames at the NIC instead.
         self._port = f"gcs:{group}:{name}#{self.endpoint.inc}"
-        self._rx_ch = self.nic.open_port(self._port)
+        self.nic.open_port(self._port, sink=self._on_frame)
+        self._peer_ports: Dict[EndpointId, str] = {}
         self._inbox = Channel(engine, name=f"gcs-in:{self.endpoint}")
-        self._tx_q = Channel(engine, name=f"gcs-tx:{self.endpoint}")
         #: Upcalls for the layer above (daemon / tests).
         self.events = Channel(engine, name=f"gcs-ev:{self.endpoint}")
 
@@ -179,12 +179,6 @@ class GroupMember:
             RelAck: self._on_rel_ack,
         }
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Legacy counter view (read side of the registry instruments)."""
-        return {k: int(m.value) for k, m in self._m.items()
-                if k != "heartbeats"}
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -201,8 +195,6 @@ class GroupMember:
         self._started = True
         self._contact = contact
         self._procs = [
-            self.node.spawn(self._rx(), name=f"gcs-rx:{self.endpoint}"),
-            self.node.spawn(self._tx(), name=f"gcs-tx:{self.endpoint}"),
             self.node.spawn(self._main(), name=f"gcs-main:{self.endpoint}"),
             self.node.spawn(self._ticker(), name=f"gcs-tick:{self.endpoint}"),
         ]
@@ -215,7 +207,8 @@ class GroupMember:
             self._post_join(contact)
 
     def stop(self) -> None:
-        """Silently stop (used for graceful leave and tests)."""
+        """Silently stop (used for graceful leave and tests); frames already
+        posted to the NIC still leave, which is how ``leave()`` says goodbye."""
         for p in self._procs:
             if p.is_alive:
                 p.interrupt("gcs-stop")
@@ -292,7 +285,7 @@ class GroupMember:
         if ep == self.endpoint:
             self._post(msg)
         elif isinstance(msg, _UNRELIABLE):
-            self._tx_q.put((ep, msg, kind))
+            self._wire(ep, msg, kind)
         else:
             # Everything else rides the reliable sublayer: sequence it,
             # remember it until the cumulative ack, ship the envelope.
@@ -302,7 +295,7 @@ class GroupMember:
             out.unacked[out.next_seq] = (rel, kind)
             out.next_seq += 1
             out.last_tx = self.engine.now
-            self._tx_q.put((ep, rel, kind))
+            self._wire(ep, rel, kind)
 
     def _frame_size(self, msg: Msg) -> int:
         if isinstance(msg, Rel):
@@ -314,36 +307,19 @@ class GroupMember:
             return self.cfg.control_size * (1 + len(payload))
         return self.cfg.control_size
 
-    def _rx(self):
-        try:
-            while True:
-                frame = yield self._rx_ch.get()
-                if self.paused:
-                    continue
-                if isinstance(frame.payload, Msg) and \
-                        frame.payload.group == self.group:
-                    self._post(frame.payload)
-        except (Interrupt, Exception):
-            return
+    def _wire(self, ep: EndpointId, msg: Msg, kind: str) -> None:
+        port = self._peer_ports.get(ep)
+        if port is None:
+            port = self._peer_ports[ep] = \
+                f"gcs:{self.group}:{ep.name}#{ep.inc}"
+        self.nic.post(ep.node, port, msg, self._frame_size(msg), kind)
 
-    def _tx(self):
-        ports: dict = {}     # EndpointId -> cached destination port string
-        try:
-            while True:
-                ep, msg, kind = yield self._tx_q.get()
-                port = ports.get(ep)
-                if port is None:
-                    port = ports[ep] = f"gcs:{self.group}:{ep.name}#{ep.inc}"
-                frame = Frame(src=self.node.node_id, dst=ep.node,
-                              port=port,
-                              payload=msg, size=self._frame_size(msg),
-                              kind=kind)
-                try:
-                    yield from self.nic.send(frame)
-                except (NodeDown, NetworkError):
-                    return  # our NIC died; the member is dead
-        except Interrupt:
+    def _on_frame(self, frame) -> None:
+        if self.paused:
             return
+        msg = frame.payload
+        if isinstance(msg, Msg) and msg.group == self.group:
+            self._post(msg)
 
     def _main(self):
         try:
@@ -417,7 +393,7 @@ class GroupMember:
             out.last_tx = now
             for seq in sorted(out.unacked):
                 rel, kind = out.unacked[seq]
-                self._tx_q.put((ep, rel, kind))
+                self._wire(ep, rel, kind)
 
     # ------------------------------------------------------------------
     # the ticker: heartbeats, suspicion, retries, gossip

@@ -6,12 +6,17 @@ layer costs of Figure 6: ``driver_send`` before a frame reaches the wire
 write) and ``driver_recv`` before an arriving frame becomes visible to the
 node's software (the VNI / polling thread).
 
-The transmit side is serialized: concurrent senders on the same node queue
-on the NIC, which models link serialization without a full switch model.
+The transmit side is serialized: the NIC owns one FIFO of pending frames
+and puts them on the link one at a time, one timeout per frame, which models
+link serialization without a full switch model.  ``post`` queues a frame
+fire-and-forget; ``send`` queues on the same FIFO and blocks until its frame
+has left.  A receive port is a queue, or a *sink* callable handed each
+arriving frame synchronously.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Dict, Optional
 
 from repro.errors import NodeDown
@@ -19,8 +24,14 @@ from repro.net.fabric import Fabric
 from repro.net.message import Frame
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
-from repro.sim.events import Timeout
-from repro.sim.resources import Resource
+from repro.sim.events import _PENDING, Event, Timeout
+
+
+class _SendDone(Event):
+    """A ``send()`` caller's place in the transmit FIFO: fires once its frame
+    has left, fails with :class:`NodeDown` if the NIC goes down first."""
+
+    __slots__ = ("frame",)
 
 
 class Nic:
@@ -41,13 +52,19 @@ class Nic:
         self._m_rx_dropped = reg.counter(
             "net.nic.rx_dropped", fabric=name,
             help="frames to closed ports or downed NICs")
-        self._tx = Resource(engine, capacity=1, name=f"tx:{node_id}")
+        #: Transmit FIFO; the head is the entry being serialized.  A posted
+        #: frame waits as its bare ``(dst, port, payload, size, kind)`` and
+        #: becomes a :class:`Frame` only then (a 256-node group coordinator
+        #: parks ~65k of these); a ``send()`` caller as its :class:`_SendDone`.
+        self._txq: deque = deque()
         # Per-frame timing constants, cached off the spec's attribute chain.
         self._driver_send = fabric.spec.layers.driver_send
         self._driver_recv = fabric.spec.layers.driver_recv
         self._bandwidth = fabric.spec.bandwidth
-        #: Per-port receive queues; ports are opened by the software above.
-        self._ports: Dict[str, Channel] = {}
+        #: Per-port frame sinks, ``_queues[port].put`` for a queue port;
+        #: ports are opened by the software above.
+        self._ports: Dict[str, Callable[[Frame], None]] = {}
+        self._queues: Dict[str, Channel] = {}
         #: Fallback handler for frames to unopened ports (dropped if None).
         self.default_handler: Optional[Callable[[Frame], None]] = None
         self._up = True
@@ -69,41 +86,79 @@ class Nic:
 
     # -- ports ---------------------------------------------------------------
 
-    def open_port(self, port: str) -> Channel:
-        """Create (or return) the receive queue for ``port``."""
-        ch = self._ports.get(port)
+    def open_port(self, port: str, sink: Optional[Callable[[Frame], None]]
+                  = None) -> Optional[Channel]:
+        """Create (or return) the receive queue for ``port`` — or, given
+        ``sink``, hand each arriving frame to ``sink(frame)`` synchronously
+        inside its ``driver_recv`` event instead (no queue)."""
+        if sink is not None:
+            self._ports[port] = sink
+            return None
+        ch = self._queues.get(port)
         if ch is None:
-            ch = Channel(self.engine, name=f"rx:{self.node_id}:{port}")
-            self._ports[port] = ch
+            ch = self._queues[port] = Channel(
+                self.engine, name=f"rx:{self.node_id}:{port}")
+            self._ports[port] = ch.put
         return ch
 
     def close_port(self, port: str) -> None:
         self._ports.pop(port, None)
+        self._queues.pop(port, None)
 
     # -- send path -----------------------------------------------------------
+
+    def post(self, dst: str, port: str, payload, size: int,
+             kind: str = "data") -> None:
+        """Queue a frame and return.  Like a write into a socket buffer it
+        leaves behind the frames ahead of it even if the poster has stopped
+        by then, and is silently dropped if the NIC is down or goes down."""
+        if self._up:
+            self._tx_enqueue((dst, port, payload, size, kind))
 
     def send(self, frame: Frame):
         """Process generator: transmit ``frame`` (charges driver_send).
 
-        Yields until the NIC tx path is free and the frame has been handed
-        to the wire.  Use as ``yield from nic.send(frame)``.
+        Yields until the frames queued ahead have left and this one has
+        been handed to the wire.  Use as ``yield from nic.send(frame)``.
+        An interrupted caller withdraws a frame still queued; one already
+        serializing is in the hardware and leaves regardless.
         """
         if not self._up:
             raise NodeDown(f"NIC of {self.node_id} is down")
-        req = self._tx.request()
-        yield req
+        done = _SendDone(self.engine)
+        done.frame = frame
+        self._tx_enqueue(done)
         try:
-            # Driver cost + link serialization: the sender (and the NIC) are
-            # busy until the last byte is on the wire; only propagation
-            # happens "in flight" (charged by the fabric).
-            yield Timeout(self.engine, self._driver_send
-                          + frame.size / self._bandwidth)
-            if not self._up:
-                raise NodeDown(f"NIC of {self.node_id} went down mid-send")
-            self._m_tx.inc()
-            self.fabric.transmit(frame)
+            yield done
         finally:
-            self._tx.release(req)
+            if done._value is _PENDING and self._txq[0] is not done:
+                self._txq.remove(done)
+
+    def _tx_enqueue(self, entry) -> None:
+        self._txq.append(entry)
+        if len(self._txq) == 1:
+            self._tx_start()
+
+    def _tx_start(self) -> None:
+        # Driver cost + link serialization: the NIC is busy until the last
+        # byte is on the wire; only propagation happens "in flight" (charged
+        # by the fabric).
+        entry = self._txq[0]
+        frame = (entry.frame if entry.__class__ is _SendDone
+                 else Frame(self.node_id, *entry))
+        Timeout(self.engine, self._driver_send + frame.size / self._bandwidth,
+                value=frame).callbacks.append(self._tx_done)
+
+    def _tx_done(self, event) -> None:
+        if not self._up:
+            return      # shutdown() failed the waiters and emptied the FIFO
+        self._m_tx.inc()
+        self.fabric.transmit(event._value)
+        entry = self._txq.popleft()
+        if entry.__class__ is _SendDone:
+            entry.succeed()
+        if self._txq:
+            self._tx_start()
 
     # -- receive path ----------------------------------------------------------
 
@@ -139,14 +194,14 @@ class Nic:
         if not self._up:
             self._m_rx_dropped.inc(len(frames))
             return
+        ports = self._ports
         for frame in frames:
-            ch = self._ports.get(frame.port)
-            if ch is not None and not ch.closed:
+            sink = ports.get(frame.port)
+            if sink is None:
+                sink = self.default_handler
+            if sink is not None:
                 self._m_rx.inc()
-                ch.put(frame)
-            elif self.default_handler is not None:
-                self._m_rx.inc()
-                self.default_handler(frame)
+                sink(frame)
             else:
                 # No listener — frame dropped, like a closed UDP port.
                 self._m_rx_dropped.inc()
@@ -154,16 +209,21 @@ class Nic:
     # -- lifecycle ---------------------------------------------------------------
 
     def shutdown(self, exc: Optional[BaseException] = None) -> None:
-        """Bring the NIC down (node crash): detach and close all ports."""
+        """Bring the NIC down (node crash): detach, close all ports, fail
+        the waiting ``send()`` callers and drop every posted frame."""
         if not self._up:
             return
         self._up = False
         self.fabric.detach(self.node_id)
         err = exc or NodeDown(f"node {self.node_id} is down")
-        for ch in self._ports.values():
-            if not ch.closed:
-                ch.close(err)
+        for ch in self._queues.values():
+            ch.close(err)
+        self._queues.clear()
         self._ports.clear()
+        for entry in self._txq:
+            if entry.__class__ is _SendDone:
+                entry.fail(err)
+        self._txq.clear()
 
     def __repr__(self) -> str:
         state = "up" if self._up else "down"

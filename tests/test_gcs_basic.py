@@ -76,8 +76,7 @@ def test_no_duplicates_in_stable_group():
     for i in range(8):
         h.members["n0"].cast(i)
     h.run(until=4.0)
-    for gm in h.members.values():
-        assert gm.stats["duplicates"] == 0
+    assert h.engine.metrics.sum("gcs.duplicates") == 0
 
 
 def test_p2p_send_delivered_once():
@@ -138,10 +137,10 @@ def test_stats_counters():
     h.run(until=2.0)
     h.members["n0"].cast("x")
     h.run(until=3.0)
-    gm = h.members["n0"]
-    assert gm.stats["casts"] == 1
-    assert gm.stats["delivered"] == 1
-    assert gm.stats["views"] >= 2
+    reg = h.engine.metrics
+    assert reg.value("gcs.casts", node="n0") == 1
+    assert reg.value("gcs.delivered", node="n0") == 1
+    assert reg.value("gcs.views", node="n0") >= 2
 
 
 def test_start_twice_is_error():
@@ -160,3 +159,23 @@ def test_control_traffic_stays_off_myrinet():
     h.run(until=3.0)
     assert h.cluster.myrinet.frames_sent == 0
     assert h.cluster.ethernet.frames_sent > 0
+
+
+def test_event_budget_per_frame():
+    # A group-communication frame costs two dedicated engine events (its
+    # serialization timeout and the receiver's inbox get) plus its share of
+    # the batched wire/driver_recv wakeups and the tickers.  The run is
+    # deterministic, so the totals are pinned exactly: a pump process put
+    # back between member and NIC adds one event per frame and fails here
+    # rather than showing up as benchmark drift.
+    h = Harness(nodes=8)
+    h.boot_all()
+    h.run(until=2.0)
+    reg = h.engine.metrics
+    events, frames = h.engine.events_processed, reg.sum("net.frames_sent")
+    for i in range(20):
+        h.members[f"n{i % 8}"].cast(i)
+    h.run(until=4.0)
+    assert all(len(h.casts(nid)) == 20 for nid in h.members)
+    assert reg.sum("net.frames_sent") - frames == 2554
+    assert h.engine.events_processed - events == 7331

@@ -66,7 +66,7 @@ def test_cast_concurrent_with_crash_not_lost_for_survivors():
     for nid in ("n0", "n1"):
         bursts = [p for p in h.casts(nid) if isinstance(p, tuple)]
         assert bursts == [("burst", i) for i in range(10)], nid
-        assert h.members[nid].stats["duplicates"] == 0
+        assert h.engine.metrics.value("gcs.duplicates", node=nid) == 0
 
 
 def test_virtual_synchrony_same_messages_before_view_change():
@@ -147,6 +147,26 @@ def test_coordinator_graceful_leave():
     rest = sorted(nid for nid in h.members if nid != coord_node)
     for nid in rest:
         assert h.member_ids(nid) == rest, nid
+
+
+@pytest.mark.parametrize("leaver", ["n2", "n0"])
+def test_graceful_leave_is_announced_not_suspected(leaver):
+    # The Leave frame is posted to the NIC before stop() and still goes
+    # out (socket-buffer semantics), so the view shrinks through
+    # _on_leave's flush well before the leaver could have been suspected.
+    h = Harness(nodes=3)
+    h.boot_all()
+    h.run(until=2.0)
+    rest = sorted(nid for nid in h.members if nid != leaver)
+    successor = rest[0]     # the coordinator, or its designated successor
+    assert h.members[leaver].is_coordinator == (leaver == "n0")
+    flushes = h.engine.metrics.value("gcs.flushes", node=successor)
+    h.members[leaver].leave()
+    h.run(until=2.0 + h.cfg.suspect_timeout / 2)
+    for nid in rest:
+        assert h.member_ids(nid) == rest, nid
+    assert h.engine.metrics.value("gcs.flushes",
+                                  node=successor) == flushes + 1
 
 
 def test_partition_forms_two_views():

@@ -81,7 +81,7 @@ def test_invariants_under_random_schedules(actions, seed):
 
     # 4. No duplicates.
     for nid in survivors:
-        assert h.members[nid].stats["duplicates"] == 0
+        assert h.engine.metrics.value("gcs.duplicates", node=nid) == 0
         assert len(set(seqs[0])) == len(seqs[0])
 
 
