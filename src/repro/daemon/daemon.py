@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.calibration import SPAWN_COST
+from repro.calibration import LOCAL_TCP_HOP, SPAWN_COST
 from repro.daemon.protocol import (MGMT_COMMANDS, USER_COMMANDS,
                                    format_response, parse_command,
                                    parse_submit_options)
@@ -247,29 +247,30 @@ class StarfishDaemon:
         return rec
 
     # ------------------------------------------------------------------
-    # main event loop (Starfish group upcalls)
+    # Starfish group upcalls: handled one at a time, inside the event that
+    # delivered the frame while this daemon is idle (``Mailbox.deliver``);
+    # ``_main`` runs the ops that wait (spawning) and what queues behind them
     # ------------------------------------------------------------------
 
     def _main(self):
         try:
-            while True:
-                ev = yield self.gm.events.get()
-                consumed = self.lwg.on_main_event(ev)
-                if isinstance(ev, ViewEvent):
-                    if ev.state is not None and not self._absorbed:
-                        # Joining the Starfish group: adopt the replicated
-                        # cluster state from the coordinator's transfer.
-                        self._absorb_state(ev.state)
-                    self._absorbed = True
-                    yield from self._on_main_view(ev)
-                elif not consumed and isinstance(ev, CastEvent):
-                    result = self._apply_op(ev.payload, ev.source)
-                    if result is not None and hasattr(result, "__next__"):
-                        yield from result
-        except Interrupt:
-            return
+            yield from self.gm.events.serve(self._on_main_event)
         except Exception:
-            return  # node crashed under us
+            return  # stopped (Interrupt), or the node crashed under us
+
+    def _on_main_event(self, ev):
+        """Handle one upcall; returns a generator iff the op waits."""
+        consumed = self.lwg.on_main_event(ev)
+        if isinstance(ev, ViewEvent):
+            if ev.state is not None and not self._absorbed:
+                # Joining the Starfish group: adopt the replicated
+                # cluster state from the coordinator's transfer.
+                self._absorb_state(ev.state)
+            self._absorbed = True
+            self._on_main_view(ev)
+        elif not consumed and isinstance(ev, CastEvent):
+            return self._apply_op(ev.payload, ev.source)
+        return None
 
     # ------------------------------------------------------------------
     # replicated operations
@@ -314,7 +315,7 @@ class StarfishDaemon:
         self._pending_submits.discard(record.app_id)
         self._log(f"submit {record.app_id} x{record.nprocs} "
                   f"-> {record.placement}")
-        yield from self._spawn_local_ranks(record, restore=None)
+        return self._spawn_local_ranks(record, restore=None)
 
     def _op_app_restart(self, payload, source):
         # Failure restarts cast 5-tuples (byte-stable with older runs);
@@ -323,7 +324,7 @@ class StarfishDaemon:
         cause = payload[5] if len(payload) > 5 else "failure"
         record = self.registry.maybe(app_id)
         if record is None or record.finished:
-            return
+            return None
         mode = restore.get("mode") if restore else None
         record.placement = dict(placement)
         record.world_version = world_version
@@ -350,7 +351,7 @@ class StarfishDaemon:
                             break
                 if handle is not None and hasattr(handle, "promote"):
                     handle.promote()
-            return
+            return None
         solo = mode == "log-replay"
         if solo:
             # Log-based recovery (planner.solo): only the crashed ranks
@@ -364,9 +365,8 @@ class StarfishDaemon:
             mine = [r for r in record.ranks_on(self.node.node_id)
                     if r in lost]
             self._count_respawns(app_id, len(mine), cause)
-            yield from self._spawn_local_ranks(record, restore=restore,
-                                               only_ranks=lost)
-            return
+            return self._spawn_local_ranks(record, restore=restore,
+                                           only_ranks=lost)
         # The rollback re-executes every rank from the recovery line, so
         # "done" bookkeeping from the rolled-back execution is void.
         record.done_ranks = []
@@ -374,7 +374,7 @@ class StarfishDaemon:
         self._kill_local(app_id, "rollback")
         self._count_respawns(
             app_id, len(record.ranks_on(self.node.node_id)), cause)
-        yield from self._spawn_local_ranks(record, restore=restore)
+        return self._spawn_local_ranks(record, restore=restore)
 
     def _op_app_grow(self, payload, source):
         _, app_id, new_placement, world_version = payload
@@ -384,8 +384,10 @@ class StarfishDaemon:
         record.placement.update(new_placement)
         record.nprocs = len(record.placement)
         record.world_version = world_version
-        yield from self._spawn_local_ranks(
+        spawning = self._spawn_local_ranks(
             record, restore=None, only_ranks=set(new_placement))
+        if spawning is not None:
+            yield from spawning
         # Tell running processes about the grown world.
         self._notify_world(record)
 
@@ -481,12 +483,12 @@ class StarfishDaemon:
             if not record.finished:
                 record.status = AppStatus.KILLED
             self._kill_local(app_id, "killed")
-        elif cmd == "suspend":
+        elif cmd == "suspend" and not record.finished:
             record.status = AppStatus.SUSPENDED
             for (aid, _r), handle in self.handles.items():
                 if aid == app_id:
                     handle.suspend()
-        elif cmd == "resume":
+        elif cmd == "resume" and not record.finished:
             record.status = AppStatus.RUNNING
             for (aid, _r), handle in self.handles.items():
                 if aid == app_id:
@@ -522,6 +524,8 @@ class StarfishDaemon:
 
     def _spawn_local_ranks(self, record: AppRecord, restore,
                            only_ranks: Optional[Set[int]] = None):
+        """The generator that spawns this node's share of ``record`` (one
+        ``SPAWN_COST`` each), or ``None`` when it hosts none of it."""
         mine = [(r, 0) for r in record.ranks_on(self.node.node_id)
                 if only_ranks is None or r in only_ranks]
         # Backup copies under active replication: same rank, same program,
@@ -531,8 +535,11 @@ class StarfishDaemon:
         mine += [(r, i) for (r, i) in record.copies_on(self.node.node_id)
                  if only_ranks is None or r in only_ranks]
         if not mine:
-            return
+            return None
         self._ensure_lwg_pump(record.app_id)
+        return self._spawn(record, mine, restore)
+
+    def _spawn(self, record: AppRecord, mine, restore):
         for rank, copy in mine:
             yield self.engine.timeout(SPAWN_COST)
             if copy:
@@ -577,36 +584,36 @@ class StarfishDaemon:
         if app_id in self._lwg_pumps:
             return
         self._lwg_pumps.add(app_id)
-        ch = self.lwg.subscribe(app_id)
-        self.node.spawn(self._lwg_pump(app_id, ch),
+        self.node.spawn(self._lwg_pump(self.lwg.subscribe(app_id)),
                         name=f"lwgpump:{app_id}@{self.node.node_id}")
 
-    def _lwg_pump(self, app_id: str, ch):
-        from repro.calibration import LOCAL_TCP_HOP
+    def _lwg_pump(self, ch):
         try:
-            while True:
-                ev = yield ch.get()
-                if isinstance(ev, (LwgCast,)):
-                    # Daemon -> application process local TCP hop.
-                    yield self.engine.timeout(LOCAL_TCP_HOP)
-                if isinstance(ev, LwgCast):
-                    tag = ev.payload[0]
-                    if tag == "cr":
-                        _, src_rank, inner = ev.payload
-                        for handle in self._app_handles(app_id):
-                            handle.deliver_cr(inner, src_rank)
-                    elif tag == "coord":
-                        _, src_rank, inner = ev.payload
-                        for handle in self._app_handles(app_id):
-                            handle.deliver_coordination(inner, src_rank)
-                elif isinstance(ev, LwgView):
-                    record = self.registry.maybe(app_id)
-                    if record is not None:
-                        self._notify_world(record)
-        except Interrupt:
-            return
+            yield from ch.serve(self._on_lwg_event)
         except Exception:
-            return
+            return  # stopped (Interrupt), or the node crashed under us
+
+    def _on_lwg_event(self, ev):
+        if isinstance(ev, LwgCast):
+            return self._relay_cast(ev)
+        if isinstance(ev, LwgView):
+            record = self.registry.maybe(ev.app_id)
+            if record is not None:
+                self._notify_world(record)
+        return None
+
+    def _relay_cast(self, ev: LwgCast):
+        # Daemon -> application process local TCP hop.
+        yield self.engine.timeout(LOCAL_TCP_HOP)
+        tag = ev.payload[0]
+        if tag == "cr":
+            _, src_rank, inner = ev.payload
+            for handle in self._app_handles(ev.app_id):
+                handle.deliver_cr(inner, src_rank)
+        elif tag == "coord":
+            _, src_rank, inner = ev.payload
+            for handle in self._app_handles(ev.app_id):
+                handle.deliver_coordination(inner, src_rank)
 
     def _app_handles(self, app_id: str):
         """Local handles of an app, including finished (lingering) ranks —
@@ -647,7 +654,6 @@ class StarfishDaemon:
                                   kind="coordination"))
 
     def _after_local_hop(self, action) -> None:
-        from repro.calibration import LOCAL_TCP_HOP
         ev = self.engine.timeout(LOCAL_TCP_HOP)
         ev.callbacks.append(lambda _e: action())
 
@@ -670,7 +676,7 @@ class StarfishDaemon:
     # fault handling (main view changes)
     # ------------------------------------------------------------------
 
-    def _on_main_view(self, ev: ViewEvent):
+    def _on_main_view(self, ev: ViewEvent) -> None:
         self._m_view_changes.inc()
         if ev.joined:
             self._m_members_joined.inc(len(ev.joined))
@@ -695,11 +701,10 @@ class StarfishDaemon:
                     if n in dead_nodes]
             if not lost:
                 continue
-            yield from self._handle_app_failure(record, lost, ev,
-                                                alive_nodes)
+            self._handle_app_failure(record, lost, ev, alive_nodes)
 
     def _handle_app_failure(self, record: AppRecord, lost: List[int],
-                            ev: ViewEvent, alive_nodes: Set[str]):
+                            ev: ViewEvent, alive_nodes: Set[str]) -> None:
         policy = record.ft_policy
         self._log(f"app {record.app_id} lost ranks {lost} (policy {policy})")
         if policy == "kill":
@@ -723,9 +728,7 @@ class StarfishDaemon:
                 # recovery leaves the survivors computing.
                 self._kill_local(record.app_id, "rollback on failure")
             if self._is_restart_coordinator(record, alive_nodes):
-                yield from self._coordinate_restart(record, lost,
-                                                    alive_nodes)
-            return
+                self._coordinate_restart(record, lost, alive_nodes)
 
     def _is_app_authority(self, record: AppRecord) -> bool:
         members = self.lwg.members(record.app_id)
@@ -749,7 +752,7 @@ class StarfishDaemon:
         return None if cls is None else cls.planner()
 
     def _coordinate_restart(self, record: AppRecord, lost: List[int],
-                            alive_nodes: Set[str]):
+                            alive_nodes: Set[str]) -> None:
         app_id = record.app_id
         # Where does the computation resume from?  The protocol's restart
         # planner decides (latest committed line, dependency rollback, or
@@ -816,8 +819,6 @@ class StarfishDaemon:
         self.gm.cast(("app-restart", app_id, placement, restore,
                       record.world_version + (0 if solo else 1)))
         self._log(f"restart {app_id} from {restore} on {placement}")
-        return
-        yield  # pragma: no cover — keeps this a generator like its callers
 
     def _pick_nodes(self, count: int, exclude: Optional[Set[str]] = None,
                     require_repr=None) -> List[str]:

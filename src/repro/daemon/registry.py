@@ -8,6 +8,7 @@ queries and any daemon can take over an application's recovery.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -81,9 +82,15 @@ class Registry:
 
     def __init__(self):
         self._apps: Dict[str, AppRecord] = {}
+        #: Sorted ids :meth:`active` still has to look at: every id added,
+        #: minus those it has already seen finished or removed.
+        self._live: List[str] = []
 
     def add(self, record: AppRecord) -> None:
         self._apps[record.app_id] = record
+        at = bisect_left(self._live, record.app_id)
+        if self._live[at:at + 1] != [record.app_id]:
+            self._live.insert(at, record.app_id)
 
     def get(self, app_id: str) -> AppRecord:
         rec = self._apps.get(app_id)
@@ -101,7 +108,15 @@ class Registry:
         return [self._apps[k] for k in sorted(self._apps)]
 
     def active(self) -> List[AppRecord]:
-        return [r for r in self.all() if not r.finished]
+        """Unfinished records in ``app_id`` order.  A finished status is
+        final, so a record seen finished here is never looked at again: a
+        daemon heartbeat costs the running applications, not every
+        application ever submitted."""
+        out = [r for r in map(self._apps.get, self._live)
+               if r is not None and not r.finished]
+        if len(out) < len(self._live):
+            self._live = [r.app_id for r in out]
+        return out
 
     def __contains__(self, app_id: str) -> bool:
         return app_id in self._apps

@@ -4,13 +4,21 @@ The protocol (coordinator-based, sequencer total order, flush on every
 membership change) is described in the package docstring.  A short map of
 the moving parts inside each member:
 
-* ``_on_frame`` — the NIC port's sink: arriving messages go straight
-  into the local inbox;
+* ``_on_frame`` — the NIC port's sink: arriving messages are delivered to
+  the inbox, a :class:`~repro.sim.channel.Mailbox`;
 * ``_wire`` — posts outgoing protocol frames to the NIC's transmit FIFO;
-* ``_main`` process — the protocol state machine: one handler per message
-  type, run strictly one message at a time (a real daemon's event loop);
+* ``_dispatch`` — the protocol state machine: one handler per message type,
+  run strictly one message at a time (a real daemon's event loop).  An idle
+  member handles a message inside the event that delivered it — the frame's
+  ``driver_recv``, or the caller of a self-send;
+* ``_main`` process — the inbox's consumer: runs the one handler that waits
+  (the coordinator's sequencer round) and whatever queued up behind it;
 * ``_ticker`` process — heartbeats, failure suspicion, flush retry,
   blocked-too-long recovery, join retry, and coordinator gossip.
+
+Upcalls leave through ``events``, a mailbox chained behind the inbox: a
+served consumer (the daemon) sees each one after the handler that emitted
+it has returned, in order — as it did when both sides were queues.
 
 A member can be in three macro-states: *joining* (no view yet), *stable*
 (view installed, casts flow through the sequencer), and *blocked* (a flush
@@ -31,7 +39,7 @@ from repro.gcs.messages import (Announce, CastReq, Flush, FlushOk, Hb, Join,
                                 Leave, Msg, Ordered, P2p, Rel, RelAck, Sync,
                                 ViewMsg)
 from repro.obs.registry import get_registry
-from repro.sim.channel import Channel
+from repro.sim.channel import Mailbox
 
 
 @dataclass
@@ -97,9 +105,10 @@ class GroupMember:
         self._port = f"gcs:{group}:{name}#{self.endpoint.inc}"
         self.nic.open_port(self._port, sink=self._on_frame)
         self._peer_ports: Dict[EndpointId, str] = {}
-        self._inbox = Channel(engine, name=f"gcs-in:{self.endpoint}")
+        self._inbox = Mailbox(engine, name=f"gcs-in:{self.endpoint}")
         #: Upcalls for the layer above (daemon / tests).
-        self.events = Channel(engine, name=f"gcs-ev:{self.endpoint}")
+        self.events = Mailbox(engine, name=f"gcs-ev:{self.endpoint}",
+                              behind=self._inbox)
 
         # --- membership state ---
         self.view: Optional[View] = None
@@ -200,9 +209,9 @@ class GroupMember:
         ]
         if contact is None:
             epoch = self.max_epoch + 1
-            self._post(ViewMsg(group=self.group, sender=self.endpoint,
-                               epoch=epoch, coordinator=self.endpoint,
-                               members=(self.endpoint,)))
+            self._inbox.deliver(ViewMsg(
+                group=self.group, sender=self.endpoint, epoch=epoch,
+                coordinator=self.endpoint, members=(self.endpoint,)))
         else:
             self._post_join(contact)
 
@@ -273,17 +282,12 @@ class GroupMember:
     # transport plumbing
     # ------------------------------------------------------------------
 
-    def _post(self, msg: Msg) -> None:
-        """Loop a message back into our own inbox (self-delivery)."""
-        if not self._inbox.closed:
-            self._inbox.put(msg)
-
     def _sendto(self, ep: EndpointId, msg: Msg,
                 kind: str = "control") -> None:
         if self.paused:
             return
         if ep == self.endpoint:
-            self._post(msg)
+            self._inbox.deliver(msg)
         elif isinstance(msg, _UNRELIABLE):
             self._wire(ep, msg, kind)
         else:
@@ -319,17 +323,16 @@ class GroupMember:
             return
         msg = frame.payload
         if isinstance(msg, Msg) and msg.group == self.group:
-            self._post(msg)
+            self._inbox.deliver(msg)
 
     def _main(self):
         try:
-            while True:
-                msg = yield self._inbox.get()
-                yield from self._dispatch(msg)
+            yield from self._inbox.serve(self._dispatch)
         except Interrupt:
             return
 
     def _dispatch(self, msg: Msg):
+        """Handle one message; returns a generator iff the handler waits."""
         if msg.sender != self.endpoint:
             self.last_heard[msg.sender] = self.engine.now
             self.known_endpoints.add(msg.sender)
@@ -339,29 +342,37 @@ class GroupMember:
         if epoch > self.max_epoch:
             self.max_epoch = epoch
         handler = self._handlers.get(type(msg))
-        if handler is None:
-            return
-        result = handler(msg)
-        if result is not None and hasattr(result, "__next__"):
-            yield from result
+        return handler(msg) if handler is not None else None
 
     # -- reliable-delivery sublayer ------------------------------------
 
     def _on_rel(self, msg: Rel):
         """Receive side: per-sender reorder + dedup, cumulative ack."""
         src = msg.sender
+        if msg.seq >= self._rel_in_next.get(src, 0):
+            self._rel_in_ooo.setdefault(src, {})[msg.seq] = msg.inner
+        return self._rel_drain(src)
+
+    def _rel_drain(self, src: EndpointId):
+        """Dispatch ``src``'s in-order envelopes, then ack.  An inner
+        handler that waits is finished first (``_rel_resume``)."""
+        ooo = self._rel_in_ooo.get(src, ())
         nxt = self._rel_in_next.get(src, 0)
-        if msg.seq >= nxt:
-            ooo = self._rel_in_ooo.setdefault(src, {})
-            ooo[msg.seq] = msg.inner
-            while nxt in ooo:
-                inner = ooo.pop(nxt)
-                nxt += 1
-                self._rel_in_next[src] = nxt
-                yield from self._dispatch(inner)
+        while nxt in ooo:
+            inner = ooo.pop(nxt)
+            nxt += 1
+            self._rel_in_next[src] = nxt
+            waiting = self._dispatch(inner)
+            if waiting is not None:
+                return self._rel_resume(waiting, src)
         # Ack duplicates too: the original ack may have been the lost frame.
         self._sendto(src, RelAck(group=self.group, sender=self.endpoint,
-                                 cum=self._rel_in_next.get(src, 0) - 1))
+                                 cum=nxt - 1))
+
+    def _rel_resume(self, waiting, src: EndpointId):
+        while waiting is not None:
+            yield from waiting
+            waiting = self._rel_drain(src)
 
     def _on_rel_ack(self, msg: RelAck) -> None:
         out = self._rel_out.get(msg.sender)
@@ -629,8 +640,8 @@ class GroupMember:
             epoch=msg.epoch, members=len(msg.members))
         joined = tuple(sorted(set(msg.members) - prev))
         left = tuple(sorted(prev - set(msg.members)))
-        self.events.put(ViewEvent(view=self.view, joined=joined, left=left,
-                                  state=msg.state))
+        self.events.deliver(ViewEvent(view=self.view, joined=joined,
+                                      left=left, state=msg.state))
         self._recast_pending()
 
     # ------------------------------------------------------------------
@@ -646,6 +657,9 @@ class GroupMember:
         if msg.sender not in self.view:
             return None
         self._ordered_keys.add((msg.sender, msg.lseq))
+        return self._sequence(msg)
+
+    def _sequence(self, msg: CastReq):
         # Sequencer processing cost (Ensemble round).
         yield self.engine.timeout(self.cfg.sequencer_base
                                   + len(self.view) *
@@ -685,8 +699,8 @@ class GroupMember:
         else:
             self._delivered_keys.add(o.key)
         self._m["delivered"].inc()
-        self.events.put(CastEvent(source=o.origin, payload=o.payload,
-                                  epoch=o.epoch, gseq=o.gseq))
+        self.events.deliver(CastEvent(source=o.origin, payload=o.payload,
+                                      epoch=o.epoch, gseq=o.gseq))
 
     # ------------------------------------------------------------------
     # membership requests & gossip
@@ -753,7 +767,7 @@ class GroupMember:
 
     def _on_p2p(self, msg: P2p) -> None:
         self._m["p2p"].inc()
-        self.events.put(P2pEvent(source=msg.sender, payload=msg.payload))
+        self.events.deliver(P2pEvent(source=msg.sender, payload=msg.payload))
 
     def __repr__(self) -> str:
         v = f"view#{self.view.epoch}x{len(self.view)}" if self.view else "joining"

@@ -31,7 +31,7 @@ from repro.gcs.endpoint import EndpointId
 from repro.gcs.events import CastEvent, GcsEvent, P2pEvent, ViewEvent
 from repro.gcs.member import GroupMember
 from repro.lwg.events import LwgCast, LwgP2p, LwgView
-from repro.sim.channel import Channel
+from repro.sim.channel import Mailbox
 
 
 @dataclass
@@ -83,7 +83,7 @@ class LwgManager:
         self.gm = gm
         self.groups: Dict[str, _LwgState] = {}
         #: Local subscribers: app_id -> channel of LwgEvent.
-        self._subs: Dict[str, Channel] = {}
+        self._subs: Dict[str, Mailbox] = {}
         #: Our un-sequenced data messages per group: app -> {lseq: (payload, kind, size)}
         self._pending: Dict[str, Dict[int, tuple]] = {}
         self._next_lseq: Dict[str, int] = {}
@@ -104,11 +104,14 @@ class LwgManager:
     # subscriptions (the lightweight *endpoint* side)
     # ------------------------------------------------------------------
 
-    def subscribe(self, app_id: str) -> Channel:
-        """Channel on which this daemon receives the group's upcalls."""
+    def subscribe(self, app_id: str) -> Mailbox:
+        """Mailbox on which this daemon receives the group's upcalls (read
+        it with ``get()``, or ``serve()`` it: it is chained behind the
+        member's, so a handler runs after the main-group one that fed it)."""
         ch = self._subs.get(app_id)
         if ch is None:
-            ch = Channel(self.engine, name=f"lwg:{app_id}@{self.endpoint}")
+            ch = Mailbox(self.engine, name=f"lwg:{app_id}@{self.endpoint}",
+                         behind=self.gm.events)
             self._subs[app_id] = ch
         return ch
 
@@ -414,8 +417,8 @@ class LwgManager:
 
     def _emit(self, app_id: str, event) -> None:
         ch = self._subs.get(app_id)
-        if ch is not None and not ch.closed:
-            ch.put(event)
+        if ch is not None:
+            ch.deliver(event)
 
     def __repr__(self) -> str:
         return (f"<LwgManager {self.endpoint} groups={sorted(self.groups)} "

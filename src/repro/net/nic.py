@@ -65,8 +65,6 @@ class Nic:
         #: ports are opened by the software above.
         self._ports: Dict[str, Callable[[Frame], None]] = {}
         self._queues: Dict[str, Channel] = {}
-        #: Fallback handler for frames to unopened ports (dropped if None).
-        self.default_handler: Optional[Callable[[Frame], None]] = None
         self._up = True
         # Receive-side batch: consecutive arrivals in one fabric delivery
         # burst share one driver_recv wakeup.  The seq guard makes the
@@ -197,8 +195,6 @@ class Nic:
         ports = self._ports
         for frame in frames:
             sink = ports.get(frame.port)
-            if sink is None:
-                sink = self.default_handler
             if sink is not None:
                 self._m_rx.inc()
                 sink(frame)

@@ -34,7 +34,7 @@ from repro.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.engine import Engine, NORMAL, URGENT
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.channel import Channel, PriorityChannel
+from repro.sim.channel import Channel, Mailbox, PriorityChannel
 from repro.sim.resources import Resource
 from repro.sim.rng import RngStreams
 from repro.sim.sched import SCHEDULERS, CalendarQueue
@@ -49,6 +49,7 @@ __all__ = [
     "Engine",
     "Event",
     "Interrupt",
+    "Mailbox",
     "NORMAL",
     "PriorityChannel",
     "Process",

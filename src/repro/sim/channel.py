@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Deque, List, Optional, Tuple
+from types import GeneratorType
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import _PENDING, Event
@@ -160,6 +161,123 @@ class Channel:
     def __repr__(self) -> str:
         state = "closed" if self.closed else f"{len(self._items)} queued"
         return f"<Channel {self.name!r} {state}>"
+
+
+class Mailbox(Channel):
+    """A channel whose one serial consumer is run to completion by producers.
+
+    The consumer is a process whose body is ``yield from box.serve(handler)``;
+    ``handler(item)`` returns ``None``, or a generator when it has to wait.
+    ``deliver(item)`` is ``put(item)`` minus the wakeup: while the consumer is
+    parked on its empty mailbox the handler runs inside the caller's event,
+    in the order the queue would have given it:
+
+    * nothing nests — a delivery made while a handler of this mailbox, or of
+      one chained ``behind`` the same root, is running waits for that handler
+      to return; what is owed a run then runs oldest first, the order the get
+      events would have had in the engine's queue;
+    * a handler's generator is handed to its process, which is busy until it
+      is finished (later items queue and drain through ``get()``), and what
+      is still owed a run takes the event path behind it;
+    * a busy, interrupted or absent consumer gets a plain ``put``; so does a
+      caller that is itself a process (its own step finishes first);
+    * a handler's exception is raised in its process, as if the process had
+      made the call.
+    """
+
+    __slots__ = ("_handler", "_server", "_owed", "_ready")
+
+    def __init__(self, engine, name: Optional[str] = None,
+                 behind: Optional["Mailbox"] = None):
+        super().__init__(engine, name=name)
+        self._handler: Optional[Callable[[Any], Any]] = None
+        self._server = None
+        #: True while this mailbox is in ``_ready``.
+        self._owed = False
+        #: The chain's mailboxes owed a handler run, oldest first; the head
+        #: is the one running, so non-empty means "a handler is active".
+        self._ready: Deque["Mailbox"] = (deque() if behind is None
+                                         else behind._ready)
+
+    def serve(self, handler: Callable[[Any], Any]):
+        """Process generator: consume this mailbox with ``handler``, forever.
+        ``get()`` yields an item that had to queue, or a generator: the rest
+        of a handler that a delivery started."""
+        self._handler = handler
+        self._server = self.engine.active_process
+        ready = self._ready
+        wake = self.get()
+        while True:
+            item = yield wake
+            if item.__class__ is not GeneratorType:
+                # Handled in this step with the chain held, like a delivery.
+                # What it delivered runs here too if this consumer parks
+                # next; if it waits, raised (``item`` is then still the work
+                # item) or has more queued, its own next get event must not
+                # overtake them: they take the event path first.
+                ready.append(self)
+                try:
+                    item = handler(item)
+                finally:
+                    ready.popleft()
+                    if item is not None or self._items:
+                        self._flush(ready)
+            if item is not None:
+                yield from item
+            wake = self.get()
+            if ready:
+                self._drain(ready)
+
+    def deliver(self, item: Any) -> None:
+        """Hand ``item`` to the consumer, inline when it is idle."""
+        getters = self._getters
+        ready = self._ready
+        if self._owed:
+            self._items.append(item)
+        elif (getters and self._handler is not None
+              and getters[0]._value is _PENDING and not getters[0]._defused
+              and not self._server._interrupts
+              and (ready or self.engine.active_process is None)):
+            self._owed = True
+            self._items.append(item)
+            ready.append(self)
+            if len(ready) == 1:
+                self._drain(ready)
+        else:
+            self.put(item)
+
+    @staticmethod
+    def _drain(ready: Deque["Mailbox"]) -> None:
+        """Run the handlers ``ready`` is owed, oldest first."""
+        while ready:
+            box = ready[0]
+            try:
+                rest = box._handler(box._items.popleft())
+            except Exception as exc:
+                rest = exc
+            ready.popleft()
+            if rest is None and box._items:
+                ready.append(box)       # more arrived meanwhile: go round
+                continue
+            box._owed = False
+            if rest is not None:
+                # It waits (or died): its process takes over, and whatever
+                # is still owed a run wakes behind it.
+                wake = box._getters.popleft()
+                if isinstance(rest, Exception):
+                    wake.fail(rest)
+                else:
+                    wake.succeed(rest)
+                Mailbox._flush(ready)
+
+    @staticmethod
+    def _flush(ready: Deque["Mailbox"]) -> None:
+        """What ``ready`` is owed takes the event path: each parked process
+        is woken with its next item, in order."""
+        for box in ready:
+            box._owed = False
+            box._getters.popleft().succeed(box._items.popleft())
+        ready.clear()
 
 
 class PriorityChannel(Channel):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.check import SchedulePerturbation
 from repro.errors import ConnectionClosed, Interrupt, SimulationError
-from repro.sim import Channel, Engine, PriorityChannel
+from repro.sim import Channel, Engine, Mailbox, PriorityChannel
 
 
 def _run_traffic(pseed, channel_cls, n_items, n_getters, interrupt_mask,
@@ -152,3 +152,66 @@ def test_closed_channel_poll_never_spins(pseed):
     eng.run()
     assert outcome[-1] == "closed"
     assert outcome[:-1] == ["last"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pseed=st.integers(0, 10**9), n_items=st.integers(1, 16),
+       slow=st.sets(st.integers(0, 15)), interrupt=st.booleans())
+def test_mailbox_handles_each_delivery_once_in_order_never_nested(
+        pseed, n_items, slow, interrupt):
+    """A served mailbox fed from a process, from bare callbacks and from
+    its own handler, with handlers that wait and an interrupt colliding on
+    the same instants: under every tie order each delivery is handled once
+    or left queued, each producer's items keep their order, and no handler
+    runs inside another."""
+    eng = Engine(seed=0)
+    eng.set_perturbation(SchedulePerturbation(pseed))
+    box = Mailbox(eng, name="box")
+    handled, depth = [], [0]
+
+    def handler(item):
+        assert depth[0] == 0
+        depth[0] += 1
+        handled.append(item)
+        if isinstance(item, int) and item % 3 == 0:
+            box.deliver(("echo", item))         # self-post from a handler
+        depth[0] -= 1
+        return wait() if item in slow else None
+
+    def wait():
+        yield eng.timeout(0.5)
+
+    def consumer():
+        try:
+            yield from box.serve(handler)
+        except Interrupt:
+            return
+
+    def producer(items):
+        for item in items:
+            yield eng.timeout(1.0)
+            box.deliver(item)
+
+    server = eng.process(consumer())
+    evens, odds = list(range(0, n_items, 2)), list(range(1, n_items, 2))
+    eng.process(producer(evens))
+    for k, item in enumerate(odds):             # same instants, no process
+        eng.timeout(1.0 + k).callbacks.append(
+            lambda _e, item=item: box.deliver(item))
+
+    def director():
+        yield eng.timeout(2.0)
+        if interrupt and server.is_alive:
+            server.interrupt()
+
+    eng.process(director())
+    eng.run()
+    leftovers = [i for i in box.drain() if not hasattr(i, "send")]
+    ints = [i for i in handled if isinstance(i, int)]
+    if not interrupt:
+        assert leftovers == []
+    assert Counter(handled) + Counter(leftovers) == Counter(
+        list(range(n_items)) + [("echo", i) for i in ints if i % 3 == 0])
+    for mine in (evens, odds):
+        got = [i for i in ints if i in mine]
+        assert got == mine[:len(got)]

@@ -55,6 +55,34 @@ def test_registry_active_filters_finished():
     assert [r.app_id for r in reg.all()] == ["a", "b"]
 
 
+def test_registry_active_scans_only_unfinished_records(monkeypatch):
+    # The daemon heartbeat calls active(): it must cost the running apps,
+    # not every app ever submitted, and keep the sorted-app_id order that
+    # _on_main_view, _pick_nodes and heartbeat() iterate in.
+    reg = Registry()
+    ids = [f"job{i:03d}" for i in range(203)]
+    for app_id in reversed(ids):                # added out of order
+        reg.add(make_record(app_id))
+    live = {"job007", "job100", "job202"}
+    for app_id in ids:
+        if app_id not in live:
+            reg.get(app_id).status = AppStatus.DONE
+    assert [r.app_id for r in reg.active()] == sorted(live)   # prunes
+    reads = []
+    finished = AppRecord.finished.fget
+    monkeypatch.setattr(AppRecord, "finished", property(
+        lambda rec: reads.append(rec.app_id) or finished(rec)))
+    assert [r.app_id for r in reg.active()] == sorted(live)
+    assert reads == sorted(live)
+    # Removal and re-submission under the same id (DELETE, then SUBMIT).
+    reg.remove("job100")
+    reg.add(make_record("job100"))
+    reg.add(make_record("job050"))
+    assert [r.app_id for r in reg.active()] == [
+        "job007", "job050", "job100", "job202"]
+    assert len(reg.all()) == 203
+
+
 def test_record_blob_roundtrip():
     from repro.daemon.daemon import StarfishDaemon
     rec = make_record(ckpt_protocol="stop-and-sync", ckpt_interval=2.0)

@@ -27,7 +27,11 @@ event *population*, not only of simulated behaviour: they were regenerated
 (``--regen --family perturb``, the 22 unperturbed cells bit-for-bit
 untouched) when GCS transport hop folding removed three dispatched events
 per group-communication frame (the member's ``_tx``/``_rx`` pump gets and
-the NIC ``Resource`` grant).
+the NIC ``Resource`` grant), and again when the control path became
+run-to-completion: an idle member, daemon and LWG pump handle a message
+inside the frame's ``driver_recv`` event, so the per-frame inbox get, the
+``gcs-ev`` get and the LWG get are no longer events a tie group can hold —
+per-frame delivery order still is.
 
 What is digested:
 
@@ -158,9 +162,12 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 NOTE = ("standard and store cells: generated pre-engine-overhaul / "
         "pre-store-fold, never regenerated.  perturb cells: regenerated "
         "for GCS transport hop folding (three fewer dispatched events per "
-        "GCS frame reshuffle the tie-shuffle stream; unperturbed cells "
-        "untouched).  Regenerate one family, only when a PR deliberately "
-        "changes what it pins.")
+        "GCS frame reshuffle the tie-shuffle stream) and again for the "
+        "run-to-completion control path (an idle member/daemon/LWG pump "
+        "handles a message inside the frame's driver_recv event: the "
+        "inbox, gcs-ev and LWG gets left the event population; "
+        "unperturbed cells untouched both times).  Regenerate one family, "
+        "only when a PR deliberately changes what it pins.")
 
 
 def _entry(report) -> dict:

@@ -205,12 +205,13 @@ def test_nic_tx_serializes_concurrent_senders():
     assert arrivals[1][1] - arrivals[0][1] > 0.5
 
 
-def test_default_handler_receives_unported_frames():
+def test_frame_to_unopened_port_is_dropped_and_counted():
     cluster, n0, n1 = make_pair()
     eng = cluster.engine
-    seen = []
-    n1.nic("tcp-ethernet").default_handler = seen.append
     cluster.ethernet.transmit(
         Frame(src="n0", dst="n1", port="nobody", payload="x", size=32))
     eng.run()
-    assert [f.payload for f in seen] == ["x"]
+    assert eng.metrics.value("net.nic.rx_dropped",
+                             fabric="tcp-ethernet") == 1
+    assert eng.metrics.value("net.nic.rx_frames",
+                             fabric="tcp-ethernet") == 0

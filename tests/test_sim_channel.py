@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ConnectionClosed, SimulationError
-from repro.sim import Channel, Engine, PriorityChannel, Resource
+from repro.errors import ConnectionClosed, Interrupt, SimulationError
+from repro.sim import Channel, Engine, Mailbox, PriorityChannel, Resource
 
 
 def test_channel_fifo_order():
@@ -517,3 +517,226 @@ def test_channel_get_nowait_open_empty_still_polls():
     eng = Engine()
     assert Channel(eng).get_nowait() == (False, None)
     assert PriorityChannel(eng).get_nowait() == (False, None)
+
+
+# ---------------------------------------------------------------------------
+# Mailbox: a served channel whose handler producers run to completion
+# ---------------------------------------------------------------------------
+
+def _served(eng, handler, name="box", behind=None):
+    box = Mailbox(eng, name=name, behind=behind)
+
+    def consumer():
+        try:
+            yield from box.serve(handler)
+        except Interrupt:
+            return
+
+    proc = eng.process(consumer(), name=f"serve:{name}")
+    return box, proc
+
+
+def test_mailbox_idle_consumer_runs_inline_without_events():
+    eng = Engine()
+    got = []
+    box, _proc = _served(eng, got.append)
+    eng.run()                                   # consumer parks on get()
+    before = eng.events_processed
+    box.deliver("a")
+    assert got == ["a"]                         # ran inside deliver()
+    box.deliver("b")
+    eng.run()
+    assert got == ["a", "b"]
+    assert eng.events_processed == before       # no get event, no wakeup
+
+
+def test_mailbox_unserved_is_a_plain_channel():
+    eng = Engine()
+    box = Mailbox(eng)
+    got = []
+
+    def reader():
+        while True:
+            got.append((yield box.get()))
+
+    eng.process(reader())
+    eng.run()
+    box.deliver(1)
+    assert got == []                            # put(): one get event away
+    box.deliver(2)
+    eng.run()
+    assert got == [1, 2]
+
+
+def test_mailbox_busy_consumer_queues_behind_in_fifo_order():
+    eng = Engine()
+    log = []
+
+    def handler(item):
+        if item == "slow":
+            return work(item)
+        log.append((eng.now, item))
+        return None
+
+    def work(item):
+        yield eng.timeout(5)
+        log.append((eng.now, item))
+
+    box, _proc = _served(eng, handler)
+    eng.run()
+    box.deliver("slow")                         # handed to the process
+    box.deliver("x")                            # consumer busy: queue behind
+    eng.timeout(2).callbacks.append(lambda _e: box.deliver("y"))
+    eng.run()
+    assert log == [(5, "slow"), (5, "x"), (5, "y")]
+    box.deliver("z")                            # idle again: inline
+    assert log[-1] == (5, "z")
+
+
+def _chain_scenario(inline: bool):
+    """Two chained consumers whose handlers deliver to each other and to
+    themselves; ``inline=False`` is the reference: plain queues, each read
+    by a hand-written ``while True: item = yield ch.get()`` process."""
+    eng = Engine()
+    log = []
+    depth = [0]
+
+    def enter(who, item):
+        assert depth[0] == 0, f"{who}({item}) ran nested"
+        depth[0] += 1
+        log.append(f"{who}:{item}")
+
+    def up_handler(item):
+        enter("up", item)
+        if item == 1:
+            send(down, "from-1a")               # to the chained consumer
+            send(up, 2)                         # to myself
+            send(down, "from-1b")
+        depth[0] -= 1
+
+    def down_handler(item):
+        enter("down", item)
+        if item == "from-1a":
+            send(up, 3)
+        if item == "from-1b":
+            send(down, "from-1b-again")
+        depth[0] -= 1
+
+    if inline:
+        send = Mailbox.deliver
+        up, _p1 = _served(eng, up_handler, name="up")
+        down, _p2 = _served(eng, down_handler, name="down", behind=up)
+    else:
+        send = Channel.put
+        up, down = Channel(eng), Channel(eng)
+
+        def loop(ch, handler):
+            while True:
+                handler((yield ch.get()))
+
+        eng.process(loop(up, up_handler))
+        eng.process(loop(down, down_handler))
+    eng.run()
+    before = eng.events_processed
+    send(up, 1)
+    inline_log = list(log)
+    eng.run()
+    return log, inline_log, eng.events_processed - before
+
+
+def test_mailbox_nothing_nests_and_pending_runs_in_queue_order():
+    reference, _, ref_events = _chain_scenario(inline=False)
+    log, inline_log, events = _chain_scenario(inline=True)
+    # down woke first (during 1), up's own next item at the end of 1,
+    # down's second item when down finished its first, 3 behind up's 2.
+    assert reference == ["up:1", "down:from-1a", "up:2", "down:from-1b",
+                         "up:3", "down:from-1b-again"]
+    assert log == reference
+    assert inline_log == reference              # all inside deliver(1)
+    assert (ref_events, events) == (6, 0)
+
+
+def test_mailbox_waiting_handler_sends_the_rest_down_the_event_path():
+    eng = Engine()
+    log = []
+
+    def up_handler(item):
+        down.deliver(f"d{item}")
+        log.append(f"up:{item}")
+        return wait(item) if item == 1 else None
+
+    def wait(item):
+        log.append(f"up:{item}:started")
+        yield eng.timeout(1)
+        log.append(f"up:{item}:done")
+
+    up, _p1 = _served(eng, up_handler, name="up")
+    down, _p2 = _served(eng, lambda item: log.append(f"down:{item}"),
+                        name="down", behind=up)
+    eng.run()
+    up.deliver(1)
+    # The generator's first segment must run before what the handler
+    # delivered, as when the process ran the handler itself.
+    assert log == ["up:1"]
+    up.deliver(2)                               # consumer busy: queued
+    eng.run()
+    assert log == ["up:1", "up:1:started", "down:d1", "up:1:done",
+                   "up:2", "down:d2"]
+
+
+def test_mailbox_delivery_from_a_process_waits_for_its_step_to_end():
+    eng = Engine()
+    log = []
+    box, _proc = _served(eng, lambda item: log.append(f"handled:{item}"))
+
+    def caller():
+        yield eng.timeout(1)
+        box.deliver("m")
+        log.append("caller-continues")
+        yield eng.timeout(1)
+
+    eng.process(caller())
+    eng.run()
+    assert log == ["caller-continues", "handled:m"]
+
+
+def test_mailbox_handler_exception_is_raised_in_the_consumer_process():
+    eng = Engine()
+    caught = []
+    got = []
+
+    def handler(item):
+        if item == "bad":
+            raise ValueError("boom")
+        got.append(item)
+
+    box = Mailbox(eng)
+
+    def consumer():
+        try:
+            yield from box.serve(handler)
+        except ValueError as exc:
+            caught.append(str(exc))
+
+    proc = eng.process(consumer())
+    eng.run()
+    for item in ("a", "bad", "b"):              # e.g. one NIC delivery batch
+        box.deliver(item)                       # must not raise here
+    eng.run()
+    assert got == ["a"] and caught == ["boom"]
+    assert not proc.is_alive
+    assert box.drain() == ["b"]                 # nobody left to handle it
+
+
+def test_mailbox_interrupted_consumer_runs_no_handler():
+    eng = Engine()
+    got = []
+    box, proc = _served(eng, got.append)
+    eng.run()
+    proc.interrupt("stop")
+    box.deliver("late")                         # interrupt still in flight
+    eng.run()
+    box.deliver("later")
+    eng.run()
+    assert got == [] and not proc.is_alive
+    assert box.drain() == ["late", "later"]
