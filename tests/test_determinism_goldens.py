@@ -33,6 +33,15 @@ inside the frame's ``driver_recv`` event, so the per-frame inbox get, the
 ``gcs-ev`` get and the LWG get are no longer events a tie group can hold —
 per-frame delivery order still is.
 
+No campaign migrates a rank, so the ``migrate`` family pins that path
+directly: five scenarios (4 nodes, 3 ranks; ``migrate(rank 1 -> n3)`` at
+t = 1.3 s, crash ``n0`` one second later, run to completion) digest every
+daemon's ``log``, the per-rank results, final time, ``events_processed``,
+frame/byte counts, the restart/migrate counters, ``local_msgs``, final
+placement and world version; two more cells digest the ``fleet-churn``
+report bytes (proactive migration under load) for seeds 0 and 1.  They
+were generated *before* migration was folded into the one restart path.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -50,7 +59,7 @@ only the family it changes — cells outside ``--family`` are carried over
 from the file untouched; record the reason in ``NOTE``)::
 
     PYTHONPATH=src python tests/test_determinism_goldens.py --regen \\
-        --family {standard,store,perturb}
+        --family {standard,store,perturb,migrate}
 """
 
 from __future__ import annotations
@@ -93,6 +102,60 @@ PERTURB_MATRIX = [(campaign, 0, protocol, perturb, 0.0)
                   for protocol in PERTURB_PROTOCOLS
                   for perturb in PERTURB_SEEDS] \
     + [("crash-recover", 0, "stop-and-sync", 1, JITTER)]
+
+MIGRATE_PROTOCOLS = ("stop-and-sync", "chandy-lamport", "uncoordinated",
+                     "sender-logging", "diskless")
+CHURN_SEEDS = (0, 1)
+MIGRATE_KEYS = [f"migrate/{protocol}" for protocol in MIGRATE_PROTOCOLS] \
+    + [f"fleet-churn/seed{seed}" for seed in CHURN_SEEDS]
+
+
+def _run_migrate(key: str) -> dict:
+    """One ``migrate`` family cell: its golden entry, freshly computed."""
+    family, arg = key.split("/")
+    if family == "fleet-churn":
+        from repro.fleet import report_bytes, run_fleet_churn
+        report = run_fleet_churn(nodes=16, seed=int(arg[4:]), strict=True)
+        return {"report_sha256": hashlib.sha256(
+                    report_bytes(report).encode()).hexdigest(),
+                "duration": report["duration"],
+                "n_migrations": len(report["migrations"])}
+    from repro.apps import ComputeSleep
+    from repro.core import (AppSpec, CheckpointConfig, FaultPolicy,
+                            StarfishCluster)
+    sf = StarfishCluster.build(nodes=4)
+    handle = sf.submit(AppSpec(
+        program=ComputeSleep, nprocs=3,
+        params={"steps": 80, "step_time": 0.05},
+        ft_policy=FaultPolicy.RESTART,
+        checkpoint=CheckpointConfig(protocol=arg, level="vm", interval=0.5),
+        placement={0: "n0", 1: "n1", 2: "n2"}), app_id="mig")
+    sf.engine.run(until=sf.engine.now + 1.3)
+    sf.migrate(handle, rank=1, target_node="n3")
+    sf.engine.run(until=sf.engine.now + 1.0)
+    sf.crash_node("n0")
+    results = sf.run_to_completion(handle, timeout=300)
+    reg = sf.engine.metrics
+    record = handle._record()
+    scalars = {
+        "final_time": sf.engine.now,
+        "events_processed": sf.engine.events_processed,
+        "restarts": record.restarts,
+        "world_version": record.world_version,
+        "placement": {str(r): n for r, n in sorted(record.placement.items())},
+    }
+    digest = _digest({
+        **scalars, "results": results,
+        "logs": {nid: d.log for nid, d in sorted(sf.daemons.items())},
+        "local_msgs": {nid: d.local_msgs
+                       for nid, d in sorted(sf.daemons.items())},
+        "frames_sent": reg.sum("net.frames_sent"),
+        "bytes_sent": reg.sum("net.bytes_sent"),
+        "daemon.restarts": reg.group_by("daemon.restarts", "app"),
+        "ranks_restarted": reg.group_by("daemon.ranks_restarted", "app"),
+        "ranks_migrated": reg.group_by("daemon.ranks_migrated", "app"),
+    })
+    return {"sha256": digest, **scalars}
 
 
 def _run_report(seed: int, protocol: str, campaign: str = CAMPAIGN,
@@ -157,6 +220,7 @@ FAMILIES = {
     "perturb": PERTURB_MATRIX,
 }
 ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
+FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
 NOTE = ("standard and store cells: generated pre-engine-overhaul / "
@@ -166,8 +230,10 @@ NOTE = ("standard and store cells: generated pre-engine-overhaul / "
         "run-to-completion control path (an idle member/daemon/LWG pump "
         "handles a message inside the frame's driver_recv event: the "
         "inbox, gcs-ev and LWG gets left the event population; "
-        "unperturbed cells untouched both times).  Regenerate one family, "
-        "only when a PR deliberately changes what it pins.")
+        "unperturbed cells untouched both times).  migrate cells: "
+        "generated before migration was folded into the one restart path, "
+        "never regenerated.  Regenerate one family, only when a PR "
+        "deliberately changes what it pins.")
 
 
 def _entry(report) -> dict:
@@ -203,6 +269,14 @@ def test_campaign_report_matches_golden(goldens, campaign, seed, protocol,
     assert _entry(report) == entry
 
 
+@pytest.mark.parametrize("key", MIGRATE_KEYS)
+def test_migration_matches_golden(goldens, key):
+    assert _run_migrate(key) == goldens["entries"][key], (
+        f"{key} diverged from its golden: a change reordered, added or "
+        "dropped a cast or a kill on the migrate/restart path — find it, "
+        "do not regenerate")
+
+
 def test_same_process_rerun_is_byte_identical():
     """Two same-seed runs in one process: identical bytes, including the
     engine work measures (no process-global state leaks into reports)."""
@@ -224,11 +298,14 @@ def regenerate(family=None) -> None:
     outside it keeps the entry the file already has."""
     entries = {} if family is None else _load_goldens()["entries"]
     for campaign, seed, protocol, perturb, jitter in (
-            ALL_CELLS if family is None else FAMILIES[family]):
+            ALL_CELLS if family is None else FAMILIES.get(family, ())):
         report = _run_report(seed, protocol, campaign, perturb, jitter)
         key = _key(seed, protocol, campaign, perturb, jitter)
         entries[key] = _entry(report)
         print(f"  {key}: {entries[key]['report_sha256'][:16]}…")
+    for key in MIGRATE_KEYS if family in (None, "migrate") else ():
+        entries[key] = _run_migrate(key)
+        print(f"  {key}: {entries[key]}")
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(
         {"campaign": CAMPAIGN, "policy": POLICY, "note": NOTE,
@@ -239,7 +316,7 @@ def regenerate(family=None) -> None:
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--regen", action="store_true")
-    parser.add_argument("--family", choices=sorted(FAMILIES),
+    parser.add_argument("--family", choices=FAMILY_NAMES,
                         help="regenerate only this family's cells")
     args = parser.parse_args()
     if args.regen:
