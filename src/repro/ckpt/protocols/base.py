@@ -133,18 +133,11 @@ class CrProtocol:
         #: Always-on state-machine invariant checker (repro.check).
         self.oracle = WaveOracle(self)
         # Instruments materialize in start() (that's when we learn the
-        # engine); until then the no-op twins keep stats readable.
+        # engine); until then the no-op twins absorb the writes.
         self._m_checkpoints = NULL_COUNTER
         self._m_bytes = NULL_COUNTER
         self._m_commits = NULL_COUNTER
         self._h_sync = NULL_HISTOGRAM
-
-    @property
-    def stats(self) -> dict:
-        """Legacy counter view (read side of the registry instruments)."""
-        return {"checkpoints": int(self._m_checkpoints.value),
-                "bytes": int(self._m_bytes.value),
-                "commits": int(self._m_commits.value)}
 
     # -- lifecycle ---------------------------------------------------------
 

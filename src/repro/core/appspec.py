@@ -76,3 +76,9 @@ class AppSpec:
             raise DaemonError("nprocs must be >= 1")
         if self.transport not in ("bip-myrinet", "tcp-ethernet"):
             raise DaemonError(f"unknown transport {self.transport!r}")
+        try:    # accept the policy's name; the daemon reads ``.value``
+            object.__setattr__(self, "ft_policy",
+                               FaultPolicy.of(self.ft_policy))
+        except ValueError:
+            raise DaemonError(
+                f"unknown fault policy {self.ft_policy!r}") from None

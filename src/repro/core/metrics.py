@@ -119,7 +119,8 @@ class ClusterMetrics:
                 if aid != record.app_id:
                     continue
                 steps[rank] = handle.steps_completed
-                aborted[rank] = handle.stats["aborted_steps"]
+                aborted[rank] = int(sf.engine.metrics.value(
+                    "app.aborted_steps", app=aid, rank=rank))
                 paused[rank] = handle.paused_accum
         versions = {rank: sf.store.versions_of(record.app_id, rank)
                     for rank in sorted(record.placement)}

@@ -171,13 +171,6 @@ class AppProcess:
 
         self.bus.subscribe(ShutdownEvent, self._on_shutdown_event)
 
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Legacy counter view (read side of the registry instruments)."""
-        return {"steps": int(self._m_steps.value),
-                "aborted_steps": int(self._m_aborted.value),
-                "views": int(self._m_views.value)}
-
     # ------------------------------------------------------------------
     # handle protocol (what the daemon drives)
     # ------------------------------------------------------------------

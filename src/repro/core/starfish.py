@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.cluster import Architecture, Cluster, ClusterSpec
 from repro.cluster.spec import _UNSET
 from repro.core.appspec import AppSpec
-from repro.core.policies import FaultPolicy
 from repro.core.runtime import AppProcess
 from repro.daemon import AppStatus, Client, StarfishDaemon
 from repro.daemon.registry import AppRecord
@@ -228,17 +227,7 @@ class StarfishCluster:
         app_id = app_id or f"app{next(_app_ids)}"
         daemon = (self.daemons[via_node] if via_node is not None
                   else self.any_daemon())
-        daemon.submit(
-            app_id, spec.program, spec.nprocs, owner=spec.owner,
-            params={**spec.params,
-                    "_ckpt_logging": spec.checkpoint.logging},
-            ft_policy=FaultPolicy.of(spec.ft_policy).value,
-            ckpt_protocol=spec.checkpoint.protocol,
-            ckpt_level=spec.checkpoint.level,
-            ckpt_interval=spec.checkpoint.interval,
-            transport=spec.transport, polling=spec.polling,
-            placement=spec.placement, replicas=spec.checkpoint.replicas)
-        return AppHandle(self, app_id)
+        return AppHandle(self, daemon.submit(app_id, spec))
 
     def run_to_completion(self, handle: AppHandle,
                           timeout: float = 600.0) -> Dict[int, Any]:
@@ -307,49 +296,11 @@ class StarfishCluster:
         return self._boot_daemon(node_id)
 
     def migrate(self, handle: AppHandle, rank: int, target_node: str) -> None:
-        """Move one rank to ``target_node`` by rolling the application back
-        to its last recovery line with an updated placement (paper §3.2.1:
-        C/R doubles as process migration — e.g. when "a better node
-        becomes available").
-
-        Every precondition is validated here, up-front: a request the
-        daemon layer would silently refuse (dead or unregistered target,
-        unknown rank, same-node move, replicated app) raises a typed
-        :class:`~repro.errors.PlacementError` instead of casting an op
-        that strands the caller waiting for a migration that never runs.
-        """
-        from repro.cluster.node import NodeState
-        from repro.errors import PlacementError
-        node = self.cluster.nodes.get(target_node)
-        if node is None:
-            raise PlacementError(f"unknown node {target_node!r}")
-        if node.state is not NodeState.UP:
-            raise PlacementError(
-                f"target node {target_node!r} is {node.state.value}, "
-                "not up")
-        record = handle._record()       # raises UnknownApplication
-        if record.finished:
-            raise DaemonError(f"app {handle.app_id} already finished "
-                              f"({record.status.value})")
-        if rank not in record.placement:
-            raise PlacementError(
-                f"app {handle.app_id} has no rank {rank} "
-                f"(ranks: {sorted(record.placement)})")
-        if record.placement.get(rank) == target_node:
-            raise PlacementError(
-                f"rank {rank} of {handle.app_id} already runs on "
-                f"{target_node!r}")
-        if record.replicas:
-            raise PlacementError(
-                f"app {handle.app_id} uses active replication; replicated "
-                "apps do not migrate (failover moves ranks instead)")
-        caster = self.any_daemon()
-        view = caster.gm.view
-        if view is None or view.member_on(target_node) is None:
-            raise PlacementError(
-                f"no daemon registered on {target_node!r} in the current "
-                "Starfish group view")
-        caster.gm.cast(("app-migrate", handle.app_id, rank, target_node))
+        """Move one rank to ``target_node`` (paper §3.2.1: C/R doubles as
+        process migration — e.g. when "a better node becomes available").
+        :meth:`StarfishDaemon.migrate` validates the request and raises a
+        typed error before anything is cast."""
+        self.any_daemon().migrate(handle.app_id, rank, target_node)
 
     def __repr__(self) -> str:
         return (f"<StarfishCluster {len(self.live_daemons())}/"

@@ -12,8 +12,11 @@ application's processes.  The daemon:
   processes through the lightweight groups (Table 1);
 * enforces per-application fault-tolerance policies when nodes fail
   (KILL / VIEW_NOTIFY / RESTART — paper §3.2.2);
-* serves the ASCII management/user client protocol (paper §3.1.1) on a TCP
-  listener — any daemon can serve any client.
+* validates every client command in one place (``submit``, ``migrate``),
+  whichever format carried it: the library facade, the fleet's JSON API, or
+  the ASCII management/user protocol (paper §3.1.1) that
+  :mod:`repro.daemon.session` serves on a TCP listener — any daemon can
+  serve any client.
 """
 
 from repro.daemon.registry import AppRecord, AppStatus, Registry

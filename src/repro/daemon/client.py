@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.daemon.daemon import CTL_PORT
+from repro.daemon.protocol import CTL_PORT
 from repro.errors import (AuthenticationError, NetworkError, ProtocolError,
                           RequestTimeout)
 from repro.net.conn import Connection

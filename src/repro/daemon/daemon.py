@@ -19,16 +19,14 @@ implementation notes:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.calibration import LOCAL_TCP_HOP, SPAWN_COST
-from repro.daemon.protocol import (MGMT_COMMANDS, USER_COMMANDS,
-                                   format_response, parse_command,
-                                   parse_submit_options)
+from repro.cluster.node import NodeState
+from repro.daemon.protocol import CTL_PORT
 from repro.daemon.registry import AppRecord, AppStatus, Registry
-from repro.errors import (AuthenticationError, DaemonError, Interrupt,
-                          PlacementError, ProtocolError, UnknownApplication)
+from repro.daemon.session import accept_loop
+from repro.errors import DaemonError, Interrupt, PlacementError
 from repro.gcs import CastEvent, GcsConfig, GroupMember, ViewEvent
 from repro.gcs.endpoint import EndpointId
 from repro.lwg import LwgCast, LwgManager, LwgView
@@ -36,11 +34,18 @@ from repro.net.conn import Listener
 from repro.obs.registry import get_registry
 from repro.store import CheckpointStore
 
-CTL_PORT = "starfish-ctl"
-
 #: Default accounts: {user: (password, is_admin)}.
 DEFAULT_USERS = {"admin": ("adminpw", True), "alice": ("alicepw", False),
                  "bob": ("bobpw", False)}
+
+#: Per-application counters (label ``app``), bumped through ``_count``.
+_APP_COUNTERS = {
+    "daemon.restarts": "rollback restarts coordinated for this application",
+    "daemon.ranks_restarted":
+        "application ranks respawned by failure restarts",
+    "daemon.ranks_migrated":
+        "application ranks respawned by requested migrations",
+}
 
 
 class StarfishDaemon:
@@ -74,47 +79,34 @@ class StarfishDaemon:
         self._listener: Optional[Listener] = None
         self._procs: List = []
         self._lwg_pumps: Set[str] = set()
-        self._submit_seq = itertools.count(1)
         self.log: List[Tuple[float, str]] = []
-        # Daemon telemetry, one series per (node, kind) / (node) / (app).
+        # Daemon telemetry: the per-node series are fetched once and start
+        # at zero for a fresh daemon instance on this node.
         self._registry = get_registry(engine)
-        self._m_local: Dict[str, Any] = {}
-        self._m_restarts: Dict[str, Any] = {}
-        self._m_ranks_restarted: Dict[str, Any] = {}
-        self._m_ranks_migrated: Dict[str, Any] = {}
+        nid = node.node_id
         self._m_view_changes = self._registry.counter(
-            "daemon.view_changes", node=node.node_id,
+            "daemon.view_changes", node=nid,
             help="main-group view changes handled")
-        self._m_view_changes.reset()
-        # Structured counterparts of the heartbeat/membership log lines:
-        # FleetView and `repro metrics` read these instead of parsing
-        # ``_log`` output.
-        self._m_members_joined = self._registry.counter(
-            "daemon.membership.joined", node=node.node_id,
-            help="members that joined main-group views seen here")
         self._m_members_left = self._registry.counter(
-            "daemon.membership.left", node=node.node_id,
+            "daemon.membership.left", node=nid,
             help="members that left main-group views seen here")
         self._m_hb_sent = self._registry.counter(
-            "daemon.heartbeat.sent", node=node.node_id,
+            "daemon.heartbeat.sent", node=nid,
             help="fleet heartbeat payloads produced by this daemon")
         self._m_hb_ranks = self._registry.gauge(
-            "daemon.heartbeat.ranks", node=node.node_id,
+            "daemon.heartbeat.ranks", node=nid,
             help="primary ranks hosted, per the last heartbeat")
-        self._m_hb_copies = self._registry.gauge(
-            "daemon.heartbeat.copies", node=node.node_id,
-            help="replica copies hosted, per the last heartbeat")
-        self._m_hb_apps = self._registry.gauge(
-            "daemon.heartbeat.apps", node=node.node_id,
-            help="applications with local processes, per the last heartbeat")
-        self._m_hb_store_bytes = self._registry.gauge(
-            "daemon.heartbeat.store_bytes", node=node.node_id,
-            help="checkpoint-store bytes held, per the last heartbeat")
-        for inst in (self._m_members_joined, self._m_members_left,
-                     self._m_hb_sent, self._m_hb_ranks, self._m_hb_copies,
-                     self._m_hb_apps, self._m_hb_store_bytes):
-            inst.reset()   # fresh daemon instance on this node
+        self._m_local = {kind: self._registry.counter(
+            "daemon.local_msgs", node=nid, kind=kind,
+            help="daemon<->local-process messages by Table 1 kind")
+            for kind in ("configuration", "lightweight membership")}
+        for inst in (self._m_view_changes, self._m_members_left,
+                     self._m_hb_sent, self._m_hb_ranks,
+                     *self._m_local.values()):
+            inst.reset()
         self._absorbed = False
+        #: The main-group upcall being handled (named if its handler dies).
+        self._handling = None
         #: App ids submitted here whose replicated record is still in
         #: flight (duplicate-submission guard).
         self._pending_submits: Set[str] = set()
@@ -126,58 +118,13 @@ class StarfishDaemon:
         return {k: int(m.value) for k, m in self._m_local.items()
                 if m.value}
 
-    def _count_local(self, kind: str, n: int = 1) -> None:
-        counter = self._m_local.get(kind)
-        if counter is None:
-            counter = self._registry.counter(
-                "daemon.local_msgs", node=self.node.node_id, kind=kind,
-                help="daemon<->local-process messages by Table 1 kind")
-            counter.reset()   # fresh daemon instance on this node
-            self._m_local[kind] = counter
-        counter.inc(n)
-
-    def _count_restart(self, app_id: str) -> None:
-        counter = self._m_restarts.get(app_id)
-        if counter is None:
-            counter = self._registry.counter(
-                "daemon.restarts", app=app_id,
-                help="rollback restarts coordinated for this application")
-            self._m_restarts[app_id] = counter
-        counter.inc()
-        self._registry.events.emit(
-            self.engine.now, "daemon.restart", node=self.node.node_id,
-            app=app_id)
-
-    def _count_ranks_restarted(self, app_id: str, n: int) -> None:
-        """Ranks this daemon respawned for a restart (the cluster-wide
-        series is the sum: each daemon only counts its local spawns)."""
-        if not n:
-            return
-        counter = self._m_ranks_restarted.get(app_id)
-        if counter is None:
-            counter = self._registry.counter(
-                "daemon.ranks_restarted", app=app_id,
-                help="application ranks respawned by failure restarts")
-            self._m_ranks_restarted[app_id] = counter
-        counter.inc(n)
-
-    def _count_respawns(self, app_id: str, n: int, cause: str) -> None:
-        """Migration-driven respawns land on ``daemon.ranks_migrated``,
-        not ``daemon.ranks_restarted``: the latter measures recovery work
-        paid to *failures* only, so a proactively-migrated app can prove
-        it never paid one (the fleet's ``ranks_restarted == 0`` gate)."""
-        if cause != "migration":
-            self._count_ranks_restarted(app_id, n)
-            return
-        if not n:
-            return
-        counter = self._m_ranks_migrated.get(app_id)
-        if counter is None:
-            counter = self._registry.counter(
-                "daemon.ranks_migrated", app=app_id,
-                help="application ranks respawned by requested migrations")
-            self._m_ranks_migrated[app_id] = counter
-        counter.inc(n)
+    def _count(self, name: str, app_id: str, n: int = 1) -> None:
+        """Bump a per-application counter.  Every daemon adds its share to
+        the same ``name{app}`` series (the cluster-wide value is the sum),
+        so the registry's own get-or-create is the only cache."""
+        if n:
+            self._registry.counter(name, app=app_id,
+                                   help=_APP_COUNTERS[name]).inc(n)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -189,7 +136,7 @@ class StarfishDaemon:
                                   self.node.nic("tcp-ethernet"), CTL_PORT)
         self._procs = [
             self.node.spawn(self._main(), name=f"dmn:{self.node.node_id}"),
-            self.node.spawn(self._accept_loop(),
+            self.node.spawn(accept_loop(self, self._listener),
                             name=f"dmn-accept:{self.node.node_id}"),
         ]
 
@@ -255,11 +202,25 @@ class StarfishDaemon:
     def _main(self):
         try:
             yield from self.gm.events.serve(self._on_main_event)
-        except Exception:
-            return  # stopped (Interrupt), or the node crashed under us
+        except Exception as exc:
+            # Containment: a handler that raises ends this daemon's upcall
+            # loop, never the delivery batch or any other daemon.  Unless it
+            # was stopped (Interrupt) or the node crashed under it, the run
+            # artifact must say why a member of the view applies nothing.
+            if isinstance(exc, Interrupt) \
+                    or self.node.state is NodeState.DOWN:
+                return
+            ev = self._handling
+            op = ev.payload[0] if isinstance(ev, CastEvent) and ev.payload \
+                and isinstance(ev.payload, tuple) else type(ev).__name__
+            self._log(f"op {op} failed: {exc!r}")
+            self._registry.events.emit(
+                self.engine.now, "daemon.op_failed", node=self.node.node_id,
+                op=op, error=repr(exc))
 
     def _on_main_event(self, ev):
         """Handle one upcall; returns a generator iff the op waits."""
+        self._handling = ev
         consumed = self.lwg.on_main_event(ev)
         if isinstance(ev, ViewEvent):
             if ev.state is not None and not self._absorbed:
@@ -318,10 +279,14 @@ class StarfishDaemon:
         return self._spawn_local_ranks(record, restore=None)
 
     def _op_app_restart(self, payload, source):
-        # Failure restarts cast 5-tuples (byte-stable with older runs);
-        # migrations append a cause so respawns are attributed correctly.
+        # Failure restarts cast 5-tuples (byte-stable with older runs).
+        # Migrations append a cause: their respawns land on
+        # ``daemon.ranks_migrated``, so ``daemon.ranks_restarted`` measures
+        # recovery work paid to *failures* only and a proactively-migrated
+        # app can prove it never paid one (the fleet's gate).
         _, app_id, placement, restore, world_version = payload[:5]
-        cause = payload[5] if len(payload) > 5 else "failure"
+        respawned = ("daemon.ranks_migrated" if payload[5:] == ("migration",)
+                     else "daemon.ranks_restarted")
         record = self.registry.maybe(app_id)
         if record is None or record.finished:
             return None
@@ -329,7 +294,10 @@ class StarfishDaemon:
         record.placement = dict(placement)
         record.world_version = world_version
         record.restarts += 1
-        self._count_restart(app_id)
+        self._count("daemon.restarts", app_id)
+        self._registry.events.emit(
+            self.engine.now, "daemon.restart", node=self.node.node_id,
+            app=app_id)
         record.status = AppStatus.RUNNING
         if mode == "failover":
             # Active replication: a surviving copy of each lost rank is
@@ -364,7 +332,7 @@ class StarfishDaemon:
                 self._kill_rank(app_id, rank, "solo restart")
             mine = [r for r in record.ranks_on(self.node.node_id)
                     if r in lost]
-            self._count_respawns(app_id, len(mine), cause)
+            self._count(respawned, app_id, len(mine))
             return self._spawn_local_ranks(record, restore=restore,
                                            only_ranks=lost)
         # The rollback re-executes every rank from the recovery line, so
@@ -372,8 +340,8 @@ class StarfishDaemon:
         record.done_ranks = []
         # Kill any local survivors: coordinated rollback restarts everyone.
         self._kill_local(app_id, "rollback")
-        self._count_respawns(
-            app_id, len(record.ranks_on(self.node.node_id)), cause)
+        self._count(respawned, app_id,
+                    len(record.ranks_on(self.node.node_id)))
         return self._spawn_local_ranks(record, restore=restore)
 
     def _op_app_grow(self, payload, source):
@@ -421,58 +389,20 @@ class StarfishDaemon:
         self._kill_local(app_id, f"rank {rank} failed: {reason}")
 
     def _op_app_migrate(self, payload, source):
-        """Process migration via C/R (paper §3.2.1): move one rank to a
-        chosen node by rolling the application back to its last recovery
-        line with an updated placement.  Initiated by one daemon (total
-        order dedups), applied everywhere through the normal restart op.
+        """Process migration via C/R (paper §3.2.1): a restart whose one
+        "lost" rank is alive and whose replacement node is chosen.
+        :meth:`migrate` validated the request before casting it; only what
+        can change between that cast and this delivery is re-checked.
         """
         _, app_id, rank, target_node = payload
         record = self.registry.maybe(app_id)
-        if record is None or record.finished or rank not in record.placement:
+        if record is None or record.finished or record.replicas \
+                or record.placement.get(rank, target_node) == target_node:
             return
-        if record.placement.get(rank) == target_node:
-            return
-        if record.replicas:
-            # Active replication has no recovery line to migrate from,
-            # and moving one copy would co-locate or orphan its siblings.
-            self._log(f"migrate {app_id} refused: replicated apps "
-                      "do not migrate")
-            return
-        # One daemon decides (deterministic): the app's restart authority.
-        planner = self._planner_for(record)
-        solo = planner is not None and planner.solo
         alive_nodes = {m.node for m in self.gm.view.members} \
             if self.gm.view else set()
-        if not self._is_restart_coordinator(record, alive_nodes):
-            record.status = AppStatus.RESTARTING
-            if solo:
-                self._kill_rank(app_id, rank, "migration")
-            else:
-                self._kill_local(app_id, "migration rollback")
-            return
-        restore = planner.plan(self, record, [rank]) \
-            if planner is not None else None
-        record.status = AppStatus.RESTARTING
-        if solo:
-            self._kill_rank(app_id, rank, "migration")
-        else:
-            self._kill_local(app_id, "migration rollback")
-        placement = dict(record.placement)
-        placement[rank] = target_node
-        new_nodes = set(placement.values())
-        old_members = set(self.lwg.members(app_id))
-        for node_id in sorted(new_nodes):
-            ep = self.gm.view.member_on(node_id)
-            if ep is not None and ep not in old_members:
-                self.lwg.join(app_id, ep)
-        for ep in sorted(old_members):
-            if ep.node not in new_nodes:
-                self.lwg.leave(app_id, ep)
-        self.gm.cast(("app-restart", app_id, placement, restore,
-                      record.world_version + (0 if solo else 1),
-                      "migration"))
-        self._log(f"migrate {app_id} rank {rank} -> {target_node} "
-                  f"(from {restore})")
+        self._begin_restart(record, [rank], alive_nodes, "migration",
+                            {rank: target_node})
 
     def _op_app_cmd(self, payload, source):
         _, app_id, cmd = payload
@@ -552,7 +482,7 @@ class StarfishDaemon:
             # Initialization configuration messages (Table 1).
             handle.deliver_config("app.params", dict(record.params))
             handle.deliver_config("app.transport", record.transport)
-            self._count_local("configuration", 2)
+            self._m_local["configuration"].inc(2)
             self.node.spawn(self._watch(record.app_id, rank, handle),
                             name=f"watch:{record.app_id}:{rank}")
 
@@ -632,7 +562,7 @@ class StarfishDaemon:
                        if n in alive_nodes)
         for (aid, _r), handle in list(self.handles.items()):
             if aid == record.app_id:
-                self._count_local("lightweight membership")
+                self._m_local["lightweight membership"].inc()
                 handle.deliver_membership(tuple(world), record.world_version,
                                           dict(record.placement))
 
@@ -665,10 +595,8 @@ class StarfishDaemon:
         targets = self._pick_nodes(nprocs)
         for i, node_id in enumerate(targets):
             new_ranks[next_rank + i] = node_id
-        for node_id in sorted(set(targets)):
-            ep = self.gm.view.member_on(node_id) if self.gm.view else None
-            if ep is not None and ep not in self.lwg.members(app_id):
-                self.lwg.join(app_id, ep)
+        self._reconcile_lwg(app_id, {ep.node for ep in
+                                     self.lwg.members(app_id)} | set(targets))
         self.gm.cast(("app-grow", app_id, new_ranks,
                       record.world_version + 1))
 
@@ -678,12 +606,9 @@ class StarfishDaemon:
 
     def _on_main_view(self, ev: ViewEvent) -> None:
         self._m_view_changes.inc()
-        if ev.joined:
-            self._m_members_joined.inc(len(ev.joined))
-        if ev.left:
-            self._m_members_left.inc(len(ev.left))
         if not ev.left:
             return
+        self._m_members_left.inc(len(ev.left))
         dead_nodes = {m.node for m in ev.left}
         alive_nodes = {m.node for m in ev.view.members}
         for record in self.registry.active():
@@ -699,36 +624,48 @@ class StarfishDaemon:
                 record.replicas = {r: b for r, b in pruned.items() if b}
             lost = [r for r, n in record.placement.items()
                     if n in dead_nodes]
-            if not lost:
-                continue
-            self._handle_app_failure(record, lost, ev, alive_nodes)
+            if lost:
+                self._handle_app_failure(record, lost, alive_nodes)
 
     def _handle_app_failure(self, record: AppRecord, lost: List[int],
-                            ev: ViewEvent, alive_nodes: Set[str]) -> None:
+                            alive_nodes: Set[str]) -> None:
         policy = record.ft_policy
         self._log(f"app {record.app_id} lost ranks {lost} (policy {policy})")
         if policy == "kill":
             # Deterministic at every daemon: mark and kill local ranks.
             record.status = AppStatus.FAILED
             self._kill_local(record.app_id, "node failure (kill policy)")
-            return
-        if policy == "view-notify":
+        elif policy == "view-notify":
             # The lightweight group already shrank; the registry forgets
             # the dead ranks and processes learn their new dense world.
             for r in lost:
                 record.placement.pop(r, None)
             record.world_version += 1
             self._notify_world(record)
-            return
-        if policy == "restart":
-            planner = self._planner_for(record)
-            record.status = AppStatus.RESTARTING
-            if planner is None or not planner.solo:
-                # Rollback recovery restarts everyone; log-based (solo)
-                # recovery leaves the survivors computing.
-                self._kill_local(record.app_id, "rollback on failure")
-            if self._is_restart_coordinator(record, alive_nodes):
-                self._coordinate_restart(record, lost, alive_nodes)
+        elif policy == "restart":
+            self._begin_restart(record, lost, alive_nodes,
+                                "rollback on failure", {})
+
+    def _begin_restart(self, record: AppRecord, ranks: List[int],
+                       alive_nodes: Set[str], why: str,
+                       moves: Dict[int, str]) -> None:
+        """The one way a restart starts, at every daemon: mark the app,
+        kill what will respawn here, and let the app's restart coordinator
+        plan, place and cast ``app-restart``.  ``ranks`` restart because
+        their node died (each gets a fresh node) or because ``moves``
+        names the node they go to (a migration; empty for a failure).
+        """
+        planner = self._planner_for(record)
+        record.status = AppStatus.RESTARTING
+        if planner is None or not planner.solo:
+            # Rollback recovery restarts everyone; log-based (solo)
+            # recovery leaves the survivors computing.
+            self._kill_local(record.app_id, why)
+        else:
+            for rank in moves:          # lost ranks died with their node
+                self._kill_rank(record.app_id, rank, why)
+        if self._is_restart_coordinator(record, alive_nodes):
+            self._coordinate_restart(record, ranks, moves)
 
     def _is_app_authority(self, record: AppRecord) -> bool:
         members = self.lwg.members(record.app_id)
@@ -752,73 +689,79 @@ class StarfishDaemon:
         return None if cls is None else cls.planner()
 
     def _coordinate_restart(self, record: AppRecord, lost: List[int],
-                            alive_nodes: Set[str]) -> None:
+                            moves: Dict[int, str]) -> None:
         app_id = record.app_id
         # Where does the computation resume from?  The protocol's restart
-        # planner decides (latest committed line, dependency rollback, or
-        # solo log replay); reachability caveats — diskless copies held on
-        # the crashed node are gone, and under a replicated store versions
-        # whose replicas are unreachable from this coordinator's partition
-        # don't count — live inside the planners.
+        # planner decides (latest committed line, dependency rollback, solo
+        # log replay, or promoting a surviving copy); reachability caveats
+        # — diskless copies held on the crashed node are gone, and under a
+        # replicated store versions whose replicas are unreachable from
+        # this coordinator's partition don't count — live inside the
+        # planners.
         planner = self._planner_for(record)
         restore = planner.plan(self, record, lost) \
             if planner is not None else None
-        if restore is not None and restore.get("mode") == "failover":
-            # Active replication: promote a surviving copy of each lost
-            # rank.  No replacement nodes to pick, no respawns, and no
-            # world-version bump — the world never changed size.
-            placement = dict(record.placement)
-            placement.update(restore["promote"])
-            needed = set(placement.values())
-            for backups in restore["replicas"].values():
-                needed.update(backups)
-            old_members = set(self.lwg.members(app_id))
-            for node_id in sorted(needed):
-                ep = self.gm.view.member_on(node_id)
-                if ep is not None and ep not in old_members:
-                    self.lwg.join(app_id, ep)
-            for ep in sorted(old_members):
-                if ep.node not in needed or ep not in self.gm.view.members:
-                    self.lwg.leave(app_id, ep)
-            self.gm.cast(("app-restart", app_id, placement, restore,
-                          record.world_version))
-            self._log(f"failover {app_id}: promote {restore['promote']}")
-            return
-        solo = bool(restore) and restore.get("mode") == "log-replay"
-        # Fresh placement for the dead ranks.  Native-level checkpoints can
-        # only restore on the same data representation (paper §4), so the
-        # placement rule constrains replacements to matching machines.
+        mode = restore["mode"] if restore else None
         placement = dict(record.placement)
-        for rank in sorted(lost):
-            require_repr = None
-            if restore is not None and record.ckpt_level == "native":
-                version = (restore.get("version")
-                           if restore["mode"] == "coordinated"
-                           else restore["line"].get(rank))
-                if version is not None and version >= 0 \
-                        and self.store.has(app_id, rank, version):
-                    from repro.cluster.arch import arch_by_name
-                    require_repr = arch_by_name(
-                        self.store.peek(app_id, rank, version).arch_name)
-            placement[rank] = self._pick_nodes(
-                1, require_repr=require_repr)[0]
-        # Fix the lightweight group membership before respawning.
-        old_members = set(self.lwg.members(app_id))
-        new_nodes = set(placement.values())
-        for backups in record.replicas.values():
-            # k-exhausted replication fallback: the (pruned) backup hosts
-            # respawn their copies too, so they stay group members.
-            new_nodes.update(backups)
-        for node_id in sorted(new_nodes):
+        backups = record.replicas
+        if mode == "failover":
+            # Active replication: a surviving copy of each lost rank takes
+            # over in place — no replacement nodes to pick, no respawns.
+            placement.update(restore["promote"])
+            backups = restore["replicas"]
+        else:
+            for rank in sorted(lost):
+                placement[rank] = moves.get(rank) or self._pick_nodes(
+                    1, require_repr=self._restore_repr(record, rank,
+                                                       restore))[0]
+        # Fix the lightweight group membership before respawning: the
+        # hosts of every rank and of every backup copy (after a k-exhausted
+        # replication fallback the pruned backup hosts respawn theirs too).
+        hosting = set(placement.values())
+        hosting.update(*backups.values())
+        self._reconcile_lwg(app_id, hosting)
+        # The world only changes when everyone rolls back: a promoted copy
+        # or a solo-replayed rank rejoins the world the survivors are in.
+        bump = 0 if mode in ("failover", "log-replay") else 1
+        op = ("app-restart", app_id, placement, restore,
+              record.world_version + bump)
+        self.gm.cast(op + ("migration",) if moves else op)
+        if moves:
+            (rank, node_id), = moves.items()
+            self._log(f"migrate {app_id} rank {rank} -> {node_id} "
+                      f"(from {restore})")
+        elif mode == "failover":
+            self._log(f"failover {app_id}: promote {restore['promote']}")
+        else:
+            self._log(f"restart {app_id} from {restore} on {placement}")
+
+    def _restore_repr(self, record: AppRecord, rank: int, restore):
+        """The data representation ``rank`` must restart on, or ``None``:
+        a native-level checkpoint only restores on the representation that
+        wrote it (paper §4)."""
+        if restore is None or record.ckpt_level != "native":
+            return None
+        version = (restore.get("version") if restore["mode"] == "coordinated"
+                   else restore["line"].get(rank))
+        if version is None or version < 0 \
+                or not self.store.has(record.app_id, rank, version):
+            return None
+        from repro.cluster.arch import arch_by_name
+        return arch_by_name(
+            self.store.peek(record.app_id, rank, version).arch_name)
+
+    def _reconcile_lwg(self, app_id: str, hosting: Set[str]) -> None:
+        """Make the app's lightweight group span the daemons on ``hosting``:
+        those not in it join, members elsewhere (or gone from the main
+        view) leave."""
+        members = set(self.lwg.members(app_id))
+        for node_id in sorted(hosting):
             ep = self.gm.view.member_on(node_id)
-            if ep is not None and ep not in old_members:
+            if ep is not None and ep not in members:
                 self.lwg.join(app_id, ep)
-        for ep in sorted(old_members):
-            if ep.node not in new_nodes or ep not in self.gm.view.members:
+        for ep in sorted(members):
+            if ep.node not in hosting or ep not in self.gm.view.members:
                 self.lwg.leave(app_id, ep)
-        self.gm.cast(("app-restart", app_id, placement, restore,
-                      record.world_version + (0 if solo else 1)))
-        self._log(f"restart {app_id} from {restore} on {placement}")
 
     def _pick_nodes(self, count: int, exclude: Optional[Set[str]] = None,
                     require_repr=None) -> List[str]:
@@ -863,53 +806,91 @@ class StarfishDaemon:
         self.lwg.absorb(blob.get("lwg", {}))
 
     # ------------------------------------------------------------------
-    # submission (programmatic entry; the ASCII SUBMIT uses this too)
+    # the command surface: every client format (``StarfishCluster``, the
+    # ASCII session server, the fleet's JSON ``ControlAPI``) reaches these
+    # methods, which validate *before* anything is cast
     # ------------------------------------------------------------------
 
-    def submit(self, app_id: str, program, nprocs: int, owner: str = "local",
-               params: Optional[dict] = None, ft_policy: str = "kill",
-               ckpt_protocol: Optional[str] = None, ckpt_level: str = "vm",
-               ckpt_interval: Optional[float] = None,
-               transport: str = "bip-myrinet", polling: bool = True,
-               placement: Optional[Dict[int, str]] = None,
-               replicas: int = 1) -> str:
-        """Submit an application; returns its app id.
-
-        ``replicas``: copies per rank under active replication (protocol
-        ``"replication"``): 1 primary + ``replicas - 1`` backups, each on
-        a distinct node chosen by the ring placement policy.
-        """
+    def submit(self, app_id: str, spec) -> str:
+        """Submit the application a (validated) :class:`~repro.core.AppSpec`
+        describes; returns its app id.  The one place a spec becomes an
+        :class:`AppRecord`."""
         if app_id in self.registry or app_id in self._pending_submits:
             raise DaemonError(f"duplicate app id {app_id!r}")
-        if nprocs < 1:
-            raise DaemonError("nprocs must be >= 1")
-        self._pending_submits.add(app_id)
-        if placement is None:
-            nodes = self._pick_nodes(nprocs)
-            placement = {rank: nodes[rank] for rank in range(nprocs)}
+        ckpt = spec.checkpoint
+        placement = spec.placement \
+            or dict(enumerate(self._pick_nodes(spec.nprocs)))
         record = AppRecord(
-            app_id=app_id, owner=owner, nprocs=nprocs, program=program,
-            params=dict(params or {}), ft_policy=ft_policy,
-            ckpt_protocol=ckpt_protocol, ckpt_level=ckpt_level,
-            ckpt_interval=ckpt_interval, transport=transport,
-            polling=polling, placement=placement)
-        if replicas > 1:
+            app_id=app_id, owner=spec.owner, nprocs=spec.nprocs,
+            program=spec.program,
+            params={**spec.params, "_ckpt_logging": ckpt.logging},
+            ft_policy=spec.ft_policy.value, ckpt_protocol=ckpt.protocol,
+            ckpt_level=ckpt.level, ckpt_interval=ckpt.interval,
+            transport=spec.transport, polling=spec.polling,
+            placement=placement)
+        if ckpt.replicas > 1:
+            # Active replication: 1 primary + ``replicas - 1`` backups per
+            # rank, each on a distinct node chosen by the ring policy.
             record.replicas = self._place_replicas(app_id, placement,
-                                                   replicas)
+                                                   ckpt.replicas)
         # Create the lightweight group, then announce the app (sender FIFO
         # keeps this order at every daemon).
         hosting = set(placement.values())
-        for backups in record.replicas.values():
-            hosting.update(backups)
+        hosting.update(*record.replicas.values())
         members = []
         for node_id in sorted(hosting):
             ep = self.gm.view.member_on(node_id) if self.gm.view else None
             if ep is None:
                 raise PlacementError(f"no daemon on node {node_id!r}")
             members.append(ep)
+        self._pending_submits.add(app_id)
         self.lwg.create(app_id, members)
         self.gm.cast(("app-submit", self._record_blob(record)))
         return app_id
+
+    def migrate(self, app_id: str, rank: int, target_node: str) -> None:
+        """Move one rank to ``target_node`` by rolling the application back
+        to its last recovery line with that placement (paper §3.2.1: C/R
+        doubles as process migration).  Every precondition lives here and
+        raises a typed error before anything is cast, so no surface can
+        strand a caller waiting for a migration that never runs.
+        """
+        record = self.registry.get(app_id)      # raises UnknownApplication
+        node = self.cluster.nodes.get(target_node)
+        if node is None:
+            raise PlacementError(f"unknown node {target_node!r}")
+        if not node.is_up:
+            raise PlacementError(f"target node {target_node!r} is "
+                                 f"{node.state.value}, not up")
+        if record.finished:
+            raise DaemonError(f"app {app_id} already finished "
+                              f"({record.status.value})")
+        source = record.placement.get(rank)
+        if source is None:
+            raise PlacementError(f"no rank {rank} in app {app_id} "
+                                 f"(ranks: {sorted(record.placement)})")
+        if source == target_node:
+            raise PlacementError(f"rank {rank} of {app_id} already runs on "
+                                 f"{target_node!r}")
+        if record.replicas:
+            raise PlacementError(
+                f"app {app_id} uses active replication; replicated apps do "
+                "not migrate (failover moves ranks instead)")
+        if self.gm.view is None or self.gm.view.member_on(target_node) is None:
+            raise PlacementError(
+                f"no daemon registered on {target_node!r} in the current "
+                "Starfish group view")
+        origin = self.cluster.nodes.get(source)
+        if record.ckpt_protocol and record.ckpt_level == "native" \
+                and origin is not None \
+                and not origin.arch.same_representation(node.arch):
+            # The rule ``_coordinate_restart`` applies to the nodes it
+            # picks (paper §4), applied to the node the caller picked.
+            raise PlacementError(
+                f"app {app_id} checkpoints at native level: rank {rank} "
+                f"restores only on {source!r}'s data representation, which "
+                f"{target_node!r} ({node.arch.name}) does not share")
+        self.gm.cast(("app-migrate", app_id, rank, target_node))
 
     def _place_replicas(self, app_id: str, placement: Dict[int, str],
                         replicas: int) -> Dict[int, Tuple[str, ...]]:
@@ -941,13 +922,9 @@ class StarfishDaemon:
     # ------------------------------------------------------------------
 
     def heartbeat(self) -> Dict[str, Any]:
-        """One fleet heartbeat: this node's liveness + load payload.
-
-        The same numbers are published as ``daemon.heartbeat.*``
-        instruments, so :class:`repro.fleet.FleetView` and the ``repro
-        metrics`` CLI read identical values — nothing parses ``_log``
-        output.
-        """
+        """One fleet heartbeat: this node's liveness + load payload, which
+        is what :class:`repro.fleet.FleetView` reads (the two
+        ``daemon.heartbeat.*`` instruments only count and mirror it)."""
         nid = self.node.node_id
         ranks = copies = 0
         apps: List[str] = []
@@ -958,16 +935,12 @@ class StarfishDaemon:
             copies += held
             if mine or held:
                 apps.append(rec.app_id)
-        store_bytes = self._store_bytes_held()
         self._m_hb_sent.inc()
         self._m_hb_ranks.set(ranks)
-        self._m_hb_copies.set(copies)
-        self._m_hb_apps.set(len(apps))
-        self._m_hb_store_bytes.set(store_bytes)
         return {"node": nid, "time": self.engine.now,
                 "epoch": self.gm.view.epoch if self.gm.view else -1,
                 "ranks": ranks, "copies": copies, "apps": apps,
-                "store_bytes": store_bytes}
+                "store_bytes": self._store_bytes_held()}
 
     def _store_bytes_held(self) -> int:
         """Checkpoint-store bytes whose replicas live on this node."""
@@ -977,171 +950,3 @@ class StarfishDaemon:
             if nid in record.all_holders():
                 total += record.nbytes
         return total
-
-    # ------------------------------------------------------------------
-    # client sessions (ASCII protocol)
-    # ------------------------------------------------------------------
-
-    def _accept_loop(self):
-        try:
-            while True:
-                conn = yield self._listener.accept()
-                self.node.spawn(self._session(conn),
-                                name=f"session:{self.node.node_id}")
-        except Interrupt:
-            return
-        except Exception:
-            return
-
-    def _session(self, conn):
-        user: Optional[str] = None
-        is_admin = False
-        try:
-            while True:
-                line = yield conn.recv()
-                try:
-                    verb, args = parse_command(line)
-                except ProtocolError as exc:
-                    yield from conn.send(format_response(False, exc))
-                    continue
-                if verb == "QUIT":
-                    yield from conn.send(format_response(True, "bye"))
-                    yield from conn.close()
-                    return
-                if verb == "LOGIN":
-                    name, password, kind = args
-                    cred = self.users.get(name)
-                    if cred is None or cred[0] != password:
-                        yield from conn.send(format_response(
-                            False, "authentication failed"))
-                        continue
-                    if kind.upper() == "MGMT" and not cred[1]:
-                        yield from conn.send(format_response(
-                            False, "not an administrator"))
-                        continue
-                    user, is_admin = name, kind.upper() == "MGMT"
-                    yield from conn.send(format_response(
-                        True, "management session" if is_admin
-                        else "user session"))
-                    continue
-                if user is None:
-                    yield from conn.send(format_response(
-                        False, "login required"))
-                    continue
-                if verb in MGMT_COMMANDS and not is_admin:
-                    yield from conn.send(format_response(
-                        False, "management command needs a MGMT session"))
-                    continue
-                try:
-                    reply = yield from self._execute(verb, args, user,
-                                                     is_admin)
-                except (DaemonError, ProtocolError) as exc:
-                    reply = format_response(False, exc)
-                yield from conn.send(reply)
-        except Exception:
-            return  # client vanished / node down
-
-    def _execute(self, verb: str, args: List[str], user: str,
-                 is_admin: bool):
-        """Process generator: run one authenticated command."""
-        if verb == "SET":
-            self.gm.cast(("cfg-set", args[0], args[1]))
-            return format_response(True)
-        if verb == "GET":
-            if args[0] not in self.config:
-                return format_response(False, f"no such key {args[0]}")
-            return format_response(True, self.config[args[0]])
-        if verb == "NODES":
-            view = self.gm.view
-            parts = []
-            for m in sorted(view.members) if view else []:
-                state = "disabled" if m.node in self.disabled_nodes else "up"
-                parts.append(f"{m.node}:{state}")
-            return format_response(True, *parts)
-        if verb == "APPS":
-            parts = [f"{r.app_id}:{r.status.value}"
-                     for r in self.registry.all()]
-            return format_response(True, *parts)
-        if verb == "DISABLE":
-            self.gm.cast(("node-admin", "disable", args[0]))
-            return format_response(True)
-        if verb == "ENABLE":
-            self.gm.cast(("node-admin", "enable", args[0]))
-            return format_response(True)
-        if verb == "ADDNODE":
-            if self.node_provisioner is None:
-                return format_response(False, "no node provisioner")
-            self.node_provisioner(args[0])
-            return format_response(True, f"node {args[0]} provisioning")
-        if verb == "REMOVENODE":
-            self.gm.cast(("node-admin", "disable", args[0]))
-            if args[0] in self.cluster.nodes:
-                self.cluster.remove_node(args[0])
-            return format_response(True)
-        # -- user commands --
-        if verb == "SUBMIT":
-            app_id, nprocs = args[0], int(args[1])
-            opts = parse_submit_options(args[2:])
-            program_name = opts.pop("program", None)
-            program = self.program_registry.get(program_name)
-            if program is None:
-                return format_response(
-                    False, f"unknown program {program_name!r}; known: "
-                    f"{sorted(self.program_registry)}")
-            params = {k[6:]: _auto(v) for k, v in opts.items()
-                      if k.startswith("param.")}
-            self.submit(
-                app_id, program, nprocs, owner=user, params=params,
-                ft_policy=opts.get("ft", "kill"),
-                ckpt_protocol=opts.get("ckpt") or None,
-                ckpt_level=opts.get("level", "vm"),
-                ckpt_interval=(float(opts["interval"])
-                               if "interval" in opts else None),
-                transport=opts.get("transport", "bip-myrinet"))
-            return format_response(True, app_id)
-        record = self.registry.maybe(args[0])
-        if record is None:
-            return format_response(False, f"unknown application {args[0]}")
-        if not is_admin and record.owner != user:
-            return format_response(
-                False, f"{args[0]} belongs to {record.owner}")
-        if verb == "STATUS":
-            return format_response(True, record.status.value,
-                                   f"done={len(record.done_ranks)}"
-                                   f"/{len(record.placement)}",
-                                   f"restarts={record.restarts}")
-        if verb == "RESULT":
-            if record.status is not AppStatus.DONE:
-                return format_response(False,
-                                       f"not finished ({record.status.value})")
-            return format_response(True, repr(
-                [record.results.get(r) for r in sorted(record.results)]))
-        if verb == "MIGRATE":
-            if not args[1].isdigit():
-                return format_response(False, "rank must be a number")
-            rank, target = int(args[1]), args[2]
-            if rank not in record.placement:
-                return format_response(False, f"no rank {rank}")
-            if target not in self.cluster.nodes:
-                return format_response(False, f"unknown node {target}")
-            self.gm.cast(("app-migrate", args[0], rank, target))
-            return format_response(
-                True, f"migrating rank {rank} to {target} via the last "
-                "recovery line")
-        if verb in ("SUSPEND", "RESUME", "DELETE", "CHECKPOINT"):
-            self.gm.cast(("app-cmd", args[0], verb.lower()))
-            return format_response(True)
-        return format_response(False, f"unhandled command {verb}")
-        yield  # pragma: no cover — generator for uniform calling
-
-
-def _auto(value: str):
-    """Best-effort typed parse of an option value."""
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value

@@ -31,6 +31,9 @@ from typing import Any, Dict, List, Tuple
 
 from repro.errors import ProtocolError
 
+#: The well-known TCP port every daemon's session server listens on.
+CTL_PORT = "starfish-ctl"
+
 MGMT_COMMANDS = {"ADDNODE", "REMOVENODE", "DISABLE", "ENABLE", "SET", "GET",
                  "NODES", "APPS"}
 USER_COMMANDS = {"SUBMIT", "STATUS", "RESULT", "SUSPEND", "RESUME", "DELETE",
@@ -49,6 +52,8 @@ def parse_command(line: str) -> Tuple[str, List[str]]:
     """Parse one protocol line into ``(verb, args)``."""
     if not isinstance(line, str) or not line.strip():
         raise ProtocolError("empty command line")
+    if len(line.splitlines()) > 1:
+        raise ProtocolError("a command is one line")
     try:
         parts = shlex.split(line)
     except ValueError as exc:

@@ -88,14 +88,6 @@ class Vni:
     def layers(self):
         return self.nic.fabric.spec.layers
 
-    @property
-    def stats(self):
-        """Legacy counter view (read side of the registry instruments)."""
-        return {"sent": int(self._m_sent.value),
-                "received": int(self._m_received.value),
-                "bytes_sent": int(self._m_bytes_sent.value),
-                "bytes_received": int(self._m_bytes_received.value)}
-
     # ------------------------------------------------------------------
     # send path
     # ------------------------------------------------------------------
@@ -193,4 +185,4 @@ class Vni:
 
     def __repr__(self) -> str:
         mode = "polling" if self.polling else "blocking"
-        return f"<Vni {self.port}@{self.transport} {mode} {self.stats}>"
+        return f"<Vni {self.port}@{self.transport} {mode}>"

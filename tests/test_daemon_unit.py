@@ -130,11 +130,11 @@ def test_pick_nodes_representation_filter():
 def test_submit_rejects_duplicates_and_bad_nprocs():
     sf = StarfishCluster.build(nodes=2)
     daemon = sf.any_daemon()
-    daemon.submit("x", ComputeSleep, 1)
+    daemon.submit("x", AppSpec(program=ComputeSleep, nprocs=1))
     with pytest.raises(DaemonError):
-        daemon.submit("x", ComputeSleep, 1)
+        daemon.submit("x", AppSpec(program=ComputeSleep, nprocs=1))
     with pytest.raises(DaemonError):
-        daemon.submit("y", ComputeSleep, 0)
+        daemon.submit("y", AppSpec(program=ComputeSleep, nprocs=0))
 
 
 # ---------------------------------------------------------------------------

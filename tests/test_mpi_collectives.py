@@ -266,7 +266,7 @@ def test_bcast_message_count_is_logarithmic():
         return cluster.engine.now - t0
 
     times = run_ranks(cluster, apis, prog)
-    sent = sum(api.endpoint.vni.stats["sent"] for api in apis)
+    sent = cluster.engine.metrics.sum("vni.sent")
     assert sent == 7  # n-1 messages total
     # Depth: max time ~ 3 sequential hops, not 7.
     one_hop = times[4]  # rank 4 receives directly from 0 in round 1...

@@ -146,8 +146,9 @@ def test_aborted_steps_counted_on_view_change():
     sf.engine.run(until=sf.engine.now + 4.0)
     # Survivors saw the view (program upcall ran) and aborted a step.
     assert procs[0].program.state["views"] >= 1
-    assert procs[0].stats["views"] >= 1
-    assert procs[0].stats["aborted_steps"] >= 1
+    rank0 = dict(app=handle.app_id, rank=0)
+    assert sf.engine.metrics.value("app.views", **rank0) >= 1
+    assert sf.engine.metrics.value("app.aborted_steps", **rank0) >= 1
     sf.run_to_completion(handle, timeout=120)
 
 

@@ -183,29 +183,18 @@ def test_suspend_and_resume():
         yield from c.must("SUSPEND job")
         yield sf.engine.timeout(0.3)      # let the suspension take hold
         status1 = yield from c.command("STATUS job")
-        before = [h.stats["steps"] for (a, r), h in
-                  _all_handles(sf, "job")]
+        before = sf.engine.metrics.group_by("app.steps", "rank", app="job")
         yield sf.engine.timeout(2.0)      # suspended: no progress
-        after = [h.stats["steps"] for (a, r), h in
-                 _all_handles(sf, "job")]
+        after = sf.engine.metrics.group_by("app.steps", "rank", app="job")
         yield from c.must("RESUME job")
         return status1, before, after
 
     status1, before, after = drive(sf, script)
     assert "suspended" in status1
-    assert before == after                # frozen while suspended
+    assert len(before) == 2 and before == after   # frozen while suspended
     sf.engine.run(until=sf.engine.now + 5.0)
     from repro.daemon import AppStatus
     assert sf.any_daemon().registry.get("job").status is AppStatus.DONE
-
-
-def _all_handles(sf, app_id):
-    out = []
-    for daemon in sf.live_daemons():
-        for key, handle in daemon.handles.items():
-            if key[0] == app_id:
-                out.append((key, handle))
-    return out
 
 
 def test_delete_app_removes_registry_and_checkpoints():

@@ -42,8 +42,9 @@ def test_message_delivered_with_payload():
     out = one_way(cluster, a, b)
     assert out["msg"].payload == b"payload"
     assert out["msg"].src_node == "n0"
-    assert a.stats["sent"] == 1
-    assert b.stats["received"] == 1
+    metrics = cluster.engine.metrics
+    assert metrics.value("vni.sent", port="app:0", path="fast") == 1
+    assert metrics.value("vni.received", port="app:1", path="fast") == 1
 
 
 @pytest.mark.parametrize("transport,spec", [
