@@ -36,11 +36,15 @@ per-frame delivery order still is.
 No campaign migrates a rank, so the ``migrate`` family pins that path
 directly: five scenarios (4 nodes, 3 ranks; ``migrate(rank 1 -> n3)`` at
 t = 1.3 s, crash ``n0`` one second later, run to completion) digest every
-daemon's ``log``, the per-rank results, final time, ``events_processed``,
-frame/byte counts, the restart/migrate counters, ``local_msgs``, final
-placement and world version; two more cells digest the ``fleet-churn``
-report bytes (proactive migration under load) for seeds 0 and 1.  They
-were generated *before* migration was folded into the one restart path.
+daemon's ``log``, the per-rank results, final time, frame/byte counts,
+the restart/migrate counters, ``local_msgs``, final placement and world
+version, and carry ``events_processed`` *beside* the digest, as the
+perturbed cells do (it used to be hashed inside, so any change of the
+event population rewrote the sha and hid whether behaviour had moved);
+two more cells digest the ``fleet-churn`` report bytes (proactive
+migration under load) for seeds 0 and 1.  They were generated *before*
+migration was folded into the one restart path, and re-pinned on
+untouched code when ``events_processed`` left the hash.
 
 What is digested:
 
@@ -139,7 +143,6 @@ def _run_migrate(key: str) -> dict:
     record = handle._record()
     scalars = {
         "final_time": sf.engine.now,
-        "events_processed": sf.engine.events_processed,
         "restarts": record.restarts,
         "world_version": record.world_version,
         "placement": {str(r): n for r, n in sorted(record.placement.items())},
@@ -155,7 +158,8 @@ def _run_migrate(key: str) -> dict:
         "ranks_restarted": reg.group_by("daemon.ranks_restarted", "app"),
         "ranks_migrated": reg.group_by("daemon.ranks_migrated", "app"),
     })
-    return {"sha256": digest, **scalars}
+    return {"sha256": digest, **scalars,
+            "events_processed": sf.engine.events_processed}
 
 
 def _run_report(seed: int, protocol: str, campaign: str = CAMPAIGN,
@@ -231,8 +235,9 @@ NOTE = ("standard and store cells: generated pre-engine-overhaul / "
         "handles a message inside the frame's driver_recv event: the "
         "inbox, gcs-ev and LWG gets left the event population; "
         "unperturbed cells untouched both times).  migrate cells: "
-        "generated before migration was folded into the one restart path, "
-        "never regenerated.  Regenerate one family, only when a PR "
+        "generated before migration was folded into the one restart path; "
+        "re-pinned once, on untouched code, to hash everything but "
+        "events_processed and carry that count beside the sha.  Regenerate one family, only when a PR "
         "deliberately changes what it pins.")
 
 
