@@ -61,7 +61,6 @@ class _MarkerTap(DeliveryTap):
             if tag == "cl-marker":
                 self.protocol.deliver(
                     ("cl-marker-in", version, src_world, target), src_world)
-        return None
 
 
 class ChandyLamportProtocol(CrProtocol):

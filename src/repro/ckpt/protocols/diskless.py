@@ -46,7 +46,6 @@ class _BuddyTap(DeliveryTap):
     def on_control(self, msg, src_world: int):
         if msg.tag == DL_TAG:
             self.protocol.deliver(msg.data, src_world)
-        return None
 
 
 class DisklessProtocol(StopAndSyncProtocol):

@@ -217,9 +217,9 @@ class DeliveryTap:
         return False
 
     def on_control(self, msg, src_world: int):
-        """A control message (``tag <= CKPT_TAG_BASE``); may return a
-        process generator (Chandy–Lamport markers, diskless transfers)."""
-        return None
+        """A control message (``tag <= CKPT_TAG_BASE``: Chandy–Lamport
+        markers, diskless transfers).  A plain call from the dispatcher's
+        filing callback: it cannot wait."""
 
 
 # ----------------------------------------------------------------------

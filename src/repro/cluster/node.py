@@ -40,6 +40,8 @@ class Node:
         self.state = NodeState.UP
         self.nics: Dict[str, Nic] = {}     # fabric name -> Nic
         self._procs: List[Process] = []
+        #: ``len(_procs)`` that triggers the next prune of dead processes.
+        self._prune_at = 64
         #: Incremented on every crash; lets late messages from a previous
         #: incarnation be recognized and discarded.
         self.incarnation = 0
@@ -72,7 +74,13 @@ class Node:
         if self.state is NodeState.DOWN:
             raise NodeDown(f"cannot start process on {self.node_id} "
                            f"({self.state.value})")
-        self._procs.append(process)
+        procs = self._procs
+        procs.append(process)
+        if len(procs) >= self._prune_at:
+            # Amortised: forget the dead once the list has doubled since the
+            # last prune (order kept — crash() interrupts in this order).
+            procs[:] = [p for p in procs if p.is_alive]
+            self._prune_at = max(64, 2 * len(procs))
         return process
 
     def spawn(self, generator, name: Optional[str] = None) -> Process:

@@ -14,7 +14,19 @@ Execution model and its guarantees are documented in
 :mod:`repro.core.program`; the key mechanism here is the *safe point*
 between steps, where pauses (checkpoints, suspension) and view-change
 upcalls are honoured, and the *step abort*: a step caught in a view change
-that removed ranks is interrupted and re-executed on the new world.
+is interrupted and re-executed on the new world.  A step awaits its own
+events; a world change that lands mid-step abandons the parked wait the way
+an interrupt does (:meth:`~repro.sim.process.Process.abandon_wait`) and
+throws ``_StepAborted`` into the step, under four rules:
+
+* the abort is delivered through the queue, never inside
+  ``deliver_membership``'s caller;
+* a step event processed first in that instant is consumed, and the *next*
+  wait aborts;
+* from then on every wait of the same step on a not-yet-processed event
+  aborts (through the queue); a processed one is consumed;
+* a kill wins over a disturbance, and a disturbance never reaches a later
+  step or a wait outside ``_one_step``.
 """
 
 from __future__ import annotations
@@ -32,47 +44,11 @@ from repro.errors import CheckpointError, Interrupt, MpiError
 from repro.mpi import MpiApi, MpiEndpoint
 from repro.mpi.api import RuntimeServices
 from repro.obs.registry import get_registry
-from repro.sim.events import _PENDING, Event
+from repro.sim.events import Event
 
 
 class _StepAborted(Exception):
     """Internal: the current step was cancelled by a view change."""
-
-
-def _race(engine, a: Event, b: Event) -> Event:
-    """A lean two-way ``AnyOf``: fires when either event is processed.
-
-    The scheduler races every step event against the disturbance event, so
-    this runs once per awaited event of every step; the general
-    :class:`~repro.sim.events.AnyOf` machinery (evaluate closure, fired
-    set, value dict) costs real time there and its value is never used —
-    the caller inspects the constituents directly.  Failure semantics
-    match ``AnyOf``: the first processed event wins; a losing failure is
-    defused.
-    """
-    ev = Event(engine)
-
-    def _on(winner: Event) -> None:
-        if ev._value is _PENDING:
-            if winner._ok:
-                ev.succeed()
-            else:
-                winner._defused = True
-                ev.fail(winner._value)
-        elif not winner._ok:
-            winner._defused = True
-
-    cbs = a.callbacks
-    if cbs is None:
-        _on(a)
-    else:
-        cbs.append(_on)
-    cbs = b.callbacks
-    if cbs is None:
-        _on(b)
-    else:
-        cbs.append(_on)
-    return ev
 
 
 class AppProcess:
@@ -127,9 +103,13 @@ class AppProcess:
         self._pause_target = 0
         self._pause_waiters: List[Event] = []
         self._at_safe_point = False
-        #: True while the runtime is suspended waiting for one of the
-        #: step's own events (the step cannot send while we wait).
-        self._step_waiting = False
+        #: The step event the runtime is suspended on, if any (the step
+        #: cannot send while we wait).
+        self._awaited: Optional[Event] = None
+        #: The running step's generator (``None`` between steps) and
+        #: whether a world change has reached it.
+        self._step = None
+        self._disturbed = False
         #: >0 while the program itself is blocked awaiting a checkpoint
         #: commit (mpi.checkpoint()): that wait is itself a safe point.
         self._ckpt_blocked = 0
@@ -149,7 +129,6 @@ class AppProcess:
         self._pause_started: Optional[float] = None
         self._resume_evt: Optional[Event] = None
         self._pending_view: Optional[ViewInfo] = None
-        self._disturb: Optional[Event] = None
         self._spawn_waiters: List[Tuple[int, Event]] = []
         self._tickers: List = []
         # Per-process series; a restarted rank is a new AppProcess, so the
@@ -268,8 +247,8 @@ class AppProcess:
         # communicator is retired): abort the step; the redo runs on the
         # new world.  A rank blocked in an old-world receive would
         # otherwise never reach the safe point that refreshes its world.
-        if self._disturb is not None and not self._disturb.triggered:
-            self._disturb.succeed("view-change")
+        if self._step is not None and not self._disturbed:
+            self._post_abort()
         # The C/R module needs the fresh membership NOW, not at the next
         # safe point: a coordinated wave waiting on a lost peer holds the
         # app paused, which is exactly what prevents the safe point.
@@ -357,7 +336,7 @@ class AppProcess:
 
         The runtime (not a detached process) advances the step generator so
         that *between* any two of the step's events it can: abort the step
-        on a view shrink, and freeze the rank for a pause whose step target
+        on a view change, and freeze the rank for a pause whose step target
         has been reached (no message can escape while frozen — the step's
         side effects only happen inside ``gen.send``).
         """
@@ -365,7 +344,7 @@ class AppProcess:
         if step is None or not hasattr(step, "__next__"):
             self._commit_step()
             return
-        self._disturb = Event(self.engine, name=f"disturb:{self.rank}")
+        self._step, self._disturbed = step, False
         send_val = None
         throw_exc: Optional[BaseException] = None
         aborted = False
@@ -373,7 +352,8 @@ class AppProcess:
             # Freeze here when a pause targeting our progress is active
             # (this rank ran ahead of the checkpoint boundary): no step
             # side effects can happen while we hold the generator.
-            yield from self._mid_step_gate()
+            if self._pause_req:
+                yield from self._mid_step_gate()
             try:
                 if throw_exc is not None:
                     ev = step.throw(throw_exc)
@@ -384,38 +364,46 @@ class AppProcess:
             except _StepAborted:
                 aborted = True
                 break
-            throw_exc, send_val = None, None
-            self._step_waiting = True
+            throw_exc = None
+            if self._disturbed:
+                self._post_abort()
+            self._awaited = ev
             try:
-                yield _race(self.engine, ev, self._disturb)
+                send_val = yield ev
             except Interrupt:
                 step.close()
                 raise
-            except Exception as exc:     # the awaited event failed
+            except Exception as exc:   # the event failed, or the abort
                 throw_exc = exc
-                continue
             finally:
-                self._step_waiting = False
-            if not ev.processed:
-                # The disturbance won the race.  (``processed``, not
-                # ``triggered``: a Timeout is born triggered but has not
-                # *happened* until the engine processes it — judging by
-                # ``triggered`` would time-warp an interrupted sleep.)
-                throw_exc = _StepAborted()
-                continue
-            if ev.ok:
-                send_val = ev.value
-            else:
-                ev.defuse()
-                throw_exc = ev.value
-                continue
-        self._disturb = None
+                self._awaited = None
+        self._step = None
         if aborted:
             self._m_aborted.inc()
             self.endpoint.matching.fail_all_posted(
                 MpiError("step aborted by view change"))
             return
         self._commit_step()
+
+    def _post_abort(self) -> None:
+        """Queue an abort of the running step's current wait."""
+        hit = Event(self.engine)
+        hit.callbacks.append(self._deliver_abort)
+        hit.succeed(self._step)
+
+    def _deliver_abort(self, hit: Event) -> None:
+        if hit._value is not self._step:
+            return      # that step is over
+        self._disturbed = True
+        ev = self._awaited
+        # Frozen in the mid-step gate, or the awaited event has already
+        # happened (its bounce is in flight): consumed, the next wait
+        # aborts.  (``processed``, not ``triggered``: a Timeout is born
+        # triggered but has not *happened* until the engine processes it.)
+        # An interrupt in flight is a kill, and a kill wins.
+        if ev is None or ev.callbacks is None or self._proc._interrupts:
+            return
+        self._proc.abandon_wait(_StepAborted())
 
     def _commit_step(self) -> None:
         self.steps_completed += 1
@@ -470,7 +458,7 @@ class AppProcess:
             if self._pause_started is None:
                 self._pause_started = self.engine.now
             return None
-        if self._step_waiting and self._pause_eligible():
+        if self._awaited is not None and self._pause_eligible():
             # Blocked mid-step beyond the target: de-facto frozen (the
             # mid-step gate will hold it if its event completes).
             if self._pause_started is None:

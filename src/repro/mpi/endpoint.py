@@ -5,14 +5,15 @@ the process's VNI, the matching engine, and per-peer channel counters (the
 raw material of the checkpoint protocols' quiescence detection and channel
 recording).  Data messages are delivered *eagerly*: the paper's polling
 thread (inside the VNI) moves them off the network whether or not a
-matching receive exists yet, and this dispatcher files them into the
+matching receive exists yet, and the dispatcher behind it — the same
+shape, one ``mpi_recv`` timeout per message — files them into the
 matching engine.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Callable, Dict, Optional, Tuple
+from collections import defaultdict, deque
+from typing import Any, Dict, Optional, Tuple
 
 from repro.calibration import LayerCosts
 from repro.errors import Interrupt, MpiError, NetworkError, NodeDown
@@ -62,8 +63,11 @@ class MpiEndpoint:
             # address; a promoted backup registers itself on failover.
             addressbook[world_rank] = (node.node_id, self.port)
         self.vni = Vni(engine, node, port=self.port, transport=transport,
-                       polling=polling)
+                       polling=polling, sink=self._on_vni_message)
         self.polling = polling
+        self._mpi_recv = self.layers.mpi_recv
+        #: Polled messages the dispatcher has not filed yet, oldest first.
+        self._dispatching: deque = deque()
         self.matching = MatchingEngine()
         #: Data messages sent to / received from each peer world rank —
         #: per-channel *protocol state* (quiescence detection, channel
@@ -81,17 +85,10 @@ class MpiEndpoint:
             "mpi.p2p.latency_seconds", op="recv",
             help="simulated seconds a recv() waits for its message")
         self._h_collectives: Dict[str, Any] = {}
-        #: Hook intercepting control messages (tag <= CKPT_TAG_BASE);
-        #: installed by the C/R module (e.g. Chandy–Lamport markers).
-        self.control_hook: Optional[Callable[[InboundMsg, int], Any]] = None
         #: DeliveryTap role object (repro.ckpt.protocols.roles): the C/R
         #: module's interception point on both the send and delivery
         #: paths; its piggyback() value rides every outgoing data packet.
         self.tap: Optional[Any] = None
-        self._dispatcher = None
-        if polling:
-            self._dispatcher = node.spawn(self._dispatch(),
-                                          name=f"mpi-disp:{self.port}")
 
     @property
     def layers(self) -> LayerCosts:
@@ -199,49 +196,43 @@ class MpiEndpoint:
     # receive side
     # ------------------------------------------------------------------
 
-    def _dispatch(self):
-        """Move VNI-received messages into the matching engine."""
-        try:
-            while True:
-                try:
-                    vmsg = yield from self.vni.recv()
-                except (NodeDown, NetworkError):
-                    return
-                yield Timeout(self.engine, self.layers.mpi_recv)
-                consumed = yield from self._ingest(vmsg.payload)
-                del consumed
-        except Interrupt:
-            return
+    def _on_vni_message(self, vmsg) -> None:
+        """VNI sink: the dispatcher moves polled messages into the matching
+        engine one at a time, each from the later of its arrival and its
+        predecessor's filing."""
+        self._dispatching.append(vmsg.payload)
+        if len(self._dispatching) == 1:
+            self._dispatch_start()
 
-    def _ingest(self, payload):
-        """Classify one raw packet; returns True if a hook consumed it."""
+    def _dispatch_start(self) -> None:
+        Timeout(self.engine, self._mpi_recv).callbacks.append(
+            self._dispatched)
+
+    def _dispatched(self, _event) -> None:
+        if self.vni.recv_q.closed:
+            return      # NIC lost or endpoint closed mid-dispatch
+        self._ingest(self._dispatching.popleft())
+        if self._dispatching:
+            self._dispatch_start()
+
+    def _ingest(self, payload) -> None:
+        """Classify one raw packet and file it."""
         if not (isinstance(payload, tuple) and payload
                 and payload[0] == _PKT_TAG):
-            return False
+            return
         _, comm_id, src_rank, tag, data, nbytes, src_world, pb = payload
+        inbound = InboundMsg(comm_id, src_rank, tag, data, nbytes)
         if tag <= CKPT_TAG_BASE:
-            if self.tap is not None or self.control_hook is not None:
-                msg = InboundMsg(comm_id=comm_id, source=src_rank, tag=tag,
-                                 data=data, nbytes=nbytes)
-                if self.tap is not None:
-                    result = self.tap.on_control(msg, src_world)
-                    if result is not None and hasattr(result, "__next__"):
-                        yield from result
-                if self.control_hook is not None:
-                    result = self.control_hook(msg, src_world)
-                    if result is not None and hasattr(result, "__next__"):
-                        yield from result
-            return True
-        inbound = InboundMsg(comm_id=comm_id, source=src_rank, tag=tag,
-                             data=data, nbytes=nbytes)
+            if self.tap is not None:
+                self.tap.on_control(inbound, src_world)
+            return
         if self.tap is not None and self.tap.on_deliver(src_world, inbound,
                                                         pb):
             # Suppressed (duplicate under log-replay, or stashed during a
             # solo restore): the counter must not move.
-            return False
+            return
         self.recv_count[src_world] += 1
         self.matching.arrived(inbound)
-        return False
 
     def pump_blocking(self):
         """Process generator: ingest exactly one message from the NIC.
@@ -251,7 +242,7 @@ class MpiEndpoint:
         """
         vmsg = yield from self.vni.recv()
         yield self.engine.timeout(self.layers.mpi_recv)
-        yield from self._ingest(vmsg.payload)
+        self._ingest(vmsg.payload)
 
     # ------------------------------------------------------------------
     # checkpoint/restart support
@@ -281,8 +272,6 @@ class MpiEndpoint:
         return missing
 
     def close(self) -> None:
-        if self._dispatcher is not None and self._dispatcher.is_alive:
-            self._dispatcher.interrupt("mpi-close")
         self.vni.close()
 
     def __repr__(self) -> str:

@@ -13,15 +13,12 @@ Standard MPI semantics:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.request import Request
 from repro.mpi.status import Status
-
-_arrivals = itertools.count(1)
 
 
 @dataclass
@@ -33,7 +30,6 @@ class InboundMsg:
     tag: int
     data: Any
     nbytes: int
-    arrival: int = field(default_factory=lambda: next(_arrivals))
 
     def status(self) -> Status:
         return Status(source=self.source, tag=self.tag, nbytes=self.nbytes)

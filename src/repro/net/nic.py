@@ -11,7 +11,8 @@ and puts them on the link one at a time, one timeout per frame, which models
 link serialization without a full switch model.  ``post`` queues a frame
 fire-and-forget; ``send`` queues on the same FIFO and blocks until its frame
 has left.  A receive port is a queue, or a *sink* callable handed each
-arriving frame synchronously.
+arriving frame synchronously; a sink's owner may ask to be told when the
+NIC goes down (a queue port learns it from its queue being closed).
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ class Nic:
         # all NICs of one fabric share the series).
         reg = get_registry(engine)
         name = fabric.spec.name
-        self._m_tx = reg.counter("net.nic.tx_frames", fabric=name,
-                                 help="frames through driver_send")
         self._m_rx = reg.counter("net.nic.rx_frames", fabric=name,
                                  help="frames through driver_recv")
         self._m_rx_dropped = reg.counter(
@@ -65,6 +64,7 @@ class Nic:
         #: ports are opened by the software above.
         self._ports: Dict[str, Callable[[Frame], None]] = {}
         self._queues: Dict[str, Channel] = {}
+        self._on_down: Dict[str, Callable[[BaseException], None]] = {}
         self._up = True
         # Receive-side batch: consecutive arrivals in one fabric delivery
         # burst share one driver_recv wakeup.  The seq guard makes the
@@ -85,12 +85,16 @@ class Nic:
     # -- ports ---------------------------------------------------------------
 
     def open_port(self, port: str, sink: Optional[Callable[[Frame], None]]
+                  = None, on_down: Optional[Callable[[BaseException], None]]
                   = None) -> Optional[Channel]:
         """Create (or return) the receive queue for ``port`` — or, given
         ``sink``, hand each arriving frame to ``sink(frame)`` synchronously
-        inside its ``driver_recv`` event instead (no queue)."""
+        inside its ``driver_recv`` event instead (no queue); ``on_down(exc)``
+        is then called if the NIC goes down while the port is open."""
         if sink is not None:
             self._ports[port] = sink
+            if on_down is not None:
+                self._on_down[port] = on_down
             return None
         ch = self._queues.get(port)
         if ch is None:
@@ -102,6 +106,7 @@ class Nic:
     def close_port(self, port: str) -> None:
         self._ports.pop(port, None)
         self._queues.pop(port, None)
+        self._on_down.pop(port, None)
 
     # -- send path -----------------------------------------------------------
 
@@ -150,7 +155,6 @@ class Nic:
     def _tx_done(self, event) -> None:
         if not self._up:
             return      # shutdown() failed the waiters and emptied the FIFO
-        self._m_tx.inc()
         self.fabric.transmit(event._value)
         entry = self._txq.popleft()
         if entry.__class__ is _SendDone:
@@ -216,6 +220,9 @@ class Nic:
             ch.close(err)
         self._queues.clear()
         self._ports.clear()
+        for on_down in self._on_down.values():
+            on_down(err)
+        self._on_down.clear()
         for entry in self._txq:
             if entry.__class__ is _SendDone:
                 entry.fail(err)

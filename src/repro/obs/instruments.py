@@ -18,6 +18,7 @@ instrumented hot paths cost one no-op method call when telemetry is off.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import inf
 from typing import Dict, Optional, Sequence, Tuple
 
 LabelPairs = Tuple[Tuple[str, str], ...]
@@ -127,24 +128,19 @@ class Histogram(Instrument):
             raise ValueError(f"histogram {name}: buckets must be strictly "
                              f"ascending, got {bounds}")
         self.bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
+        self.reset()
 
     def observe(self, v: float) -> None:
         self._counts[bisect_left(self.bounds, v)] += 1
-        self._count += 1
         self._sum += v
-        if self._min is None or v < self._min:
+        if v < self._min:
             self._min = v
-        if self._max is None or v > self._max:
+        if v > self._max:
             self._max = v
 
     @property
     def count(self) -> int:
-        return self._count
+        return sum(self._counts)
 
     @property
     def sum(self) -> float:
@@ -152,15 +148,16 @@ class Histogram(Instrument):
 
     @property
     def mean(self) -> float:
-        return self._sum / self._count if self._count else 0.0
+        count = self.count
+        return self._sum / count if count else 0.0
 
     @property
     def min(self) -> Optional[float]:
-        return self._min
+        return self._min if self._min != inf else None
 
     @property
     def max(self) -> Optional[float]:
-        return self._max
+        return self._max if self._max != -inf else None
 
     def bucket_counts(self) -> Dict[float, int]:
         """Cumulative counts per upper bound (Prometheus ``le`` style),
@@ -170,7 +167,7 @@ class Histogram(Instrument):
         for bound, n in zip(self.bounds, self._counts):
             running += n
             out[bound] = running
-        out[float("inf")] = running + self._counts[-1]
+        out[inf] = running + self._counts[-1]
         return out
 
     def quantile(self, q: float) -> float:
@@ -178,22 +175,23 @@ class Histogram(Instrument):
         holding the q-th observation); 0.0 when empty."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
-        if self._count == 0:
+        count = self.count
+        if count == 0:
             return 0.0
-        target = q * self._count
+        target = q * count
         running = 0
         for bound, n in zip(self.bounds, self._counts):
             running += n
             if running >= target:
                 return bound
-        return self._max if self._max is not None else float("inf")
+        return self._max
 
     def reset(self) -> None:
         self._counts = [0] * (len(self.bounds) + 1)
-        self._count = 0
         self._sum = 0.0
-        self._min = None
-        self._max = None
+        # +-inf sentinels: observe() compares without an ``is None`` test.
+        self._min = inf
+        self._max = -inf
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,12 @@ class Process(Event):
     def _deliver_interrupt(self, _event: Event) -> None:
         if self.triggered or not self._interrupts:
             return
-        cause = self._interrupts.pop(0)
+        self.abandon_wait(Interrupt(self._interrupts.pop(0)))
+
+    def abandon_wait(self, exc: BaseException) -> None:
+        """Resume the parked process *now* by throwing ``exc`` into it,
+        giving up whatever it was waiting for.  Only from an event callback
+        (never from inside a process step)."""
         target = self._target
         if target is not None and not target.processed:
             # Detach from whatever we were waiting for; a later failure of
@@ -100,7 +105,7 @@ class Process(Event):
                 if salvage is not None:
                     salvage()
         self._target = None
-        self._step(throw=Interrupt(cause))
+        self._step(throw=exc)
 
     def _resume(self, event: Event) -> None:
         self._target = None

@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from repro.calibration import BLOCKING_RECV_SYSCALL, POLL_PERIOD
-from repro.errors import Interrupt, NetworkError, NodeDown
+from repro.calibration import BLOCKING_RECV_SYSCALL
+from repro.errors import NodeDown
 from repro.net.message import Frame
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
 from repro.sim.events import Timeout
-
-_msg_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -21,11 +19,8 @@ class VniMessage:
     """What the VNI hands to the MPI module (a received data message)."""
 
     src_node: str
-    src_port: str
     payload: Any
     size: int
-    msg_id: int
-    recv_time: float
 
 
 class Vni:
@@ -40,29 +35,35 @@ class Vni:
     transport:
         ``"bip-myrinet"`` (the fast path) or ``"tcp-ethernet"``.
     polling:
-        When true (default, the paper's design) a polling-thread process
-        moves frames from the NIC into the received-messages queue as they
+        When true (default, the paper's design) the polling thread moves
+        frames from the NIC into the received-messages queue as they
         arrive; receives then cost only the VNI dequeue.  When false, each
         receive enters the "kernel" itself
         (:data:`~repro.calibration.BLOCKING_RECV_SYSCALL`).
+    sink:
+        With ``polling``: hand each polled message to ``sink(msg)`` instead
+        of queueing it in ``recv_q`` (the MPI module's dispatcher).
+
+    The polling thread is the receive-side mirror of the NIC's transmit
+    FIFO: an arriving frame joins ``_polling``, whose head is being moved
+    by exactly one ``vni_recv`` timeout; a frame therefore starts at the
+    later of its arrival and its predecessor's completion.
     """
 
     def __init__(self, engine, node, port: str,
-                 transport: str = "bip-myrinet", polling: bool = True):
+                 transport: str = "bip-myrinet", polling: bool = True,
+                 sink: Optional[Callable[[VniMessage], None]] = None):
         self.engine = engine
         self.node = node
         self.port = port
         self.transport = transport
         self.polling = polling
         self.nic = node.nic(transport)
-        self._rx = self.nic.open_port(port)
         self.recv_q = Channel(engine, name=f"vni-rq:{port}")
-        self._poller = None
-        #: Wire-level observation point: an object with ``on_send(frame)``
-        #: / ``on_recv(msg)``, called synchronously on every frame this
-        #: VNI sends or wraps.  Protocols and harnesses hook here when
-        #: they need to see traffic below the MPI layer.
-        self.tap: Optional[Any] = None
+        self._vni_recv = self.layers.vni_recv
+        #: Frames the polling thread has not moved yet, oldest first.
+        self._polling: deque = deque()
+        self._sink = sink or self.recv_q.put
         # Per-port VNI telemetry.  The path label separates the fast data
         # path (BIP/Myrinet) from the control path (TCP/Ethernet).  A
         # restarted process reuses its port, so the series reset to zero
@@ -73,16 +74,13 @@ class Vni:
                                    help="messages handed to the driver")
         self._m_received = reg.counter("vni.received", port=port, path=path,
                                        help="messages delivered upward")
-        self._m_bytes_sent = reg.counter("vni.bytes_sent", port=port,
-                                         path=path)
-        self._m_bytes_received = reg.counter("vni.bytes_received", port=port,
-                                             path=path)
-        for m in (self._m_sent, self._m_received,
-                  self._m_bytes_sent, self._m_bytes_received):
-            m.reset()
+        self._m_sent.reset()
+        self._m_received.reset()
         if polling:
-            self._poller = node.spawn(self._poll_loop(),
-                                      name=f"poll:{port}")
+            self._rx = self.nic.open_port(port, sink=self._on_frame,
+                                          on_down=self.recv_q.close)
+        else:
+            self._rx = self.nic.open_port(port)
 
     @property
     def layers(self):
@@ -104,44 +102,34 @@ class Vni:
         yield Timeout(self.engine, pre_delay + self.layers.vni_send)
         frame = Frame(src=self.node.node_id, dst=dst_node, port=dst_port,
                       payload=payload, size=size, kind=kind)
-        if self.tap is not None:
-            self.tap.on_send(frame)
         self._m_sent.inc()
-        self._m_bytes_sent.inc(size)
         yield from self.nic.send(frame)
 
     # ------------------------------------------------------------------
     # receive path
     # ------------------------------------------------------------------
 
-    def _poll_loop(self):
-        """The polling thread: drain the NIC into the receive queue."""
-        try:
-            while True:
-                try:
-                    frame = yield self._rx.get()
-                except (NetworkError, NodeDown, Exception):
-                    if not self.recv_q.closed:
-                        self.recv_q.close(NodeDown(
-                            f"VNI {self.port} lost its NIC"))
-                    return
-                # The polling thread's dequeue-and-enqueue cost; kernel
-                # interaction already charged by the NIC driver model.
-                yield Timeout(self.engine, self.layers.vni_recv)
-                if not self.recv_q.closed:
-                    self.recv_q.put(self._wrap(frame))
-        except Interrupt:
-            return
+    def _on_frame(self, frame: Frame) -> None:
+        """NIC sink: a frame arrived for the polling thread."""
+        self._polling.append(frame)
+        if len(self._polling) == 1:
+            self._poll_start()
+
+    def _poll_start(self) -> None:
+        # The polling thread's dequeue-and-enqueue cost; kernel
+        # interaction already charged by the NIC driver model.
+        Timeout(self.engine, self._vni_recv).callbacks.append(self._polled)
+
+    def _polled(self, _event) -> None:
+        if self.recv_q.closed:
+            return      # NIC lost or VNI closed mid-poll: nothing is filed
+        self._sink(self._wrap(self._polling.popleft()))
+        if self._polling:
+            self._poll_start()
 
     def _wrap(self, frame: Frame) -> VniMessage:
         self._m_received.inc()
-        self._m_bytes_received.inc(frame.size)
-        msg = VniMessage(src_node=frame.src, src_port=frame.port,
-                         payload=frame.payload, size=frame.size,
-                         msg_id=next(_msg_ids), recv_time=self.engine.now)
-        if self.tap is not None:
-            self.tap.on_recv(msg)
-        return msg
+        return VniMessage(frame.src, frame.payload, frame.size)
 
     def recv(self):
         """Process generator: next received message.
@@ -177,11 +165,8 @@ class Vni:
         return len(self.recv_q) if self.polling else len(self._rx)
 
     def close(self) -> None:
-        if self._poller is not None and self._poller.is_alive:
-            self._poller.interrupt("vni-close")
         self.nic.close_port(self.port)
-        if not self.recv_q.closed:
-            self.recv_q.close(NodeDown(f"VNI {self.port} closed"))
+        self.recv_q.close(NodeDown(f"VNI {self.port} closed"))
 
     def __repr__(self) -> str:
         mode = "polling" if self.polling else "blocking"

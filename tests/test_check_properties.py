@@ -14,7 +14,11 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps import Jacobi1D
 from repro.check import SchedulePerturbation
+from repro.cluster import ClusterSpec
+from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
+from repro.core.program import StarfishProgram
 from repro.errors import ConnectionClosed, Interrupt, SimulationError
 from repro.sim import Channel, Engine, Mailbox, PriorityChannel
 
@@ -215,3 +219,71 @@ def test_mailbox_handles_each_delivery_once_in_order_never_nested(
     for mine in (evens, odds):
         got = [i for i in ints if i in mine]
         assert got == mine[:len(got)]
+
+
+# -- a rank crash under every tie order: the step waits and their aborts -------
+
+class CountRounds(StarfishProgram):
+    """Twenty allreduce rounds; the result does not depend on the world."""
+
+    def setup(self, ctx):
+        self.state["rounds"] = 0
+
+    def step(self, ctx):
+        yield from ctx.mpi.allreduce(1)
+        yield from ctx.sleep(0.02)
+        self.state["rounds"] += 1
+
+    def is_done(self, ctx):
+        return self.state["rounds"] >= 20
+
+    def finalize(self, ctx):
+        return self.state["rounds"]
+
+
+_JACOBI = dict(program=Jacobi1D, ft_policy=FaultPolicy.RESTART,
+               params={"n": 96, "iterations": 60, "iters_per_step": 5,
+                       "compute_ns_per_cell": 2e5},
+               checkpoint=CheckpointConfig(protocol="stop-and-sync",
+                                           level="vm", interval=0.1))
+_ROUNDS = dict(program=CountRounds, ft_policy=FaultPolicy.VIEW_NOTIFY)
+_failure_free = {}
+
+
+def _crash_run(app, pseed, crash_at, victim):
+    """3 ranks on 4 nodes; crash ``victim``'s node ``crash_at`` after the
+    submit (``None``: never).  Returns ``(results, survivors)``."""
+    sf = StarfishCluster.build(spec=ClusterSpec(nodes=4, perturb_seed=pseed))
+    handle = sf.submit(AppSpec(nprocs=3, **app))
+    survivors = (0, 1, 2)
+    if crash_at is not None:
+        sf.engine.run(until=sf.engine.now + crash_at)
+        if not handle.finished:
+            sf.crash_node(handle._record().placement[victim])
+            if app is _ROUNDS:
+                survivors = tuple(r for r in survivors if r != victim)
+    return sf.run_to_completion(handle, timeout=120), survivors
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(pseed=st.integers(0, 10**9), victim=st.integers(0, 2),
+       crash_at=st.floats(0.05, 0.4), restart=st.booleans())
+def test_rank_crash_leaves_the_failure_free_result_under_any_tie_order(
+        pseed, victim, crash_at, restart):
+    """Jacobi rolled back by a coordinated restart (every rank is killed
+    mid-wait), or allreduce rounds under view-notify (the survivors' steps
+    are aborted mid-receive and re-executed on the shrunk world): whatever
+    order the same-instant events take, the results are the failure-free
+    ones.  (The window is 0.05-0.4 s on purpose.  Every rank is past
+    MPI_Init by 0.04 s, and a view-notify survivor still waiting there for
+    the dead rank's address waits forever — a wait no step abort reaches;
+    the rounds end at 0.45 s, and a rank lost after the survivors have
+    finished leaves the application ``running``.  Both are daemon gaps on
+    the parent commit too: ROADMAP, faults during recovery.  Derandomized
+    so that tier-1 does not go looking for the next one.)"""
+    app = _JACOBI if restart else _ROUNDS
+    if restart not in _failure_free:
+        _failure_free[restart] = _crash_run(app, None, None, None)[0]
+    results, survivors = _crash_run(app, pseed, crash_at, victim)
+    assert results == {rank: _failure_free[restart][rank]
+                       for rank in survivors}

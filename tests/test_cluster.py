@@ -233,3 +233,33 @@ def test_live_processes_prunes_dead():
     assert len(node.live_processes) == 1
     eng.run()
     assert node.live_processes == []
+
+
+def test_host_forgets_dead_processes_and_crash_keeps_registration_order():
+    # One short-lived process per isend used to stay in node._procs until
+    # somebody read live_processes: host() prunes once the list has doubled.
+    cluster = Cluster.build(nodes=1)
+    eng = cluster.engine
+    node = cluster.node("n0")
+    interrupted = []
+
+    def server(tag):
+        try:
+            yield eng.event()               # parked for good
+        except Interrupt:
+            interrupted.append(tag)
+
+    def quick():
+        yield eng.timeout(0.001)
+
+    longest = 0
+    for i in range(10_000):
+        if i % 2_000 == 0:
+            node.spawn(server(i))
+        node.spawn(quick())
+        eng.run(until=eng.now + 0.002)
+        longest = max(longest, len(node._procs))
+    assert longest <= 128                   # 5 live + the amortisation slack
+    node.crash()
+    eng.run()
+    assert interrupted == [0, 2_000, 4_000, 6_000, 8_000]

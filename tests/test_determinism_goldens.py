@@ -31,7 +31,12 @@ the NIC ``Resource`` grant), and again when the control path became
 run-to-completion: an idle member, daemon and LWG pump handle a message
 inside the frame's ``driver_recv`` event, so the per-frame inbox get, the
 ``gcs-ev`` get and the LWG get are no longer events a tie group can hold —
-per-frame delivery order still is.
+per-frame delivery order still is.  A third time for data-path hop
+folding: a program step awaits its own events (the race event that wrapped
+every one of them is gone) and the polling thread and the MPI dispatcher
+are callback stages (their two queue gets per message are gone); the 22
+unperturbed digests, both ``fleet-churn`` digests and the five ``migrate``
+shas did not move.
 
 No campaign migrates a rank, so the ``migrate`` family pins that path
 directly: five scenarios (4 nodes, 3 ranks; ``migrate(rank 1 -> n3)`` at
@@ -233,8 +238,11 @@ NOTE = ("standard and store cells: generated pre-engine-overhaul / "
         "GCS frame reshuffle the tie-shuffle stream) and again for the "
         "run-to-completion control path (an idle member/daemon/LWG pump "
         "handles a message inside the frame's driver_recv event: the "
-        "inbox, gcs-ev and LWG gets left the event population; "
-        "unperturbed cells untouched both times).  migrate cells: "
+        "inbox, gcs-ev and LWG gets left the event population) and for "
+        "data-path hop folding (a step awaits its own events: no race "
+        "event per awaited event; polling thread and MPI dispatcher are "
+        "callback stages: no queue get per receive stage); unperturbed "
+        "cells untouched all three times.  migrate cells: "
         "generated before migration was folded into the one restart path; "
         "re-pinned once, on untouched code, to hash everything but "
         "events_processed and carry that count beside the sha.  Regenerate one family, only when a PR "
