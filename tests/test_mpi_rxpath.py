@@ -7,15 +7,18 @@ each stage starts a message at the later of its arrival and the previous
 message's completion.  No process, no queue get.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.apps import PingPong
 from repro.calibration import BIP_LAYERS, BLOCKING_RECV_SYSCALL
 from repro.cluster import Cluster
-from repro.core import AppSpec, StarfishCluster
+from repro.core import (AppSpec, CheckpointConfig, StarfishCluster,
+                        StarfishProgram)
 from repro.errors import NodeDown
 from repro.gcs import GcsConfig
-from repro.sim import Channel
+from repro.sim import Channel, Engine, Process
 from repro.sim.events import Timeout
 from repro.vni import Vni
 
@@ -250,17 +253,102 @@ def pingpong_events(reps):
 
 
 def test_event_budget_per_message():
-    # One MPI message costs nine dispatched events — sender: the merged
-    # software-stack timeout, the NIC serialization timeout, _SendDone;
-    # wire: the fabric delivery; receiver: driver_recv, Vni._polled,
-    # MpiEndpoint._dispatched, the request event, the app_recv timeout — so
-    # a round trip costs 18 (parent: 30, with a race event per awaited step
-    # event and a get per receive stage).  The run is deterministic, so the
-    # totals are pinned exactly: a process or a get put back on the data
-    # path adds one event per message and fails here rather than showing up
-    # as benchmark drift.
+    # One MPI message costs seven dispatched events, named by owner — sender:
+    # Vni._staged (the merged software-stack timeout), Nic._tx_done (the
+    # serialization timeout, which resumes the sender inside it); wire:
+    # Fabric._deliver_batch; receiver: Nic._enqueue_batch (driver_recv),
+    # Vni._polled, MpiEndpoint._dispatched, and the request's own event
+    # app_recv after the match — so a round trip costs 14 (parent: 18, with a
+    # _SendDone hand-back and a separate app_recv timeout per message).  The
+    # run is deterministic, so the totals are pinned exactly: a process or a
+    # get put back on the data path adds one event per message and fails
+    # here rather than showing up as benchmark drift.
     small, large = pingpong_events(50), pingpong_events(250)
-    assert large - small == 18 * 200            # parent: 30 * 200
+    assert large - small == 14 * 200            # parent: 18 * 200
     # Submit, spawn, MPI_Init wait, result casts and teardown of the app do
     # not depend on the number of round trips.
-    assert small == 18 * 50 + 79                # parent: 30 * 50 + 93
+    assert small == 14 * 50 + 79                # parent: 18 * 50 + 79
+
+
+class Exchange(StarfishProgram):
+    """Ranks 0 and 1 swap a value with ``sendrecv``, ten times a step."""
+
+    def setup(self, ctx):
+        self.state["steps"] = 0
+
+    def step(self, ctx):
+        peer = 1 - ctx.rank
+        for i in range(10):
+            got = yield from ctx.mpi.sendrecv((ctx.rank, i), dest=peer,
+                                              source=peer)
+            assert got == (peer, i)
+        self.state["steps"] += 1
+
+    def is_done(self, ctx):
+        return self.state["steps"] >= ctx.params["steps"]
+
+    def finalize(self, ctx):
+        return self.state["steps"]
+
+
+def owner(event):
+    """Who pays for a dispatched event: the process its first callback
+    resumes (``name <- EventType``), or that callback's qualified name."""
+    if not event.callbacks:
+        return "(nocb) <- " + (event.name.split(":")[0]
+                               if isinstance(event, Process)
+                               else type(event).__name__)
+    target = getattr(event.callbacks[0], "__self__", None)
+    if isinstance(target, Process):
+        return f"{target.name.split(':')[0]} <- {type(event).__name__}"
+    return event.callbacks[0].__qualname__
+
+
+def exchange_owners(monkeypatch, steps, **app):
+    """Dispatched events of one ``Exchange`` run, counted by owner."""
+    counts = Counter()
+
+    def run_counting(self, limit):
+        while (entry := self._next(limit)) is not None:
+            counts[owner(entry[3])] += 1
+            self._dispatch(entry)
+
+    quiet = GcsConfig(heartbeat_period=2.0, suspect_timeout=16.0,
+                      announce_period=32.0)
+    sf = StarfishCluster.build(nodes=2, gcs_config=quiet)
+    monkeypatch.setattr(Engine, "_run_heap", run_counting)
+    assert sf.run(AppSpec(program=Exchange, nprocs=2,
+                          params={"steps": steps}, **app)) == {0: steps,
+                                                               1: steps}
+    monkeypatch.undo()
+    return counts
+
+
+def test_event_budget_per_isend(monkeypatch):
+    # An isend with no C/R tap installed is posted, not performed: it pays
+    # the software-stack timeout (Vni._staged) and the NIC's serialization
+    # timeout (Nic._tx_done), in which the request completes — two events
+    # and no process (parent: a process and six, with its start, _SendDone,
+    # termination and the request's own event).
+    small = exchange_owners(monkeypatch, 2)
+    large = exchange_owners(monkeypatch, 12)
+    extra = large - small
+    isends = 2 * 10 * 10                        # both ranks, ten more steps
+    assert extra["Vni._staged"] == extra["Nic._tx_done"] == isends
+    assert not [who for who in large if "isend" in who]
+    # The message's other five events: the wire, driver_recv, the two
+    # receive stages and the blocking receive's request event, which is
+    # the only one that resumes the rank.  Nothing else grows with the
+    # number of messages but the steps' own bookkeeping.
+    per_message = ("Vni._staged", "Nic._tx_done", "Fabric._deliver_batch",
+                   "Nic._enqueue_batch", "Vni._polled",
+                   "MpiEndpoint._dispatched", "app <- Event")
+    assert [extra[who] for who in per_message] == [isends] * 7
+    assert sum(extra.values()) == 7 * isends
+    # Under a message-logging protocol the tap may wait (the log precedes
+    # the wire), so each isend keeps a process to wait in.
+    tapped = exchange_owners(
+        monkeypatch, 2, checkpoint=CheckpointConfig(
+            protocol="sender-logging", level="vm", interval=10.0))
+    assert tapped["(nocb) <- isend"] == 2 * 2 * 10
+    assert tapped["isend <- Event"] >= 2 * 2 * 10
