@@ -370,14 +370,21 @@ class StarfishDaemon:
         handle = self.handles.pop((app_id, rank), None)
         if handle is not None:
             self._lingering.setdefault(app_id, []).append(handle)
-        if set(record.done_ranks) >= set(record.placement) and \
-                not record.finished:
-            record.status = AppStatus.DONE
-            self._log(f"app {app_id} done")
-            for lingering in self._lingering.pop(app_id, []):
-                lingering.kill("application complete")
-            if self._is_app_authority(record):
-                self.lwg.destroy(app_id)
+        self._check_complete(record)
+
+    def _check_complete(self, record: AppRecord) -> None:
+        """Done once every rank still placed has reported: checked when one
+        reports and when the placement shrinks, the same at every daemon."""
+        if record.finished or \
+                not set(record.done_ranks) >= set(record.placement):
+            return
+        app_id = record.app_id
+        record.status = AppStatus.DONE
+        self._log(f"app {app_id} done")
+        for lingering in self._lingering.pop(app_id, []):
+            lingering.kill("application complete")
+        if self._is_app_authority(record):
+            self.lwg.destroy(app_id)
 
     def _op_app_rank_failed(self, payload, source):
         _, app_id, rank, reason = payload
@@ -642,6 +649,9 @@ class StarfishDaemon:
                 record.placement.pop(r, None)
             record.world_version += 1
             self._notify_world(record)
+            # Every survivor may have reported already.
+            if record.placement:
+                self._check_complete(record)
         elif policy == "restart":
             self._begin_restart(record, lost, alive_nodes,
                                 "rollback on failure", {})

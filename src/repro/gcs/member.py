@@ -6,7 +6,8 @@ the moving parts inside each member:
 
 * ``_on_frame`` — the NIC port's sink: arriving messages are delivered to
   the inbox, a :class:`~repro.sim.channel.Mailbox`;
-* ``_wire`` — posts outgoing protocol frames to the NIC's transmit FIFO;
+* ``_multicast`` — every outgoing protocol message: one pass over the
+  destinations, posting frames to the NIC's transmit FIFO;
 * ``_dispatch`` — the protocol state machine: one handler per message type,
   run strictly one message at a time (a real daemon's event loop).  An idle
   member handles a message inside the event that delivered it — the frame's
@@ -29,6 +30,7 @@ is in progress: no new casts are ordered, no deliveries happen, incoming
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import Interrupt, NotMember
@@ -104,7 +106,10 @@ class GroupMember:
         # the transport drops stale-incarnation frames at the NIC instead.
         self._port = f"gcs:{group}:{name}#{self.endpoint.inc}"
         self.nic.open_port(self._port, sink=self._on_frame)
-        self._peer_ports: Dict[EndpointId, str] = {}
+        #: Wire port per destination; this member's own entry is ``None``
+        #: (a message to itself is delivered in place, never framed).
+        self._peer_ports: Dict[EndpointId, Optional[str]] = {
+            self.endpoint: None}
         self._inbox = Mailbox(engine, name=f"gcs-in:{self.endpoint}")
         #: Upcalls for the layer above (daemon / tests).
         self.events = Mailbox(engine, name=f"gcs-ev:{self.endpoint}",
@@ -284,22 +289,43 @@ class GroupMember:
 
     def _sendto(self, ep: EndpointId, msg: Msg,
                 kind: str = "control") -> None:
+        self._multicast((ep,), msg, kind)
+
+    def _multicast(self, members, msg: Msg, kind: str = "control",
+                   skip_self: bool = False) -> None:
+        """Send ``msg`` to ``members``, in order, in one pass.  What depends
+        on the message alone (pause, reliability class, frame size, clock) is
+        worked out once; a destination costs its port lookup, its ``Rel``
+        envelope when the message is reliable, and the NIC post."""
         if self.paused:
             return
-        if ep == self.endpoint:
-            self._inbox.deliver(msg)
-        elif isinstance(msg, _UNRELIABLE):
-            self._wire(ep, msg, kind)
-        else:
-            # Everything else rides the reliable sublayer: sequence it,
-            # remember it until the cumulative ack, ship the envelope.
-            out = self._rel_out.setdefault(ep, _RelOut())
-            rel = Rel(group=self.group, sender=self.endpoint,
-                      seq=out.next_seq, inner=msg)
-            out.unacked[out.next_seq] = (rel, kind)
-            out.next_seq += 1
-            out.last_tx = self.engine.now
-            self._wire(ep, rel, kind)
+        # Everything but the periodic messages and the sublayer's own
+        # envelopes rides the reliable sublayer.
+        reliable = not isinstance(msg, _UNRELIABLE)
+        size = self._frame_size(msg)
+        now = self.engine.now
+        ports, rel_out, post = self._peer_ports, self._rel_out, self.nic.post
+        wire = msg
+        for ep in members:
+            try:
+                port = ports[ep]
+            except KeyError:
+                port = ports[ep] = f"gcs:{self.group}:{ep.name}#{ep.inc}"
+            if port is None:
+                if not skip_self:
+                    self._inbox.deliver(msg)
+                continue
+            if reliable:
+                # Sequenced, and remembered until the cumulative ack.
+                out = rel_out.get(ep)
+                if out is None:
+                    out = rel_out[ep] = _RelOut()
+                seq = out.next_seq
+                out.next_seq = seq + 1
+                out.last_tx = now
+                wire = Rel(self.group, self.endpoint, seq, msg)
+                out.unacked[seq] = (wire, kind)
+            post(ep.node, port, wire, size, kind)
 
     def _frame_size(self, msg: Msg) -> int:
         if isinstance(msg, Rel):
@@ -310,13 +336,6 @@ class GroupMember:
             payload = getattr(msg, "delivered", ()) or getattr(msg, "msgs", ())
             return self.cfg.control_size * (1 + len(payload))
         return self.cfg.control_size
-
-    def _wire(self, ep: EndpointId, msg: Msg, kind: str) -> None:
-        port = self._peer_ports.get(ep)
-        if port is None:
-            port = self._peer_ports[ep] = \
-                f"gcs:{self.group}:{ep.name}#{ep.inc}"
-        self.nic.post(ep.node, port, msg, self._frame_size(msg), kind)
 
     def _on_frame(self, frame) -> None:
         if self.paused:
@@ -378,9 +397,11 @@ class GroupMember:
         out = self._rel_out.get(msg.sender)
         if out is None:
             return
-        acked = [s for s in out.unacked if s <= msg.cum]
-        for s in acked:
-            del out.unacked[s]
+        # Envelopes are sequenced in ascending order and dicts keep insertion
+        # order: what ``cum`` covers is a prefix.
+        acked = list(takewhile(msg.cum.__ge__, out.unacked))
+        for seq in acked:
+            del out.unacked[seq]
         if acked:
             out.tries = 0
 
@@ -402,9 +423,11 @@ class GroupMember:
                 continue
             self._m_retx.inc()
             out.last_tx = now
+            port = self._peer_ports[ep]
             for seq in sorted(out.unacked):
                 rel, kind = out.unacked[seq]
-                self._wire(ep, rel, kind)
+                self.nic.post(ep.node, port, rel, self._frame_size(rel),
+                              kind)
 
     # ------------------------------------------------------------------
     # the ticker: heartbeats, suspicion, retries, gossip
@@ -431,13 +454,12 @@ class GroupMember:
                         self._post_join(self._contact)
                     continue
 
-                # Heartbeats to everybody in the view.
-                for m in self.view.members:
-                    if m != self.endpoint:
-                        self._m["heartbeats"].inc()
-                        self._sendto(m, Hb(group=self.group,
-                                           sender=self.endpoint,
-                                           epoch=self.view.epoch))
+                # Heartbeats to everybody else in the view: one immutable
+                # message per tick.
+                self._m["heartbeats"].inc(len(self.view) - 1)
+                self._multicast(self.view.members,
+                                Hb(group=self.group, sender=self.endpoint,
+                                   epoch=self.view.epoch), skip_self=True)
 
                 alive = self._alive_members(now)
                 alive_set = set(alive)
@@ -521,9 +543,9 @@ class GroupMember:
         self._active_flush = _FlushState(epoch=epoch, survivors=survivors,
                                          started=self.engine.now)
         self._m["flushes"].inc()
-        for m in survivors:
-            self._sendto(m, Flush(group=self.group, sender=self.endpoint,
-                                  epoch=epoch, survivors=survivors))
+        self._multicast(survivors,
+                        Flush(group=self.group, sender=self.endpoint,
+                              epoch=epoch, survivors=survivors))
 
     def _on_flush(self, msg: Flush) -> None:
         if self.view is not None and msg.epoch <= self.view.epoch:
@@ -616,7 +638,7 @@ class GroupMember:
             return
         if self.view is not None and msg.epoch <= self.view.epoch:
             return
-        prev = set(self.view.members) if self.view is not None else set()
+        old = self.view.members if self.view is not None else ()
         self.view = View(group=self.group, epoch=msg.epoch,
                          coordinator=msg.coordinator, members=msg.members)
         self.max_epoch = max(self.max_epoch, msg.epoch)
@@ -633,13 +655,16 @@ class GroupMember:
         self.blocked = False
         self._flush_accepted = None
         self._active_flush = None
-        self._joiners -= set(msg.members)
+        new = set(msg.members)
+        self._joiners -= new
         self._m["views"].inc()
         self._registry.events.emit(
             self.engine.now, "gcs.view", node=self.node.node_id,
             epoch=msg.epoch, members=len(msg.members))
-        joined = tuple(sorted(set(msg.members) - prev))
-        left = tuple(sorted(prev - set(msg.members)))
+        # Member tuples are sorted, so filtering keeps the differences sorted.
+        prev = set(old)
+        joined = tuple(m for m in msg.members if m not in prev)
+        left = tuple(m for m in old if m not in new)
         self.events.deliver(ViewEvent(view=self.view, joined=joined,
                                       left=left, state=msg.state))
         self._recast_pending()
@@ -672,8 +697,7 @@ class GroupMember:
         ordered = Ordered(group=self.group, sender=self.endpoint,
                           epoch=msg.epoch, gseq=gseq, origin=msg.sender,
                           lseq=msg.lseq, payload=msg.payload, size=msg.size)
-        for m in self.view.members:
-            self._sendto(m, ordered)
+        self._multicast(self.view.members, ordered)
 
     def _on_ordered(self, msg: Ordered) -> None:
         if self.view is None or msg.epoch != self.view.epoch:

@@ -24,9 +24,8 @@ from repro.mpi.datatypes import nbytes_of
 from repro.mpi.endpoint import MpiEndpoint
 from repro.mpi.matching import PostedRecv
 from repro.mpi.reduce_ops import SUM, ReduceOp, apply_op
-from repro.mpi.request import Request
+from repro.mpi.request import BlockingRecv, Request
 from repro.mpi.status import Status
-from repro.sim.events import Timeout
 
 
 def _timed_collective(fn):
@@ -140,8 +139,11 @@ class Communicator:
     def irecv(self, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> Request:
         """Non-blocking receive; returns a :class:`Request`."""
+        return self._post_recv(Request(self.endpoint.engine, "recv"),
+                               source, tag)
+
+    def _post_recv(self, req: Request, source: int, tag: int) -> Request:
         self._check_rank(source, wildcard_ok=True)
-        req = Request(self.endpoint.engine, "recv")
         if source == PROC_NULL:
             req.complete(None, Status(PROC_NULL, tag, 0))
             return req
@@ -154,15 +156,12 @@ class Communicator:
              with_status: bool = False):
         """Process generator: blocking receive; returns the data (or
         ``(data, status)`` with ``with_status=True``)."""
-        t0 = self.endpoint.engine.now
-        req = self.irecv(source=source, tag=tag)
+        req = self._post_recv(BlockingRecv(self.endpoint), source, tag)
         if not self.endpoint.polling:
             # No polling thread: the receiver itself drains the NIC.
             while not req.done:
                 yield from self.endpoint.pump_blocking()
         data = yield from req.wait()
-        self.endpoint.observe_recv(self.endpoint.engine.now - t0)
-        yield Timeout(self.endpoint.engine, self.endpoint.layers.app_recv)
         if with_status:
             return data, req.status
         return data

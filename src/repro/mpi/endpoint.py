@@ -98,6 +98,25 @@ class MpiEndpoint:
     # send side
     # ------------------------------------------------------------------
 
+    def _packet(self, dest_world: int, comm_id: str, src_comm_rank: int,
+                tag: int, data: Any, nbytes: Optional[int]):
+        """``(address, nbytes, piggyback, wire packet)`` of one outgoing
+        message.  The channel counter and the piggyback are sampled at send
+        *entry*, not ``mpi_send`` later: the software send stack is one
+        merged timeout, and the sender cannot act in between either way."""
+        addr = self.addressbook.get(dest_world)
+        if addr is None:
+            raise MpiError(f"rank {dest_world} has no address "
+                           f"(app {self.app_id})")
+        nbytes = nbytes if nbytes is not None else nbytes_of(data)
+        pb = None
+        if tag > CKPT_TAG_BASE:  # control messages don't move the counters
+            self.sent_count[dest_world] += 1
+            if self.tap is not None:
+                pb = self.tap.piggyback(dest_world)
+        return addr, nbytes, pb, (_PKT_TAG, comm_id, src_comm_rank, tag, data,
+                                  nbytes, self.world_rank, pb)
+
     def send(self, dest_world: int, comm_id: str, src_comm_rank: int,
              tag: int, data: Any, nbytes: Optional[int] = None,
              pre_delay: float = 0.0):
@@ -106,26 +125,14 @@ class MpiEndpoint:
         ``pre_delay`` is software cost already owed by the caller (the
         communicator's ``app_send``); it is folded — together with this
         layer's ``mpi_send`` — into the VNI's single merged timeout, so
-        the whole software send stack costs one engine wakeup.  The
-        channel counter and piggyback are therefore sampled at send
-        *entry* rather than ``mpi_send`` later; the sending process is
-        suspended in between either way, and total latency is unchanged.
+        the whole software send stack costs one engine wakeup and the
+        caller waits once, for the frame to have left.
         """
         if dest_world == PROC_NULL:
             return
-        addr = self.addressbook.get(dest_world)
-        if addr is None:
-            raise MpiError(f"rank {dest_world} has no address "
-                           f"(app {self.app_id})")
-        nbytes = nbytes if nbytes is not None else nbytes_of(data)
+        (node_id, port), nbytes, pb, packet = self._packet(
+            dest_world, comm_id, src_comm_rank, tag, data, nbytes)
         t0 = self.engine.now
-        pb = None
-        if tag > CKPT_TAG_BASE:  # control messages don't move the counters
-            self.sent_count[dest_world] += 1
-            if self.tap is not None:
-                pb = self.tap.piggyback(dest_world)
-        packet = (_PKT_TAG, comm_id, src_comm_rank, tag, data, nbytes,
-                  self.world_rank, pb)
         if self.tap is not None and tag > CKPT_TAG_BASE:
             # Pre-wire hook: message-logging protocols persist the message
             # here, so the log strictly precedes the wire send.
@@ -144,7 +151,6 @@ class MpiEndpoint:
                 finally:
                     self._h_send.observe(self.engine.now - t0)
                 return
-        node_id, port = addr
         try:
             yield from self.vni.send(node_id, port, packet,
                                      size=nbytes + MSG_HEADER, kind="data",
@@ -158,8 +164,7 @@ class MpiEndpoint:
             self._h_send.observe(self.engine.now - t0)
 
     def observe_recv(self, dt: float) -> None:
-        """Record how long a blocking receive waited (called by the
-        communicator, which owns the wait)."""
+        """Record how long a blocking receive waited for its match."""
         self._h_recv.observe(dt)
 
     def observe_collective(self, op: str, dt: float) -> None:
@@ -174,23 +179,41 @@ class MpiEndpoint:
 
     def isend(self, dest_world: int, comm_id: str, src_comm_rank: int,
               tag: int, data: Any, nbytes: Optional[int] = None) -> Request:
+        """Non-blocking eager send: posted to the VNI, and the request
+        completes inside the event in which the frame leaves — no process.
+        Under a C/R tap a data message keeps one (the only second send path):
+        ``DeliveryTap.on_send`` / ``route_send`` may wait, and need one."""
         req = Request(self.engine, "send")
+        message = (dest_world, comm_id, src_comm_rank, tag, data, nbytes)
+        if self.tap is not None and tag > CKPT_TAG_BASE:
+            self.node.spawn(self._tapped_isend(req, *message),
+                            name=f"isend:{self.port}")
+            return req
+        (node_id, port), nbytes, _pb, packet = self._packet(*message)
+        t0 = self.engine.now
 
-        def run():
-            try:
-                yield from self.send(dest_world, comm_id, src_comm_rank,
-                                     tag, data, nbytes)
-                req.complete(None)
-            except Interrupt:
-                # Killed mid-send (node crash).  The owning rank died with
-                # us, so the failure may never be observed — defuse it; a
-                # waiter that *is* parked on the request still gets the
-                # exception through its callback.
-                req.fail(MpiError("isend interrupted"))
-                req.event.defuse()
+        def left(done) -> None:
+            # A NIC lost with the frame queued fails ``done``: eager sends
+            # complete locally all the same.
+            done.defuse()
+            self._h_send.observe(self.engine.now - t0)
+            req.sent()
 
-        self.node.spawn(run(), name=f"isend:{self.port}")
+        self.vni.submit(node_id, port, packet, nbytes + MSG_HEADER, "data",
+                        self.layers.mpi_send).callbacks.append(left)
         return req
+
+    def _tapped_isend(self, req: Request, *message):
+        try:
+            yield from self.send(*message)
+            req.complete(None)
+        except Interrupt:
+            # Killed mid-send (node crash).  The owning rank died with
+            # us, so the failure may never be observed — defuse it; a
+            # waiter that *is* parked on the request still gets the
+            # exception through its callback.
+            req.fail(MpiError("isend interrupted"))
+            req.event.defuse()
 
     # ------------------------------------------------------------------
     # receive side

@@ -33,6 +33,10 @@ class Request:
         self._status = status
         self.event.succeed((data, status))
 
+    def sent(self) -> None:
+        """Complete a send inside the event in which its frame left."""
+        self.event.fire((None, None))
+
     def fail(self, exc: BaseException) -> None:
         if not self.event.triggered:
             self.event.fail(exc)
@@ -63,6 +67,27 @@ class Request:
     def __repr__(self) -> str:
         state = "done" if self.done else "pending"
         return f"<Request {self.kind} {state}>"
+
+
+class BlockingRecv(Request):
+    """The request behind a blocking ``recv``: the match records how long the
+    receive waited and completes it ``app_recv`` later — the application
+    layer's cost rides the request's own event, so the receiver resumes
+    once.  ``done`` is true from the match on."""
+
+    def __init__(self, endpoint):
+        super().__init__(endpoint.engine, "recv")
+        self._endpoint = endpoint
+        self._posted_at = endpoint.engine.now
+
+    def complete(self, data: Any = None, status: Optional[Status] = None):
+        if self.event.triggered:
+            raise MpiError("request completed twice")
+        self._data = data
+        self._status = status
+        endpoint = self._endpoint
+        endpoint.observe_recv(self.engine.now - self._posted_at)
+        self.event.succeed((data, status), delay=endpoint.layers.app_recv)
 
 
 def waitall(engine, requests):

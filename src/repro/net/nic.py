@@ -9,10 +9,11 @@ node's software (the VNI / polling thread).
 The transmit side is serialized: the NIC owns one FIFO of pending frames
 and puts them on the link one at a time, one timeout per frame, which models
 link serialization without a full switch model.  ``post`` queues a frame
-fire-and-forget; ``send`` queues on the same FIFO and blocks until its frame
-has left.  A receive port is a queue, or a *sink* callable handed each
-arriving frame synchronously; a sink's owner may ask to be told when the
-NIC goes down (a queue port learns it from its queue being closed).
+fire-and-forget; ``submit`` queues on the same FIFO with a completion event
+that fires inside the event in which the frame leaves, and ``send`` is
+``submit`` plus the wait.  A receive port is a queue, or a *sink* callable
+handed each arriving frame synchronously; a sink's owner may ask to be told
+when the NIC goes down (a queue port learns it from its queue being closed).
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ from repro.sim.channel import Channel
 from repro.sim.events import _PENDING, Event, Timeout
 
 
-class _SendDone(Event):
-    """A ``send()`` caller's place in the transmit FIFO: fires once its frame
-    has left, fails with :class:`NodeDown` if the NIC goes down first."""
+class SendDone(Event):
+    """One send's completion, and its place in the transmit FIFO: fires once
+    the frame has left, fails with :class:`NodeDown` if the NIC goes down
+    first.  ``frame`` is the :class:`Frame` from :meth:`Nic.submit` on; the
+    software above may park what it has not built yet there."""
 
     __slots__ = ("frame",)
 
@@ -44,17 +47,13 @@ class Nic:
         self.fabric = fabric
         # Driver-layer telemetry, aggregated per fabric (get-or-create:
         # all NICs of one fabric share the series).
-        reg = get_registry(engine)
-        name = fabric.spec.name
-        self._m_rx = reg.counter("net.nic.rx_frames", fabric=name,
-                                 help="frames through driver_recv")
-        self._m_rx_dropped = reg.counter(
-            "net.nic.rx_dropped", fabric=name,
+        self._m_rx_dropped = get_registry(engine).counter(
+            "net.nic.rx_dropped", fabric=fabric.spec.name,
             help="frames to closed ports or downed NICs")
         #: Transmit FIFO; the head is the entry being serialized.  A posted
         #: frame waits as its bare ``(dst, port, payload, size, kind)`` and
         #: becomes a :class:`Frame` only then (a 256-node group coordinator
-        #: parks ~65k of these); a ``send()`` caller as its :class:`_SendDone`.
+        #: parks ~65k of these); a submitted one as its :class:`SendDone`.
         self._txq: deque = deque()
         # Per-frame timing constants, cached off the spec's attribute chain.
         self._driver_send = fabric.spec.layers.driver_send
@@ -118,24 +117,35 @@ class Nic:
         if self._up:
             self._tx_enqueue((dst, port, payload, size, kind))
 
+    def submit(self, frame: Frame, done: SendDone) -> None:
+        """Queue ``frame`` of a live NIC; ``done`` completes once it left."""
+        done.frame = frame
+        self._tx_enqueue(done)
+
+    def withdraw(self, done: SendDone) -> None:
+        """The sender gave up: a send still in the software above never
+        reaches the driver, one queued is withdrawn; one already serializing
+        is in the hardware and leaves regardless."""
+        if done.frame.__class__ is not Frame:
+            done.frame = None
+        elif done._value is _PENDING and self._txq[0] is not done:
+            self._txq.remove(done)
+
     def send(self, frame: Frame):
         """Process generator: transmit ``frame`` (charges driver_send).
 
         Yields until the frames queued ahead have left and this one has
         been handed to the wire.  Use as ``yield from nic.send(frame)``.
-        An interrupted caller withdraws a frame still queued; one already
-        serializing is in the hardware and leaves regardless.
+        An interrupted caller withdraws its frame.
         """
         if not self._up:
             raise NodeDown(f"NIC of {self.node_id} is down")
-        done = _SendDone(self.engine)
-        done.frame = frame
-        self._tx_enqueue(done)
+        done = SendDone(self.engine)
+        self.submit(frame, done)
         try:
             yield done
         finally:
-            if done._value is _PENDING and self._txq[0] is not done:
-                self._txq.remove(done)
+            self.withdraw(done)
 
     def _tx_enqueue(self, entry) -> None:
         self._txq.append(entry)
@@ -147,7 +157,7 @@ class Nic:
         # byte is on the wire; only propagation happens "in flight" (charged
         # by the fabric).
         entry = self._txq[0]
-        frame = (entry.frame if entry.__class__ is _SendDone
+        frame = (entry.frame if entry.__class__ is SendDone
                  else Frame(self.node_id, *entry))
         Timeout(self.engine, self._driver_send + frame.size / self._bandwidth,
                 value=frame).callbacks.append(self._tx_done)
@@ -157,10 +167,12 @@ class Nic:
             return      # shutdown() failed the waiters and emptied the FIFO
         self.fabric.transmit(event._value)
         entry = self._txq.popleft()
-        if entry.__class__ is _SendDone:
-            entry.succeed()
+        # Re-arm first: what a resumed sender schedules comes after the next
+        # frame's serialization timeout, as when its wakeup was an event.
         if self._txq:
             self._tx_start()
+        if entry.__class__ is SendDone:
+            entry.fire()
 
     # -- receive path ----------------------------------------------------------
 
@@ -200,7 +212,6 @@ class Nic:
         for frame in frames:
             sink = ports.get(frame.port)
             if sink is not None:
-                self._m_rx.inc()
                 sink(frame)
             else:
                 # No listener — frame dropped, like a closed UDP port.
@@ -210,7 +221,8 @@ class Nic:
 
     def shutdown(self, exc: Optional[BaseException] = None) -> None:
         """Bring the NIC down (node crash): detach, close all ports, fail
-        the waiting ``send()`` callers and drop every posted frame."""
+        the submitted sends (through the queue) and drop every posted
+        frame."""
         if not self._up:
             return
         self._up = False
@@ -224,7 +236,7 @@ class Nic:
             on_down(err)
         self._on_down.clear()
         for entry in self._txq:
-            if entry.__class__ is _SendDone:
+            if entry.__class__ is SendDone:
                 entry.fail(err)
         self._txq.clear()
 

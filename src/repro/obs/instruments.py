@@ -70,10 +70,13 @@ class Counter(Instrument):
         super().__init__(name, labels, help)
         self._value = 0
 
-    def inc(self, n: float = 1) -> None:
-        if n < 0:
+    def inc(self, n: Optional[float] = None) -> None:
+        if n is None:       # the per-message call sites: no sign to check
+            self._value += 1
+        elif n < 0:
             raise ValueError(f"counter {self.name} cannot decrease (n={n})")
-        self._value += n
+        else:
+            self._value += n
 
     @property
     def value(self) -> float:
@@ -201,7 +204,7 @@ class Histogram(Instrument):
 class NullCounter(Counter):
     """Shared do-nothing counter; every read is zero."""
 
-    def inc(self, n: float = 1) -> None:
+    def inc(self, n: Optional[float] = None) -> None:
         pass
 
 

@@ -89,17 +89,43 @@ class Event:
 
     # -- triggering ----------------------------------------------------
 
-    def succeed(self, value: Any = None, priority: Optional[int] = None) -> "Event":
-        """Trigger the event successfully with ``value``."""
+    def succeed(self, value: Any = None, priority: Optional[int] = None,
+                delay: float = 0.0) -> "Event":
+        """Trigger the event successfully with ``value``; it is processed
+        ``delay`` from now (``triggered`` holds at once)."""
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
         engine = self.engine
         engine._seq = seq = engine._seq + 1
-        engine._push((engine._now,
+        engine._push((engine._now + delay,
                       _NORMAL if priority is None else priority, seq, self))
         return self
+
+    def fire(self, value: Any = None) -> None:
+        """Trigger the event successfully and process it *now*: the callbacks
+        run in order inside the caller's event and waiting processes resume
+        there — the event is never dispatched.  For a completion caused by
+        the event being processed (the frame has left the NIC).  Only an
+        event callback runs waiters inline: from inside a process step, or
+        while a waiter has an interrupt in flight (a kill must find it still
+        parked), this is :meth:`succeed` and the waiters take the queue.
+        """
+        if self._value is not _PENDING:
+            raise SimulationError(f"{self!r} already triggered")
+        if self.engine.active_process is not None:
+            self.succeed(value)
+            return
+        for cb in self.callbacks:
+            if getattr(getattr(cb, "__self__", None), "_interrupts", None):
+                self.succeed(value)
+                return
+        self._ok = True
+        self._value = value
+        callbacks, self.callbacks = self.callbacks, None
+        for cb in callbacks:
+            cb(self)
 
     def fail(self, exc: BaseException, priority: Optional[int] = None) -> "Event":
         """Trigger the event with an exception.

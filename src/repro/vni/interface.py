@@ -9,6 +9,7 @@ from typing import Any, Callable, Optional
 from repro.calibration import BLOCKING_RECV_SYSCALL
 from repro.errors import NodeDown
 from repro.net.message import Frame
+from repro.net.nic import SendDone
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
 from repro.sim.events import Timeout
@@ -60,6 +61,7 @@ class Vni:
         self.polling = polling
         self.nic = node.nic(transport)
         self.recv_q = Channel(engine, name=f"vni-rq:{port}")
+        self._vni_send = self.layers.vni_send
         self._vni_recv = self.layers.vni_recv
         #: Frames the polling thread has not moved yet, oldest first.
         self._polling: deque = deque()
@@ -90,20 +92,46 @@ class Vni:
     # send path
     # ------------------------------------------------------------------
 
-    def send(self, dst_node: str, dst_port: str, payload: Any, size: int,
-             kind: str = "data", pre_delay: float = 0.0):
-        """Process generator: charge the VNI layer and hand to the driver.
+    def submit(self, dst_node: str, dst_port: str, payload: Any, size: int,
+               kind: str = "data", pre_delay: float = 0.0) -> SendDone:
+        """Post one send; returns the event that completes when the frame
+        has left the NIC.  Two callback stages: one timeout for the software
+        above the driver (:meth:`_staged`), then the NIC's transmit FIFO.
 
         ``pre_delay`` folds the caller's already-owed software cost (MPI +
         application send layers) into this layer's timeout: the stack above
         charges one merged event instead of one per layer, which removes
         two engine wakeups per message without changing any total latency.
         """
-        yield Timeout(self.engine, pre_delay + self.layers.vni_send)
-        frame = Frame(src=self.node.node_id, dst=dst_node, port=dst_port,
-                      payload=payload, size=size, kind=kind)
+        done = SendDone(self.engine)
+        done.frame = (dst_node, dst_port, payload, size, kind)
+        Timeout(self.engine, pre_delay + self._vni_send,
+                value=done).callbacks.append(self._staged)
+        return done
+
+    def _staged(self, event) -> None:
+        """The software stage is over: hand the frame to the driver."""
+        done = event._value
+        unbuilt = done.frame
+        if unbuilt is None:
+            return      # withdrawn while still in software
+        if not self.nic.is_up:
+            # Eager send: completes locally, nothing is sent or counted;
+            # the failure surfaces through the daemons' failure detection.
+            done.fire()
+            return
         self._m_sent.inc()
-        yield from self.nic.send(frame)
+        self.nic.submit(Frame(self.node.node_id, *unbuilt), done)
+
+    def send(self, dst_node: str, dst_port: str, payload: Any, size: int,
+             kind: str = "data", pre_delay: float = 0.0):
+        """Process generator: :meth:`submit`, and wait until the frame has
+        left (a NIC lost meanwhile raises :class:`NodeDown`)."""
+        done = self.submit(dst_node, dst_port, payload, size, kind, pre_delay)
+        try:
+            yield done
+        finally:
+            self.nic.withdraw(done)
 
     # ------------------------------------------------------------------
     # receive path

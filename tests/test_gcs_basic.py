@@ -1,8 +1,11 @@
 """Group communication: stable-group behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gcs import CastEvent, GroupMember, ViewEvent
+from repro.gcs import CastEvent, EndpointId, GroupMember, ViewEvent
+from repro.gcs.messages import RelAck, ViewMsg
 
 from tests.gcs_helpers import Harness, assert_common_prefix
 
@@ -182,3 +185,52 @@ def test_event_budget_per_frame():
     assert all(len(h.casts(nid)) == 20 for nid in h.members)
     assert reg.sum("net.frames_sent") - frames == 2554
     assert h.engine.events_processed - events == 4836
+
+
+def test_rel_ack_drops_exactly_the_acknowledged_prefix():
+    # Cumulative acks arriving out of order, duplicated and beyond next_seq:
+    # each drops the envelopes with seq <= cum and nothing else, and only an
+    # ack that drops something resets the retry backoff.
+    h = Harness(nodes=2)
+    gm, peer = h.members["n0"], h.members["n1"].endpoint
+    for i in range(6):
+        gm.send(peer, i)
+    out = gm._rel_out[peer]
+    assert list(out.unacked) == [0, 1, 2, 3, 4, 5]
+
+    def ack(cum, expect_left, expect_tries):
+        out.tries = 3
+        gm._on_rel_ack(RelAck(group=gm.group, sender=peer, cum=cum))
+        assert list(out.unacked) == expect_left
+        assert out.tries == expect_tries
+
+    ack(2, [3, 4, 5], 0)
+    ack(0, [3, 4, 5], 3)            # stale ack, overtaken on the wire
+    ack(2, [3, 4, 5], 3)            # duplicate
+    ack(-1, [3, 4, 5], 3)           # "nothing delivered yet"
+    ack(4, [5], 0)
+    gm.send(peer, 6)
+    ack(99, [], 0)                  # beyond next_seq: all of it
+    ack(99, [], 3)
+    assert out.next_seq == 7
+    # An ack from someone never sent to is ignored.
+    gm._on_rel_ack(RelAck(group=gm.group, sender=gm.endpoint, cum=0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_view_event_joined_and_left_are_the_sorted_set_differences(data):
+    h = Harness(nodes=1)
+    gm = h.members["n0"]
+    others = [EndpointId(f"n{i}", "daemon", 1000 + i) for i in range(1, 9)]
+    prev = ()
+    for epoch in range(1, data.draw(st.integers(2, 5))):
+        members = tuple(sorted(
+            data.draw(st.sets(st.sampled_from(others))) | {gm.endpoint}))
+        gm._on_view(ViewMsg(group=gm.group, sender=members[0], epoch=epoch,
+                            coordinator=members[0], members=members))
+        ok, ev = gm.events.get_nowait()
+        assert ok and ev.view.members == members
+        assert ev.joined == tuple(sorted(set(members) - set(prev)))
+        assert ev.left == tuple(sorted(set(prev) - set(members)))
+        prev = members

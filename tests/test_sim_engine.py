@@ -386,3 +386,133 @@ def test_peek_reports_next_event_time():
     assert eng.peek() == float("inf")
     eng.timeout(4)
     assert eng.peek() == 4
+
+
+# -- Event.fire(): a completion processed inside the event that caused it ------
+
+def fire_from_a_callback(eng, event, value=None, at=1.0):
+    """Call ``event.fire(value)`` from an event callback at time ``at``;
+    returns the list that records what ``fire`` left behind at that instant."""
+    seen = []
+
+    def cause(_ev):
+        event.fire(value)
+        seen.append((event.triggered, event.processed))
+
+    eng.timeout(at - eng.now).callbacks.append(cause)
+    return seen
+
+
+def test_fire_runs_callbacks_in_order_inside_the_caller():
+    eng = Engine()
+    done = eng.event()
+    order = []
+
+    def waiter(tag):
+        got = yield done
+        order.append((tag, got, eng.now))
+
+    for tag in "ab":
+        eng.process(waiter(tag))
+    done.callbacks.insert(0, lambda ev: order.append(("cb", ev.value)))
+    eng.run(until=0.5)                  # both waiters are parked on ``done``
+    before = eng.events_processed
+    seen = fire_from_a_callback(eng, done, "v")
+    eng.run(until=1.0)
+    # Plain callback first, then the processes in the order they yielded —
+    # all at t=1.0, inside the one timeout event (``done`` is not dispatched).
+    assert order == [("cb", "v"), ("a", "v", 1.0), ("b", "v", 1.0)]
+    assert seen == [(True, True)]
+    assert done.ok and done.value == "v" and done.callbacks is None
+    # Dispatched: the timeout and the two process terminations.
+    assert eng.events_processed == before + 3 and eng.pending == 0
+
+
+def test_fired_event_is_processed_for_a_later_waiter():
+    eng = Engine()
+    done = eng.event()
+    fire_from_a_callback(eng, done, 7)
+    eng.run(until=2.0)
+
+    def late():
+        return (yield done)
+
+    assert eng.run(eng.process(late())) == 7
+
+
+def test_fire_takes_the_queue_when_a_waiter_has_an_interrupt_in_flight():
+    eng = Engine()
+    done = eng.event()
+    log = []
+
+    def waiter(tag):
+        try:
+            log.append((tag, (yield done)))
+        except Interrupt as hit:
+            log.append((tag, "interrupted", hit.cause))
+
+    victim, other = eng.process(waiter("victim")), eng.process(waiter("other"))
+    eng.run(until=0.5)
+
+    def kill_then_complete(_ev):
+        victim.interrupt("kill")
+        done.fire("v")
+        log.append(("fired", done.triggered, done.processed))
+
+    eng.timeout(0.5).callbacks.append(kill_then_complete)
+    eng.run()
+    # Nobody ran inline; the interrupt, queued first, found its process
+    # still parked — a kill wins — and the other waiter got the value from
+    # the queue, in the same instant.
+    assert log == [("fired", True, False), ("victim", "interrupted", "kill"),
+                   ("other", "v")]
+    assert other.ok and eng.now == 1.0
+
+
+def test_fire_from_inside_a_process_step_takes_the_queue():
+    eng = Engine()
+    done = eng.event()
+    log = []
+
+    def waiter():
+        log.append(("woke", (yield done)))
+
+    def firer():
+        yield eng.timeout(1.0)
+        done.fire("v")
+        log.append(("fired", done.triggered, done.processed))
+
+    eng.process(waiter())
+    eng.process(firer())
+    eng.run()
+    # The firing step finished first; the waiter resumed on a later event.
+    assert log == [("fired", True, False), ("woke", "v")]
+
+
+def test_fire_twice_or_after_succeed_is_an_error():
+    eng = Engine()
+    done = eng.event()
+    seen = fire_from_a_callback(eng, done)
+    eng.run()
+    assert seen == [(True, True)]
+    with pytest.raises(SimulationError):
+        done.fire()
+    with pytest.raises(SimulationError):
+        done.succeed()
+    queued = eng.event().succeed()
+    with pytest.raises(SimulationError):
+        queued.fire()
+
+
+def test_succeed_with_a_delay_is_triggered_now_and_processed_later():
+    eng = Engine()
+    ev = eng.event()
+
+    def proc():
+        yield eng.timeout(1.0)
+        ev.succeed("v", delay=0.25)
+        assert ev.triggered and not ev.processed
+        got = yield ev
+        return got, eng.now
+
+    assert eng.run(eng.process(proc())) == ("v", 1.25)

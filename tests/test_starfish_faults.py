@@ -246,3 +246,26 @@ def test_wave_completes_with_lingering_rank_on_reincarnated_node():
         .apply_to(sf)
     results = sf.run_to_completion(handle, timeout=120.0)
     assert results == {0: 24, 1: 24, 2: 24}
+
+
+def test_view_notify_rank_lost_after_the_survivors_finished():
+    # Completion used to be checked only when a rank reported: a rank lost
+    # inside its last step's tail, after which every survivor reports, left
+    # the app ``running`` with done_ranks == the whole shrunk placement.
+    sf = StarfishCluster.build(nodes=4)
+    handle = sf.submit(AppSpec(
+        program=ComputeSleep, nprocs=3,
+        params={"steps": 5, "step_time": 0.1},
+        ft_policy=FaultPolicy.VIEW_NOTIFY))
+    steps = lambda rank: sf.engine.metrics.value(
+        "app.steps", app=handle.app_id, rank=str(rank))
+    while steps(2) < 4:
+        sf.engine.run(until=sf.engine.now + 0.01)
+    # Inside the last step: the survivors report within 0.1 s, the view
+    # that drops the dead rank arrives after the suspicion timeout.
+    sf.engine.run(until=sf.engine.now + 0.05)
+    assert not handle.finished and steps(0) == steps(1) == 4
+    sf.crash_node(node_of_rank(handle, 2))
+    assert sf.run_to_completion(handle, timeout=30) == {0: 5, 1: 5}
+    assert handle._record().status is AppStatus.DONE
+    assert sorted(handle._record().placement) == [0, 1]
