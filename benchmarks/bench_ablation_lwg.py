@@ -15,15 +15,27 @@ hosting an application spanning only 2 nodes:
   app — every multicast costs a full Ensemble round among its members,
   and the group adds its own heartbeat/membership traffic for as long as
   the application lives.
+
+A second, deterministic table is the application *lifecycle* on a booted
+Starfish cluster (DESIGN §21): the frames between ``submit`` and ``DONE``.
+An application is two main-group casts — ``app-submit`` opens its
+lightweight group, ``app-done`` closes it — and what happens in between
+(each finished rank reporting to the app authority) stays inside the
+lightweight group, so a job's cost in *casts* does not depend on its ranks
+and its completion traffic is linear in its span.  Asserted exactly: a
+regression to reporting completion on the main group (one cast per rank,
+copied to every daemon) breaks it.
 """
 
 import pytest
 
+from repro.apps import ComputeSleep
 from repro.cluster import Cluster
+from repro.core import AppSpec, StarfishCluster
 from repro.gcs import GcsConfig, GroupMember
 from repro.lwg import LwgManager
 
-from bench_helpers import fast_or, print_table
+from bench_helpers import fast_or, print_table, quiet_gcs
 
 N_NODES = 8
 APP_SPAN = 2
@@ -126,3 +138,45 @@ def test_ablation_lightweight_groups(benchmark):
     # Cast traffic is in the same ballpark (both sequencer-relayed among
     # 2 members) — the lightweight design wins on overheads, not per-cast.
     assert lw_cast <= fg_cast * 1.5
+
+
+def run_lifecycle(span):
+    """(main-group casts, control frames) from submit to DONE of one
+    ``span``-rank ComputeSleep job, one rank per node, on N_NODES nodes."""
+    # No heartbeat falls inside the job: every frame counted is lifecycle.
+    sf = StarfishCluster.build(nodes=N_NODES, gcs_config=quiet_gcs(1000.0))
+    reg = sf.engine.metrics
+    frames = lambda: reg.sum("net.frames_sent", fabric="tcp-ethernet",
+                             kind="control")
+    casts, base = reg.sum("gcs.casts"), frames()
+    handle = sf.submit(AppSpec(
+        program=ComputeSleep, nprocs=span,
+        params={"steps": 3, "step_time": 0.05},
+        placement={r: f"n{r}" for r in range(span)}))
+    sf.run_to_completion(handle)
+    assert reg.sum("net.frames_sent", kind="data") == 0
+    return int(reg.sum("gcs.casts") - casts), int(frames() - base)
+
+
+def test_lifecycle_frames(benchmark):
+    spans = (APP_SPAN, N_NODES)
+    rows = benchmark.pedantic(lambda: [run_lifecycle(s) for s in spans],
+                              rounds=1, iterations=1)
+    others = N_NODES - 1
+    print_table(
+        f"Application lifecycle, submit to DONE ({N_NODES}-node cluster)",
+        ["application span", "main-group casts", "control frames"],
+        [[f"{span} nodes", casts, frames]
+         for span, (casts, frames) in zip(spans, rows)])
+    benchmark.extra_info.update(
+        {f"lifecycle_frames_span{span}": frames
+         for span, (_c, frames) in zip(spans, rows)})
+    for span, (casts, frames) in zip(spans, rows):
+        # Two casts whatever the span (submitted through the sequencer's own
+        # daemon, which is also the authority: no request hop), each copied
+        # to the seven other daemons, plus span - 1 reports to the
+        # authority; nothing flows the other way, so the reliable sublayer
+        # acknowledges each of those frames with one RelAck.  (Before PR 22:
+        # 3 + span casts — 72 and 168 frames for these two jobs.)
+        assert casts == 2
+        assert frames == 2 * (2 * others + span - 1)       # 30 and 42

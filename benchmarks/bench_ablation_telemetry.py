@@ -5,13 +5,17 @@ handles (one attribute bump per event), engine internals surface as
 lazily-sampled gauges, and ``telemetry=False`` swaps in shared no-op
 instruments.  This bench runs the Figure 5 round-trip workload — the
 hottest per-message path in the repository — with telemetry enabled and
-disabled and checks the enabled run costs < 5% extra.
+disabled and holds the difference to an absolute budget: interpreter
+opcodes of telemetry per round trip.  (It used to be a ratio, < 5 % of the
+disabled run; three PRs that shrank the denominator — the data path twice,
+then the application lifecycle — each tripped it with the telemetry cost
+flat or falling, so the ratio is now printed as information only.)
 
 Methodology: the simulator is deterministic (fixed seed, no host
 concurrency), so the *interpreter work* of a run is exactly reproducible.
 The primary metric therefore counts executed bytecode instructions via
 ``sys.settrace`` opcode tracing — the same run always executes the same
-opcodes, making the <5% assertion immune to machine noise (shared-host
+opcodes, making the budget assertion immune to machine noise (shared-host
 wall-clock here swings +/-15% run to run, far above the effect being
 measured).  Host CPU time is still measured (GC off, interleaved pairs,
 median per-pair ratio) and reported, with only a gross-regression guard
@@ -31,7 +35,12 @@ SIZES = fast_or([1, 1024], [1, 64, 1024, 16384, 65536])
 OPCOUNT_REPS = fast_or(10, 100)  # round-trips/size under the opcode tracer
 TIMED_REPS = fast_or(30, 300)    # round-trips/size per wall-clock sample
 ROUNDS = fast_or(2, 5)           # interleaved on/off wall-clock pairs
-MAX_OVERHEAD = 0.05  # deterministic interpreter-work bound
+#: Telemetry opcodes (on minus off) per round trip under the tracer, as
+#: measured when the gate was re-based (the parent of PR 22): 6,727 over
+#: 2 sizes x 10 reps in fast mode, 108,629 over 5 x 100 in full mode.  The
+#: per-run share (boot, submit, completion) is spread over fewer round
+#: trips in fast mode, hence the two figures.
+MAX_OPS_PER_ROUND_TRIP = fast_or(6_727 / 20, 108_629 / 500)
 MAX_WALL_OVERHEAD = 0.25  # noise-tolerant wall-clock sanity bound
 
 
@@ -96,7 +105,8 @@ def test_telemetry_overhead(benchmark):
 
     ops_on, ops_off, pairs = benchmark.pedantic(run_ablation,
                                                 rounds=1, iterations=1)
-    op_overhead = ops_on / ops_off - 1.0
+    op_overhead = ops_on / ops_off - 1.0        # information only
+    ops_per_rt = (ops_on - ops_off) / (len(SIZES) * OPCOUNT_REPS)
     ratios = sorted(t_on / t_off for t_on, t_off in pairs)
     wall_overhead = ratios[len(ratios) // 2] - 1.0
     t_on = min(p[0] for p in pairs)
@@ -107,18 +117,21 @@ def test_telemetry_overhead(benchmark):
         ["metric", "on", "off", "overhead"],
         [["interpreter ops", f"{ops_on:,}", f"{ops_off:,}",
           f"{op_overhead:+.2%}"],
+         ["telemetry ops / round trip", f"{ops_per_rt:,.1f}",
+          f"<= {MAX_OPS_PER_ROUND_TRIP:,.1f}", "(the gate)"],
          ["cpu seconds (best)", f"{t_on:.3f}", f"{t_off:.3f}",
           f"{wall_overhead:+.1%} (median)"]])
     benchmark.extra_info["op_overhead_frac"] = op_overhead
+    benchmark.extra_info["telemetry_ops_per_round_trip"] = ops_per_rt
     benchmark.extra_info["wall_overhead_frac"] = wall_overhead
 
-    assert op_overhead < MAX_OVERHEAD, (
-        f"telemetry interpreter-work overhead {op_overhead:.1%} exceeds "
-        f"{MAX_OVERHEAD:.0%}")
+    assert ops_per_rt <= MAX_OPS_PER_ROUND_TRIP, (
+        f"telemetry costs {ops_per_rt:,.1f} interpreter ops per round trip, "
+        f"over the {MAX_OPS_PER_ROUND_TRIP:,.1f} budget")
     # Wall clock on a shared host is too noisy for a tight bound; this
     # only catches gross regressions (an accidental O(n) collect per
     # event shows up as 2x, not 25%).  Fast mode runs too few rounds for
-    # even that to be stable, so only the deterministic opcode bound is
+    # even that to be stable, so only the deterministic opcode budget is
     # asserted there.
     if not FAST:
         assert wall_overhead < MAX_WALL_OVERHEAD, (

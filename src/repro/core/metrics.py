@@ -31,6 +31,7 @@ class AppSnapshot:
     placement: Dict[int, str]
     restarts: int
     world_version: int
+    #: Finished ranks known to any live daemon (exact: includes the hosts).
     done_ranks: int
     ckpt_protocol: Optional[str]
     ckpt_versions: Dict[int, List[int]]
@@ -114,7 +115,13 @@ class ClusterMetrics:
         steps: Dict[int, int] = {}
         aborted: Dict[int, int] = {}
         paused: Dict[int, float] = {}
+        # While an app runs its finished ranks are known to their hosts and
+        # the app authority only (DESIGN §21): this observer sees them all.
+        done = set()
         for daemon in sf.live_daemons():
+            known = daemon.registry.maybe(record.app_id)
+            if known is not None:
+                done.update(known.done_ranks)
             for (aid, rank), handle in daemon.handles.items():
                 if aid != record.app_id:
                     continue
@@ -128,7 +135,7 @@ class ClusterMetrics:
             app_id=record.app_id, status=record.status.value,
             nprocs=len(record.placement), placement=dict(record.placement),
             restarts=record.restarts, world_version=record.world_version,
-            done_ranks=len(record.done_ranks),
+            done_ranks=len(done),
             ckpt_protocol=record.ckpt_protocol,
             ckpt_versions={r: v for r, v in versions.items() if v},
             committed_line=sf.store.latest_committed(record.app_id),

@@ -195,7 +195,7 @@ class AppProcess:
         """Failover upcall (active replication): this backup copy is now
         the rank's primary.  It owns the rank's address from here on; if
         it already finished (its watcher reported nothing while it was a
-        backup), the held result is reported now."""
+        backup), the held result is reported now, the way a watcher would."""
         if self.replica == 0:
             return
         self.replica = 0
@@ -207,8 +207,7 @@ class AppProcess:
         if self.done.triggered:
             kind, value = self.done.value
             if kind == "ok":
-                self.daemon.gm.cast(("app-rank-done", self.record.app_id,
-                                     self.rank, value))
+                self.daemon.rank_done(self.record.app_id, self.rank, value)
 
     def deliver_cr(self, payload, src_rank: int) -> None:
         self.bus.post(CheckpointEvent(op="message", source=src_rank,

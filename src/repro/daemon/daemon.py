@@ -6,6 +6,9 @@ implementation notes:
 * **Replicated state** (cluster config, application registry) mutates only
   through totally-ordered main-group casts, so every daemon's replica stays
   identical and any daemon can serve any client or coordinate any recovery.
+  The one exception is *which ranks have finished* while an application
+  runs: that is the application's business, so it travels inside the
+  application's lightweight group (see "completion" below, DESIGN §21).
 * **Deterministic reactions** to view changes (fault policies that need no
   new decisions — killing local ranks of a doomed app) are applied locally
   at every daemon: virtual synchrony guarantees they all act on the same
@@ -29,7 +32,7 @@ from repro.daemon.session import accept_loop
 from repro.errors import DaemonError, Interrupt, PlacementError
 from repro.gcs import CastEvent, GcsConfig, GroupMember, ViewEvent
 from repro.gcs.endpoint import EndpointId
-from repro.lwg import LwgCast, LwgManager, LwgView
+from repro.lwg import LwgCast, LwgManager, LwgP2p, LwgView
 from repro.net.conn import Listener
 from repro.obs.registry import get_registry
 from repro.store import CheckpointStore
@@ -76,6 +79,11 @@ class StarfishDaemon:
         #: Finished ranks' handles: their C/R modules stay alive (peers may
         #: still checkpoint with them) until the whole application ends.
         self._lingering: Dict[str, List[Any]] = {}
+        #: Completion reports stamped with an incarnation this daemon has
+        #: not reached yet, replayed by the ``app-restart`` that gets there.
+        self._early_reports: Dict[str, List[LwgP2p]] = {}
+        #: app id -> incarnation whose ``app-done`` this daemon has cast.
+        self._done_cast: Dict[str, int] = {}
         self._listener: Optional[Listener] = None
         self._procs: List = []
         self._lwg_pumps: Set[str] = set()
@@ -270,8 +278,10 @@ class StarfishDaemon:
     # -- application lifecycle ---------------------------------------------
 
     def _op_app_submit(self, payload, source):
-        _, blob = payload
+        # It names the hosting daemons: applying it opens the app's LWG.
+        _, blob, members = payload
         record = self._record_from_blob(blob)
+        self.lwg.open(record.app_id, members)
         self.registry.add(record)
         self._pending_submits.discard(record.app_id)
         self._log(f"submit {record.app_id} x{record.nprocs} "
@@ -309,16 +319,12 @@ class StarfishDaemon:
             for rank, node_id in sorted(restore["promote"].items()):
                 if node_id != self.node.node_id:
                     continue
+                # (A copy that finished as a backup is still in ``handles``;
+                # promoting it reports the result it holds.)
                 handle = self.handles.get((app_id, rank))
-                if handle is None:
-                    # The copy may have finished already (rank-done moved
-                    # it to lingering); promoting it re-reports the result.
-                    for h in self._lingering.get(app_id, ()):
-                        if getattr(h, "rank", None) == rank:
-                            handle = h
-                            break
                 if handle is not None and hasattr(handle, "promote"):
                     handle.promote()
+            self._new_incarnation(record)
             return None
         solo = mode == "log-replay"
         if solo:
@@ -333,6 +339,7 @@ class StarfishDaemon:
             mine = [r for r in record.ranks_on(self.node.node_id)
                     if r in lost]
             self._count(respawned, app_id, len(mine))
+            self._new_incarnation(record)
             return self._spawn_local_ranks(record, restore=restore,
                                            only_ranks=lost)
         # The rollback re-executes every rank from the recovery line, so
@@ -342,6 +349,7 @@ class StarfishDaemon:
         self._kill_local(app_id, "rollback")
         self._count(respawned, app_id,
                     len(record.ranks_on(self.node.node_id)))
+        self._new_incarnation(record)
         return self._spawn_local_ranks(record, restore=restore)
 
     def _op_app_grow(self, payload, source):
@@ -359,32 +367,97 @@ class StarfishDaemon:
         # Tell running processes about the grown world.
         self._notify_world(record)
 
-    def _op_app_rank_done(self, payload, source):
-        _, app_id, rank, result = payload
+    # -- completion (DESIGN §21): a host knows its own finished ranks, the
+    # *app authority* — the lowest member of the app's lightweight group —
+    # collects them point-to-point, everybody else learns the result vector
+    # from its one ``app-done`` cast.  Until then ``record.done_ranks`` /
+    # ``record.results`` mean "known here".
+
+    def rank_done(self, app_id: str, rank: int, result) -> None:
+        """The one way a finished primary is reported (by its watcher, or a
+        promoted copy that had finished): park the handle, keep the result
+        here (R1), tell the app authority."""
         record = self.registry.maybe(app_id)
-        if record is None:
+        if record is None or record.finished:
             return
-        if rank not in record.done_ranks:
-            record.done_ranks.append(rank)
-        record.results[rank] = result
         handle = self.handles.pop((app_id, rank), None)
         if handle is not None:
             self._lingering.setdefault(app_id, []).append(handle)
+        self._merge_done(record, {rank: result})
+        self._report_done(record)
+
+    @staticmethod
+    def _merge_done(record: AppRecord, results: Dict[int, Any]) -> None:
+        for rank, result in results.items():
+            if rank not in record.done_ranks:
+                record.done_ranks.append(rank)
+            record.results[rank] = result
+
+    def _report_done(self, record: AppRecord) -> None:
+        """Send every finished rank hosted here to the app authority — the
+        whole set each time, the receiver merges (R2) — or, being the
+        authority, re-check completion (R4)."""
+        authority = min(self.lwg.members(record.app_id), default=None)
+        if authority == self.endpoint:
+            self._check_complete(record)
+            return
+        mine = {r: record.results[r] for r in record.done_ranks
+                if record.placement.get(r) == self.node.node_id}
+        if mine and authority is not None:
+            self.lwg.send(record.app_id, authority,
+                          ("rank-done", record.restarts, mine),
+                          kind="control")
+
+    def _on_report(self, ev: LwgP2p) -> None:
+        _, incarnation, results = ev.payload
+        record = self.registry.maybe(ev.app_id)
+        if record is None or record.finished \
+                or incarnation < record.restarts:
+            return      # R3: that execution was rolled back
+        if incarnation > record.restarts:
+            # R3: the reporter applied an ``app-restart`` we have not yet.
+            self._early_reports.setdefault(ev.app_id, []).append(ev)
+            return
+        # Merged whoever we are (a sender may see an ``LwgView`` before we
+        # do); only the authority acts.
+        self._merge_done(record, results)
         self._check_complete(record)
 
+    def _new_incarnation(self, record: AppRecord) -> None:
+        """An ``app-restart`` has fixed what is still done: take the reports
+        that waited for it (R3), re-send what is still valid here (R2)."""
+        for ev in self._early_reports.pop(record.app_id, ()):
+            self._on_report(ev)
+        self._report_done(record)
+
     def _check_complete(self, record: AppRecord) -> None:
-        """Done once every rank still placed has reported: checked when one
-        reports and when the placement shrinks, the same at every daemon."""
-        if record.finished or \
-                not set(record.done_ranks) >= set(record.placement):
-            return
+        """Authority only: once every rank still placed has reported, cast
+        ``app-done`` (once per incarnation).  Checked when a report arrives,
+        on becoming authority and when the placement shrinks (R4)."""
         app_id = record.app_id
+        if record.finished or not self._is_app_authority(record) \
+                or len(record.done_ranks) < len(record.placement) \
+                or not set(record.done_ranks) >= set(record.placement) \
+                or self._done_cast.get(app_id) == record.restarts:
+            return
+        self._done_cast[app_id] = record.restarts
+        self.gm.cast(("app-done", app_id, record.restarts,
+                      {r: record.results[r] for r in record.done_ranks}))
+
+    def _op_app_done(self, payload, source):
+        _, app_id, incarnation, results = payload
+        record = self.registry.maybe(app_id)
+        if record is None or record.finished \
+                or incarnation != record.restarts:
+            return      # a second authority's copy, or rolled back since (R3)
+        record.results = dict(results)
+        record.done_ranks = list(results)
         record.status = AppStatus.DONE
         self._log(f"app {app_id} done")
-        for lingering in self._lingering.pop(app_id, []):
-            lingering.kill("application complete")
-        if self._is_app_authority(record):
-            self.lwg.destroy(app_id)
+        self._kill_local(app_id, "application complete")
+        self._early_reports.pop(app_id, None)
+        self._done_cast.pop(app_id, None)
+        self.lwg.close(app_id)
 
     def _op_app_rank_failed(self, payload, source):
         _, app_id, rank, reason = payload
@@ -422,17 +495,15 @@ class StarfishDaemon:
             self._kill_local(app_id, "killed")
         elif cmd == "suspend" and not record.finished:
             record.status = AppStatus.SUSPENDED
-            for (aid, _r), handle in self.handles.items():
-                if aid == app_id:
-                    handle.suspend()
+            for _rank, handle in self._local(app_id):
+                handle.suspend()
         elif cmd == "resume" and not record.finished:
             record.status = AppStatus.RUNNING
-            for (aid, _r), handle in self.handles.items():
-                if aid == app_id:
-                    handle.resume()
+            for _rank, handle in self._local(app_id):
+                handle.resume()
         elif cmd == "checkpoint":
-            for (aid, rank), handle in self.handles.items():
-                if aid == app_id and rank == min(record.placement):
+            for rank, handle in self._local(app_id):
+                if rank == min(record.placement):
                     handle.request_user_checkpoint()
         elif cmd == "delete":
             if not record.finished:
@@ -441,11 +512,17 @@ class StarfishDaemon:
             self.registry.remove(app_id)
             self.store.drop_app(app_id)
 
-    def _kill_local(self, app_id: str, reason: str) -> None:
+    def _local(self, app_id: str):
+        """``(rank, handle)`` of every running local handle of an app (a
+        snapshot: the caller may kill or park what it is given)."""
         for (aid, rank), handle in list(self.handles.items()):
             if aid == app_id:
-                handle.kill(reason)
-                del self.handles[(aid, rank)]
+                yield rank, handle
+
+    def _kill_local(self, app_id: str, reason: str) -> None:
+        for rank, handle in self._local(app_id):
+            handle.kill(reason)
+            del self.handles[(app_id, rank)]
         for handle in self._lingering.pop(app_id, []):
             handle.kill(reason)
 
@@ -505,10 +582,10 @@ class StarfishDaemon:
         if getattr(handle, "replica", 0):
             # A backup copy's outcome is not the rank's: only the primary
             # reports.  If this copy is promoted after finishing, its
-            # promote() re-reports the result it is holding.
+            # promote() reports the result it is holding.
             return
         if kind == "ok":
-            self.gm.cast(("app-rank-done", app_id, rank, value))
+            self.rank_done(app_id, rank, value)
         elif kind == "error":
             self.gm.cast(("app-rank-failed", app_id, rank, repr(value)))
         # kind == "killed": deliberate; nothing to report.
@@ -533,10 +610,15 @@ class StarfishDaemon:
     def _on_lwg_event(self, ev):
         if isinstance(ev, LwgCast):
             return self._relay_cast(ev)
-        if isinstance(ev, LwgView):
+        if isinstance(ev, LwgP2p):
+            self._on_report(ev)
+        elif isinstance(ev, LwgView):
             record = self.registry.maybe(ev.app_id)
             if record is not None:
                 self._notify_world(record)
+                was = (set(ev.members) - set(ev.joined)) | set(ev.left)
+                if ev.members and min(ev.members) != min(was, default=None):
+                    self._report_done(record)   # R2/R4: new authority
         return None
 
     def _relay_cast(self, ev: LwgCast):
@@ -555,8 +637,7 @@ class StarfishDaemon:
     def _app_handles(self, app_id: str):
         """Local handles of an app, including finished (lingering) ranks —
         those still participate in checkpoint protocols."""
-        out = [h for (aid, _r), h in list(self.handles.items())
-               if aid == app_id]
+        out = [handle for _rank, handle in self._local(app_id)]
         out.extend(self._lingering.get(app_id, ()))
         return out
 
@@ -567,11 +648,10 @@ class StarfishDaemon:
             set(record.placement.values())
         world = sorted(r for r, n in record.placement.items()
                        if n in alive_nodes)
-        for (aid, _r), handle in list(self.handles.items()):
-            if aid == record.app_id:
-                self._m_local["lightweight membership"].inc()
-                handle.deliver_membership(tuple(world), record.world_version,
-                                          dict(record.placement))
+        for _rank, handle in self._local(record.app_id):
+            self._m_local["lightweight membership"].inc()
+            handle.deliver_membership(tuple(world), record.world_version,
+                                      dict(record.placement))
 
     # -- services used by application-process handles -------------------------
 
@@ -843,8 +923,7 @@ class StarfishDaemon:
             # rank, each on a distinct node chosen by the ring policy.
             record.replicas = self._place_replicas(app_id, placement,
                                                    ckpt.replicas)
-        # Create the lightweight group, then announce the app (sender FIFO
-        # keeps this order at every daemon).
+        # The announcement names the hosting daemons (the app's LWG).
         hosting = set(placement.values())
         hosting.update(*record.replicas.values())
         members = []
@@ -854,8 +933,8 @@ class StarfishDaemon:
                 raise PlacementError(f"no daemon on node {node_id!r}")
             members.append(ep)
         self._pending_submits.add(app_id)
-        self.lwg.create(app_id, members)
-        self.gm.cast(("app-submit", self._record_blob(record)))
+        self.gm.cast(("app-submit", self._record_blob(record),
+                      tuple(members)))
         return app_id
 
     def migrate(self, app_id: str, rank: int, target_node: str) -> None:

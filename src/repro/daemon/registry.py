@@ -1,8 +1,12 @@
 """Replicated application registry.
 
-Every daemon holds an identical replica (all mutations are applied from
-totally-ordered main-group casts), so any daemon can answer any client's
-queries and any daemon can take over an application's recovery.
+Every daemon holds a replica whose mutations are applied from
+totally-ordered main-group casts, so any daemon can answer any client's
+queries and any daemon can take over an application's recovery.  The
+replicas agree in every field but two: while an application runs,
+``done_ranks`` / ``results`` are application-scoped (DESIGN §21) — exact at
+the app authority, a hosting daemon's own ranks there, empty elsewhere —
+and become identical again when the authority's ``app-done`` is applied.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ class AppStatus(enum.Enum):
 
 @dataclass
 class AppRecord:
-    """One application as every daemon sees it."""
+    """One application as a daemon sees it."""
 
     app_id: str
     owner: str
@@ -42,9 +46,9 @@ class AppRecord:
     polling: bool
     placement: Dict[int, str]      # world rank -> node id
     status: AppStatus = AppStatus.RUNNING
-    #: Results reported by finished ranks.
+    #: Results of finished ranks, as far as known here until ``DONE``.
     results: Dict[int, Any] = field(default_factory=dict)
-    #: Ranks that have finished.
+    #: Ranks that have finished, as far as known here until ``DONE``.
     done_ranks: List[int] = field(default_factory=list)
     restarts: int = 0
     world_version: int = 0

@@ -150,6 +150,8 @@ def _submit(daemon, args, user, record):
 
 
 def _status(daemon, args, user, record):
+    # ``done=k/n`` is what *this* daemon knows (DESIGN §21): exact at the
+    # app authority while the app runs, and everywhere once it is done.
     return (record.status.value,
             f"done={len(record.done_ranks)}/{len(record.placement)}",
             f"restarts={record.restarts}")

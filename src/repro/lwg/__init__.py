@@ -20,6 +20,6 @@ naive "one full process group per application" design.
 """
 
 from repro.lwg.manager import LwgManager
-from repro.lwg.events import LwgCast, LwgEvent, LwgView
+from repro.lwg.events import LwgCast, LwgEvent, LwgP2p, LwgView
 
-__all__ = ["LwgCast", "LwgEvent", "LwgManager", "LwgView"]
+__all__ = ["LwgCast", "LwgEvent", "LwgManager", "LwgP2p", "LwgView"]

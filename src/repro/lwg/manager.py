@@ -10,7 +10,10 @@ Protocol envelopes on the main group:
 
 * membership ops (total-order casts): ``("lwg-op", op, app_id, endpoint)``
   with op in {create, join, leave, destroy}; *create* carries the initial
-  member tuple instead of one endpoint;
+  member tuple instead of one endpoint.  A layer whose own totally-ordered
+  cast already names the group and its members (the daemon's ``app-submit``
+  / ``app-done``) calls :meth:`LwgManager.open` / :meth:`LwgManager.close`
+  while applying it instead of paying a second cast;
 * data (point-to-point): ``("lwg-data", app_id, origin, lseq, payload,
   kind)`` to the group's sequencer and ``("lwg-ord", app_id, gseq, origin,
   lseq, payload, kind)`` from the sequencer to members.
@@ -188,6 +191,26 @@ class LwgManager:
         """Create a lightweight group spanning ``members`` (daemons)."""
         self.gm.cast(("lwg-op", "create", app_id, tuple(sorted(members))))
 
+    def open(self, app_id: str, members) -> None:
+        """Create the group *in place*: what a delivered ``create`` does,
+        for a caller that is itself applying a totally-ordered main-group
+        cast (so every replica opens it at the same point of the order)."""
+        if app_id in self.groups:
+            return  # duplicate create (e.g. re-cast after view change)
+        state = _LwgState(app_id=app_id, members=tuple(sorted(members)))
+        self.groups[app_id] = state
+        self._emit(app_id, LwgView(app_id=app_id, members=state.members,
+                                   joined=state.members, left=()))
+        self._replay_orphans(app_id)
+
+    def close(self, app_id: str) -> None:
+        """Destroy the group in place (the counterpart of :meth:`open`)."""
+        state = self.groups.pop(app_id, None)
+        self._orphans.pop(app_id, None)
+        if state is not None:
+            self._emit(app_id, LwgView(app_id=app_id, members=(),
+                                       joined=(), left=state.members))
+
     def join(self, app_id: str, member: Optional[EndpointId] = None) -> None:
         self.gm.cast(("lwg-op", "join", app_id, member or self.endpoint))
 
@@ -259,9 +282,14 @@ class LwgManager:
                 self._receive_ordered(payload)
                 return True
             if tag == "lwg-p2p":
+                # Addressed to this daemon, and not ordered against the cast
+                # that makes it a subscriber (a direct send can overtake the
+                # main group's total order): it waits in the mailbox for the
+                # consumer instead of being dropped.
                 _, app_id, inner, kind = payload
-                self._emit(app_id, LwgP2p(app_id=app_id, source=ev.source,
-                                          payload=inner, kind=kind))
+                self.subscribe(app_id).deliver(LwgP2p(
+                    app_id=app_id, source=ev.source, payload=inner,
+                    kind=kind))
                 return True
             return False
         return False
@@ -270,27 +298,15 @@ class LwgManager:
 
     def _apply_op(self, payload: tuple) -> None:
         _, op, app_id, arg = payload
-        state = self.groups.get(app_id)
         if op == "create":
-            if state is not None:
-                return  # duplicate create (e.g. re-cast after view change)
-            state = _LwgState(app_id=app_id, members=tuple(sorted(arg)))
-            self.groups[app_id] = state
-            self._emit(app_id, LwgView(app_id=app_id, members=state.members,
-                                       joined=state.members, left=()))
-            self._replay_orphans(app_id)
-            return
-        if state is None:
-            if op == "destroy":
-                self._orphans.pop(app_id, None)
-            else:
-                self._park_orphan(app_id, payload)
+            self.open(app_id, arg)
             return
         if op == "destroy":
-            del self.groups[app_id]
-            self._orphans.pop(app_id, None)
-            self._emit(app_id, LwgView(app_id=app_id, members=(),
-                                       joined=(), left=state.members))
+            self.close(app_id)
+            return
+        state = self.groups.get(app_id)
+        if state is None:
+            self._park_orphan(app_id, payload)
             return
         old = state.members
         if op == "join" and arg not in old:

@@ -287,7 +287,14 @@ def test_daemon_event_budget_per_frame():
     # a get:gcs-ev or LWG get put back per frame fails here rather than
     # showing up as benchmark drift.  (992 -> 902 with the same 240 frames
     # when a program step began to await its own events: the nine ranks'
-    # steps no longer pay a race event per awaited event.)
+    # steps no longer pay a race event per awaited event.)  240 -> 168
+    # frames and 902 -> 633 events when an application became two main-group
+    # casts (DESIGN §21).  Three jobs of 2 + 4 + 3 ranks on four nodes, 108
+    # heartbeats and 12 data frames either way; before: 6 lwg-op and 3
+    # app-submit casts x 3 ordered copies = 27, 9 app-rank-done casts x 3 + 6
+    # requests to the sequencer = 33, 60 RelAcks; after: 3 app-submit + 3
+    # app-done casts x 3 = 18, 6 point-to-point reports (a job's rank on its
+    # authority needs none), 24 RelAcks.
     sf = StarfishCluster.build(nodes=4)
     reg = sf.engine.metrics
     events, frames = sf.engine.events_processed, reg.sum("net.frames_sent")
@@ -296,5 +303,5 @@ def test_daemon_event_budget_per_frame():
                for n in (2, 4, 3)]
     for handle in handles:
         sf.run_to_completion(handle)
-    assert reg.sum("net.frames_sent") - frames == 240
-    assert sf.engine.events_processed - events == 902       # parent: 992
+    assert reg.sum("net.frames_sent") - frames == 168       # parent: 240
+    assert sf.engine.events_processed - events == 633       # parent: 902
