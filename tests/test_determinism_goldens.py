@@ -51,6 +51,22 @@ migration under load) for seeds 0 and 1.  They were generated *before*
 migration was folded into the one restart path, and re-pinned on
 untouched code when ``events_processed`` left the hash.
 
+All four families were regenerated once for one reason (DESIGN §21): an
+application became two main-group casts — ``app-submit`` opens its
+lightweight group, finished ranks are reported point-to-point to the app
+authority, one ``app-done`` closes it — so every report's frame, byte and
+event counters moved, and with fewer casts queued ahead of them so did
+timestamps.  Not blind: the full report JSON of all 42 cells was dumped on
+the parent and on the change first, and the JSON paths that differ are
+``series/net.frames_sent/tcp-ethernet``, ``engine/events_processed``,
+``restart_events[]/time`` (campaign cells); ``frames_sent``, ``bytes_sent``,
+``events_processed`` and the timestamps — never the text — of
+``logs/*`` (``migrate`` cells); ``jobs[]/finished_at`` and the matching
+``done`` lines of ``scheduler_log`` (``fleet-churn``).  Application results,
+final status, invariant verdicts, the fault log, ``daemon.restarts``,
+``daemon.ranks_restarted``, ``daemon.ranks_migrated`` and ``gcs.views`` per
+node are equal in every cell.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -232,7 +248,14 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("standard and store cells: generated pre-engine-overhaul / "
+NOTE = ("all four families regenerated once when an application became "
+        "two main-group casts (app-submit opens the LWG, rank completion "
+        "is reported to the app authority, one app-done closes it): frame "
+        "/ byte / event counters and timestamps moved, audited cell by "
+        "cell against the parent's full reports first — results, status, "
+        "verdicts, fault log, restart counters and gcs.views equal "
+        "everywhere.  Before that: "
+        "standard and store cells: generated pre-engine-overhaul / "
         "pre-store-fold, never regenerated.  perturb cells: regenerated "
         "for GCS transport hop folding (three fewer dispatched events per "
         "GCS frame reshuffle the tie-shuffle stream) and again for the "
