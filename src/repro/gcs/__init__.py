@@ -6,7 +6,9 @@ failure detection, and virtually-synchronous membership views.  This package
 implements those guarantees over the simulated cluster:
 
 * :class:`~repro.gcs.member.GroupMember` — one endpoint of a process group:
-  heartbeat failure detection, coordinator-based view agreement with a
+  star-shaped heartbeat failure detection (members and their coordinator
+  watch each other; a member whose coordinator falls silent watches the
+  whole view until the next one), coordinator-based view agreement with a
   flush protocol (virtual synchrony), sequencer-based total-order multicast,
   point-to-point sends, state transfer to joiners, and gossip-based view
   merge after partitions heal.

@@ -17,9 +17,11 @@ class GcsConfig:
     detection traffic does not dominate the event count.
     """
 
-    #: Period of all-to-all heartbeats.
+    #: Heartbeat period of the star failure detector: each member to its
+    #: coordinator, the coordinator to each member.
     heartbeat_period: float = HEARTBEAT_PERIOD
-    #: Silence after which a member is suspected.
+    #: Silence after which a member suspects its coordinator, and the
+    #: coordinator a member.
     suspect_timeout: float = SUSPECT_TIMEOUT
     #: How long a flush coordinator waits for FLUSH_OK before dropping
     #: non-responders and retrying.

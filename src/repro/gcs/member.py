@@ -15,7 +15,14 @@ the moving parts inside each member:
 * ``_main`` process — the inbox's consumer: runs the one handler that waits
   (the coordinator's sequencer round) and whatever queued up behind it;
 * ``_ticker`` process — heartbeats, failure suspicion, flush retry,
-  blocked-too-long recovery, join retry, and coordinator gossip.
+  blocked-too-long recovery, join retry, and coordinator gossip.  The
+  failure detector is a star: a member heartbeats and times its coordinator,
+  the coordinator heartbeats and times every member — 2(n-1) frames a
+  period.  A member whose coordinator has been silent for ``suspect_timeout``
+  is in *watch-all*: it starts every other member's clock at that instant
+  and heartbeats the whole view, so that the lowest-ranked member still
+  alive can be told and start the flush; hearing from its coordinator again
+  (a new view stamps everyone) makes it a plain member again.
 
 Upcalls leave through ``events``, a mailbox chained behind the inbox: a
 served consumer (the daemon) sees each one after the handler that emitted
@@ -148,6 +155,10 @@ class GroupMember:
 
         # --- liveness ---
         self.last_heard: Dict[EndpointId, float] = {}
+        #: Watch-all: this member's coordinator went silent, so it times and
+        #: heartbeats the whole view, as a coordinator does, until it hears
+        #: from its coordinator again (a new view counts: it stamps everyone).
+        self._watch_all = False
         self.known_endpoints: Set[EndpointId] = set()
 
         # --- metrics ---
@@ -454,17 +465,30 @@ class GroupMember:
                         self._post_join(self._contact)
                     continue
 
-                # Heartbeats to everybody else in the view: one immutable
-                # message per tick.
-                self._m["heartbeats"].inc(len(self.view) - 1)
-                self._multicast(self.view.members,
+                # The failure detector is a star (DESIGN §22): a member
+                # heartbeats and times its coordinator only; the centre —
+                # the coordinator, or a member whose coordinator has gone
+                # silent (watch-all) — heartbeats and times the whole view.
+                view = self.view
+                coordinator = view.coordinator
+                if (coordinator == self.endpoint
+                        or self._heard_within_timeout(coordinator, now)):
+                    self._watch_all = False
+                elif not self._watch_all:
+                    # Nobody else has been timed in this view: every other
+                    # member's clock starts now.
+                    self._watch_all = True
+                    self.last_heard.update(
+                        (m, now) for m in view.members if m != coordinator)
+                centre = self._watch_all or coordinator == self.endpoint
+                targets = view.members if centre else (coordinator,)
+                self._m["heartbeats"].inc(len(view) - 1 if centre else 1)
+                self._multicast(targets,
                                 Hb(group=self.group, sender=self.endpoint,
-                                   epoch=self.view.epoch), skip_self=True)
+                                   epoch=view.epoch), skip_self=True)
 
                 alive = self._alive_members(now)
-                alive_set = set(alive)
-                stale = [m for m in self.view.members
-                         if m not in alive_set]
+                stale = len(alive) < len(view)
 
                 if self._active_flush is not None:
                     fl = self._active_flush
@@ -502,16 +526,19 @@ class GroupMember:
         except Interrupt:
             return
 
+    def _heard_within_timeout(self, m: EndpointId, now: float) -> bool:
+        heard = self.last_heard.get(m)
+        return heard is not None and now - heard <= self.cfg.suspect_timeout
+
     def _alive_members(self, now: float) -> List[EndpointId]:
-        out = []
-        for m in self.view.members:
-            if m == self.endpoint:
-                out.append(m)
-                continue
-            heard = self.last_heard.get(m)
-            if heard is not None and now - heard <= self.cfg.suspect_timeout:
-                out.append(m)
-        return out
+        """The members this one does not suspect.  Only the star's centre
+        times everybody; any other member hears from its coordinator alone
+        and takes the rest of the view on the coordinator's word."""
+        members = self.view.members
+        if not (self._watch_all or self.is_coordinator):
+            return list(members)
+        return [m for m in members if m == self.endpoint
+                or self._heard_within_timeout(m, now)]
 
     def _post_join(self, contact: EndpointId) -> None:
         # The Rel sublayer is already retrying an in-flight Join to this
