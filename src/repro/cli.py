@@ -180,12 +180,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_store(args) -> int:
-    if getattr(args, "what", None) is not None:
-        print("repro store: --what has been removed; use the "
-              "placement | replica-map | repair | tiers subcommands "
-              "instead", file=sys.stderr)
-        return 2
-
     from repro.apps import ComputeSleep
     from repro.cluster.spec import ClusterSpec
     from repro.core import (AppSpec, CheckpointConfig, FaultPolicy,
@@ -520,10 +514,6 @@ def main(argv=None) -> int:
     store.add_argument("--tier-policy", default="write-through",
                        choices=["write-through", "write-back"],
                        help="tier promotion policy (with --tiers)")
-    # Removed flag (was deprecated for one release): still parsed so the
-    # command can fail with a pointer to its replacement subcommands
-    # instead of a generic argparse error.
-    store.add_argument("--what", default=None, help=argparse.SUPPRESS)
     store.set_defaults(fn=cmd_store, store_cmd=None)
     store_sub = store.add_subparsers(dest="store_cmd", metavar="SECTION")
     for sname, shelp in (

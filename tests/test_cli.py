@@ -68,10 +68,8 @@ def test_unknown_command_rejected():
 
 
 def test_store_what_flag_removed(capsys):
-    # --what had its one-release DeprecationWarning window; it now fails
-    # fast (before any cluster is built) and points at the subcommands.
-    assert main(["store", "--nodes", "3", "--what", "placement"]) == 2
-    err = capsys.readouterr().err
-    assert "--what has been removed" in err
-    for section in ("placement", "replica-map", "repair", "tiers"):
-        assert section in err
+    # The flag is gone, stub and all: argparse's own usage error, exit 2.
+    with pytest.raises(SystemExit) as exc:
+        main(["store", "--nodes", "3", "--what", "placement"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --what" in capsys.readouterr().err

@@ -292,7 +292,7 @@ def test_cluster_spec_rejects_bad_tier_configs():
 
 
 # ---------------------------------------------------------------------------
-# CLI: store subcommands + the --what deprecation path
+# CLI: store subcommands
 # ---------------------------------------------------------------------------
 
 def test_cli_store_tiers_subcommand(capsys):
@@ -325,12 +325,13 @@ def test_cli_store_subcommands_filter_by_rank_and_version(capsys):
 
 
 def test_cli_store_legacy_what_flag_removed(capsys):
-    # --what had its one-release deprecation window; it now fails fast.
+    # Not even parsed any more: argparse rejects it like any unknown flag.
     from repro.cli import main
-    rc = main(["store", "--nodes", "4", "--k", "2", "--seed", "3",
-               "--what", "placement"])
-    assert rc == 2
-    assert "--what has been removed" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["store", "--nodes", "4", "--k", "2", "--seed", "3",
+              "--what", "placement"])
+    assert exc.value.code == 2
+    assert "--what" in capsys.readouterr().err
 
 
 def test_cli_store_default_sections_unchanged(capsys):
