@@ -67,6 +67,30 @@ final status, invariant verdicts, the fault log, ``daemon.restarts``,
 ``daemon.ranks_restarted``, ``daemon.ranks_migrated`` and ``gcs.views`` per
 node are equal in every cell.
 
+And once more, the same way, when the failure detector became a star
+(DESIGN §22: members heartbeat and time their coordinator, the coordinator
+the whole view; 2(n-1) heartbeats a period instead of n(n-1)).  Differing
+paths, all 42 cells dumped on parent and change first:
+``series/net.frames_sent/*``, ``series/net.frames_dropped/*`` and
+``engine/events_processed`` (35 campaign cells); ``restart_events[]/time``
+(17: the isolated spare of ``standard`` / ``partition-flap``, on the side
+of the partition that loses the coordinator, notices one ``suspect_timeout``
+later and restarts at 4.70 s instead of 4.45 s; in the one jitter cell the
+per-frame jitter stream is drawn for fewer frames, which moves its four
+restart stamps by about a microsecond); ``checks[]/time`` of the
+final checks and ``engine/final_time`` (16: the ten ``standard`` cells end
+0.5-1.0 s sooner — by 4.70 s recovery line 3 has committed, so the
+``app-restart`` the spare re-casts after the merge rolls back to line 3, not
+line 2, and 0.8 s less is re-executed; under ``chandy-lamport`` that is also
+22 more marker frames on Myrinet — the six ``partition-flap`` cells end 0.5 s
+later); ``frames_sent`` / ``bytes_sent`` / ``events_processed`` only in the
+``migrate`` cells (every log line and timestamp equal); in ``fleet-churn``
+``jobs[]/admitted_at`` (1), ``jobs[]/finished_at`` (7) and the matching
+``scheduler_log`` lines, one 0.25 s poll quantum earlier.  Results, final
+status, check verdicts, the fault log, ``daemon.restarts``,
+``ranks_restarted``, ``ranks_migrated``, ``gcs.views`` per node, placement
+and world version are equal in every cell.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -248,7 +272,17 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("all four families regenerated once when an application became "
+NOTE = ("all four families regenerated a second time when the failure "
+        "detector became a star (members heartbeat and time their "
+        "coordinator, the coordinator the whole view): frame / drop / event "
+        "counters moved everywhere, the orphan side of a partition notices "
+        "one suspect_timeout later (restart_events[]/time, final_time and "
+        "the final checks of the standard and partition-flap cells; "
+        "fleet-churn job times by one poll quantum), audited cell by cell "
+        "against the parent's full reports first — results, status, "
+        "verdicts, fault log, restart and migration counters, gcs.views, "
+        "placement and world version equal everywhere.  Before that: "
+        "all four families regenerated once when an application became "
         "two main-group casts (app-submit opens the LWG, rank completion "
         "is reported to the app authority, one app-done closes it): frame "
         "/ byte / event counters and timestamps moved, audited cell by "
