@@ -155,9 +155,8 @@ class GroupMember:
 
         # --- liveness ---
         self.last_heard: Dict[EndpointId, float] = {}
-        #: Watch-all: this member's coordinator went silent, so it times and
-        #: heartbeats the whole view, as a coordinator does, until it hears
-        #: from its coordinator again (a new view counts: it stamps everyone).
+        #: Watch-all (see ``_ticker``): the coordinator is silent, so this
+        #: member times and heartbeats the whole view until it is heard again.
         self._watch_all = False
         self.known_endpoints: Set[EndpointId] = set()
 
@@ -471,7 +470,7 @@ class GroupMember:
                 # silent (watch-all) — heartbeats and times the whole view.
                 view = self.view
                 coordinator = view.coordinator
-                if (coordinator == self.endpoint
+                if (self.is_coordinator
                         or self._heard_within_timeout(coordinator, now)):
                     self._watch_all = False
                 elif not self._watch_all:
@@ -480,7 +479,7 @@ class GroupMember:
                     self._watch_all = True
                     self.last_heard.update(
                         (m, now) for m in view.members if m != coordinator)
-                centre = self._watch_all or coordinator == self.endpoint
+                centre = self._watch_all or self.is_coordinator
                 targets = view.members if centre else (coordinator,)
                 self._m["heartbeats"].inc(len(view) - 1 if centre else 1)
                 self._multicast(targets,
