@@ -305,13 +305,17 @@ class AppProcess:
         An entry must match the rank's *current* placement: after a
         restart the book still holds the previous incarnation's address
         (possibly a dead node), and a fast-restoring rank must not race
-        ahead and send into the void.
+        ahead and send into the void.  A world change that arrives during
+        the wait (a rank's host crashed under ``view-notify``) is what the
+        wait is for: the dead rank never registers.
         """
         book = self.endpoint.addressbook
         placement = self.record.placement
         while any(r not in book
                   or (r in placement and book[r][0] != placement[r])
-                  for r in self.mpi.world.group):
+                  for r in (self._pending_view.new_world
+                            if self._pending_view is not None
+                            else self.mpi.world.group)):
             yield self.engine.timeout(0.002)
 
     def _cleanup(self) -> None:

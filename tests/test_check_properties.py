@@ -265,22 +265,20 @@ def _crash_run(app, pseed, crash_at, victim):
     return sf.run_to_completion(handle, timeout=120), survivors
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25, deadline=None)
 @given(pseed=st.integers(0, 10**9), victim=st.integers(0, 2),
-       crash_at=st.floats(0.05, 0.4), restart=st.booleans())
+       crash_at=st.floats(0.01, 0.6), restart=st.booleans())
 def test_rank_crash_leaves_the_failure_free_result_under_any_tie_order(
         pseed, victim, crash_at, restart):
     """Jacobi rolled back by a coordinated restart (every rank is killed
     mid-wait), or allreduce rounds under view-notify (the survivors' steps
     are aborted mid-receive and re-executed on the shrunk world): whatever
     order the same-instant events take, the results are the failure-free
-    ones.  (The window is 0.05-0.4 s on purpose.  Every rank is past
-    MPI_Init by 0.04 s, and a view-notify survivor still waiting there for
-    the dead rank's address waits forever — a wait no step abort reaches;
-    the rounds end at 0.45 s, and a rank lost after the survivors have
-    finished leaves the application ``running``.  Both are daemon gaps on
-    the parent commit too: ROADMAP, faults during recovery.  Derandomized
-    so that tier-1 does not go looking for the next one.)"""
+    ones.  The window spans the whole run: a crash while the survivors
+    are still in MPI_Init (they wait on the shrunk world), and one after
+    they have finished (completion is re-checked when the view shrinks
+    the placement).  It starts at 0.01 s because at 0.0 the harness would
+    read a placement before the submit is applied."""
     app = _JACOBI if restart else _ROUNDS
     if restart not in _failure_free:
         _failure_free[restart] = _crash_run(app, None, None, None)[0]

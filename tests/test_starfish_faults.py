@@ -269,3 +269,25 @@ def test_view_notify_rank_lost_after_the_survivors_finished():
     assert sf.run_to_completion(handle, timeout=30) == {0: 5, 1: 5}
     assert handle._record().status is AppStatus.DONE
     assert sorted(handle._record().placement) == [0, 1]
+
+
+@pytest.mark.parametrize("victim", [0, 1, 2])
+def test_view_notify_crash_during_mpi_init(victim):
+    # A rank's host crashing before every rank has left MPI_Init: the
+    # survivors used to poll the old world for the dead rank's address
+    # forever (the shrunk world sat in the pending view), and the app
+    # ended ``running``.  Every instant from the submit being applied to
+    # well past MPI_Init, 2 ms apart.
+    for ms in range(0, 41, 2):
+        sf = StarfishCluster.build(nodes=4)
+        handle = sf.submit(AppSpec(
+            program=ComputeSleep, nprocs=3,
+            params={"steps": 5, "step_time": 0.05},
+            ft_policy=FaultPolicy.VIEW_NOTIFY))
+        sf.engine.run(until=sf.engine.now + ms / 1000)
+        while not all(d.registry.maybe(handle.app_id)
+                      for d in sf.live_daemons()):
+            sf.engine.step()
+        sf.crash_node(node_of_rank(handle, victim))
+        survivors = {rank: 5 for rank in range(3) if rank != victim}
+        assert sf.run_to_completion(handle, timeout=30) == survivors, ms
