@@ -26,8 +26,11 @@ Guarantees (property-tested in ``tests/test_gcs_properties.py``):
    after the view change if the old view could not order it).
 
 The protocol tolerates crash failures and network partitions (partitionable
-membership with merge-on-heal); like real Ensemble it assumes the transport
-below it does not silently drop frames between live, connected nodes.
+membership with merge-on-heal) and frame loss: as in Ensemble, a multicast
+is made reliable by negative acknowledgement — a member that misses a
+sequenced cast asks the coordinator for it by sequence number — while
+point-to-point and membership messages ride a per-destination
+acknowledged sublayer.
 """
 
 from repro.gcs.endpoint import EndpointId, View
