@@ -91,6 +91,23 @@ status, check verdicts, the fault log, ``daemon.restarts``,
 ``ranks_restarted``, ``ranks_migrated``, ``gcs.views`` per node, placement
 and world version are equal in every cell.
 
+And a third time when casts stopped being acknowledged copy by copy
+(DESIGN §23: a member asks the coordinator for a missing ``Ordered`` by
+sequence number instead).  Differing paths, all 42 cells dumped on parent
+and change first: ``series/net.frames_sent/tcp-ethernet`` and
+``engine/events_processed`` (35 campaign cells); ``restart_events[]/time``
+in the one jitter cell only (its per-frame jitter stream is drawn for fewer
+frames: four stamps by under a microsecond); ``frames_sent`` /
+``bytes_sent`` / ``events_processed`` in the five ``migrate`` cells (every
+log line and timestamp equal); in ``fleet-churn`` ``jobs[]/finished_at``
+and the matching ``scheduler_log`` lines of three jobs, one 0.25 s poll
+quantum earlier or later — the campaign's 5 % loss window draws
+``net.loss`` per frame, so fewer frames lose different ones (with the
+window removed every job time is equal).  Results, final status, check
+verdicts, the fault log, ``daemon.restarts``, ``ranks_restarted``,
+``ranks_migrated``, ``gcs.views`` per node, placement and world version
+are equal in every cell.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -272,7 +289,16 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("all four families regenerated a second time when the failure "
+NOTE = ("all four families regenerated a third time when casts stopped "
+        "being acknowledged copy by copy (a member asks the coordinator "
+        "for a missing Ordered by sequence number): frame / byte / event "
+        "counters moved, the jitter cell's restart stamps by under a "
+        "microsecond and three fleet-churn job times by one poll quantum "
+        "(the loss window draws for fewer frames), audited cell by cell "
+        "against the parent's full reports first — results, status, "
+        "verdicts, fault log, restart and migration counters, gcs.views, "
+        "placement and world version equal everywhere.  Before that: "
+        "all four families regenerated a second time when the failure "
         "detector became a star (members heartbeat and time their "
         "coordinator, the coordinator the whole view): frame / drop / event "
         "counters moved everywhere, the orphan side of a partition notices "
