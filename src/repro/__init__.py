@@ -4,7 +4,7 @@ A full reproduction of Agbaria & Friedman's Starfish system (HPDC 1999) as a
 Python library.  The cluster, its networks (TCP/IP over Ethernet and
 BIP/Myrinet) and its disks are deterministic discrete-event models; the
 Starfish system itself — daemons in an Ensemble-style process group,
-lightweight per-application groups, the object-bus application runtime, the
+lightweight per-application groups, the application-process runtime, the
 MPI-2 module with Starfish's fault-tolerance extensions, and the
 checkpoint/restart protocols (coordinated and uncoordinated, homogeneous and
 heterogeneous) — is implemented in full above that substrate.

@@ -110,8 +110,6 @@ def one_way_time(layers: LayerCosts, bandwidth: float, nbytes: int) -> float:
 
 #: Hop over the local daemon<->application-process TCP connection.
 LOCAL_TCP_HOP = 60 * US
-#: Posting and dispatching one event on the object bus.
-BUS_DISPATCH = 3 * US
 #: Polling thread wake-up period when idle.
 POLL_PERIOD = 20 * US
 #: Receive-side overhead when the polling thread is DISABLED and a blocking

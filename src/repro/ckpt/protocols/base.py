@@ -73,9 +73,6 @@ class CrContext:
         """Extra runtime state to store alongside the MPI state."""
         return {"steps_completed": self.current_step()}
 
-    def notify_committed(self, version: int) -> None:
-        """Upcall: a new recovery line exists (default: ignore)."""
-
     def restoring(self) -> bool:
         """True while this rank is being restored solo (log-replay mode):
         live traffic must be held back until replay finishes."""
@@ -265,7 +262,6 @@ class CrProtocol:
         self.oracle.committed(version, participating=participating)
         self.last_committed = version
         self._m_commits.inc()
-        self.ctx.notify_committed(version)
         for v, ev in self._waiters[:]:
             if v <= version and not ev.triggered:
                 ev.succeed(version)

@@ -2,7 +2,9 @@
 
 The paper attributes its checkpoint times to "regular IDE bus and
 controller" hardware; this model charges ``latency + nbytes / bandwidth``
-per operation and serializes concurrent operations (one head).  Checkpoint
+per operation and serializes concurrent operations (one head: a channel
+holding one token, taken FIFO; a process killed while it waits for the
+token never gets it, one killed while it holds it gives it back).  Checkpoint
 storage (:mod:`repro.store.checkpoint`) writes through this model, which is what
 produces the Figure 3/4 curves.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.calibration import DISK_READ_BANDWIDTH, NATIVE_DISK_BANDWIDTH
-from repro.sim.resources import Resource
+from repro.sim.channel import Channel
 
 
 class Disk:
@@ -35,7 +37,8 @@ class Disk:
         self.write_bandwidth = write_bandwidth
         self.read_bandwidth = read_bandwidth
         self.op_latency = op_latency
-        self._head = Resource(engine, capacity=1, name=f"disk:{node_id}")
+        self._head = Channel(engine, name=f"disk:{node_id}")
+        self._head.put(True)
         self.bytes_written = 0
         self.bytes_read = 0
 
@@ -46,24 +49,22 @@ class Disk:
         path uses its faster serialize-and-buffered-write rate (Fig. 4).
         """
         bw = bandwidth or self.write_bandwidth
-        req = self._head.request()
-        yield req
+        yield self._head.get()
         try:
             yield self.engine.timeout(self.op_latency + nbytes / bw)
             self.bytes_written += nbytes
         finally:
-            self._head.release(req)
+            self._head.put(True)
 
     def read(self, nbytes: int, bandwidth: Optional[float] = None):
         """Process generator: synchronous read of ``nbytes``."""
         bw = bandwidth or self.read_bandwidth
-        req = self._head.request()
-        yield req
+        yield self._head.get()
         try:
             yield self.engine.timeout(self.op_latency + nbytes / bw)
             self.bytes_read += nbytes
         finally:
-            self._head.release(req)
+            self._head.put(True)
 
     def __repr__(self) -> str:
         return (f"<Disk {self.node_id} written={self.bytes_written} "

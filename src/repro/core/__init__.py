@@ -7,8 +7,8 @@
   programming model (explicit state container + step-structured execution,
   the repo's substitution for process-image checkpointing — see DESIGN.md);
 * :class:`~repro.core.runtime.AppProcess` — one application process:
-  object bus, group handler, MPI module, VNI, C/R module, scheduler
-  (Figure 1 of the paper);
+  group handler, MPI module, VNI, C/R module and scheduler, wired by
+  direct upcalls (Figure 1 of the paper);
 * :class:`~repro.core.appspec.AppSpec` / ``CheckpointConfig`` — what a
   client submits;
 * :mod:`repro.core.policies` — the fault-tolerance policies of §3.2.2.

@@ -3,12 +3,15 @@
 Assembles the five components inside every Starfish application process —
 group handler (the daemon link), application module (the user's
 :class:`~repro.core.program.StarfishProgram`), checkpoint/restart module
-(a :mod:`repro.ckpt.protocols` instance), MPI module, and VNI — around an
-object bus, plus the runtime's own scheduler driving the program's steps.
+(a :mod:`repro.ckpt.protocols` instance), MPI module, and VNI — plus the
+runtime's own scheduler driving the program's steps.  The paper puts an
+object bus between the modules; here they are wired by direct upcalls (the
+daemon calls ``deliver_cr`` → ``protocol.deliver``, ``deliver_coordination``
+→ ``program.on_coordination``, ``deliver_membership``), DESIGN §24.
 
 Data messages use the fast path (program → MPI module → VNI); everything
-else (C/R, coordination, membership, configuration) goes through the bus
-and the daemon, as in the paper.
+else (C/R, coordination, membership, configuration) goes through the
+daemon, as in the paper.
 
 Execution model and its guarantees are documented in
 :mod:`repro.core.program`; the key mechanism here is the *safe point*
@@ -33,8 +36,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.bus import (CheckpointEvent, ConfigEvent, CoordinationEvent,
-                       MembershipEvent, ObjectBus, ShutdownEvent)
 from repro.calibration import RESTART_BASE
 from repro.ckpt import make_checkpointer
 from repro.ckpt.protocols import PROTOCOLS, make_protocol
@@ -71,8 +72,6 @@ class AppProcess:
         self.app_log: List[Tuple[float, int, str]] = []
 
         # --- Figure 1 components -------------------------------------
-        self.bus = ObjectBus(self.engine,
-                             name=f"{record.app_id}:{rank}")
         self.endpoint = MpiEndpoint(
             self.engine, self.node, app_id=record.app_id, world_rank=rank,
             addressbook=addressbook, transport=record.transport,
@@ -148,14 +147,11 @@ class AppProcess:
         for m in (self._m_steps, self._m_aborted, self._m_views):
             m.reset()
 
-        self.bus.subscribe(ShutdownEvent, self._on_shutdown_event)
-
     # ------------------------------------------------------------------
     # handle protocol (what the daemon drives)
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        self.bus.start(self.node)
         if self.protocol is not None:
             self.protocol.start(_CrContextImpl(self))
             # The protocol's WaveScheduler decides whether this rank hosts
@@ -176,7 +172,6 @@ class AppProcess:
                 proc.interrupt(reason)
         if self.protocol is not None:
             self.protocol.stop()
-        self.bus.stop()
         self.endpoint.close()
 
     def suspend(self) -> None:
@@ -210,17 +205,11 @@ class AppProcess:
                 self.daemon.rank_done(self.record.app_id, self.rank, value)
 
     def deliver_cr(self, payload, src_rank: int) -> None:
-        self.bus.post(CheckpointEvent(op="message", source=src_rank,
-                                      payload=payload))
         if self.protocol is not None:
             self.protocol.deliver(payload, src_rank)
 
     def deliver_coordination(self, payload, src_rank: int) -> None:
-        self.bus.post(CoordinationEvent(source=src_rank, payload=payload))
         self.program.on_coordination(self.ctx, src_rank, payload)
-
-    def deliver_config(self, key: str, value) -> None:
-        self.bus.post(ConfigEvent(key=key, value=value))
 
     def deliver_membership(self, world_ranks: Tuple[int, ...],
                            world_version: int,
@@ -235,8 +224,6 @@ class AppProcess:
                                      if self.rank in old else None),
                         world_version=world_version)
         self._pending_view = info
-        self.bus.post(MembershipEvent(members=info.new_world,
-                                      joined=info.joined, left=info.lost))
         # Wake spawn() callers as soon as the grown world is known.
         for want, ev in self._spawn_waiters[:]:
             if len(info.new_world) >= want and not ev.triggered:
@@ -332,7 +319,6 @@ class AppProcess:
         for t in self._tickers:
             if t.is_alive:
                 t.interrupt("app-done")
-        self.bus.stop()
 
     def _one_step(self):
         """Drive one program step, event by event.
@@ -518,9 +504,6 @@ class AppProcess:
                     ev.succeed()
             self._pause_waiters = []
 
-    def _on_shutdown_event(self, event: ShutdownEvent) -> None:
-        self.kill(event.reason or "shutdown")
-
     def _ckpt_ticker(self):
         try:
             while True:
@@ -677,9 +660,6 @@ class _CrContextImpl(CrContext):
 
     def runtime_meta(self) -> dict:
         return {"steps_completed": self.rt.steps_completed}
-
-    def notify_committed(self, version: int) -> None:
-        self.rt.bus.post(CheckpointEvent(op="committed", payload=version))
 
     def restoring(self) -> bool:
         info = self.rt.restore_info

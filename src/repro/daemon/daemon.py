@@ -563,9 +563,8 @@ class StarfishDaemon:
                 handle = self.process_factory(self, record, rank, restore)
             self.handles[(record.app_id, rank)] = handle
             handle.start()
-            # Initialization configuration messages (Table 1).
-            handle.deliver_config("app.params", dict(record.params))
-            handle.deliver_config("app.transport", record.transport)
+            # Initialization configuration messages (Table 1): the rank
+            # reads them from record.params and record.transport.
             self._m_local["configuration"].inc(2)
             self.node.spawn(self._watch(record.app_id, rank, handle),
                             name=f"watch:{record.app_id}:{rank}")

@@ -52,7 +52,8 @@ def parse_command(line: str) -> Tuple[str, List[str]]:
     """Parse one protocol line into ``(verb, args)``."""
     if not isinstance(line, str) or not line.strip():
         raise ProtocolError("empty command line")
-    if len(line.splitlines()) > 1:
+    # Not a count of lines: splitlines() drops a trailing "\x1e" or "\u2028".
+    if line.splitlines() != [line]:
         raise ProtocolError("a command is one line")
     try:
         parts = shlex.split(line)

@@ -34,8 +34,7 @@ from repro.errors import Interrupt, SimulationError, StopSimulation
 from repro.sim.engine import Engine, NORMAL, URGENT
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.channel import Channel, Mailbox, PriorityChannel
-from repro.sim.resources import Resource
+from repro.sim.channel import Channel, Mailbox
 from repro.sim.rng import RngStreams
 from repro.sim.sched import SCHEDULERS, CalendarQueue
 from repro.sim.trace import TraceRecord, Tracer
@@ -51,9 +50,7 @@ __all__ = [
     "Interrupt",
     "Mailbox",
     "NORMAL",
-    "PriorityChannel",
     "Process",
-    "Resource",
     "RngStreams",
     "SCHEDULERS",
     "SimulationError",

@@ -2,15 +2,14 @@
 
 Channels are unbounded, asynchronous message queues: ``put`` never blocks,
 ``get`` returns an event that fires when an item is available.  They model
-intra-node queues — e.g. the polling thread's received-message queue, the
-object-bus event queue, and the per-connection delivery queues — where the
-cost of the hop is accounted for by the *network* model, not the queue.
+intra-node queues — e.g. the per-connection delivery queues, the group
+members' inboxes, and the one-token disk head — where the cost of the hop
+is accounted for by the *network* (or disk) model, not the queue.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
 from types import GeneratorType
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
@@ -25,12 +24,10 @@ class _GetEvent(Event):
     getter whose process is interrupted *in the same instant* — after
     ``put()`` succeeded this event but before its dispatch — can be
     salvaged instead of vanishing with the defused event (see
-    ``Process._deliver_interrupt``).  ``priority`` is the heap priority
-    the item was put with, so a :class:`PriorityChannel` can re-queue a
-    salvaged item into the right priority class.
+    ``Process._deliver_interrupt``).
     """
 
-    __slots__ = ("channel", "priority")
+    __slots__ = ("channel",)
 
     def __init__(self, engine, channel, name: Optional[str] = None):
         # Inlined Event.__init__ — one get per delivered message.
@@ -41,11 +38,10 @@ class _GetEvent(Event):
         self._ok = None
         self._defused = False
         self.channel = channel
-        self.priority = 0
 
     def salvage(self) -> None:
         """Hand the undelivered item back to the channel."""
-        self.channel._redeliver(self._value, self.priority)
+        self.channel._redeliver(self._value)
 
 
 class Channel:
@@ -102,7 +98,7 @@ class Channel:
             self._getters.append(ev)
         return ev
 
-    def _redeliver(self, item: Any, priority: int) -> None:
+    def _redeliver(self, item: Any) -> None:
         """Re-route an item whose getter abandoned it mid-instant.
 
         The item was already removed from the queue and handed to a get
@@ -279,84 +275,3 @@ class Mailbox(Channel):
             box._getters.popleft().succeed(box._items.popleft())
         ready.clear()
 
-
-class PriorityChannel(Channel):
-    """A channel delivering the lowest ``(priority, fifo)`` item first.
-
-    Items are put as ``put(item, priority=...)``; ties preserve FIFO order.
-    Used by the application-process scheduler, where Starfish control events
-    (checkpoint requests, view changes) outrank background work.
-    """
-
-    __slots__ = ("_heap", "_counter", "_reclaim_seq")
-
-    #: Salvaged items re-enter the heap with counters below this base so
-    #: they sort ahead of every normally-put item in their priority class
-    #: (they are the oldest of that class); see :meth:`_redeliver`.
-    _RECLAIM_BASE = -(2 ** 60)
-
-    def __init__(self, engine, name: Optional[str] = None):
-        super().__init__(engine, name=name)
-        self._heap: List[Tuple[int, int, Any]] = []
-        self._counter = 0
-        self._reclaim_seq = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def put(self, item: Any, priority: int = 0) -> None:
-        if self._closed is not None:
-            raise SimulationError(f"put() on closed channel {self.name!r}")
-        while self._getters:
-            getter = self._getters.popleft()
-            # Same guard as Channel.put: an interrupted getter is detached
-            # and pre-defused; handing it the item would silently swallow a
-            # control event (checkpoint request, view change).
-            if getter._value is _PENDING and not getter._defused:
-                getter.priority = priority
-                getter.succeed(item)
-                return
-        self._counter += 1
-        heappush(self._heap, (priority, self._counter, item))
-
-    def get(self) -> Event:
-        ev = _GetEvent(self.engine, self,
-                       name=f"get:{self.name}"
-                       if self.engine.tracer is not None else None)
-        if self._heap:
-            prio, _seq, item = heappop(self._heap)
-            ev.priority = prio
-            ev.succeed(item)
-        elif self._closed is not None:
-            ev.fail(self._closed)
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def _redeliver(self, item: Any, priority: int) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter._value is _PENDING and not getter._defused:
-                getter.priority = priority
-                getter.succeed(item)
-                return
-        # Back to the front of its priority class: it was the oldest
-        # item of that class when put() handed it out.
-        self._reclaim_seq += 1
-        heappush(self._heap,
-                 (priority, self._RECLAIM_BASE + self._reclaim_seq, item))
-
-    def get_nowait(self) -> Tuple[bool, Any]:
-        if self._heap:
-            return True, heappop(self._heap)[2]
-        if self._closed is not None:
-            raise self._closed
-        return False, None
-
-    def peek_all(self) -> List[Any]:
-        return [item for _p, _c, item in sorted(self._heap)]
-
-    def drain(self) -> List[Any]:
-        items = self.peek_all()
-        self._heap.clear()
-        return items

@@ -33,7 +33,6 @@ class FakeContext(CrContext):
         self.store = harness.store
         self.paused = False
         self._pause_waiters: List[Event] = []
-        self.committed: List[int] = []
 
     def peers(self):
         return list(range(len(self.h.apis)))
@@ -53,9 +52,6 @@ class FakeContext(CrContext):
 
     def snapshot_state(self):
         return dict(self.h.app_state[self.rank])
-
-    def notify_committed(self, version):
-        self.committed.append(version)
 
 
 class CrHarness:

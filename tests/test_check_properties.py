@@ -4,9 +4,10 @@ The satellite guarantee of the repro.check PR: across *any* tie-break
 order the perturbation explores, no ``put()`` item is ever lost or
 double-delivered — including when getters are interrupted (the app-
 process scheduler pattern) or the channel closes mid-traffic (a crashed
-peer).  These properties pinned the two delivery-path bugs this PR
-fixes: ``PriorityChannel.put`` handing items to defused getters, and
-``get_nowait`` spinning ``(False, None)`` forever on a closed channel.
+peer).  These properties pinned two delivery-path bugs: a priority
+channel's ``put`` handing items to defused getters (that channel is gone
+since), and ``get_nowait`` spinning ``(False, None)`` forever on a closed
+channel.
 """
 
 from collections import Counter
@@ -20,16 +21,15 @@ from repro.cluster import ClusterSpec
 from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
 from repro.core.program import StarfishProgram
 from repro.errors import ConnectionClosed, Interrupt, SimulationError
-from repro.sim import Channel, Engine, Mailbox, PriorityChannel
+from repro.sim import Channel, Engine, Mailbox
 
 
-def _run_traffic(pseed, channel_cls, n_items, n_getters, interrupt_mask,
-                 close_at_end):
+def _run_traffic(pseed, n_items, n_getters, interrupt_mask, close_at_end):
     """Producers, getters, and an interrupter all collide on the same
     instants; returns (received, leftovers, n_puts)."""
     eng = Engine(seed=0)
     eng.set_perturbation(SchedulePerturbation(pseed))
-    ch = channel_cls(eng, name="traffic")
+    ch = Channel(eng, name="traffic")
     received = []
 
     def producer(base):
@@ -87,15 +87,13 @@ def _drain_closed(ch):
 
 @settings(max_examples=60, deadline=None)
 @given(pseed=st.integers(0, 10**9),
-       is_priority=st.booleans(),
        n_items=st.integers(1, 16),
        interrupt_mask=st.lists(st.booleans(), min_size=3, max_size=3),
        close_at_end=st.booleans())
-def test_no_item_lost_or_double_delivered(pseed, is_priority, n_items,
-                                          interrupt_mask, close_at_end):
+def test_no_item_lost_or_double_delivered(pseed, n_items, interrupt_mask,
+                                          close_at_end):
     received, leftovers, produced = _run_traffic(
-        pseed, PriorityChannel if is_priority else Channel,
-        n_items, n_getters=3, interrupt_mask=interrupt_mask,
+        pseed, n_items, n_getters=3, interrupt_mask=interrupt_mask,
         close_at_end=close_at_end)
     assert Counter(received) + Counter(leftovers) == Counter(produced)
 

@@ -26,7 +26,7 @@ HOSTILE = ["", "n99", "-1", "0", "2", "1e9", "1.5", "x" * 300, "9" * 40,
            "k=v", "=", "a=b=c", "param.=", "param.steps=x", "'", '"', "\\",
            "nän", "\x00", "job", "n2", "alice", "MGMT", "program=computesleep",
            "program=", "ckpt=bogus", "level=native", "interval=abc",
-           "ft=restart", "transport=tcp-ethernet"]
+           "ft=restart", "transport=tcp-ethernet", "\x1e", "\x85", "\u2028"]
 
 token = st.sampled_from(HOSTILE) | st.text(max_size=12)
 structured = st.builds(
@@ -82,4 +82,16 @@ def test_every_command_gets_one_reply_and_nothing_dies(admin_lines,
             assert len(reply.splitlines()) == 1, (line, reply)
         assert replies[-1].startswith("OK"), (fuzz, replies)
     sf.engine.run(until=sf.engine.now + 1.0)
+    assert_daemons_alive(sf)
+
+
+def test_a_line_break_character_inside_a_command_is_one_err_line():
+    # splitlines() splits on "\x1e", "\x85" and "\u2028" as well as on
+    # "\n"; a node id ending in one used to be echoed back in an OK that a
+    # client reads as two lines.
+    sf = StarfishCluster.build(nodes=len(NODES))
+    reply, probe = drive(sf, ["ADDNODE \x1e", "NODES"],
+                         user=("admin", "adminpw", True))
+    assert reply.startswith("ERR ") and len(reply.splitlines()) == 1, reply
+    assert probe.startswith("OK")
     assert_daemons_alive(sf)

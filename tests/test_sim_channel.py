@@ -1,9 +1,9 @@
-"""Unit tests for channels, priority channels, and resources."""
+"""Unit tests for channels and mailboxes."""
 
 import pytest
 
 from repro.errors import ConnectionClosed, Interrupt, SimulationError
-from repro.sim import Channel, Engine, Mailbox, PriorityChannel, Resource
+from repro.sim import Channel, Engine, Mailbox
 
 
 def test_channel_fifo_order():
@@ -101,96 +101,6 @@ def test_channel_drain_and_peek():
     assert len(ch) == 3
     assert ch.drain() == [0, 1, 2]
     assert len(ch) == 0
-
-
-def test_priority_channel_orders_by_priority_then_fifo():
-    eng = Engine()
-    ch = PriorityChannel(eng)
-    ch.put("low-1", priority=5)
-    ch.put("high", priority=0)
-    ch.put("low-2", priority=5)
-
-    def consumer():
-        out = []
-        for _ in range(3):
-            out.append((yield ch.get()))
-        return out
-
-    assert eng.run(eng.process(consumer())) == ["high", "low-1", "low-2"]
-
-
-def test_priority_channel_peek_all_sorted():
-    eng = Engine()
-    ch = PriorityChannel(eng)
-    ch.put("b", priority=2)
-    ch.put("a", priority=1)
-    assert ch.peek_all() == ["a", "b"]
-    assert ch.drain() == ["a", "b"]
-    assert len(ch) == 0
-
-
-def test_resource_mutual_exclusion():
-    eng = Engine()
-    disk = Resource(eng, capacity=1, name="disk")
-    log = []
-
-    def writer(i):
-        req = disk.request()
-        yield req
-        log.append(("start", i, eng.now))
-        yield eng.timeout(10)
-        disk.release(req)
-        log.append(("end", i, eng.now))
-
-    for i in range(3):
-        eng.process(writer(i))
-    eng.run()
-    assert log == [("start", 0, 0), ("end", 0, 10),
-                   ("start", 1, 10), ("end", 1, 20),
-                   ("start", 2, 20), ("end", 2, 30)]
-
-
-def test_resource_capacity_two_overlaps():
-    eng = Engine()
-    r = Resource(eng, capacity=2)
-    done = []
-
-    def worker(i):
-        req = r.request()
-        yield req
-        yield eng.timeout(10)
-        r.release(req)
-        done.append((i, eng.now))
-
-    for i in range(4):
-        eng.process(worker(i))
-    eng.run()
-    assert done == [(0, 10), (1, 10), (2, 20), (3, 20)]
-
-
-def test_resource_release_unknown_request_raises():
-    eng = Engine()
-    r = Resource(eng)
-    with pytest.raises(SimulationError):
-        r.release(eng.event())
-
-
-def test_resource_release_queued_request_cancels_it():
-    eng = Engine()
-    r = Resource(eng, capacity=1)
-    first = r.request()
-    second = r.request()
-    assert not second.triggered
-    r.release(second)     # cancel while still queued
-    assert r.queued == 0
-    r.release(first)
-    assert r.in_use == 0
-
-
-def test_resource_invalid_capacity():
-    eng = Engine()
-    with pytest.raises(SimulationError):
-        Resource(eng, capacity=0)
 
 
 def test_rng_streams_independent_and_stable():
@@ -315,82 +225,6 @@ def test_channel_put_after_close_raises():
         ch.put(1)
 
 
-def test_priority_channel_close_with_items_queued_still_drains():
-    eng = Engine()
-    ch = PriorityChannel(eng)
-    ch.put("low", priority=5)
-    ch.put("high", priority=1)
-    ch.close(ConnectionClosed("peer died"))
-
-    def consumer():
-        first = yield ch.get()
-        second = yield ch.get()
-        return first, second
-
-    assert eng.run(eng.process(consumer())) == ("high", "low")
-
-
-def test_priority_channel_put_skips_interrupted_getter():
-    """Mirror of the Channel regression: an interrupted getter on a
-    priority channel (the app-process scheduler channel) must not swallow
-    the item — a checkpoint request or view-change event would vanish."""
-    from repro.errors import Interrupt
-
-    eng = Engine()
-    ch = PriorityChannel(eng)
-    got = []
-
-    def victim():
-        try:
-            got.append(("victim", (yield ch.get())))
-        except Interrupt:
-            got.append(("victim", "interrupted"))
-
-    def survivor():
-        got.append(("survivor", (yield ch.get())))
-
-    p1 = eng.process(victim())
-    eng.process(survivor())
-
-    def director():
-        yield eng.timeout(1)
-        p1.interrupt()
-        yield eng.timeout(1)
-        ch.put("ckpt-request", priority=0)
-
-    eng.process(director())
-    eng.run()
-    assert ("victim", "interrupted") in got
-    assert ("survivor", "ckpt-request") in got
-    assert not ch._getters
-
-
-def test_priority_channel_put_with_no_live_getters_queues_item():
-    """If every waiting getter was interrupted, the item is heaped."""
-    from repro.errors import Interrupt
-
-    eng = Engine()
-    ch = PriorityChannel(eng)
-
-    def victim():
-        try:
-            yield ch.get()
-        except Interrupt:
-            pass
-
-    p = eng.process(victim())
-
-    def director():
-        yield eng.timeout(1)
-        p.interrupt()
-        yield eng.timeout(1)
-        ch.put("kept", priority=3)
-
-    eng.process(director())
-    eng.run()
-    assert ch.peek_all() == ["kept"]
-
-
 def test_channel_put_then_same_instant_interrupt_salvages_item():
     """The deeper interleaving: put() hands the item to a parked getter,
     and the getter is interrupted in the *same instant* before the
@@ -456,40 +290,6 @@ def test_channel_put_then_same_instant_interrupt_requeues_item():
     assert ch.peek_all() == ["salvaged", "later"]
 
 
-def test_priority_channel_same_instant_interrupt_keeps_priority():
-    """Priority-channel mirror: the salvaged item re-enters the heap at
-    the *front of its priority class*, so a checkpoint request handed to
-    an interrupted scheduler getter still outranks background work."""
-    from repro.errors import Interrupt
-
-    eng = Engine()
-    ch = PriorityChannel(eng)
-
-    def victim():
-        try:
-            yield ch.get()
-        except Interrupt:
-            pass
-
-    p = eng.process(victim())
-
-    def director():
-        yield eng.timeout(1)
-        p.interrupt()
-        # The victim is not defused yet (the interrupt only *dispatches*
-        # later this instant), so put() hands it "older-urgent" directly;
-        # the interrupt then abandons the handed event and the salvaged
-        # item must come back ahead of "newer-urgent" in its class.
-        ch.put("older-urgent", priority=0)
-        ch.put("newer-urgent", priority=0)
-        ch.put("background", priority=5)
-
-    eng.process(director())
-    eng.run()
-    assert ch.peek_all() == ["older-urgent", "newer-urgent", "background"]
-    assert ch.drain() == ["older-urgent", "newer-urgent", "background"]
-
-
 def test_channel_get_nowait_closed_raises_after_drain():
     """get_nowait() mirrors get(): queued items drain first, then the
     close exception surfaces — never an eternal (False, None)."""
@@ -502,21 +302,10 @@ def test_channel_get_nowait_closed_raises_after_drain():
         ch.get_nowait()
 
 
-def test_priority_channel_get_nowait_closed_raises_after_drain():
-    eng = Engine()
-    ch = PriorityChannel(eng)
-    ch.put("last", priority=1)
-    ch.close(ConnectionClosed("peer died"))
-    assert ch.get_nowait() == (True, "last")
-    with pytest.raises(ConnectionClosed):
-        ch.get_nowait()
-
-
 def test_channel_get_nowait_open_empty_still_polls():
     """An *open* empty channel still probes (False, None)."""
     eng = Engine()
     assert Channel(eng).get_nowait() == (False, None)
-    assert PriorityChannel(eng).get_nowait() == (False, None)
 
 
 # ---------------------------------------------------------------------------
