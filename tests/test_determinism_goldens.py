@@ -108,6 +108,12 @@ verdicts, the fault log, ``daemon.restarts``, ``ranks_restarted``,
 ``ranks_migrated``, ``gcs.views`` per node, placement and world version
 are equal in every cell.
 
+Only ``perturb`` and ``migrate`` were regenerated when the object bus went
+(DESIGN §24: five dispatched events per rank fewer).  All 42 full reports
+were dumped on parent and change first: the one differing path is
+``engine/events_processed``, so every sha held and only the 18
+``events_processed`` scalars of those two families moved.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -289,7 +295,10 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("all four families regenerated a third time when casts stopped "
+NOTE = ("perturb and migrate cells regenerated when the object bus went "
+        "(five events per rank fewer): only events_processed moved, every "
+        "sha equal, the other 24 cells untouched.  Before that: "
+        "all four families regenerated a third time when casts stopped "
         "being acknowledged copy by copy (a member asks the coordinator "
         "for a missing Ordered by sequence number): frame / byte / event "
         "counters moved, the jitter cell's restart stamps by under a "
