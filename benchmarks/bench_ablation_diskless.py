@@ -29,7 +29,7 @@ def wave(protocol, payload):
     duration = checkpoint_once(sf, app_id)
     disk_bytes = sum(n.disk.bytes_written
                      for n in sf.cluster.nodes.values())
-    net_bytes = sf.cluster.myrinet.bytes_sent
+    net_bytes = sf.engine.metrics.sum("net.bytes_sent", fabric="bip-myrinet")
     return duration, disk_bytes, net_bytes
 
 

@@ -43,6 +43,11 @@ N_CASTS = fast_or(10, 50)
 WINDOW = fast_or(5.0, 10.0)      # seconds of steady state measured
 
 
+def ethernet_frames(cluster):
+    return cluster.engine.metrics.sum("net.frames_sent",
+                                      fabric="tcp-ethernet")
+
+
 def build_main_group(cluster, cfg):
     members = []
     for i in range(N_NODES):
@@ -74,15 +79,15 @@ def run_lightweight():
     lwgs[0].create("app", [members[0].endpoint, members[1].endpoint])
     cluster.engine.run(until=cluster.engine.now + 1.0)
 
-    base = cluster.ethernet.frames_sent
+    base = ethernet_frames(cluster)
     for k in range(N_CASTS):
         lwgs[0].cast("app", ("payload", k))
     cluster.engine.run(until=cluster.engine.now + 2.0)
-    cast_frames = cluster.ethernet.frames_sent - base
+    cast_frames = ethernet_frames(cluster) - base
 
-    base = cluster.ethernet.frames_sent
+    base = ethernet_frames(cluster)
     cluster.engine.run(until=cluster.engine.now + WINDOW)
-    idle_frames = cluster.ethernet.frames_sent - base
+    idle_frames = ethernet_frames(cluster) - base
     return cast_frames, idle_frames
 
 
@@ -98,15 +103,15 @@ def run_full_group():
     app_members[1].start(contact=app_members[0].endpoint)
     cluster.engine.run(until=cluster.engine.now + 2.0)
 
-    base = cluster.ethernet.frames_sent
+    base = ethernet_frames(cluster)
     for k in range(N_CASTS):
         app_members[0].cast(("payload", k))
     cluster.engine.run(until=cluster.engine.now + 2.0)
-    cast_frames = cluster.ethernet.frames_sent - base
+    cast_frames = ethernet_frames(cluster) - base
 
-    base = cluster.ethernet.frames_sent
+    base = ethernet_frames(cluster)
     cluster.engine.run(until=cluster.engine.now + WINDOW)
-    idle_frames = cluster.ethernet.frames_sent - base
+    idle_frames = ethernet_frames(cluster) - base
     return cast_frames, idle_frames
 
 

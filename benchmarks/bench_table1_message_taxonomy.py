@@ -65,26 +65,28 @@ def run_lifecycle():
 def test_table1_message_taxonomy(benchmark):
     sf = benchmark.pedantic(run_lifecycle, rounds=1, iterations=1)
 
-    eth = sf.cluster.ethernet
-    myr = sf.cluster.myrinet
+    reg = sf.engine.metrics
+    eth = reg.group_by("net.frames_sent", "kind", fabric="tcp-ethernet")
+    myr = reg.group_by("net.frames_sent", "kind", fabric="bip-myrinet")
     local = {}
     for daemon in sf.live_daemons():
-        for kind, n in daemon.local_msgs.items():
+        for kind, n in reg.group_by("daemon.local_msgs", "kind",
+                                    node=daemon.node.node_id).items():
             local[kind] = local.get(kind, 0) + n
 
     rows = [
         ["Control", "Starfish daemons (Ensemble, Ethernet)",
-         eth.kind_counts.get("control", 0)],
+         eth.get("control", 0)],
         ["Coordination", "app processes through daemons",
-         eth.kind_counts.get("coordination", 0)],
+         eth.get("coordination", 0)],
         ["Data", "app processes via MPI+VNI fast path (Myrinet)",
-         myr.kind_counts.get("data", 0)],
+         myr.get("data", 0)],
         ["Lightweight membership", "lightweight endpoint <-> app process",
          local.get("lightweight membership", 0)],
         ["Configuration", "local daemon <-> app process",
          local.get("configuration", 0)],
         ["Checkpoint/restart", "C/R modules through daemons",
-         eth.kind_counts.get("checkpoint/restart", 0)],
+         eth.get("checkpoint/restart", 0)],
     ]
     print_table("Table 1: message types observed in a full lifecycle",
                 ["message type", "sent between", "count"], rows)
@@ -95,10 +97,10 @@ def test_table1_message_taxonomy(benchmark):
     # Architectural invariants behind the table:
     # 1. The fast data path carries *only* data (plus C/R markers, which
     #    are in-band channel markers by design).
-    assert set(myr.kind_counts) <= {"data"}
+    assert {kind for kind, n in myr.items() if n} <= {"data"}
     # 2. No application data ever rides the daemons' Ethernet/Ensemble
     #    path — group communication is off the critical path.
-    assert eth.kind_counts.get("data", 0) == 0
+    assert eth.get("data", 0) == 0
     # 3. Control traffic (daemon group) dominates the Ethernet in count —
     #    heartbeats and membership — but never touches the Myrinet.
-    assert eth.kind_counts["control"] > 0
+    assert eth["control"] > 0

@@ -31,10 +31,11 @@ def main():
     for rank in sorted(results):
         print(f"  rank {rank}: pi ~ {results[rank]:.5f}")
 
-    eth, myr = sf.cluster.ethernet, sf.cluster.myrinet
+    frames = sf.engine.metrics.group_by("net.frames_sent", "fabric")
     print("\nTraffic split (the paper's architecture in one line):")
-    print(f"  Myrinet fast path: {myr.frames_sent} data frames")
-    print(f"  Ethernet (daemons/Ensemble): {eth.frames_sent} control frames")
+    print(f"  Myrinet fast path: {frames['bip-myrinet']:g} data frames")
+    print(f"  Ethernet (daemons/Ensemble): {frames['tcp-ethernet']:g} "
+          "control frames")
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ Contents:
   **stop-and-sync** (the paper's measured protocol: stop, drain channels,
   dump, commit), **Chandy–Lamport** (non-blocking markers + channel
   recording), and **uncoordinated** (independent checkpoints + dependency
-  tracking + optional receiver message logging);
+  tracking);
 * :mod:`repro.ckpt.recovery_line` — consistent-cut computation on the
   rollback-dependency graph, including domino-effect detection.
 """

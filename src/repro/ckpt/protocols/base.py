@@ -266,12 +266,3 @@ class CrProtocol:
             if v <= version and not ev.triggered:
                 ev.succeed(version)
                 self._waiters.remove((v, ev))
-
-
-def merge_counters(maps: dict) -> dict:
-    """Union of per-rank ``{dest: count}`` maps → ``{(src, dst): count}``."""
-    out = {}
-    for src, counts in maps.items():
-        for dst, n in counts.items():
-            out[(src, dst)] = n
-    return out

@@ -12,15 +12,13 @@ Mechanics:
 * every incoming data message records the dependency *(sender, its
   interval) → (me, my interval)*;
 * a local checkpoint stores program + MPI state plus the rank's dependency
-  log so the graph can be rebuilt from stable storage alone;
-* optionally (``logging=True``) received messages are also written to a
-  receiver-side message log (charged to the disk), the ingredient that
-  lets "some versions of uncoordinated checkpointing" restart *only* the
-  failed process (paper §3.2.2) — the log turns would-be orphan messages
-  into replayable ones.
+  log so the graph can be rebuilt from stable storage alone.
 
 Recovery-line computation lives in :mod:`repro.ckpt.recovery_line`; the
-runtime collects the per-checkpoint dependency logs and calls it.
+runtime collects the per-checkpoint dependency logs and calls it.  The
+versions of uncoordinated checkpointing that restart *only* the failed
+process (paper §3.2.2) are the message-logging protocols of
+:mod:`repro.ckpt.protocols.msg_logging`.
 """
 
 from __future__ import annotations
@@ -32,10 +30,6 @@ from repro.ckpt.protocols.roles import (DeliveryTap,
                                         DependencyRollbackPlanner,
                                         SelfPacedWaveScheduler)
 from repro.sim.events import Event
-
-#: Modelled per-message log-write latency is the disk's op cost + size/bw;
-#: logging batches this many messages per forced write.
-LOG_BATCH = 8
 
 
 class _DependencyTap(DeliveryTap):
@@ -53,10 +47,6 @@ class _DependencyTap(DeliveryTap):
         if pb is not None:
             sender, s_interval = pb
             p._deps.append((sender, s_interval, p._ckpt_index))
-        if p.logging:
-            p._msg_log.append((src_world, inbound.comm_id, inbound.source,
-                               inbound.tag, inbound.data, inbound.nbytes))
-            p._unflushed += 1
         return False
 
 
@@ -67,26 +57,22 @@ class UncoordinatedProtocol(CrProtocol):
     planner = DependencyRollbackPlanner
 
     def __init__(self, interval: Optional[float] = None,
-                 logging: bool = False, jitter: float = 0.25):
+                 jitter: float = 0.25):
         """``interval``: checkpoint period in simulated seconds (``None``
         = only on explicit request); ``jitter``: fraction of the interval
         used to de-synchronize ranks (rank-dependent, deterministic)."""
         super().__init__()
         self.interval = interval
-        self.logging = logging
         self.jitter = jitter
         self.scheduler = SelfPacedWaveScheduler("uc-take",
                                                 "cr-uncoord-tick")
         self.tap = _DependencyTap(self)
         self._ckpt_index = 0                      # == current interval
         self._deps: List[Tuple[int, int, int]] = []   # (sender, s_iv, my_iv)
-        self._msg_log: List[tuple] = []
-        self._unflushed = 0
 
     @classmethod
     def runtime_kwargs(cls, record) -> dict:
-        return {"interval": record.ckpt_interval,
-                "logging": bool(record.params.get("_ckpt_logging", False))}
+        return {"interval": record.ckpt_interval}
 
     # -- wiring ---------------------------------------------------------------
 
@@ -113,20 +99,14 @@ class UncoordinatedProtocol(CrProtocol):
         # runtime meta (step counter) is sampled at record-build time.
         state, mpi_state = self.capturer.snapshot_parts(ctx)
         deps = list(self._deps)
-        log = list(self._msg_log) if self.logging else []
         index = self._ckpt_index          # this checkpoint's version
         self._ckpt_index += 1             # new interval begins
         ctx.resume()                      # independent: nobody waits for us
 
         image, nbytes = self.capturer.materialize(ctx, state)
-        if self.logging and self._unflushed:
-            # Flush the pending message-log tail with the checkpoint.
-            log_bytes = sum(m[5] for m in log[-self._unflushed:])
-            yield from ctx.node.disk.write(log_bytes)
-            self._unflushed = 0
         record = self.capturer.build_record(
             ctx, index, image, nbytes, {**mpi_state, **ctx.runtime_meta()},
-            deps=list(deps), msg_log=log)
+            deps=deps)
         yield from self.capturer.persist(ctx, record)
         self.oracle.dumped(index)
         self.record_checkpoint(nbytes)
@@ -136,10 +116,6 @@ class UncoordinatedProtocol(CrProtocol):
         self._committed(index + 1, participating=False)
 
     # -- recovery-side helpers ---------------------------------------------------
-
-    @property
-    def interval_index(self) -> int:
-        return self._ckpt_index
 
     def live_deps(self) -> List[Tuple[int, int, int]]:
         """Dependencies recorded so far (incl. the current interval)."""

@@ -19,8 +19,8 @@ before the receiving interval.*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import RecoveryLineError
 
@@ -42,9 +42,6 @@ class RecoveryLine:
 
     cut: Dict[int, int]
     discarded_intervals: int     # total rollback distance (work lost)
-
-    def version_for(self, rank: int) -> int:
-        return self.cut[rank]
 
     @property
     def is_initial(self) -> bool:
@@ -74,22 +71,6 @@ class DependencyGraph:
                        receiver: int, recv_interval: int) -> None:
         self.deps.append(MessageDep(sender, send_interval,
                                     receiver, recv_interval))
-
-    def snapshot(self) -> dict:
-        """Serializable image (persisted with the checkpoint store)."""
-        return {
-            "ranks": list(self.ranks),
-            "ckpt_count": dict(self.ckpt_count),
-            "deps": [(d.sender, d.send_interval, d.receiver,
-                      d.recv_interval) for d in self.deps],
-        }
-
-    @classmethod
-    def from_snapshot(cls, snap: dict) -> "DependencyGraph":
-        g = cls(snap["ranks"])
-        g.ckpt_count = dict(snap["ckpt_count"])
-        g.deps = [MessageDep(*t) for t in snap["deps"]]
-        return g
 
 
 def compute_recovery_line(graph: DependencyGraph,

@@ -6,9 +6,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.cluster.arch import DEFAULT_ARCH, Architecture
 from repro.cluster.node import Node, NodeState
-from repro.cluster.spec import _UNSET, ClusterSpec
+from repro.cluster.spec import ClusterSpec
 from repro.errors import ClusterError
-from repro.net.fabric import BIP_MYRINET, Fabric, TCP_ETHERNET, TransportSpec
+from repro.net.fabric import BIP_MYRINET, Fabric, TCP_ETHERNET
 from repro.sim.engine import Engine
 
 
@@ -22,13 +22,9 @@ class Cluster:
     (the :attr:`faults` property).
     """
 
-    def __init__(self, engine: Optional[Engine] = None, seed=_UNSET,
-                 trace=_UNSET, telemetry=_UNSET, *,
-                 spec: Optional[ClusterSpec] = None):
-        spec = ClusterSpec.coalesce(spec=spec, seed=seed,
-                                    trace=trace, telemetry=telemetry)
+    def __init__(self, spec: ClusterSpec):
         self.spec = spec
-        self.engine = engine or Engine.from_spec(spec)
+        self.engine = Engine.from_spec(spec)
         self.ethernet = Fabric(self.engine, TCP_ETHERNET)
         self.myrinet = Fabric(self.engine, BIP_MYRINET)
         self.nodes: Dict[str, Node] = {}
@@ -47,15 +43,12 @@ class Cluster:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def build(cls, nodes=_UNSET, seed=_UNSET, archs=_UNSET,
-              trace=_UNSET, telemetry=_UNSET, *,
-              spec: Optional[ClusterSpec] = None) -> "Cluster":
+    def build(cls, spec: Optional[ClusterSpec] = None,
+              **fields) -> "Cluster":
         """A cluster of ``spec.nodes`` homogeneous (or ``spec.archs``-cycled)
-        nodes.  Keyword arguments are folded into a spec."""
-        spec = ClusterSpec.coalesce(spec=spec, nodes=nodes, seed=seed,
-                                    archs=archs,
-                                    trace=trace, telemetry=telemetry)
-        cluster = cls(spec=spec)
+        nodes.  ``ClusterSpec`` field keywords are folded into a spec."""
+        spec = ClusterSpec.coalesce(spec, **fields)
+        cluster = cls(spec)
         for i in range(spec.nodes):
             arch = spec.archs[i % len(spec.archs)] if spec.archs \
                 else DEFAULT_ARCH

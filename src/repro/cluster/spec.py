@@ -1,17 +1,16 @@
 """The one cluster-construction surface: :class:`ClusterSpec`.
 
-Historically the three builders — ``Engine(...)``, ``Cluster.build(...)``
-and ``StarfishCluster.build(...)`` — each grew their own positional/kwarg
-signature, and they drifted.  A :class:`ClusterSpec` is the single
-keyword-only description of a simulated cluster that all three consume:
+A :class:`ClusterSpec` is the single keyword-only description of a
+simulated cluster that all three builders consume:
 
     spec = ClusterSpec(nodes=8, seed=42)
     sf = StarfishCluster.build(spec=spec)          # system
     cluster = Cluster.build(spec=spec)             # bare hardware
     engine = Engine.from_spec(spec)                # just the kernel
 
-The legacy kwarg forms keep working but funnel through a spec internally,
-so there is exactly one place where defaults and validation live.
+The two ``build`` methods also take the spec's fields as keywords
+(``StarfishCluster.build(nodes=8, seed=42)``), which become one spec, so
+there is exactly one place where defaults and validation live.
 """
 
 from __future__ import annotations
@@ -143,21 +142,15 @@ class ClusterSpec:
 
     @classmethod
     def coalesce(cls, spec: Optional["ClusterSpec"] = None,
-                 **legacy) -> "ClusterSpec":
-        """Funnel a legacy kwarg call into a spec.
-
-        ``spec`` wins if given (any explicitly passed legacy kwargs are an
-        error then — mixing the two forms is ambiguous); otherwise the
-        legacy kwargs override the defaults.
-        """
-        legacy = {k: v for k, v in legacy.items() if v is not _UNSET}
-        if spec is not None:
-            if legacy:
-                raise TypeError(
-                    "pass either spec= or legacy kwargs, not both "
-                    f"(got spec and {sorted(legacy)})")
-            return spec
-        return cls(**legacy)
+                 **fields) -> "ClusterSpec":
+        """``spec``, or ``ClusterSpec(**fields)``; passing both is
+        ambiguous and a :class:`TypeError`."""
+        if spec is None:
+            return cls(**fields)
+        if fields:
+            raise TypeError("pass either spec= or field keywords, not both "
+                            f"(got spec and {sorted(fields)})")
+        return spec
 
 
 #: Valid ``placement_policy`` names.  :mod:`repro.store` imports these
@@ -186,7 +179,3 @@ def normalize_tiers(tiers) -> Tuple[str, ...]:
     if len(set(tiers)) != len(tiers):
         raise ValueError(f"store_tiers has duplicates: {tiers}")
     return tuple(t for t in STORE_TIERS if t in tiers)
-
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit default.
-_UNSET = object()

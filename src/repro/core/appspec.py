@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Type
 
@@ -21,9 +22,8 @@ class CheckpointConfig:
     solo restart of the crashed rank).
     ``level``: ``"native"`` (homogeneous process dump) or ``"vm"``
     (portable, heterogeneous).
-    ``interval``: periodic checkpointing period in simulated seconds
-    (``None`` = only on explicit request).
-    ``logging``: receiver-side message logging (uncoordinated only).
+    ``interval``: periodic checkpointing period in simulated seconds, a
+    finite number > 0 (``None`` = only on explicit request).
     ``replicas``: copies per rank under active replication
     (``"replication"`` only): 1 primary + ``replicas - 1`` backups on
     distinct nodes, with instant failover instead of rollback.
@@ -32,7 +32,6 @@ class CheckpointConfig:
     protocol: Optional[str] = None
     level: str = "vm"
     interval: Optional[float] = None
-    logging: bool = False
     replicas: int = 1
 
     def __post_init__(self):
@@ -41,6 +40,10 @@ class CheckpointConfig:
             raise DaemonError(f"unknown C/R protocol {self.protocol!r}")
         if self.level not in ("native", "vm"):
             raise DaemonError(f"unknown checkpoint level {self.level!r}")
+        if self.interval is not None and not (
+                math.isfinite(self.interval) and self.interval > 0):
+            raise DaemonError("checkpoint interval must be a finite number "
+                              f"> 0, got {self.interval!r}")
         if self.replicas < 1:
             raise DaemonError("replicas must be >= 1")
         if self.replicas > 1 and self.protocol != "replication":

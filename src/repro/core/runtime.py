@@ -86,7 +86,7 @@ class AppProcess:
         self.protocol = None
         if record.ckpt_protocol is not None:
             # Each protocol class declares which constructor kwargs it
-            # derives from the app record (interval, logging flags, ...).
+            # derives from the app record (e.g. its interval).
             cls = PROTOCOLS.get(record.ckpt_protocol)
             kwargs = cls.runtime_kwargs(record) if cls is not None else {}
             self.protocol = make_protocol(record.ckpt_protocol, **kwargs)

@@ -23,7 +23,6 @@ import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import Architecture, Cluster, ClusterSpec
-from repro.cluster.spec import _UNSET
 from repro.core.appspec import AppSpec
 from repro.core.runtime import AppProcess
 from repro.daemon import AppStatus, Client, StarfishDaemon
@@ -121,16 +120,12 @@ class StarfishCluster:
     # ------------------------------------------------------------------
 
     @classmethod
-    def build(cls, nodes=_UNSET, seed=_UNSET, archs=_UNSET, gcs_config=_UNSET,
-              settle=_UNSET, trace=_UNSET, telemetry=_UNSET,
-              *, spec: Optional[ClusterSpec] = None) -> "StarfishCluster":
+    def build(cls, spec: Optional[ClusterSpec] = None,
+              **fields) -> "StarfishCluster":
         """Create a cluster, boot all daemons, and (by default) run the
-        simulation until the Starfish group has converged.  Prefer passing
-        one ``spec=ClusterSpec(...)``; the keyword args funnel into one."""
-        spec = ClusterSpec.coalesce(spec=spec, nodes=nodes, seed=seed,
-                                    archs=archs, gcs_config=gcs_config,
-                                    settle=settle,
-                                    trace=trace, telemetry=telemetry)
+        simulation until the Starfish group has converged.  Pass one
+        ``spec=ClusterSpec(...)`` or its fields as keywords."""
+        spec = ClusterSpec.coalesce(spec, **fields)
         cluster = Cluster.build(spec=spec)
         sf = cls(cluster, gcs_config=spec.gcs_config, users=spec.users)
         if spec.settle:

@@ -215,15 +215,17 @@ class MetricsSane(InvariantChecker):
 
     def check(self, ctx) -> List[str]:
         sf = ctx.sf
+        reg = sf.engine.metrics
         out: List[str] = []
-        for name, value in sf.engine.metrics.collect().items():
+        for name, value in reg.collect().items():
             if not math.isfinite(value):
                 out.append(f"non-finite metric {name}")
-        for fabric in (sf.cluster.ethernet, sf.cluster.myrinet):
-            if fabric.frames_dropped > fabric.frames_sent:
-                out.append(f"{fabric.spec.name}: dropped "
-                           f"{fabric.frames_dropped} > sent "
-                           f"{fabric.frames_sent}")
+        sent = reg.group_by("net.frames_sent", "fabric")
+        for fabric, dropped in reg.group_by("net.frames_dropped",
+                                            "fabric").items():
+            if dropped > sent.get(fabric, 0):
+                out.append(f"{fabric}: dropped {dropped:g} > sent "
+                           f"{sent.get(fabric, 0):g}")
         for daemon in sf.live_daemons():
             if daemon.gm.view is not None and \
                     int(daemon.gm._m["views"].value) < 1:

@@ -18,6 +18,7 @@ the simulation — the gateway's only way to make time pass).
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict
 
 from repro.core.appspec import AppSpec, CheckpointConfig
@@ -124,6 +125,8 @@ class ControlAPI:
     def _op_step(self, req: Dict[str, Any]) -> Dict[str, Any]:
         """Advance the simulation by ``dt`` seconds (gateway clock)."""
         dt = float(req.get("dt", 1.0))
+        if not (math.isfinite(dt) and dt >= 0):
+            raise ValueError(f"dt must be a finite number >= 0, got {dt!r}")
         engine = self.controller.engine
-        engine.run(until=engine.now + max(0.0, dt))
+        engine.run(until=engine.now + dt)
         return {"time": engine.now}

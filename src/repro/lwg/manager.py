@@ -97,7 +97,6 @@ class LwgManager:
         #: members, and nothing orders the two.  Parked in arrival order
         #: and replayed when the replica materializes.
         self._orphans: Dict[str, List[tuple]] = {}
-        self.stats = {"casts": 0, "delivered": 0, "relayed": 0}
 
     @property
     def endpoint(self) -> EndpointId:
@@ -234,7 +233,6 @@ class LwgManager:
         lseq = self._next_lseq.get(app_id, 0)
         self._next_lseq[app_id] = lseq + 1
         self._pending.setdefault(app_id, {})[lseq] = (payload, kind, size)
-        self.stats["casts"] += 1
         self._send_data(app_id, state, lseq, payload, kind, size)
 
     def send(self, app_id: str, dest: EndpointId, payload: Any,
@@ -377,7 +375,6 @@ class LwgManager:
         state.seen_keys.add(key)
         gseq = state.next_gseq
         state.next_gseq += 1
-        self.stats["relayed"] += 1
         out = ("lwg-ord", app_id, state.epoch, gseq, origin, lseq, inner,
                kind)
         for m in state.members:
@@ -427,7 +424,6 @@ class LwgManager:
         state.delivered_keys.add(key)
         if origin == self.endpoint:
             self._pending.get(state.app_id, {}).pop(lseq, None)
-        self.stats["delivered"] += 1
         self._emit(state.app_id, LwgCast(app_id=state.app_id, source=origin,
                                          payload=inner, kind=kind))
 
@@ -437,5 +433,4 @@ class LwgManager:
             ch.deliver(event)
 
     def __repr__(self) -> str:
-        return (f"<LwgManager {self.endpoint} groups={sorted(self.groups)} "
-                f"stats={self.stats}>")
+        return f"<LwgManager {self.endpoint} groups={sorted(self.groups)}>"

@@ -13,7 +13,7 @@ without loss by default; the fabric supports fault injection (loss,
 partitions, detaching crashed nodes), and
 :class:`~repro.net.conn.Connection` provides a reliable, in-order,
 TCP-socket-like byte/message stream with ARQ that survives configured frame
-loss (used for client↔daemon and daemon↔application links).
+loss (used for the client↔daemon sessions).
 """
 
 from repro.net.message import Frame

@@ -1,16 +1,16 @@
 """Reliable, in-order, connection-oriented messaging (simulated TCP).
 
-Starfish uses plain TCP connections for everything that is *not* on the
-fast data path: client↔daemon management/user sessions, the transport
-underneath Ensemble, and the local daemon↔application-process link.  This
-module provides that abstraction:
+Starfish uses plain TCP connections for the client↔daemon management and
+user sessions.  This module provides that abstraction:
 
 * :class:`Listener` — accepts connections on a well-known port;
 * :class:`Connection` — an ARQ-protected (sequence numbers, cumulative
   acks, retransmission) in-order message stream that survives the fabric's
-  configured frame loss and transient partitions;
-* :class:`LocalPipe` — the same interface between two software modules on
-  one node (fixed :data:`~repro.calibration.LOCAL_TCP_HOP` latency, no NIC).
+  configured frame loss and transient partitions.
+
+The local daemon↔application-process link is not a connection: the daemon
+calls a rank's modules directly and charges the paper's local TCP hop
+(:data:`~repro.calibration.LOCAL_TCP_HOP`) itself.
 
 All ``send`` operations are process generators (``yield from conn.send(x)``)
 and ``recv()`` returns an event (``msg = yield conn.recv()``).
@@ -22,16 +22,13 @@ import itertools
 from collections import defaultdict
 from typing import Any, Dict, Optional, Tuple
 
-from repro.calibration import LOCAL_TCP_HOP
 from repro.errors import ConnectionClosed, NetworkError, RequestTimeout
 from repro.net.message import Frame
 from repro.net.nic import Nic
-from repro.obs.instruments import Counter as ObsCounter
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
 
 _port_ids = itertools.count(1)
-_pipe_ids = itertools.count(1)
 
 #: Modelled wire size of connection control frames (SYN/ACK/FIN).
 CTRL_SIZE = 64
@@ -294,90 +291,3 @@ class Connection:
         state = "closed" if self._closed else "open"
         return (f"<Connection {self.nic.node_id}:{self.local_port} -> "
                 f"{self.peer_node}:{self.peer_port} {state}>")
-
-
-class PipeEnd:
-    """One end of a :class:`LocalPipe` (same message-style API)."""
-
-    def __init__(self, engine, pipe: "LocalPipe", name: str):
-        self.engine = engine
-        self._pipe = pipe
-        self.name = name
-        self._inbox = Channel(engine, name=f"pipe:{name}")
-        self._peer: Optional["PipeEnd"] = None
-        self.closed = False
-
-    def send(self, payload: Any, size: int = 128, kind: str = "control"):
-        """Process generator: deliver to the peer after the local-TCP hop."""
-        if self.closed or self._peer is None or self._peer.closed:
-            raise ConnectionClosed(f"pipe {self.name} is closed")
-        self._pipe._count(kind)
-        arrival = self.engine.timeout(LOCAL_TCP_HOP, value=payload)
-        peer = self._peer
-
-        def _deliver(ev):
-            if not peer._inbox.closed:
-                peer._inbox.put(ev.value)
-        arrival.callbacks.append(_deliver)
-        return
-        yield  # pragma: no cover — makes this a generator for API symmetry
-
-    def recv(self):
-        return self._inbox.get()
-
-    def recv_nowait(self) -> Tuple[bool, Any]:
-        """Non-blocking probe; raises :class:`ConnectionClosed` once the
-        pipe is closed and its inbox drained (same surface as
-        :meth:`recv`)."""
-        return self._inbox.get_nowait()
-
-    def close(self, exc: Optional[BaseException] = None) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self._inbox.close(exc or ConnectionClosed(f"pipe {self.name} closed"))
-        if self._peer is not None and not self._peer.closed:
-            self._peer.close(exc)
-
-
-class LocalPipe:
-    """Bidirectional local link between two modules on the same node.
-
-    Models the "local TCP connection" between an application process's group
-    handler and its daemon's lightweight endpoint module (paper §2.3).
-    """
-
-    def __init__(self, engine, name: str = "local"):
-        self.engine = engine
-        self.name = name
-        self._registry = get_registry(engine)
-        #: Unique series per pipe instance: a restarted pipe reusing a
-        #: name must start its counts from zero (seed semantics).
-        self._pipe_label = f"{name}#{next(_pipe_ids)}"
-        self._m_by_kind: Dict[str, ObsCounter] = {}
-        self.a = PipeEnd(engine, self, f"{name}.a")
-        self.b = PipeEnd(engine, self, f"{name}.b")
-        self.a._peer = self.b
-        self.b._peer = self.a
-
-    def _count(self, kind: str) -> None:
-        counter = self._m_by_kind.get(kind)
-        if counter is None:
-            counter = self._registry.counter(
-                "net.pipe.messages", pipe=self._pipe_label, kind=kind,
-                help="local daemon<->module messages by Table 1 kind")
-            self._m_by_kind[kind] = counter
-        counter.inc()
-
-    @property
-    def messages(self) -> int:
-        return int(sum(c.value for c in self._m_by_kind.values()))
-
-    @property
-    def by_kind(self) -> Dict[str, int]:
-        return {k: int(c.value) for k, c in self._m_by_kind.items()
-                if c.value}
-
-    def close(self, exc: Optional[BaseException] = None) -> None:
-        self.a.close(exc)
-        self.b.close(exc)

@@ -17,7 +17,8 @@ Read sides: :func:`~repro.obs.export.flatten` (flat dict),
 :func:`~repro.obs.export.to_text` / :func:`~repro.obs.export.to_prometheus`
 (text formats, ``repro metrics``), and
 :func:`~repro.obs.export.chrome_trace` (Chrome ``trace_event`` JSON built
-from :class:`~repro.sim.trace.Tracer` spans, ``repro trace --chrome``).
+from :class:`~repro.sim.trace.Tracer` records and the event log,
+``repro trace --chrome``).
 
 Telemetry is on by default and zero-cost-ish when disabled: a registry
 built with ``enabled=False`` hands out shared no-op instruments

@@ -9,8 +9,8 @@
   ``_bucket{le=...}`` series;
 * :func:`chrome_trace` — Chrome ``trace_event`` JSON (load in
   ``chrome://tracing`` / Perfetto) built from
-  :class:`~repro.sim.trace.Tracer` spans and records plus the structured
-  event log (``repro trace --chrome``).
+  :class:`~repro.sim.trace.Tracer` records plus the structured event log
+  (``repro trace --chrome``).
 """
 
 from __future__ import annotations
@@ -118,14 +118,10 @@ def chrome_trace(tracer, event_log=None,
                  max_records: Optional[int] = None) -> Dict[str, Any]:
     """Build a Chrome ``trace_event`` document.
 
-    * Closed tracer spans become complete (``"ph": "X"``) events on one
-      track per layer;
-    * still-open spans become begin (``"ph": "B"``) events, visibly
-      unterminated in the viewer;
-    * raw engine :class:`~repro.sim.trace.TraceRecord` entries (capped at
-      ``max_records``, newest kept) and structured
-      :class:`~repro.obs.events.ObsEvent` records become instant
-      (``"ph": "i"``) events.
+    Raw engine :class:`~repro.sim.trace.TraceRecord` entries (capped at
+    ``max_records``, newest kept; track ``engine``) and structured
+    :class:`~repro.obs.events.ObsEvent` records (track ``events``) become
+    instant (``"ph": "i"``) events.
 
     Timestamps are simulated microseconds.  The result is
     ``json.dump``-able and loads in ``chrome://tracing`` / Perfetto.
@@ -142,17 +138,6 @@ def chrome_trace(tracer, event_log=None,
         return tids[track]
 
     if tracer is not None:
-        for span in tracer.spans:
-            events.append({
-                "name": span.layer, "cat": "span", "ph": "X", "pid": 0,
-                "tid": tid(span.layer), "ts": span.start * _US,
-                "dur": (span.end - span.start) * _US,
-                "args": dict(span.attrs)})
-        for span in tracer.open_spans():
-            events.append({
-                "name": span.layer, "cat": "span", "ph": "B", "pid": 0,
-                "tid": tid(span.layer), "ts": span.start * _US,
-                "args": dict(span.attrs)})
         records = list(tracer.events)
         if max_records is not None and len(records) > max_records:
             records = records[-max_records:]

@@ -54,7 +54,7 @@ class Engine:
         :class:`~repro.sim.rng.RngStreams`).
     trace:
         When true, every processed event is recorded by a
-        :class:`~repro.sim.trace.Tracer` (used by the Figure 6 bench).
+        :class:`~repro.sim.trace.Tracer` (``repro trace --chrome``).
     telemetry:
         When true (default) the engine carries an enabled
         :class:`~repro.obs.registry.MetricsRegistry` that every subsystem
@@ -152,13 +152,6 @@ class Engine:
         """Number of scheduled events not yet dispatched."""
         queued = self._queue if self._sched is None else self._sched
         return len(queued) + len(self._tie_pending)
-
-    def _enqueue(self, event: Event, priority: Optional[int],
-                 delay: float = 0.0) -> None:
-        self._seq = seq = self._seq + 1
-        self._push((self._now + delay,
-                    NORMAL if priority is None else priority,
-                    seq, event))
 
     # -- factories ---------------------------------------------------------
 

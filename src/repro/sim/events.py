@@ -11,11 +11,10 @@ Events go through three states:
 ``processed``  callbacks have run (waiting processes resumed).
 
 Hot-path note: triggering an event builds the ``(time, priority, seq,
-event)`` queue entry inline and hands it to the engine's pre-bound
-``_push`` callable instead of calling through ``Engine._enqueue`` —
-events are created and triggered once per simulated hop, so the extra
-call and the ``triggered`` property lookups measurably tax large
-simulations.  ``_push`` is ``heappush`` partial-bound to the queue list
+event)`` queue entry inline and hands it straight to the engine's
+pre-bound ``_push`` callable — events are created and triggered once per
+simulated hop, so an extra call and the ``triggered`` property lookups
+measurably tax large simulations.  ``_push`` is ``heappush`` partial-bound to the queue list
 under the default heap scheduler and ``CalendarQueue.push`` under the
 calendar scheduler; the entry layout and the ``(time, priority, seq)``
 total order are part of the engine's contract and must match
@@ -178,9 +177,9 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` units of simulated time in the future.
 
-    The constructor is fully inlined (no ``super().__init__`` /
-    ``_enqueue`` calls): timeouts are the most-allocated object in any
-    simulation, one per modelled latency charge.
+    The constructor is fully inlined (no ``super().__init__`` call):
+    timeouts are the most-allocated object in any simulation, one per
+    modelled latency charge.
     """
 
     __slots__ = ("delay",)

@@ -112,8 +112,6 @@ class CheckpointRecord:
     deps: List[Tuple[int, int, int]] = field(default_factory=list)
     #: Chandy–Lamport: in-channel messages recorded with this snapshot.
     channel_msgs: List[Tuple] = field(default_factory=list)
-    #: Message log (logging-enabled uncoordinated protocol).
-    msg_log: List[Tuple] = field(default_factory=list)
     #: Home tier: ``memory`` for diskless/L1-only records (fast to write
     #: and read, but a copy dies with its holder), ``disk`` otherwise.
     tier: str = TIER_DISK

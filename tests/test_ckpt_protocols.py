@@ -214,22 +214,3 @@ def test_uncoordinated_piggyback_interval_advances():
 
     h.run_app(app, until=2.0)
     assert h.protocols[1].live_deps() == [(0, 1, 0)]
-
-
-def test_uncoordinated_message_logging_charges_disk():
-    h = CrHarness(nranks=2, protocol="uncoordinated", logging=True)
-
-    def app(mpi, rank, harness):
-        if rank == 0:
-            for i in range(10):
-                yield from mpi.send(b"x" * 1000, dest=1, tag=1)
-        else:
-            for _ in range(10):
-                yield from mpi.recv(source=0, tag=1)
-
-    h.run_app(app, until=1.0)
-    disk0 = h.cluster.node("n1").disk.bytes_written
-    h.engine.run(h.protocols[1].request_checkpoint())
-    rec = h.store.peek("testapp", 1, 0)
-    assert len(rec.msg_log) == 10
-    assert h.cluster.node("n1").disk.bytes_written > disk0

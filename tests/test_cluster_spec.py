@@ -60,6 +60,12 @@ def test_cluster_build_legacy_kwargs_still_work():
     cluster = Cluster.build(nodes=2, seed=7)
     assert sorted(cluster.nodes) == ["n0", "n1"]
     assert cluster.spec == ClusterSpec(nodes=2, seed=7)
+    # A field the hand-listed keyword signatures used to reject.
+    sf = StarfishCluster.build(nodes=3, replication_factor=2)
+    assert sf.cluster.spec == ClusterSpec(nodes=3, replication_factor=2)
+    assert sf.store.k == 2
+    with pytest.raises(TypeError):
+        Cluster.build(no_such_field=1)
 
 
 def test_starfish_build_from_spec_carries_gcs_config_and_settle():

@@ -54,11 +54,14 @@ def test_verb_table_covers_the_protocol():
 
 @pytest.mark.parametrize("option,bad", [
     ("ckpt", "bogus"), ("level", "bogus"), ("transport", "bogus"),
-    ("ft", "bogus"), ("interval", "abc")])
+    ("ft", "bogus"), ("interval", "abc"), ("interval", "0"),
+    ("interval", "-1"), ("interval", "inf")])
 def test_submit_with_a_bad_option_is_one_err_and_kills_nothing(option, bad):
     # Parent: the first four were answered OK and then killed _main on every
     # hosting node (which kept heartbeating and applied nothing ever after);
-    # interval=abc ended the session without a reply.
+    # interval=abc ended the session without a reply; interval=0 was
+    # answered OK and then wedged the run, interval=-1 silently disabled
+    # checkpointing.
     sf = StarfishCluster.build(nodes=3)
     ckpt = "" if option == "ckpt" else "ckpt=stop-and-sync "
     bad_reply, = drive(sf, [

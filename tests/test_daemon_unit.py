@@ -137,6 +137,18 @@ def test_submit_rejects_duplicates_and_bad_nprocs():
         daemon.submit("y", AppSpec(program=ComputeSleep, nprocs=0))
 
 
+@pytest.mark.parametrize("interval", [0, 0.0, -1.0, float("inf"),
+                                      float("nan")])
+def test_checkpoint_interval_must_be_finite_and_positive(interval):
+    # Parent: 0 wedged the run (the self-paced ticker looped on timeout(0)
+    # at one instant) and -1 silently disabled checkpointing.
+    with pytest.raises(DaemonError, match="interval"):
+        CheckpointConfig(protocol="uncoordinated", interval=interval)
+    assert CheckpointConfig(protocol="uncoordinated",
+                            interval=0.1).interval == 0.1
+    assert CheckpointConfig(protocol="uncoordinated").interval is None
+
+
 # ---------------------------------------------------------------------------
 # state transfer to a daemon joining later
 # ---------------------------------------------------------------------------

@@ -215,11 +215,14 @@ def _run_migrate(key: str) -> dict:
         "world_version": record.world_version,
         "placement": {str(r): n for r, n in sorted(record.placement.items())},
     }
+    # Per node, the daemon's local messages by kind (ints, zeros left out).
+    local_msgs = {nid: {kind: int(n) for kind, n in reg.group_by(
+        "daemon.local_msgs", "kind", node=nid).items() if n}
+        for nid in sorted(sf.daemons)}
     digest = _digest({
         **scalars, "results": results,
         "logs": {nid: d.log for nid, d in sorted(sf.daemons.items())},
-        "local_msgs": {nid: d.local_msgs
-                       for nid, d in sorted(sf.daemons.items())},
+        "local_msgs": local_msgs,
         "frames_sent": reg.sum("net.frames_sent"),
         "bytes_sent": reg.sum("net.bytes_sent"),
         "daemon.restarts": reg.group_by("daemon.restarts", "app"),

@@ -79,6 +79,23 @@ def test_typed_errors_not_tracebacks(api):
     assert bad_migrate["error"] == "PlacementError"
 
 
+def test_submit_rejects_a_bad_checkpoint_interval(api):
+    # Parent: accepted; the job's first step then wedged the gateway.
+    for interval in (0, -1, "inf"):
+        response = _submit(api, ckpt="uncoordinated", interval=interval)
+        assert not response["ok"] and response["error"] == "DaemonError"
+    assert api.handle({"op": "jobs"})["jobs"] == []
+
+
+@pytest.mark.parametrize("dt", ["nan", "inf", -1])
+def test_step_rejects_a_non_finite_or_negative_dt(api, dt):
+    # Parent: "inf" ran the engine forever, "nan" was silently 0.
+    before = api.handle({"op": "nodes"})["time"]
+    response = api.handle({"op": "step", "dt": dt})
+    assert not response["ok"] and response["error"] == "BadRequest"
+    assert api.handle({"op": "nodes"})["time"] == before
+
+
 def test_metrics_op_filters_by_tenant(api):
     _submit(api)
     _submit(api, tenant="globex")

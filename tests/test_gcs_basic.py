@@ -160,8 +160,9 @@ def test_control_traffic_stays_off_myrinet():
     h.run(until=2.0)
     h.members["n0"].cast("data")
     h.run(until=3.0)
-    assert h.cluster.myrinet.frames_sent == 0
-    assert h.cluster.ethernet.frames_sent > 0
+    reg = h.cluster.engine.metrics
+    assert reg.sum("net.frames_sent", fabric="bip-myrinet") == 0
+    assert reg.sum("net.frames_sent", fabric="tcp-ethernet") > 0
 
 
 def test_event_budget_per_frame():

@@ -31,26 +31,6 @@ def test_engine_no_tracer_by_default():
     assert Engine().tracer is None
 
 
-def test_tracer_spans():
-    tr = Tracer()
-    tr.span_start("mpi_send", key=1, now=0.0, size=64)
-    span = tr.span_end("mpi_send", key=1, now=0.002)
-    assert span.duration == pytest.approx(0.002)
-    assert span.attrs == {"size": 64}
-    assert tr.spans_by_layer() == {"mpi_send": [span]}
-    # Unmatched end is harmless.
-    assert tr.span_end("mpi_send", key=99, now=1.0) is None
-    tr.clear()
-    assert tr.spans == [] and tr.events == []
-
-
-def test_span_duration_requires_end():
-    from repro.sim.trace import Span
-    span = Span(layer="x", start=1.0)
-    with pytest.raises(ValueError):
-        _ = span.duration
-
-
 def test_tracer_ring_buffer_caps_memory():
     tr = Tracer(max_events=10)
     eng = Engine()
@@ -65,19 +45,6 @@ def test_tracer_ring_buffer_caps_memory():
 def test_tracer_rejects_bad_capacity():
     with pytest.raises(ValueError):
         Tracer(max_events=0)
-
-
-def test_open_spans_surface_leaks():
-    tr = Tracer()
-    tr.span_start("vni", key=2, now=1.0)
-    tr.span_start("mpi", key=1, now=0.5)
-    tr.span_end("mpi", key=1, now=0.7)
-    leaked = tr.open_spans()
-    assert [s.layer for s in leaked] == ["vni"]
-    # clear() must return (not swallow) still-open spans.
-    assert tr.clear() == leaked
-    assert tr.open_spans() == [] and tr.spans == []
-    assert tr.events_dropped == 0
 
 
 def test_engine_traced_run_counts_drops():

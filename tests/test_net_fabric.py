@@ -125,7 +125,7 @@ def test_frames_to_crashed_node_are_dropped():
     f = Frame(src="n0", dst="n1", port="p", payload=None, size=32)
     cluster.ethernet.transmit(f)
     eng.run()
-    assert cluster.ethernet.frames_dropped == 1
+    assert eng.metrics.sum("net.frames_dropped", fabric="tcp-ethernet") == 1
 
 
 def test_crash_mid_flight_drops_frame():
@@ -141,7 +141,7 @@ def test_crash_mid_flight_drops_frame():
     # Crash n1 while the frame is in flight (wire time >> 10 us).
     cluster.faults.at(0.00005, CrashNode(node="n1"))
     eng.run()
-    assert cluster.ethernet.frames_dropped >= 1
+    assert eng.metrics.sum("net.frames_dropped", fabric="tcp-ethernet") >= 1
     assert len(rx.peek_all()) == 0
 
 
@@ -174,7 +174,8 @@ def test_loss_probability_drops_frames_deterministically():
             cluster.ethernet.transmit(
                 Frame(src="n0", dst="n1", port="p", payload=i, size=32))
         cluster.engine.run()
-        return len(rx.peek_all()), cluster.ethernet.frames_dropped
+        return len(rx.peek_all()), cluster.engine.metrics.sum(
+            "net.frames_dropped", fabric="tcp-ethernet")
 
     got1, got2 = run_once(), run_once()
     assert got1 == got2                      # deterministic

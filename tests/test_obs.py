@@ -182,22 +182,20 @@ def test_prometheus_exposition_format():
 
 def test_chrome_trace_schema():
     tr = Tracer()
-    tr.span_start("mpi", key=1, now=0.001, size=64)
-    tr.span_end("mpi", key=1, now=0.003)
-    tr.span_start("vni", key=2, now=0.002)      # leaked: stays open
+    tr.record(0.003, Engine().timeout(0, name="tick"))
     log = EventLog()
     log.emit(0.0025, "gcs.view", epoch=1)
     doc = chrome_trace(tr, event_log=log)
     json.dumps(doc)                              # must be serializable
     events = doc["traceEvents"]
-    complete = [e for e in events if e["ph"] == "X"]
-    assert complete[0]["name"] == "mpi"
-    assert complete[0]["ts"] == pytest.approx(1000.0)   # us
-    assert complete[0]["dur"] == pytest.approx(2000.0)
-    assert any(e["ph"] == "B" and e["name"] == "vni" for e in events)
-    assert any(e["ph"] == "i" and e["name"] == "gcs.view" for e in events)
+    instants = [e for e in events if e["ph"] == "i"]
+    assert [(e["name"], e["cat"]) for e in instants] == \
+        [("gcs.view", "obs"), ("tick", "Timeout")]
+    assert instants[0]["ts"] == pytest.approx(2500.0)   # us
+    assert instants[0]["args"] == {"epoch": 1}
+    assert instants[1]["ts"] == pytest.approx(3000.0)
     meta = [e for e in events if e["ph"] == "M"]
-    assert {m["args"]["name"] for m in meta} >= {"mpi", "vni", "events"}
+    assert {m["args"]["name"] for m in meta} == {"engine", "events"}
     # ts-sorted (metadata events carry no ts and sort first).
     stamped = [e["ts"] for e in events if "ts" in e]
     assert stamped == sorted(stamped)

@@ -116,18 +116,6 @@ def test_multiple_failures():
     assert line.cut[1] == 1  # live
 
 
-def test_snapshot_roundtrip():
-    g = DependencyGraph([0, 1])
-    g.record_checkpoint(0)
-    g.record_message(0, 1, 1, 0)
-    g2 = DependencyGraph.from_snapshot(g.snapshot())
-    assert g2.ckpt_count == g.ckpt_count
-    assert g2.deps == g.deps
-    line1 = compute_recovery_line(g, failed=[0])
-    line2 = compute_recovery_line(g2, failed=[0])
-    assert line1.cut == line2.cut
-
-
 def test_discarded_intervals_counts_lost_work():
     g = DependencyGraph([0, 1])
     g.record_checkpoint(0)

@@ -34,7 +34,8 @@ def _schedule(eng, entries):
             ev = eng.event()
             ev._ok = True
             ev._value = None
-            eng._enqueue(ev, URGENT, delay=delay)
+            eng._seq += 1
+            eng._push((eng._now + delay, URGENT, eng._seq, ev))
         else:
             ev = Timeout(eng, delay)
         keys.append((eng._now + delay,
