@@ -17,8 +17,8 @@ Two pieces:
 * :class:`ShortTask` — a minimal program (a few compute steps, no
   communication) whose whole life is dominated by startup/teardown;
 * :class:`TrafficGenerator` — an engine process that submits ``jobs``
-  :class:`ShortTask` instances with seeded-random sizes and
-  exponential-ish inter-arrival times, through a controller.
+  :class:`ShortTask` instances (tenant :data:`TENANT`) with seeded-random
+  sizes and exponential-ish inter-arrival times, through a controller.
 
 Everything is seeded, so a traffic run is as deterministic as any other
 workload in the repo.
@@ -32,6 +32,13 @@ import numpy as np
 
 from repro.core.appspec import AppSpec
 from repro.core.program import ProgramContext, StarfishProgram
+
+#: Accounting tenant of every generated submission.
+TENANT = "traffic"
+#: :class:`ShortTask` steps per generated job (jittered ±1) and simulated
+#: seconds per step.
+STEPS = 3
+STEP_TIME = 0.02
 
 
 class ShortTask(StarfishProgram):
@@ -74,19 +81,13 @@ class TrafficGenerator:
         from the generator's own seeded RNG).
     nprocs : tuple
         Inclusive ``(lo, hi)`` bounds for each job's world size.
-    steps, step_time :
-        Forwarded to :class:`ShortTask` (``steps`` is jittered ±1).
-    tenant : str
-        Accounting tenant for every submission.
     seed : int
         Generator RNG seed — independent of the cluster seed, same
         convention as the perturbation machinery.
     """
 
     def __init__(self, controller, jobs: int = 50, rate: float = 5.0,
-                 nprocs: tuple = (1, 4), steps: int = 3,
-                 step_time: float = 0.02, tenant: str = "traffic",
-                 seed: int = 0):
+                 nprocs: tuple = (1, 4), seed: int = 0):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if rate <= 0:
@@ -95,9 +96,6 @@ class TrafficGenerator:
         self.jobs = jobs
         self.rate = rate
         self.nprocs = nprocs
-        self.steps = steps
-        self.step_time = step_time
-        self.tenant = tenant
         self._rng = np.random.default_rng(seed)
         #: FleetJob records of every submission, in arrival order.
         self.submitted: List = []
@@ -113,10 +111,10 @@ class TrafficGenerator:
             spec = AppSpec(
                 program=ShortTask,
                 nprocs=int(self._rng.integers(lo, hi + 1)),
-                params={"steps": max(1, self.steps
+                params={"steps": max(1, STEPS
                                      + int(self._rng.integers(-1, 2))),
-                        "step_time": self.step_time},
-                tenant=self.tenant)
+                        "step_time": STEP_TIME},
+                tenant=TENANT)
             self.submitted.append(self.controller.submit(spec))
 
     # -- introspection -----------------------------------------------------

@@ -127,16 +127,15 @@ class CheckRunner:
     where they overlap; ``seed`` is the *campaign* seed (shared by every
     perturbed run — the sweep varies only the schedule, never the fault
     plan), ``jitter`` the per-frame delivery jitter bound in simulated
-    seconds.  ``compare_golden=False`` by default: the golden run of a
-    *perturbed* schedule proves nothing the checkers don't already, and
-    skipping it halves the sweep's cost.
+    seconds.  No golden run: the golden run of a *perturbed* schedule
+    proves nothing the checkers don't already, and skipping it halves the
+    sweep's cost.
     """
 
     def __init__(self, campaign, *, protocol: str = "stop-and-sync",
                  seed: int = 0, jitter: float = 0.0,
                  policy: Any = FaultPolicy.RESTART,
                  nodes: Optional[int] = None,
-                 compare_golden: bool = False,
                  workload_timeout: float = 240.0):
         from repro.ckpt.protocols import PROTOCOLS
         from repro.faults.campaigns import get_campaign
@@ -151,7 +150,6 @@ class CheckRunner:
         self.jitter = jitter
         self.policy = policy
         self.nodes = nodes
-        self.compare_golden = compare_golden
         self.workload_timeout = workload_timeout
 
     # -- one seed ----------------------------------------------------------
@@ -171,7 +169,7 @@ class CheckRunner:
             self.campaign, seed=self.seed, protocol=self.protocol,
             policy=self.policy, nodes=self.nodes,
             cluster_spec=self._spec(perturb_seed),
-            compare_golden=self.compare_golden,
+            compare_golden=False,
             workload_timeout=self.workload_timeout,
             watchdog=diagnose_hang)
         report = runner.run(raise_on_error=False)
@@ -194,16 +192,12 @@ class CheckRunner:
 
     # -- the sweep ---------------------------------------------------------
 
-    def run(self, seeds: Sequence[int] = range(1, 11),
-            stop_on_failure: bool = False) -> CheckResult:
+    def run(self, seeds: Sequence[int] = range(1, 11)) -> CheckResult:
         result = CheckResult(campaign=self.campaign.name,
                              protocol=self.protocol, seed=self.seed,
                              jitter=self.jitter)
         for pseed in seeds:
-            outcome = self.run_one(pseed)
-            result.outcomes.append(outcome)
-            if stop_on_failure and not outcome.ok:
-                break
+            result.outcomes.append(self.run_one(pseed))
         return result
 
     # -- replay ------------------------------------------------------------

@@ -169,11 +169,9 @@ class SenderLoggingProtocol(CrProtocol):
     #: rank mid-step, with the uncommitted step's traffic already counted).
     wants_boundary_capture = True
 
-    def __init__(self, interval: Optional[float] = None,
-                 jitter: float = 0.25):
+    def __init__(self, interval: Optional[float] = None):
         super().__init__()
         self.interval = interval
-        self.jitter = jitter
         self.scheduler = SelfPacedWaveScheduler("log-take", "cr-log-tick")
         self.tap = ReplayTap(self)
         self.replay_oracle = ReplayOracle(self)

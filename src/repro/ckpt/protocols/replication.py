@@ -2,13 +2,14 @@
 
 The third fault-tolerance pillar next to checkpoint/restart and message
 logging.  Every MPI rank runs as a *replica group* of ``k`` copies placed
-on distinct nodes by the PR 4 :class:`~repro.store.placement
-.PlacementPolicy` surface; a node crash costs **zero ranks restarted** —
-a live sibling copy is promoted in place and the computation never rolls
-back.  The steady-state price is the replication tax this trades for:
-every data send is carried by the GCS total-order multicast instead of a
-point-to-point wire send (``benchmarks/bench_recovery_modes.py``
-measures it against the C/R and logging modes).
+on distinct nodes — the primary's ring successors
+(:func:`~repro.store.placement.ring_successors`); a node crash costs
+**zero ranks restarted** — a live sibling copy is promoted in place and
+the computation never rolls back.  The steady-state price is the
+replication tax this trades for: every data send is carried by the GCS
+total-order multicast instead of a point-to-point wire send
+(``benchmarks/bench_recovery_modes.py`` measures it against the C/R and
+logging modes).
 
 How the three guarantees fall out of the ordering substrate:
 

@@ -34,6 +34,10 @@ from repro.ckpt.recovery_line import DependencyGraph, compute_recovery_line
 from repro.errors import Interrupt
 from repro.store.checkpoint import CheckpointRecord
 
+#: Fraction of the checkpoint interval over which self-paced ranks spread
+#: their first checkpoints (rank-dependent, deterministic).
+JITTER = 0.25
+
 
 # ----------------------------------------------------------------------
 # WaveScheduler — when to snapshot
@@ -84,9 +88,9 @@ class SelfPacedWaveScheduler(WaveScheduler):
 
     ``op`` is the protocol inbox operation a tick enqueues (``uc-take``,
     ``log-take``); ``tick_name`` prefixes the ticker process name.  The
-    period and jitter come from the protocol (``interval`` / ``jitter``
-    attributes); ``interval=None`` disables the ticker (checkpoints only
-    on explicit request).
+    period comes from the protocol's ``interval`` attribute;
+    ``interval=None`` disables the ticker (checkpoints only on explicit
+    request).
     """
 
     def __init__(self, op: str, tick_name: str):
@@ -102,9 +106,9 @@ class SelfPacedWaveScheduler(WaveScheduler):
 
     def _periodic(self, protocol, ctx):
         # Deterministic de-synchronization: spread the ranks across a
-        # jitter fraction of the interval so independent checkpoints do
+        # JITTER fraction of the interval so independent checkpoints do
         # not all land on the same instant.
-        offset = protocol.interval * protocol.jitter * ctx.rank \
+        offset = protocol.interval * JITTER * ctx.rank \
             / max(1, len(ctx.peers()))
         try:
             yield ctx.engine.timeout(offset)

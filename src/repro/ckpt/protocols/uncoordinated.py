@@ -56,14 +56,11 @@ class UncoordinatedProtocol(CrProtocol):
     name = "uncoordinated"
     planner = DependencyRollbackPlanner
 
-    def __init__(self, interval: Optional[float] = None,
-                 jitter: float = 0.25):
+    def __init__(self, interval: Optional[float] = None):
         """``interval``: checkpoint period in simulated seconds (``None``
-        = only on explicit request); ``jitter``: fraction of the interval
-        used to de-synchronize ranks (rank-dependent, deterministic)."""
+        = only on explicit request)."""
         super().__init__()
         self.interval = interval
-        self.jitter = jitter
         self.scheduler = SelfPacedWaveScheduler("uc-take",
                                                 "cr-uncoord-tick")
         self.tap = _DependencyTap(self)

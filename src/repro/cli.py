@@ -185,10 +185,10 @@ def cmd_store(args) -> int:
     from repro.core import (AppSpec, CheckpointConfig, FaultPolicy,
                             StarfishCluster)
     from repro.faults import CrashNode, FaultPlan, RecoverNode
+    from repro.store import ring_successors
     tiers = tuple(args.tiers.split(",")) if args.tiers else None
     spec = ClusterSpec(nodes=args.nodes, seed=args.seed,
                        replication_factor=args.k,
-                       placement_policy=args.placement,
                        store_tiers=tiers,
                        delta_depth=args.delta_depth if tiers else 0,
                        tier_policy=args.tier_policy if tiers
@@ -224,17 +224,15 @@ def cmd_store(args) -> int:
                 and (version is None or key[2] == version))
 
     if "placement" in sections:
-        print(f"placement policy={store.policy.name} k={store.k} "
-              f"nodes={args.nodes}")
+        print(f"placement policy=ring k={store.k} nodes={args.nodes}")
         newest = store.max_version(app_id)
         for key, rec in store.iter_records(app_id):
             if key[2] != (version if version is not None else newest) \
                     or not keep(key):
                 continue
             primary = next(iter(rec.holders.get(rec.tier, ())), "?")
-            extra = store.policy.replicas(key, primary,
-                                          store.candidates(primary),
-                                          store.k)
+            extra = ring_successors(primary, store.candidates(primary),
+                                    store.k - 1)
             print(f"  rank {key[1]} v{key[2]}: primary {primary} "
                   f"-> replicas {extra or '[]'}")
     if "replicas" in sections:
@@ -497,8 +495,6 @@ def main(argv=None) -> int:
     store.add_argument("--nodes", type=int, default=5)
     store.add_argument("--k", type=int, default=2,
                        help="replication factor (copies per record)")
-    store.add_argument("--placement", default="ring",
-                       choices=["ring", "random", "partition-aware"])
     store.add_argument("--protocol", default="stop-and-sync",
                        choices=protocol_names)
     store.add_argument("--seed", type=int, default=0)

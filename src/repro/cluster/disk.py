@@ -1,8 +1,8 @@
 """Per-node disk model.
 
 The paper attributes its checkpoint times to "regular IDE bus and
-controller" hardware; this model charges ``latency + nbytes / bandwidth``
-per operation and serializes concurrent operations (one head: a channel
+controller" hardware; this model charges ``nbytes / bandwidth`` per
+operation and serializes concurrent operations (one head: a channel
 holding one token, taken FIFO; a process killed while it waits for the
 token never gets it, one killed while it holds it gives it back).  Checkpoint
 storage (:mod:`repro.store.checkpoint`) writes through this model, which is what
@@ -24,19 +24,15 @@ class Disk:
     ----------
     write_bandwidth / read_bandwidth:
         Sustained throughput in bytes/second.
-    op_latency:
-        Fixed per-operation cost (seek + metadata), seconds.
     """
 
     def __init__(self, engine, node_id: str,
                  write_bandwidth: float = NATIVE_DISK_BANDWIDTH,
-                 read_bandwidth: float = DISK_READ_BANDWIDTH,
-                 op_latency: float = 0.0):
+                 read_bandwidth: float = DISK_READ_BANDWIDTH):
         self.engine = engine
         self.node_id = node_id
         self.write_bandwidth = write_bandwidth
         self.read_bandwidth = read_bandwidth
-        self.op_latency = op_latency
         self._head = Channel(engine, name=f"disk:{node_id}")
         self._head.put(True)
         self.bytes_written = 0
@@ -51,7 +47,7 @@ class Disk:
         bw = bandwidth or self.write_bandwidth
         yield self._head.get()
         try:
-            yield self.engine.timeout(self.op_latency + nbytes / bw)
+            yield self.engine.timeout(nbytes / bw)
             self.bytes_written += nbytes
         finally:
             self._head.put(True)
@@ -61,7 +57,7 @@ class Disk:
         bw = bandwidth or self.read_bandwidth
         yield self._head.get()
         try:
-            yield self.engine.timeout(self.op_latency + nbytes / bw)
+            yield self.engine.timeout(nbytes / bw)
             self.bytes_read += nbytes
         finally:
             self._head.put(True)

@@ -31,12 +31,11 @@ class Node:
     """One workstation in the cluster."""
 
     def __init__(self, engine, node_id: str,
-                 arch: Architecture = DEFAULT_ARCH,
-                 disk: Optional[Disk] = None):
+                 arch: Architecture = DEFAULT_ARCH):
         self.engine = engine
         self.node_id = node_id
         self.arch = arch
-        self.disk = disk or Disk(engine, node_id)
+        self.disk = Disk(engine, node_id)
         self.state = NodeState.UP
         self.nics: Dict[str, Nic] = {}     # fabric name -> Nic
         self._procs: List[Process] = []

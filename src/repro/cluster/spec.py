@@ -29,7 +29,7 @@ class ClusterSpec:
     The fields cover all three construction layers: the simulation kernel
     (``seed``, ``trace``, ``telemetry``), the hardware substrate
     (``nodes``, ``archs``, ``loss_prob``) and the Starfish system on top
-    (``gcs_config``, ``settle``, ``users`` — ignored by the lower layers).
+    (``gcs_config``, ``users`` — ignored by the lower layers).
     """
 
     #: Number of workstations (named ``n0`` .. ``n{nodes-1}``).
@@ -49,8 +49,6 @@ class ClusterSpec:
     telemetry: bool = True
     #: Group-communication tunables (``None`` = ``GcsConfig()`` defaults).
     gcs_config: Optional[Any] = None
-    #: Run the simulation until the daemon group converges after boot.
-    settle: bool = True
     #: Client accounts as ``{user: (password, is_mgmt)}`` (``None`` =
     #: :data:`repro.daemon.daemon.DEFAULT_USERS`).
     users: Optional[Dict[str, Tuple[str, bool]]] = None
@@ -58,13 +56,9 @@ class ClusterSpec:
     #: CheckpointStore`.  ``None`` (default) is the paper's idealized
     #: stable storage: a dumped image has no holder and cannot be lost.
     #: An int ``>= 1`` makes durability honest and node-local — k copies
-    #: per record (the writer's disk + k-1 replicas placed by
-    #: ``placement_policy``), repaired after failures when ``k >= 2``.
+    #: per record (the writer's disk + its k-1 ring successors), repaired
+    #: after failures when ``k >= 2``.
     replication_factor: Optional[int] = None
-    #: Replica placement policy (see :data:`PLACEMENT_POLICIES`).
-    placement_policy: str = "ring"
-    #: Repair-service re-replication budget, bytes/second.
-    repair_bandwidth: float = 4.0e6
     #: Storage tiers the checkpoint store walks.  ``None`` (default) is
     #: the single ``disk`` tier; a tuple drawn from :data:`STORE_TIERS`
     #: (e.g. ``("memory", "disk", "fabric")``, stored fastest-first)
@@ -102,14 +96,6 @@ class ClusterSpec:
             raise ValueError(
                 "ClusterSpec.replication_factor must be None or >= 1, "
                 f"got {self.replication_factor}")
-        if self.placement_policy not in PLACEMENT_POLICIES:
-            raise ValueError(
-                f"ClusterSpec.placement_policy must be one of "
-                f"{PLACEMENT_POLICIES}, got {self.placement_policy!r}")
-        if self.repair_bandwidth <= 0:
-            raise ValueError(
-                "ClusterSpec.repair_bandwidth must be > 0, "
-                f"got {self.repair_bandwidth}")
         if self.delivery_jitter < 0:
             raise ValueError(
                 "ClusterSpec.delivery_jitter must be >= 0, "
@@ -153,13 +139,10 @@ class ClusterSpec:
         return spec
 
 
-#: Valid ``placement_policy`` names.  :mod:`repro.store` imports these
-#: three definitions (this module must not import the store package,
-#: layering).
-PLACEMENT_POLICIES = ("ring", "random", "partition-aware")
-
 #: Checkpoint storage tiers, fastest first: partner RAM, the writer's
-#: local disk, remote disks over the fabric.
+#: local disk, remote disks over the fabric.  :mod:`repro.store` imports
+#: this and :data:`TIER_POLICIES` (this module must not import the store
+#: package, layering).
 STORE_TIERS = ("memory", "disk", "fabric")
 
 #: Valid ``tier_policy`` names.

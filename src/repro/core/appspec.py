@@ -9,6 +9,11 @@ from typing import Any, Dict, Optional, Type
 from repro.core.policies import FaultPolicy
 from repro.errors import DaemonError
 
+#: Largest world size a submission may ask for: four times the 1,024-rank
+#: scaling run.  A bound, not an option — without it a mistyped size is
+#: queued and placement builds one entry per rank.
+MAX_NPROCS = 4096
+
 
 @dataclass(frozen=True)
 class CheckpointConfig:
@@ -75,8 +80,9 @@ class AppSpec:
     priority: int = 0
 
     def __post_init__(self):
-        if self.nprocs < 1:
-            raise DaemonError("nprocs must be >= 1")
+        if not 1 <= self.nprocs <= MAX_NPROCS:
+            raise DaemonError(
+                f"nprocs must be in [1, {MAX_NPROCS}], got {self.nprocs}")
         if self.transport not in ("bip-myrinet", "tcp-ethernet"):
             raise DaemonError(f"unknown transport {self.transport!r}")
         try:    # accept the policy's name; the daemon reads ``.value``

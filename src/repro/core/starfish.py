@@ -106,12 +106,10 @@ class StarfishCluster:
         spec = cluster.spec
         store = CheckpointStore(self.engine, cluster, tiers=spec.store_tiers,
                                 k=spec.replication_factor,
-                                policy=spec.placement_policy,
                                 delta_depth=spec.delta_depth,
                                 promotion=spec.tier_policy)
         if store.k is not None and store.k > 1:
-            store.repair = RepairService(self.engine, cluster, store,
-                                         bandwidth=spec.repair_bandwidth)
+            store.repair = RepairService(self.engine, cluster, store)
         cluster.watchers.append(store.on_membership)
         return store
 
@@ -122,14 +120,13 @@ class StarfishCluster:
     @classmethod
     def build(cls, spec: Optional[ClusterSpec] = None,
               **fields) -> "StarfishCluster":
-        """Create a cluster, boot all daemons, and (by default) run the
-        simulation until the Starfish group has converged.  Pass one
+        """Create a cluster, boot all daemons, and run the simulation
+        until the Starfish group has converged.  Pass one
         ``spec=ClusterSpec(...)`` or its fields as keywords."""
         spec = ClusterSpec.coalesce(spec, **fields)
         cluster = Cluster.build(spec=spec)
         sf = cls(cluster, gcs_config=spec.gcs_config, users=spec.users)
-        if spec.settle:
-            sf.settle()
+        sf.settle()
         return sf
 
     def _register_builtin_programs(self) -> None:

@@ -912,9 +912,8 @@ class StarfishDaemon:
             placement=placement)
         if ckpt.replicas > 1:
             # Active replication: 1 primary + ``replicas - 1`` backups per
-            # rank, each on a distinct node chosen by the ring policy.
-            record.replicas = self._place_replicas(app_id, placement,
-                                                   ckpt.replicas)
+            # rank, each on a distinct node chosen by the ring rule.
+            record.replicas = self._place_replicas(placement, ckpt.replicas)
         # The announcement names the hosting daemons (the app's LWG).
         hosting = set(placement.values())
         hosting.update(*record.replicas.values())
@@ -973,24 +972,22 @@ class StarfishDaemon:
                 f"{target_node!r} ({node.arch.name}) does not share")
         self.gm.cast(("app-migrate", app_id, rank, target_node))
 
-    def _place_replicas(self, app_id: str, placement: Dict[int, str],
+    def _place_replicas(self, placement: Dict[int, str],
                         replicas: int) -> Dict[int, Tuple[str, ...]]:
         """Backup-copy placement (active replication): ``replicas - 1``
-        nodes per rank via the store's ring policy, never the primary's
-        node — co-located copies would die together, defeating the mode.
+        nodes per rank, the primary's ring successors (the store's rule),
+        never the primary's node — co-located copies would die together,
+        defeating the mode.
         """
-        from repro.store.placement import make_placement
+        from repro.store.placement import ring_successors
         if self.gm.view is None:
             raise PlacementError("daemon has no view of the cluster")
-        policy = make_placement("ring")
         schedulable = sorted(m.node for m in self.gm.view.members
                              if m.node not in self.disabled_nodes)
         out: Dict[int, Tuple[str, ...]] = {}
         for rank in sorted(placement):
             primary = placement[rank]
-            candidates = [n for n in schedulable if n != primary]
-            backups = policy.replicas((app_id, rank, 0), primary,
-                                      candidates, replicas)
+            backups = ring_successors(primary, schedulable, replicas - 1)
             if len(backups) < replicas - 1:
                 raise PlacementError(
                     f"cannot place {replicas} distinct copies of rank "

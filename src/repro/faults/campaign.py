@@ -31,6 +31,12 @@ from repro.core.policies import FaultPolicy
 from repro.errors import CampaignError, ReproError, StarfishError
 from repro.faults.invariants import ALL_CHECKERS
 
+#: Simulated seconds run after each fault action (and after the last open
+#: window closes) before the convergence check.
+SETTLE_GRACE = 1.5
+#: Deadline of the group convergence wait at a convergence point.
+SETTLE_TIMEOUT = 20.0
+
 
 @dataclass
 class CampaignContext:
@@ -105,8 +111,6 @@ class CampaignRunner:
                  cluster_spec=None,
                  compare_golden: bool = True,
                  app_id: str = "campaign",
-                 settle_grace: float = 1.5,
-                 settle_timeout: float = 20.0,
                  workload_timeout: float = 240.0,
                  watchdog=None):
         from repro.faults.campaigns import get_campaign
@@ -126,8 +130,6 @@ class CampaignRunner:
         self.cluster_spec = cluster_spec
         self.compare_golden = compare_golden
         self.app_id = app_id
-        self.settle_grace = settle_grace
-        self.settle_timeout = settle_timeout
         self.workload_timeout = workload_timeout
         #: Optional liveness watchdog ``(sf, handle, exc) -> dict``: called
         #: when a run aborts with a typed error, its JSON-able diagnosis
@@ -182,7 +184,7 @@ class CampaignRunner:
                      and sf.live_daemons())
         if quiescent:
             try:
-                sf.settle(timeout=self.settle_timeout)
+                sf.settle(timeout=SETTLE_TIMEOUT)
             except StarfishError as exc:
                 checks.append({"time": round(sf.engine.now, 9),
                                "phase": phase, "checker": "convergence",
@@ -225,13 +227,13 @@ class CampaignRunner:
                 if not future:
                     break
                 sf.engine.run(until=future[0] + 1e-9)
-                sf.engine.run(until=sf.engine.now + self.settle_grace)
+                sf.engine.run(until=sf.engine.now + SETTLE_GRACE)
                 self._converge_and_check(ctx, checks, phase="mid")
             self._drive_workload(sf, handle, deadline)
             # Close any still-open windows scheduled after app completion.
             tail = [t for t in inj.scheduled if t > sf.engine.now]
             if tail:
-                sf.engine.run(until=max(tail) + self.settle_grace)
+                sf.engine.run(until=max(tail) + SETTLE_GRACE)
             self._converge_and_check(ctx, checks, phase="final")
         except ReproError as exc:
             status = "aborted"

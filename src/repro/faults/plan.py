@@ -54,17 +54,16 @@ class Every:
 class Randomly:
     """``count`` seeded-uniform times in ``[start, end)``.
 
-    Drawn from ``engine.rng.stream(stream)`` when the plan is applied —
-    same seed, same schedule.
+    Drawn from the engine's ``faults.times`` stream when the plan is
+    applied — same seed, same schedule.
     """
 
     count: int
     start: float
     end: float
-    stream: str = "faults.times"
 
     def times(self, engine) -> Tuple[float, ...]:
-        rng = engine.rng.stream(self.stream)
+        rng = engine.rng.stream("faults.times")
         span = self.end - self.start
         return tuple(sorted(self.start + span * float(u)
                             for u in rng.random(self.count)))
@@ -213,10 +212,8 @@ class FaultPlan:
         return self.add(Every(period=period, count=count, start=start), action)
 
     def randomly(self, count: int, start: float, end: float,
-                 action: FaultAction,
-                 stream: str = "faults.times") -> "FaultPlan":
-        return self.add(Randomly(count=count, start=start, end=end,
-                                 stream=stream), action)
+                 action: FaultAction) -> "FaultPlan":
+        return self.add(Randomly(count=count, start=start, end=end), action)
 
     # execution
 

@@ -37,7 +37,7 @@ from repro.fleet.scheduler import (Admission, FleetJob, JobScheduler,
                                    JobState, REJECT_PLACEMENT,
                                    REJECT_QUOTA, REJECT_REASONS,
                                    REJECT_SHUTDOWN, TenantQuota)
-from repro.fleet.suspicion import SuspicionConfig, SuspicionScorer
+from repro.fleet.suspicion import SuspicionScorer
 from repro.fleet.view import FleetView, NodeHealth, NodeInfo
 
 __all__ = [
@@ -46,6 +46,6 @@ __all__ = [
     "JobScheduler", "FleetJob", "JobState", "Admission", "TenantQuota",
     "REJECT_QUOTA", "REJECT_PLACEMENT", "REJECT_SHUTDOWN",
     "REJECT_REASONS",
-    "SuspicionConfig", "SuspicionScorer",
+    "SuspicionScorer",
     "run_fleet_churn", "sweep_fleet_churn", "report_bytes",
 ]

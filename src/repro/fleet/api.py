@@ -28,6 +28,14 @@ from repro.fleet.controller import FleetController
 from repro.obs import to_prometheus
 
 
+def _integer(key: str, value: Any) -> int:
+    """``value`` if it is a JSON integer.  A float, a string or a boolean
+    is a ``TypeError`` (``BadRequest``), never rounded or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 class ControlAPI:
     """Dispatches JSON requests against one :class:`FleetController`."""
 
@@ -66,15 +74,15 @@ class ControlAPI:
             level=str(req.get("level", "vm")),
             interval=(float(req["interval"]) if req.get("interval")
                       is not None else None),
-            replicas=int(req.get("replicas", 1)))
+            replicas=_integer("replicas", req.get("replicas", 1)))
         spec = AppSpec(
-            program=program, nprocs=int(req["nprocs"]),
+            program=program, nprocs=_integer("nprocs", req["nprocs"]),
             params=dict(req.get("params", {})),
             ft_policy=str(req.get("ft", "kill")),
             checkpoint=checkpoint,
             owner=str(req.get("tenant", "local")),
             tenant=req.get("tenant"),
-            priority=int(req.get("priority", 0)))
+            priority=_integer("priority", req.get("priority", 0)))
         job = self.controller.submit(spec)
         return {"job": job.snapshot()}
 
@@ -94,10 +102,9 @@ class ControlAPI:
 
     def _op_migrate(self, req: Dict[str, Any]) -> Dict[str, Any]:
         app_id = str(req.get("app_id") or req["job_id"])
-        self.sf.migrate(AppHandle(self.sf, app_id),
-                        int(req["rank"]), str(req["target"]))
-        return {"app_id": app_id, "rank": int(req["rank"]),
-                "target": str(req["target"])}
+        rank = _integer("rank", req["rank"])
+        self.sf.migrate(AppHandle(self.sf, app_id), rank, str(req["target"]))
+        return {"app_id": app_id, "rank": rank, "target": str(req["target"])}
 
     def _op_drain(self, req: Dict[str, Any]) -> Dict[str, Any]:
         node = str(req["node"])

@@ -103,7 +103,7 @@ def run_fleet_churn(nodes: int = 16, seed: int = 0,
         gcs_config=GcsConfig(heartbeat_period=hb, suspect_timeout=5 * hb,
                              announce_period=16 * hb)))
     quotas = {t: TenantQuota(max_ranks=6, max_apps=3) for t in TENANTS}
-    controller = FleetController(sf, quotas=quotas, tick=0.25)
+    controller = FleetController(sf, quotas=quotas)
     jobs = [controller.submit(spec) for spec in _workloads(nodes)]
     victim = jobs[0]
     start = sf.engine.now

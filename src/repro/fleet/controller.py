@@ -34,8 +34,8 @@ from repro.errors import DaemonError, PlacementError, StarfishError
 from repro.fleet.scheduler import (FleetJob, JobScheduler, JobState,
                                    REJECT_PLACEMENT, REJECT_SHUTDOWN,
                                    TenantQuota)
-from repro.fleet.suspicion import SuspicionConfig, SuspicionScorer
-from repro.fleet.view import FleetView, NodeHealth
+from repro.fleet.suspicion import SuspicionScorer
+from repro.fleet.view import TICK, FleetView, NodeHealth
 from repro.obs import get_registry
 
 
@@ -44,19 +44,15 @@ class FleetController:
 
     def __init__(self, sf: StarfishCluster,
                  quotas: Optional[Dict[str, TenantQuota]] = None,
-                 suspicion: Optional[SuspicionConfig] = None,
-                 tick: float = 0.25, auto_drain: bool = True,
-                 placement_policy: str = "ring"):
+                 auto_drain: bool = True):
         self.sf = sf
         self.engine = sf.engine
-        self.tick = tick
         self.auto_drain = auto_drain
         self.registry = get_registry(sf.engine)
-        self.view = FleetView(period=tick)
+        self.view = FleetView()
         self.scheduler = JobScheduler(self.view, quotas,
-                                      policy=placement_policy,
                                       registry=self.registry)
-        self.scorer = SuspicionScorer(self.registry, suspicion)
+        self.scorer = SuspicionScorer(self.registry)
         #: Live application handles of admitted jobs.
         self.handles: Dict[str, AppHandle] = {}
         #: Proactive migrations performed: (time, app_id, rank, src, dst).
@@ -70,7 +66,7 @@ class FleetController:
 
     def _run(self):
         while not self._closed:
-            yield self.engine.timeout(self.tick)
+            yield self.engine.timeout(TICK)
             if self._closed:
                 return
             try:

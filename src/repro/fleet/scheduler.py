@@ -8,10 +8,10 @@ FIFO-within-priority order** — the queue is ordered by
 same-instant submits admits in the same order and places on the same
 nodes (the Hypothesis property in ``tests/test_fleet_properties.py``).
 
-Placement goes through the existing
-:class:`~repro.store.placement.PlacementPolicy` surface: the least-loaded
-eligible node hosts rank 0 and the policy's ring successors host the
-rest (cycling when the fleet has fewer eligible nodes than ranks).
+Placement reuses the store's ring rule
+(:func:`~repro.store.placement.ring_successors`): the least-loaded
+eligible node hosts rank 0 and its ring successors host the rest
+(cycling when the fleet has fewer eligible nodes than ranks).
 
 Rejections are **typed**: :data:`REJECT_QUOTA` for a spec that can never
 fit its tenant's quota, :data:`REJECT_PLACEMENT` for an admission whose
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.appspec import AppSpec
 from repro.fleet.view import FleetView
-from repro.store.placement import make_placement
+from repro.store.placement import ring_successors
 
 #: Typed rejection reasons (the only values FleetOracle accepts).
 REJECT_QUOTA = "quota-exceeded"
@@ -109,11 +109,10 @@ class JobScheduler:
 
     def __init__(self, view: FleetView,
                  quotas: Optional[Dict[str, TenantQuota]] = None,
-                 policy: str = "ring", registry=None):
+                 registry=None):
         from repro.obs import NULL_REGISTRY
         self.view = view
         self.quotas = dict(quotas or {})
-        self.policy = make_placement(policy)
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.jobs: Dict[str, FleetJob] = {}
         self._tenant_seq: Dict[str, itertools.count] = {}
@@ -241,9 +240,7 @@ class JobScheduler:
                 return dict(wanted)
             return None
         primary = min(eligible, key=lambda n: (loads.get(n, 0), n))
-        rest = self.policy.replicas((job.job_id, 0, 0), primary,
-                                    [n for n in eligible if n != primary],
-                                    job.spec.nprocs)
+        rest = ring_successors(primary, eligible, job.spec.nprocs - 1)
         ring = [primary] + rest
         return {rank: ring[rank % len(ring)]
                 for rank in range(job.spec.nprocs)}

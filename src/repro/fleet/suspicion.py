@@ -8,9 +8,11 @@ expensive recovery).
 
 The formula (documented in DESIGN.md §18)::
 
-    score(n) = min(1,  w_missed * missed_heartbeats(n)
-                     + w_disk   * [disk slowdown active on n]
-                     + w_loss   * [frame-loss window active])
+    score(n) = min(1,  W_MISSED * missed_heartbeats(n)
+                     + W_DISK   * [disk slowdown active on n]
+                     + W_LOSS   * [frame-loss window active])
+
+and a node is suspect at ``score >= THRESHOLD``.
 
 Inputs come from two places, both already structured:
 
@@ -25,10 +27,19 @@ Inputs come from two places, both already structured:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Set
 
 from repro.fleet.view import FleetView, NodeHealth
+
+#: Weight of each consecutive missed heartbeat.
+W_MISSED = 0.25
+#: Weight of an active disk slowdown on the node.
+W_DISK = 0.6
+#: Weight of an active fabric-wide frame-loss window.
+W_LOSS = 0.2
+#: Score at or above which a node is suspect: one sick disk or two missed
+#: beats is suspect, a loss window alone is not.
+THRESHOLD = 0.5
 
 
 def _node_set(fields) -> Set[str]:
@@ -39,22 +50,11 @@ def _node_set(fields) -> Set[str]:
     return {n for n in str(fields.get("nodes", "")).split(",") if n}
 
 
-@dataclass(frozen=True)
-class SuspicionConfig:
-    """Weights and threshold of the suspicion formula."""
-
-    w_missed: float = 0.25    # per consecutive missed heartbeat
-    w_disk: float = 0.6       # an active disk slowdown on the node
-    w_loss: float = 0.2       # an active fabric-wide frame-loss window
-    threshold: float = 0.5    # >= threshold => suspect
-
-
 class SuspicionScorer:
     """Incremental scorer over the engine's ``fault.inject`` events."""
 
-    def __init__(self, registry, config: SuspicionConfig = None):
+    def __init__(self, registry):
         self._registry = registry
-        self.config = config or SuspicionConfig()
         #: Emission-seq cursor: events with ``seq < _seen`` were already
         #: folded in.  Must NOT be a position into ``records(...)`` —
         #: that list is rebuilt from a bounded ring, so once the log
@@ -89,16 +89,15 @@ class SuspicionScorer:
     def update(self, view: FleetView) -> None:
         """Re-score every known node; annotates the view rows in place."""
         self._ingest()
-        cfg = self.config
         for info in view.nodes.values():
             if info.health is NodeHealth.DOWN:
                 info.suspicion = 1.0
                 info.suspect = True
                 continue
-            score = cfg.w_missed * info.missed
+            score = W_MISSED * info.missed
             if info.node_id in self._slow_disks:
-                score += cfg.w_disk
+                score += W_DISK
             if self._loss_depth:
-                score += cfg.w_loss
+                score += W_LOSS
             info.suspicion = min(1.0, score)
-            info.suspect = info.suspicion >= cfg.threshold
+            info.suspect = info.suspicion >= THRESHOLD

@@ -24,6 +24,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
+#: The controller's heartbeat-collection period (its tick), seconds.
+TICK = 0.25
+
 
 class NodeHealth(enum.Enum):
     """Administrative health of one node (the drain state machine)."""
@@ -74,13 +77,11 @@ class NodeInfo:
 class FleetView:
     """Per-node liveness + load, refreshed once per collection tick.
 
-    ``period`` is the controller's heartbeat-collection period: a node
-    whose last payload is older than one period is accumulating missed
-    beats (a paused daemon produces exactly this signature — the node is
-    up but its daemon stopped answering).
+    A node whose last payload is older than one :data:`TICK` is
+    accumulating missed beats (a paused daemon produces exactly this
+    signature — the node is up but its daemon stopped answering).
     """
 
-    period: float = 0.25
     nodes: Dict[str, NodeInfo] = field(default_factory=dict)
 
     def row(self, node_id: str) -> NodeInfo:
@@ -117,7 +118,7 @@ class FleetView:
             if info.last_heartbeat < 0:
                 continue
             info.missed = max(0, int((now - info.last_heartbeat)
-                                     / self.period + 1e-9) - 1)
+                                     / TICK + 1e-9) - 1)
 
     # ------------------------------------------------------------------
     # scheduler-facing queries

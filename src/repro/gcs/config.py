@@ -1,4 +1,4 @@
-"""Tunables of the group-communication protocols."""
+"""Tunables of the group-communication protocols, and its constants."""
 
 from __future__ import annotations
 
@@ -6,6 +6,23 @@ from dataclasses import dataclass
 
 from repro.calibration import (ENSEMBLE_PER_MEMBER, ENSEMBLE_ROUND_BASE,
                                HEARTBEAT_PERIOD, SUSPECT_TIMEOUT)
+
+#: Join-retry cadence for members that have no view yet (independent of
+#: the heartbeat period, which may be slow on long-running setups).
+JOIN_RETRY = 0.1
+#: Sequencer processing cost per multicast: base + per-member term.
+SEQUENCER_BASE = ENSEMBLE_ROUND_BASE
+SEQUENCER_PER_MEMBER = ENSEMBLE_PER_MEMBER
+#: Modelled wire size of protocol control frames.
+CONTROL_SIZE = 192
+#: Base retransmit timeout of the reliable-delivery (``Rel``) sublayer;
+#: doubles per retry up to :data:`REL_BACKOFF_MAX`.
+REL_RETRY = 0.1
+#: Cap of the exponential retransmit backoff.
+REL_BACKOFF_MAX = 0.8
+#: Retries before giving a destination up for dead (failure suspicion and
+#: the next flush handle it from there).
+REL_MAX_TRIES = 20
 
 
 @dataclass(frozen=True)
@@ -28,21 +45,5 @@ class GcsConfig:
     flush_timeout: float = 0.25
     #: Gossip period for coordinator ANNOUNCE messages (partition merge).
     announce_period: float = 0.5
-    #: Join-retry cadence for members that have no view yet (independent
-    #: of the heartbeat period, which may be slow on long-running setups).
-    join_retry: float = 0.1
     #: Enable gossip-based merge of concurrent views.
     gossip: bool = True
-    #: Sequencer processing cost per multicast: base + per-member term.
-    sequencer_base: float = ENSEMBLE_ROUND_BASE
-    sequencer_per_member: float = ENSEMBLE_PER_MEMBER
-    #: Modelled wire size of protocol control frames.
-    control_size: int = 192
-    #: Base retransmit timeout of the reliable-delivery (``Rel``) sublayer;
-    #: doubles per retry up to :attr:`rel_backoff_max`.
-    rel_retry: float = 0.1
-    #: Cap of the exponential retransmit backoff.
-    rel_backoff_max: float = 0.8
-    #: Retries before giving a destination up for dead (failure suspicion
-    #: and the next flush handle it from there).
-    rel_max_tries: int = 20

@@ -49,7 +49,9 @@ from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import Interrupt, NotMember
-from repro.gcs.config import GcsConfig
+from repro.gcs.config import (CONTROL_SIZE, JOIN_RETRY, REL_BACKOFF_MAX,
+                              REL_MAX_TRIES, REL_RETRY, SEQUENCER_BASE,
+                              SEQUENCER_PER_MEMBER, GcsConfig)
 from repro.gcs.endpoint import EndpointId, View, fresh_incarnation
 from repro.gcs.events import CastEvent, P2pEvent, ViewEvent
 from repro.gcs.messages import (Announce, CastReq, Flush, FlushOk, Hb, Join,
@@ -280,7 +282,7 @@ class GroupMember:
         change is in progress the cast is queued and ordered in the next
         view.  The message is delivered back to the sender too.
         """
-        size = size if size is not None else self.cfg.control_size
+        size = size if size is not None else CONTROL_SIZE
         lseq = self._next_lseq
         self._next_lseq += 1
         self._pending[lseq] = (payload, size)
@@ -302,7 +304,7 @@ class GroupMember:
         self._sendto(dest, P2p(group=self.group, sender=self.endpoint,
                                payload=payload,
                                size=size if size is not None
-                               else self.cfg.control_size), kind=kind)
+                               else CONTROL_SIZE), kind=kind)
 
     # ------------------------------------------------------------------
     # transport plumbing
@@ -350,11 +352,11 @@ class GroupMember:
         if isinstance(msg, Rel):
             return self._frame_size(msg.inner)
         if isinstance(msg, (CastReq, Ordered, P2p)):
-            return max(msg.size, self.cfg.control_size)
+            return max(msg.size, CONTROL_SIZE)
         if isinstance(msg, (FlushOk, Sync)):
             payload = getattr(msg, "delivered", ()) or getattr(msg, "msgs", ())
-            return self.cfg.control_size * (1 + len(payload))
-        return self.cfg.control_size
+            return CONTROL_SIZE * (1 + len(payload))
+        return CONTROL_SIZE
 
     def _on_frame(self, frame) -> None:
         if self.paused:
@@ -426,18 +428,17 @@ class GroupMember:
 
     def _rel_tick(self, now: float) -> None:
         """Retransmit unacked envelopes with exponential backoff; give a
-        silent destination up after ``rel_max_tries`` (failure suspicion
+        silent destination up after ``REL_MAX_TRIES`` (failure suspicion
         and the next flush take it from there)."""
-        cfg = self.cfg
         for ep in sorted(self._rel_out):
             out = self._rel_out[ep]
             if not out.unacked:
                 continue
-            rto = min(cfg.rel_retry * (2 ** out.tries), cfg.rel_backoff_max)
+            rto = min(REL_RETRY * (2 ** out.tries), REL_BACKOFF_MAX)
             if now - out.last_tx < rto:
                 continue
             out.tries += 1
-            if out.tries > cfg.rel_max_tries:
+            if out.tries > REL_MAX_TRIES:
                 out.unacked.clear()
                 continue
             self._m_retx.inc()
@@ -458,7 +459,7 @@ class GroupMember:
             while True:
                 yield self.engine.timeout(
                     cfg.heartbeat_period if self.view is not None
-                    else cfg.join_retry)
+                    else JOIN_RETRY)
                 now = self.engine.now
                 if self._left:
                     return
@@ -726,9 +727,8 @@ class GroupMember:
 
     def _sequence(self, msg: CastReq):
         # Sequencer processing cost (Ensemble round).
-        yield self.engine.timeout(self.cfg.sequencer_base
-                                  + len(self.view) *
-                                  self.cfg.sequencer_per_member)
+        yield self.engine.timeout(SEQUENCER_BASE
+                                  + len(self.view) * SEQUENCER_PER_MEMBER)
         if (self.view is None or msg.epoch != self.view.epoch
                 or self.blocked):
             return  # a view change hit while we were processing

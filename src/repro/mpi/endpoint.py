@@ -287,13 +287,6 @@ class MpiEndpoint:
         self.recv_count = defaultdict(int, state["recv_count"])
         self.matching.restore_unexpected(state["unexpected"])
 
-    def in_flight_to(self, peer_sent: Dict[int, int]) -> int:
-        """Messages sent to us (per peers' counters) but not yet ingested."""
-        missing = 0
-        for src, sent in peer_sent.items():
-            missing += sent - self.recv_count.get(src, 0)
-        return missing
-
     def close(self) -> None:
         self.vni.close()
 

@@ -257,12 +257,6 @@ class Connection:
         """Event firing with the next in-order message."""
         return self._inbox.get()
 
-    def recv_nowait(self) -> Tuple[bool, Any]:
-        """Non-blocking probe: ``(True, msg)`` or ``(False, None)``;
-        raises :class:`ConnectionClosed` once the connection is torn down
-        and its inbox drained (same surface as :meth:`recv`)."""
-        return self._inbox.get_nowait()
-
     def close(self):
         """Process generator: send FIN and tear down this side."""
         if not self._closed:

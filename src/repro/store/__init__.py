@@ -8,8 +8,8 @@
   :class:`~repro.store.checkpoint.CheckpointRecord` is what it stores;
 * :class:`~repro.store.repair.RepairService` — failure-driven, budgeted
   re-replication;
-* :mod:`~repro.store.placement` — placement policies (ring successor,
-  seeded-random, partition-aware) and the diskless protocol's
+* :mod:`~repro.store.placement` — the ring placement rule
+  (:func:`ring_successors`) and the diskless protocol's
   :func:`rotating_mirrors` rule.
 
 ``ClusterSpec()`` configures it as the paper's idealized stable disk,
@@ -25,25 +25,18 @@ from repro.store.checkpoint import (CheckpointRecord, CheckpointStore,
                                     normalize_tiers)
 from repro.store.delta import (BLOCK, Delta, delta_apply, delta_encode,
                                squash)
-from repro.store.placement import (PartitionAwarePlacement, PlacementPolicy,
-                                   POLICIES, RandomPlacement, RingPlacement,
-                                   make_placement, rotating_mirrors)
-from repro.store.repair import DEFAULT_REPAIR_BANDWIDTH, RepairService
+from repro.store.placement import ring_successors, rotating_mirrors
+from repro.store.repair import REPAIR_BANDWIDTH, RepairService
 
 __all__ = [
     "BLOCK",
     "CheckpointRecord",
     "CheckpointStore",
-    "DEFAULT_REPAIR_BANDWIDTH",
     "Delta",
     "MIN_DELTA_NBYTES",
-    "PartitionAwarePlacement",
-    "PlacementPolicy",
-    "POLICIES",
     "PROMOTIONS",
-    "RandomPlacement",
+    "REPAIR_BANDWIDTH",
     "RepairService",
-    "RingPlacement",
     "TIER_DISK",
     "TIER_FABRIC",
     "TIER_MEMORY",
@@ -52,8 +45,8 @@ __all__ = [
     "WRITE_THROUGH",
     "delta_apply",
     "delta_encode",
-    "make_placement",
     "normalize_tiers",
+    "ring_successors",
     "rotating_mirrors",
     "squash",
 ]

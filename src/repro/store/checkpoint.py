@@ -9,9 +9,9 @@ walk over storage **tiers**, fastest first:
   memory speed, lost with their holders).  The writer's own RAM never
   counts — it dies with the writer.
 * **disk** (L2) — the writer's local disk, the paper's measured IDE path.
-* **fabric** (L3) — ``k - 1`` replicas on remote disks, chosen by a
-  :class:`~repro.store.placement.PlacementPolicy`; with the local disk
-  copy that makes ``k`` durable copies.
+* **fabric** (L3) — ``k - 1`` replicas on remote disks, the writer's
+  ring successors (:func:`~repro.store.placement.ring_successors`); with
+  the local disk copy that makes ``k`` durable copies.
 
 A write is "delta-capture, then land each configured tier's copies"; a
 read is "pin the delta chain, fetch each link from the fastest tier that
@@ -68,7 +68,7 @@ from repro.errors import CheckpointError, Interrupt, NoCheckpoint
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
 from repro.store.delta import delta_encode, squash
-from repro.store.placement import make_placement
+from repro.store.placement import ring_successors
 
 #: Storage tiers, fastest first.
 TIER_MEMORY, TIER_DISK, TIER_FABRIC = TIER_ORDER
@@ -156,7 +156,7 @@ class CheckpointStore:
     """
 
     def __init__(self, engine, cluster=None, tiers=None,
-                 k: Optional[int] = None, policy="ring",
+                 k: Optional[int] = None,
                  delta_depth: int = 0, promotion: str = WRITE_THROUGH):
         if k is not None and int(k) < 1:
             raise CheckpointError(f"replication factor must be >= 1, got {k}")
@@ -188,11 +188,6 @@ class CheckpointStore:
         #: ``memory`` only when nothing durable is configured.
         self.home_tier = next((t for t in self.tiers if t != TIER_MEMORY),
                               TIER_MEMORY)
-        # Only the random policy draws; a stream nobody draws from would
-        # still import numpy.random (~2 MB) into every default cluster.
-        rng = engine.rng.stream("store.place") if policy == "random" else None
-        self.policy = make_placement(policy, rng=rng,
-                                     reachable=self.reachable)
         self._records: Dict[Key, CheckpointRecord] = {}
         #: Committed coordinated versions per app (ascending).
         self._committed: Dict[str, List[int]] = {}
@@ -310,7 +305,7 @@ class CheckpointStore:
 
     def candidates(self, primary: str) -> List[str]:
         """UP nodes other than ``primary``, in deterministic order — the
-        placement policies' input universe."""
+        ring placement rule's input universe."""
         return sorted(n.node_id for n in self.cluster.nodes.values()
                       if n.state is NodeState.UP and n.node_id != primary)
 
@@ -373,10 +368,8 @@ class CheckpointStore:
         self._enter(record)
         copies = self._fanout.get(tier)
         if copies:
-            # replicas() counts the primary in and hands back one fewer.
-            targets = self.policy.replicas(
-                _key(record), node.node_id,
-                self.candidates(node.node_id), copies + 1)
+            targets = ring_successors(node.node_id,
+                                      self.candidates(node.node_id), copies)
             yield from self._replicate(node, record, tier, targets)
         self._m_tier_writes[tier].inc()
 

@@ -4,15 +4,15 @@ The :class:`RepairService` is the store's background daemon process: it
 sleeps until a cluster membership change (crash / recover / add /
 remove, delivered synchronously by the store's watcher via
 :meth:`kick`), then scans the replica map and copies under-replicated
-records from a surviving holder to a new one chosen by the same
-placement policy as ordinary writes, until every record is back at
+records from a surviving holder to a new one chosen by the same ring
+placement rule as ordinary writes, until every record is back at
 ``min(k, up nodes)`` copies.
 
 Repair traffic is **budgeted**: each copy is throttled to
-``bandwidth`` bytes/second (and can never beat the fabric), and the
-destination's disk write goes through the ordinary per-node disk model —
-so repair contends with application checkpoints for the same heads and
-its cost shows up in sim time.  With budget *B*, fabric bandwidth *W*
+:data:`REPAIR_BANDWIDTH` bytes/second (and can never beat the fabric), and
+the destination's disk write goes through the ordinary per-node disk
+model — so repair contends with application checkpoints for the same
+heads and its cost shows up in sim time.  With budget *B*, fabric bandwidth *W*
 and a backlog of *D* missing copies of *S*-byte records, the repair
 window is ``D * (S / min(B, W) + S / disk_bw)`` plus per-copy latency —
 the number DESIGN.md §13 derives and
@@ -25,21 +25,20 @@ from repro.errors import Interrupt
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
 from repro.store.checkpoint import TIER_MEMORY
+from repro.store.placement import ring_successors
 
-#: Default re-replication budget: ~4 MB/s, below Myrinet line rate so
-#: repair never starves application traffic in the model.
-DEFAULT_REPAIR_BANDWIDTH = 4.0e6
+#: Re-replication budget: ~4 MB/s, below Myrinet line rate so repair
+#: never starves application traffic in the model.
+REPAIR_BANDWIDTH = 4.0e6
 
 
 class RepairService:
     """Re-replicates under-replicated records after membership changes."""
 
-    def __init__(self, engine, cluster, store,
-                 bandwidth: float = DEFAULT_REPAIR_BANDWIDTH):
+    def __init__(self, engine, cluster, store):
         self.engine = engine
         self.cluster = cluster
         self.store = store
-        self.bandwidth = float(bandwidth)
         self._wake = Channel(engine, name="store-repair-wake")
         self._pending = False
         reg = get_registry(engine)
@@ -71,7 +70,7 @@ class RepairService:
     def status(self) -> dict:
         """Snapshot for the ``repro store`` CLI."""
         return {
-            "budget_bytes_per_sec": self.bandwidth,
+            "budget_bytes_per_sec": REPAIR_BANDWIDTH,
             "deficit_copies": self.store.replica_deficit(),
             "kicks": int(self._m_kicks.value),
             "repaired": int(self._m_jobs_ok.value),
@@ -118,7 +117,7 @@ class RepairService:
             candidates = [c for c in store.candidates(source)
                           if c not in rec.all_holders()
                           and store.reachable(source, c)]
-            picks = store.policy.replicas(key, source, candidates, 2)
+            picks = ring_successors(source, candidates, 1)
             if not picks:
                 continue
             return (key, rec, source, picks[0], tier)
@@ -128,7 +127,7 @@ class RepairService:
         engine = self.engine
         t0 = engine.now
         fabric = self.cluster.myrinet
-        rate = min(self.bandwidth, fabric.spec.bandwidth)
+        rate = min(REPAIR_BANDWIDTH, fabric.spec.bandwidth)
         yield engine.timeout(fabric.spec.layers.one_way_fixed
                              + rec.nbytes / rate)
         store = self.store
@@ -157,5 +156,5 @@ class RepairService:
         return True
 
     def __repr__(self) -> str:
-        return (f"<RepairService budget={self.bandwidth:.3g}B/s "
+        return (f"<RepairService budget={REPAIR_BANDWIDTH:.3g}B/s "
                 f"deficit={self.store.replica_deficit()}>")

@@ -1,9 +1,11 @@
 """ClusterSpec: the single construction surface of Engine/Cluster/Starfish."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec
-from repro.core import StarfishCluster
+from repro.core import CheckpointConfig, StarfishCluster
 from repro.gcs import GcsConfig
 from repro.sim.engine import Engine
 
@@ -17,6 +19,21 @@ def test_spec_defaults_and_validation():
         ClusterSpec(loss_prob=1.0)
     with pytest.raises(ValueError):
         ClusterSpec(loss_prob=-0.1)
+
+
+def test_config_fields_are_pinned():
+    """Every settable field of the three config objects, by name: a new
+    knob is a visible diff here (DESIGN §26 — one value in use is a
+    constant, not a field)."""
+    assert [f.name for f in fields(ClusterSpec)] == [
+        "nodes", "seed", "archs", "loss_prob", "trace", "telemetry",
+        "gcs_config", "users", "replication_factor", "store_tiers",
+        "delta_depth", "tier_policy", "perturb_seed", "delivery_jitter"]
+    assert [f.name for f in fields(GcsConfig)] == [
+        "heartbeat_period", "suspect_timeout", "flush_timeout",
+        "announce_period", "gossip"]
+    assert [f.name for f in fields(CheckpointConfig)] == [
+        "protocol", "level", "interval", "replicas"]
 
 
 def test_spec_is_frozen_and_with_copies():
@@ -73,7 +90,7 @@ def test_starfish_build_from_spec_carries_gcs_config_and_settle():
     sf = StarfishCluster.build(spec=ClusterSpec(nodes=2, gcs_config=cfg))
     assert sf.gcs_config.heartbeat_period == 0.07
     assert len(sf.live_daemons()) == 2
-    assert sf.any_daemon().gm.view is not None  # settled by default
+    assert sf.any_daemon().gm.view is not None  # build settles
 
 
 def test_spec_loss_prob_routes_through_injector():

@@ -12,10 +12,11 @@ import pytest
 from repro.apps import ComputeSleep
 from repro.cluster import arch_by_name
 from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
+from repro.core.appspec import MAX_NPROCS
 from repro.daemon import AppStatus
 from repro.daemon.protocol import MGMT_COMMANDS, USER_COMMANDS
 from repro.daemon.session import _VERBS
-from repro.errors import PlacementError
+from repro.errors import DaemonError, PlacementError
 from repro.fleet import ControlAPI, FleetController
 
 
@@ -77,6 +78,29 @@ def test_submit_with_a_bad_option_is_one_err_and_kills_nothing(option, bad):
     sf.engine.run(until=sf.engine.now + 2.0)
     for daemon in sf.live_daemons():
         assert daemon.registry.get("good").status is AppStatus.DONE
+
+
+def test_submit_nprocs_is_bounded_on_every_surface():
+    # Parent: SUBMIT and the ControlAPI both queued a 10**7-rank job, and
+    # placement then built one entry per rank.
+    assert MAX_NPROCS >= 1024                  # the north-star run fits
+    sf = StarfishCluster.build(nodes=3)
+    huge, limit = drive(sf, [
+        f"SUBMIT huge {10**7} program=computesleep",
+        f"SUBMIT limit {MAX_NPROCS + 1} program=computesleep"])
+    assert huge.startswith("ERR ") and str(MAX_NPROCS) in huge
+    assert limit.startswith("ERR ")
+    with pytest.raises(DaemonError, match="nprocs"):
+        AppSpec(program=ComputeSleep, nprocs=MAX_NPROCS + 1)
+    controller = FleetController(sf)
+    response = ControlAPI(controller).handle(
+        {"op": "submit", "program": "computesleep", "nprocs": 10**7})
+    assert (response["ok"], response["error"]) == (False, "DaemonError")
+    assert controller.scheduler.jobs == {}
+    sf.engine.run(until=sf.engine.now + 1.0)
+    assert_daemons_alive(sf)
+    assert all(not d.registry.all() for d in sf.live_daemons())
+    controller.close()
 
 
 def _checkpointed(sf, level="vm", app_id="job"):

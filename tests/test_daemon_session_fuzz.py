@@ -7,15 +7,16 @@ exactly one ``OK``/``ERR`` line, the session stays usable, and no daemon
 process on any node dies.
 
 Left out on purpose, because they are *legitimately* destructive or
-unbounded rather than malformed: ``QUIT``, ``REMOVENODE`` of a real node,
-and a ``SUBMIT`` of more than a handful of ranks (``nprocs`` has no upper
-bound in the system).
+costly rather than malformed: ``QUIT``, ``REMOVENODE`` of a real node,
+and a ``SUBMIT`` of more than a handful of ranks up to ``MAX_NPROCS``
+(a larger one is malformed: refused with one ``ERR``).
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.apps import ComputeSleep
 from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
+from repro.core.appspec import MAX_NPROCS
 from repro.daemon.protocol import (COMMON_COMMANDS, MGMT_COMMANDS,
                                    USER_COMMANDS, parse_command)
 from repro.errors import ProtocolError
@@ -51,7 +52,7 @@ def _malformed_or_harmless(line: str) -> bool:
         return True
     return not (verb == "QUIT"
                 or verb == "REMOVENODE" and args[0] in NODES
-                or verb == "SUBMIT" and int(args[1]) > 4)
+                or verb == "SUBMIT" and 4 < int(args[1]) <= MAX_NPROCS)
 
 
 lines = st.lists((structured | submission | st.text(max_size=80))

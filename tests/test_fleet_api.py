@@ -87,6 +87,28 @@ def test_submit_rejects_a_bad_checkpoint_interval(api):
     assert api.handle({"op": "jobs"})["jobs"] == []
 
 
+@pytest.mark.parametrize("field,value", [
+    ("nprocs", 2.9), ("nprocs", True), ("nprocs", "3"), ("nprocs", None),
+    ("priority", 1.7), ("priority", False), ("replicas", 1.0),
+    ("replicas", True)])
+def test_submit_takes_json_integers_only(api, field, value):
+    # Parent: nprocs 2.9 was queued as 2, true as 1, "3" as 3; priority 1.7
+    # as 1, false as 0; replicas 1.0 and true as 1.
+    response = _submit(api, **{field: value})
+    assert not response["ok"] and response["error"] == "BadRequest"
+    assert field in response["message"]
+    assert api.handle({"op": "jobs"})["jobs"] == []
+
+
+@pytest.mark.parametrize("rank", [0.0, True, "0"])
+def test_migrate_rank_takes_json_integers_only(api, rank):
+    # Parent: each was taken as rank 0 (and refused only for the target).
+    response = api.handle({"op": "migrate", "app_id": "x", "rank": rank,
+                           "target": "n1"})
+    assert not response["ok"] and response["error"] == "BadRequest"
+    assert "rank" in response["message"]
+
+
 @pytest.mark.parametrize("dt", ["nan", "inf", -1])
 def test_step_rejects_a_non_finite_or_negative_dt(api, dt):
     # Parent: "inf" ran the engine forever, "nan" was silently 0.

@@ -10,7 +10,8 @@ from repro.apps import ComputeSleep
 from repro.core import (AppSpec, CheckpointConfig, FaultPolicy,
                         StarfishCluster)
 from repro.fleet import (FleetController, FleetView, NodeHealth,
-                         SuspicionConfig, SuspicionScorer)
+                         SuspicionScorer)
+from repro.fleet.suspicion import W_DISK, W_LOSS
 from repro.obs import MetricsRegistry, to_prometheus
 
 
@@ -57,7 +58,7 @@ def test_heartbeat_membership_counters():
 # ---------------------------------------------------------------------------
 
 def test_view_observe_refresh_and_missed_beats():
-    view = FleetView(period=0.25)
+    view = FleetView()
     view.observe({"node": "n0", "ranks": 2, "copies": 1,
                   "apps": ["a"], "store_bytes": 64, "epoch": 3}, 1.0)
     info = view.row("n0")
@@ -97,18 +98,17 @@ def test_suspicion_from_fault_events():
     registry.events.emit(1.0, "fault.inject", action="disk-slowdown",
                          nodes="n1", factor=6.0)
     scorer.update(view)
-    cfg = scorer.config
-    assert view.row("n1").suspicion == cfg.w_disk
-    assert view.row("n1").suspect            # w_disk >= threshold
+    assert view.row("n1").suspicion == W_DISK
+    assert view.row("n1").suspect            # W_DISK >= THRESHOLD
     assert not view.row("n0").suspect
     # Fabric-wide loss alone stays below the threshold (not one sick
     # node), but stacks on top of per-node signals.
     registry.events.emit(2.0, "fault.inject", action="frame-loss",
                          fabric="tcp-ethernet", prob=0.05)
     scorer.update(view)
-    assert view.row("n0").suspicion == cfg.w_loss
+    assert view.row("n0").suspicion == W_LOSS
     assert not view.row("n0").suspect
-    assert view.row("n1").suspicion == min(1.0, cfg.w_disk + cfg.w_loss)
+    assert view.row("n1").suspicion == min(1.0, W_DISK + W_LOSS)
     # End events clear both signals.
     registry.events.emit(3.0, "fault.inject", action="disk-slowdown-end",
                          nodes="n1")
@@ -120,15 +120,18 @@ def test_suspicion_from_fault_events():
 
 
 def test_suspicion_from_missed_heartbeats_and_down_nodes():
-    view = FleetView(period=0.25)
-    view.observe({"node": "n0"}, 0.0)
-    view.observe({"node": "n1"}, 0.0)
+    view = FleetView()
+    for node, last in (("n0", 0.0), ("n1", 0.0), ("n2", 0.5), ("n3", 0.25)):
+        view.observe({"node": node}, last)
     view.refresh(1.0, down_nodes=("n1",))     # n0 silent for 3 periods
-    scorer = SuspicionScorer(
-        MetricsRegistry(), SuspicionConfig(w_missed=0.2, threshold=0.5))
+    scorer = SuspicionScorer(MetricsRegistry())
     scorer.update(view)
-    assert view.row("n0").suspicion == pytest.approx(0.6)   # 3 x 0.2
+    assert view.row("n0").suspicion == pytest.approx(0.75)  # 3 x W_MISSED
     assert view.row("n0").suspect
+    assert view.row("n2").suspicion == pytest.approx(0.25)  # one missed beat
+    assert not view.row("n2").suspect
+    assert view.row("n3").suspicion == pytest.approx(0.5)   # two: THRESHOLD
+    assert view.row("n3").suspect
     assert view.row("n1").suspicion == 1.0    # down is certainty
     assert view.row("n1").suspect
 

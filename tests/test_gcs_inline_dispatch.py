@@ -15,6 +15,7 @@ from repro.apps import ComputeSleep
 from repro.core import AppSpec, StarfishCluster
 from repro.errors import Interrupt
 from repro.gcs import P2pEvent, ViewEvent
+from repro.gcs.config import SEQUENCER_BASE, SEQUENCER_PER_MEMBER
 from repro.gcs.messages import CastReq, Flush, FlushOk, P2p, Rel, ViewMsg
 from repro.net.message import Frame
 
@@ -85,8 +86,7 @@ def test_arrivals_during_a_sequencer_round_wait_for_it_in_order():
     h = booted()
     coord, other = h.members["n0"], h.members["n1"]
     assert coord.is_coordinator
-    cfg = h.cfg
-    round_s = cfg.sequencer_base + 3 * cfg.sequencer_per_member
+    round_s = SEQUENCER_BASE + 3 * SEQUENCER_PER_MEMBER
     started = []
     real = coord._handlers[CastReq]
 

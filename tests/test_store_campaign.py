@@ -59,15 +59,6 @@ def test_replicated_campaign_reports_are_seed_stable():
     assert r1.to_json() == r2.to_json()
 
 
-def test_placement_policy_variants_run_green():
-    for policy in ("random", "partition-aware"):
-        spec = ClusterSpec(replication_factor=2, placement_policy=policy)
-        report = CampaignRunner("store-crash-burst", seed=2,
-                                protocol="stop-and-sync",
-                                cluster_spec=spec).run()
-        assert report.ok, (policy, report.summary())
-
-
 def test_cli_chaos_store_crash_burst_green(capsys):
     rc = main(["chaos", "--campaign", "store-crash-burst", "--seed", "3",
                "--protocol", "stop-and-sync", "--policy", "restart"])

@@ -1,12 +1,10 @@
-"""Placement policies of the replicated checkpoint store."""
+"""Replica placement of the checkpoint store: the ring rule and the
+diskless mirror rule."""
 
 import pytest
 
 from repro.cluster.spec import ClusterSpec
-from repro.errors import CheckpointError
-from repro.sim.engine import Engine
-from repro.store import (PartitionAwarePlacement, RandomPlacement,
-                         RingPlacement, make_placement, rotating_mirrors)
+from repro.store import ring_successors, rotating_mirrors
 
 
 def _legacy_buddies(peers, rank, version):
@@ -56,59 +54,21 @@ def test_rotating_mirrors_consecutive_versions_rotate():
 
 
 def test_ring_placement_successors_and_wrap():
-    ring = RingPlacement()
     cands = ["n0", "n1", "n3", "n4"]
-    assert ring.replicas(("a", 0, 1), "n2", cands, 2) == ["n3"]
-    assert ring.replicas(("a", 0, 1), "n2", cands, 3) == ["n3", "n4"]
+    assert ring_successors("n2", cands, 1) == ["n3"]
+    assert ring_successors("n2", cands, 2) == ["n3", "n4"]
     # wrap past the end of the ring
-    assert ring.replicas(("a", 0, 1), "n4", ["n0", "n1", "n2"], 2) == ["n0"]
-    # k=1 means no extra copies; tiny cluster caps the answer
-    assert ring.replicas(("a", 0, 1), "n0", ["n1"], 1) == []
-    assert ring.replicas(("a", 0, 1), "n0", ["n1"], 4) == ["n1"]
-
-
-def test_random_placement_is_seed_deterministic():
-    cands = [f"n{i}" for i in range(8)]
-
-    def picks(seed):
-        rng = Engine(seed=seed).rng.stream("store.place")
-        pol = RandomPlacement(rng=rng)
-        return [pol.replicas(("a", r, 1), "n8", cands, 3) for r in range(6)]
-
-    first = picks(11)
-    assert picks(11) == first                       # same seed, same choices
-    assert picks(12) != first                       # different stream
-    assert all(len(p) == 2 and "n8" not in p for p in first)
-    # without an rng it degrades to the ring rule
-    assert RandomPlacement().replicas(("a", 0, 1), "n2", cands, 2) == ["n3"]
-
-
-def test_partition_aware_placement_filters_unreachable():
-    reach = lambda src, dst: dst != "n2"
-    pol = PartitionAwarePlacement(reachable=reach)
-    cands = ["n0", "n2", "n3"]
-    assert pol.replicas(("a", 0, 1), "n1", cands, 3) == ["n3", "n0"]
-    # no probe: behaves like ring
-    assert PartitionAwarePlacement().replicas(("a", 0, 1), "n1",
-                                              cands, 2) == ["n2"]
-
-
-def test_make_placement_registry():
-    assert make_placement("ring").name == "ring"
-    assert make_placement("random").name == "random"
-    assert make_placement("partition-aware").name == "partition-aware"
-    with pytest.raises(CheckpointError, match="unknown placement policy"):
-        make_placement("rack-aware")
+    assert ring_successors("n4", ["n0", "n1", "n2"], 1) == ["n0"]
+    # no extra copies wanted; a tiny cluster caps the answer
+    assert ring_successors("n0", ["n1"], 0) == []
+    assert ring_successors("n0", ["n1"], 3) == ["n1"]
+    # the primary is never its own replica, whether or not it is listed
+    assert ring_successors("n1", ["n0", "n1", "n2"], 2) == ["n2", "n0"]
 
 
 def test_cluster_spec_store_field_validation():
-    spec = ClusterSpec(replication_factor=3, placement_policy="random",
-                       repair_bandwidth=1e6)
+    spec = ClusterSpec(replication_factor=3)
     assert spec.replication_factor == 3
     assert ClusterSpec().replication_factor is None
     with pytest.raises(ValueError):
         ClusterSpec(replication_factor=0)
-    with pytest.raises(ValueError):
-        ClusterSpec(placement_policy="nope")
-    with pytest.raises(ValueError):
-        ClusterSpec(repair_bandwidth=0.0)

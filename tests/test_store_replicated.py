@@ -5,8 +5,8 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec
 from repro.errors import NoCheckpoint
-from repro.store import (TIER_MEMORY, CheckpointRecord, CheckpointStore,
-                         RepairService)
+from repro.store import (REPAIR_BANDWIDTH, TIER_MEMORY, CheckpointRecord,
+                         CheckpointStore, RepairService)
 
 
 def _rec(app_id, rank, version, nbytes=20_000):
@@ -15,13 +15,12 @@ def _rec(app_id, rank, version, nbytes=20_000):
                             arch_name="test", taken_at=0.0)
 
 
-def _build(nodes=5, seed=0, k=2, policy="ring", repair=None):
+def _build(nodes=5, seed=0, k=2, repair=False):
     cluster = Cluster.build(spec=ClusterSpec(nodes=nodes, seed=seed))
-    store = CheckpointStore(cluster.engine, cluster, k=k, policy=policy)
+    store = CheckpointStore(cluster.engine, cluster, k=k)
     cluster.watchers.append(store.on_membership)
-    if repair is not None:
-        store.repair = RepairService(cluster.engine, cluster, store,
-                                     bandwidth=repair)
+    if repair:
+        store.repair = RepairService(cluster.engine, cluster, store)
     return cluster, store
 
 
@@ -141,7 +140,7 @@ def test_partition_during_write_fails_replica_and_leaves_deficit():
 # ---------------------------------------------------------------------------
 
 def test_repair_restores_replication_after_crash():
-    cluster, store = _build(nodes=5, k=2, repair=4.0e6)
+    cluster, store = _build(nodes=5, k=2, repair=True)
     _write_all(cluster, store, "app", range(3), 1)
     store.commit("app", 1)
     cluster.crash_node("n1")            # holder of (rank0 replica, rank1 prim)
@@ -158,9 +157,9 @@ def test_repair_restores_replication_after_crash():
 
 
 def test_repair_respects_bytes_per_second_budget():
-    nbytes = 2_000_000
-    budget = 1.0e6                      # 1 MB/s -> >= 2 s per copy
-    cluster, store = _build(nodes=4, k=2, repair=budget)
+    nbytes = 8_000_000                  # REPAIR_BANDWIDTH: >= 2 s per copy
+    assert nbytes / REPAIR_BANDWIDTH >= 2.0
+    cluster, store = _build(nodes=4, k=2, repair=True)
     _write_all(cluster, store, "app", [0], 1, nbytes=nbytes)
     t0 = cluster.engine.now
     cluster.crash_node("n1")            # the replica holder
@@ -172,7 +171,7 @@ def test_repair_respects_bytes_per_second_budget():
 
 
 def test_repair_after_partition_heals():
-    cluster, store = _build(nodes=4, k=2, repair=4.0e6)
+    cluster, store = _build(nodes=4, k=2, repair=True)
     cluster.myrinet.set_partition(["n0", "n2", "n3"], ["n1"])
     _write_all(cluster, store, "app", [0], 1)
     assert store.replica_deficit() == 1
@@ -184,7 +183,7 @@ def test_repair_after_partition_heals():
 
 
 def test_node_removal_drops_disk_holders_and_repairs():
-    cluster, store = _build(nodes=5, k=2, repair=4.0e6)
+    cluster, store = _build(nodes=5, k=2, repair=True)
     _write_all(cluster, store, "app", [0], 1)   # holders n0, n1
     cluster.remove_node("n1")
     rec = store.peek("app", 0, 1)
