@@ -30,7 +30,8 @@ membership with merge-on-heal) and frame loss: as in Ensemble, a multicast
 is made reliable by negative acknowledgement — a member that misses a
 sequenced cast asks the coordinator for it by sequence number — while
 point-to-point and membership messages ride a per-destination
-acknowledged sublayer.
+acknowledged sublayer (except bare datagrams, whose sender repairs them
+the same way: the lightweight-group layer's relays).
 """
 
 from repro.gcs.endpoint import EndpointId, View

@@ -132,17 +132,27 @@ class P2p(Msg):
 
 
 @dataclass(frozen=True)
+class Datagram(Msg):
+    """Point-to-point payload sent bare: no ``Rel`` envelope, no ack.  The
+    layer above repairs loss itself — the lightweight-group sequencer's
+    relays, and the requests and position reports that repair them."""
+
+    payload: Any
+    size: int
+
+
+@dataclass(frozen=True)
 class Rel(Msg):
     """Reliable-delivery envelope: per-destination FIFO sequence number
     around an ``inner`` control message.
 
     The fabric can silently drop frames; heartbeats and gossip are
-    periodic so loss only delays them, and a lost ``Ordered`` is asked for
-    again by sequence number (``Nack``, itself re-sent every tick while
-    the gap lasts), but a lost ``CastReq`` / ``Flush`` / ``ViewMsg`` would
-    wedge the protocol.  Every other control send therefore travels inside
-    a ``Rel``; the receiver reorders, de-duplicates and cumulatively
-    acknowledges."""
+    periodic so loss only delays them, and a lost ``Ordered`` or
+    ``Datagram`` is asked for again by sequence number (a request itself
+    re-sent every tick while the gap lasts), but a lost ``CastReq`` /
+    ``Flush`` / ``ViewMsg`` would wedge the protocol.  Every other control
+    send therefore travels inside a ``Rel``; the receiver reorders,
+    de-duplicates and cumulatively acknowledges."""
 
     seq: int
     inner: Msg

@@ -13,8 +13,8 @@ from tests.gcs_helpers import Harness
 class LwgHarness(Harness):
     """GCS harness plus one LwgManager per daemon, wired into its events."""
 
-    def __init__(self, nodes=4, seed=0):
-        super().__init__(nodes=nodes, seed=seed)
+    def __init__(self, nodes=4, seed=0, config=None):
+        super().__init__(nodes=nodes, seed=seed, config=config)
         self.lwg = {}
         self.lwg_log = {}
         for nid, gm in self.members.items():
@@ -303,7 +303,8 @@ def test_sequencer_parks_data_from_not_yet_admitted_origin():
     ep2 = h.members["n2"].endpoint
     # ep2 applied its (totally ordered) join before the sequencer did and
     # is already casting; dropping would lose the message for good.
-    m0._sequence(("lwg-data", "app1", ep2, 0, "fresh", "coordination"))
+    m0._sequence(("lwg-data", "app1", ep2, 0, "fresh", "coordination",
+                  0, 0))
     h.run(until=3.3)
     assert h.lwg_casts("n0", "app1") == []
     m0._apply_op(("lwg-op", "join", "app1", ep2))
