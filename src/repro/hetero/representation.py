@@ -157,7 +157,9 @@ class _Encoder:
         for dim in a.shape:
             self.u32(dim)
         native = a.astype(dt.newbyteorder(self.bo), copy=False)
-        self.raw(np.ascontiguousarray(native).tobytes())
+        # The array itself, not a ``tobytes()`` copy of it: ``encode``'s
+        # ``bytes.join`` reads the buffer, so the image is copied once.
+        self.parts.append(np.ascontiguousarray(native))
 
 
 def encode(value: Any, arch: Architecture) -> bytes:

@@ -169,3 +169,36 @@ def test_native_layout_grows_with_nesting():
     nested = [[1.0]] * 100
     assert (native_heap_nbytes(nested, LINUX_X86)
             > native_heap_nbytes(flat, LINUX_X86))
+
+
+@pytest.mark.parametrize("dtype", ["<f8", ">f8", "<c16", ">c16", "?", "u1",
+                                   "<i4", ">i8", "<f4"])
+@pytest.mark.parametrize("arch", [LINUX_X86, SUN, ALPHA],
+                         ids=lambda a: f"{a.endianness}{a.word_bits}")
+def test_an_array_is_joined_from_its_buffer_byte_for_byte(arch, dtype,
+                                                          monkeypatch):
+    # The encoder appends the (contiguous, target-order) array and lets
+    # bytes.join read its buffer; the image must equal what a tobytes()
+    # copy gave, for every dtype and byte order, and for a strided view.
+    from repro.hetero import representation as rep
+    full = (np.arange(60) % 7).astype(dtype).reshape(6, 10)
+    values = [full, full[::2, 1::3]]           # contiguous, and a slice
+    assert not values[1].flags.c_contiguous
+    blobs = [encode(v, arch) for v in values]
+
+    def copied(self, a):                        # the tobytes() reference
+        dt = a.dtype.newbyteorder("=")
+        self.u8(rep.T_NDARRAY)
+        self.u8(rep._DTYPE_CODES[np.dtype(dt)])
+        self.u8(a.ndim)
+        for dim in a.shape:
+            self.u32(dim)
+        native = a.astype(dt.newbyteorder(self.bo), copy=False)
+        self.raw(np.ascontiguousarray(native).tobytes())
+
+    monkeypatch.setattr(rep._Encoder, "_ndarray", copied)
+    assert blobs == [encode(v, arch) for v in values]
+    for v, blob in zip(values, blobs):
+        out = decode(blob, ALPHA).value
+        assert np.array_equal(out, v)
+        assert out.dtype == v.dtype.newbyteorder("=")
