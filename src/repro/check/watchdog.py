@@ -5,9 +5,13 @@ When a perturbed schedule deadlocks a C/R wave, the symptom is a bare
 debugging.  :func:`diagnose_hang` dumps the protocol state of every rank
 at the moment the timeout fired: which wave is open, which ranks' counts
 or done-votes are missing, how many buddy acks are outstanding, and which
-channel/event each module's main loop is parked on.  The result is plain
-JSON-able data that rides the campaign report (and therefore replays
-byte-identically with the rest of it).
+channel/event each module's main loop is parked on — and, per node, what
+that daemon believes about the app: its main view, the app's status and
+finished ranks, placement and replicas, the lightweight group's members
+and epoch, the app authority those imply, and the completion reports and
+``app-done`` cast it holds.  The result is plain JSON-able data that rides
+the campaign report (and therefore replays byte-identically with the rest
+of it).
 """
 
 from __future__ import annotations
@@ -70,6 +74,37 @@ def _rank_entry(rank: int, node_id: str, handle) -> Dict[str, Any]:
     return entry
 
 
+def _node_entry(node_id: str, daemon, app_id: str) -> Dict[str, Any]:
+    """One daemon's view of the app: the completion path's state (DESIGN
+    §21), where two daemons that disagree leave an app that never ends."""
+    view = daemon.gm.view
+    entry: Dict[str, Any] = {
+        "node": node_id,
+        "up": daemon.node.is_up,
+        "view_epoch": view.epoch if view is not None else None,
+        "view_members": ([m.node for m in view.members]
+                         if view is not None else []),
+    }
+    record = daemon.registry.maybe(app_id)
+    if record is not None:
+        entry.update(
+            status=record.status.value,
+            restarts=record.restarts,
+            done_ranks=sorted(record.done_ranks),
+            placement={str(r): n for r, n in sorted(record.placement.items())},
+            replicas={str(r): list(nodes)
+                      for r, nodes in sorted(record.replicas.items())})
+    group = daemon.lwg.groups.get(app_id)
+    members = group.members if group is not None else ()
+    entry.update(
+        lwg_members=[m.node for m in members],
+        lwg_epoch=group.epoch if group is not None else None,
+        authority=min(members).node if members else None,
+        early_reports=len(daemon._early_reports.get(app_id, ())),
+        done_cast=daemon._done_cast.get(app_id))
+    return entry
+
+
 def diagnose_hang(sf, handle, exc) -> Dict[str, Any]:
     """Dump per-rank protocol state for a hung (or dying) campaign run.
 
@@ -94,7 +129,15 @@ def diagnose_hang(sf, handle, exc) -> Dict[str, Any]:
     except Exception as walk_exc:                # pragma: no cover
         return {"error": f"watchdog failed: {walk_exc!r}"}
 
-    diagnosis: Dict[str, Any] = {"cause": type(exc).__name__, "ranks": ranks}
+    nodes: List[Dict[str, Any]] = []
+    for node_id in sorted(sf.daemons):
+        try:
+            nodes.append(_node_entry(node_id, sf.daemons[node_id], app_id))
+        except Exception as entry_exc:           # pragma: no cover
+            nodes.append({"node": node_id, "error": repr(entry_exc)})
+
+    diagnosis: Dict[str, Any] = {"cause": type(exc).__name__, "ranks": ranks,
+                                 "nodes": nodes}
     waves = {r["wave"] for r in ranks if r.get("wave") is not None}
     if waves:
         wave = max(waves)
@@ -141,5 +184,21 @@ def format_diagnosis(diagnosis: Dict[str, Any]) -> str:
                     f"safe_point={r['at_safe_point']} "
                     f"pauses={r['pause_requests']} "
                     f"finished={r['finished']}")
+        lines.append("  ".join(bits))
+    for n in diagnosis.get("nodes", []):
+        if "error" in n:
+            lines.append(f"node {n.get('node')}: <{n['error']}>")
+            continue
+        bits = [f"node {n['node']} up={n['up']} "
+                f"view={n['view_epoch']}:{','.join(n['view_members'])}"]
+        if "status" in n:
+            bits.append(f"app={n['status']} restarts={n['restarts']} "
+                        f"done={n['done_ranks']} "
+                        f"placement={n['placement']} "
+                        f"replicas={n['replicas']}")
+        bits.append(f"lwg={n['lwg_epoch']}:{','.join(n['lwg_members'])} "
+                    f"authority={n['authority']} "
+                    f"early_reports={n['early_reports']} "
+                    f"done_cast={n['done_cast']}")
         lines.append("  ".join(bits))
     return "\n".join("  " + ln for ln in lines)

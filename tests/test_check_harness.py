@@ -6,6 +6,7 @@ import pytest
 
 from repro.check import WaveOracle
 from repro.check.harness import CheckRunner
+from repro.check.watchdog import diagnose_hang, format_diagnosis
 from repro.cli import main
 from repro.errors import OracleViolation
 
@@ -153,6 +154,44 @@ def test_hang_verdict_carries_watchdog_diagnosis():
     # And the failure replays byte-identically from its seed.
     again = runner.run_one(1)
     assert again.report.to_json() == outcome.report.to_json()
+
+
+def test_hang_dump_shows_each_daemons_view_of_the_app():
+    """The standing red cell partition-flap x replication: every rank has
+    finished, yet the app never ends.  The dump's per-node lines show why —
+    after the merge the daemons hold different lightweight-group replicas,
+    so they believe in different app authorities."""
+    outcome = CheckRunner("partition-flap", protocol="replication").run_one(1)
+    assert outcome.verdict == "hang"
+    diagnosis = outcome.error["diagnosis"]
+    nodes = {n["node"]: n for n in diagnosis["nodes"]}
+    assert sorted(nodes) == ["n0", "n1", "n2", "n3", "n4"]
+    assert len({tuple(n["view_members"]) for n in nodes.values()}) == 1
+    assert len({tuple(n["lwg_members"]) for n in nodes.values()}) > 1
+    assert len({n["authority"] for n in nodes.values()}) > 1
+    assert all(n["status"] == "running" for n in nodes.values())
+    text = format_diagnosis(diagnosis)
+    assert all(f"node {nid} up=True" in text for nid in nodes)
+    json.dumps(diagnosis)
+
+
+def test_hang_dump_never_raises_on_a_broken_daemon():
+    class Broken:
+        handles = {}
+
+        def __getattr__(self, name):
+            raise RuntimeError("torn down")
+
+    class Handle:
+        app_id = "app"
+
+    class Cluster:
+        daemons = {"n0": Broken()}
+
+    diagnosis = diagnose_hang(Cluster(), Handle(), RuntimeError("x"))
+    assert diagnosis["nodes"][0]["node"] == "n0"
+    assert "error" in diagnosis["nodes"][0]
+    assert "node n0: <" in format_diagnosis(diagnosis)
 
 
 def test_oracle_violation_verdict(monkeypatch):
