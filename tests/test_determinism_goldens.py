@@ -108,6 +108,26 @@ verdicts, the fault log, ``daemon.restarts``, ``ranks_restarted``,
 ``ranks_migrated``, ``gcs.views`` per node, placement and world version
 are equal in every cell.
 
+All four families were regenerated a fourth time when the lightweight
+group's relays stopped being acknowledged copy by copy (DESIGN §27: the
+sequencer posts each ``lwg-ord`` copy bare and a member asks for a missing
+one by sequence number).  Differing paths, all 42 cells dumped on parent and
+change first: ``series/net.frames_sent/tcp-ethernet`` (26 campaign cells),
+``series/net.frames_dropped/tcp-ethernet`` (21: fewer frames in a loss
+window or a partition, fewer dropped) and ``engine/events_processed`` (27);
+``restart_events[]/time`` in the one jitter cell only (four stamps by under a
+microsecond: its jitter stream is drawn for fewer frames); ``frames_sent`` /
+``bytes_sent`` / ``events_processed`` in three ``migrate`` cells, and in
+``migrate/stop-and-sync`` the ``app mig done`` stamp of three daemons 0.38 ms
+earlier (the last wave's casts no longer queue behind acknowledgements on
+the sequencer's NIC); in ``fleet-churn`` ``jobs[]/finished_at`` and the
+matching ``scheduler_log`` lines of four jobs, one 0.25 s poll quantum
+earlier or later — the campaign's 5 % loss window draws ``net.loss`` per
+frame (with the window removed every job time is equal on both sides).
+Results, final status, check verdicts, the fault log, ``daemon.restarts``,
+``ranks_restarted``, ``ranks_migrated``, ``gcs.views`` per node, placement
+and world version are equal in every cell.
+
 Only ``perturb`` and ``migrate`` were regenerated when the object bus went
 (DESIGN §24: five dispatched events per rank fewer).  All 42 full reports
 were dumped on parent and change first: the one differing path is
@@ -298,7 +318,17 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("perturb and migrate cells regenerated when the object bus went "
+NOTE = ("all four families regenerated a fourth time when the lightweight "
+        "group's relays stopped being acknowledged copy by copy (a member "
+        "asks the sequencer for a missing lwg-ord by sequence number): frame "
+        "/ drop / byte / event counters moved, the jitter cell's restart "
+        "stamps by under a microsecond, migrate/stop-and-sync's 'app mig "
+        "done' stamps by 0.38 ms and four fleet-churn job times by one poll "
+        "quantum (the loss window draws for fewer frames), audited cell by "
+        "cell against the parent's full reports first — results, status, "
+        "verdicts, fault log, restart and migration counters, gcs.views, "
+        "placement and world version equal everywhere.  Before that: "
+        "perturb and migrate cells regenerated when the object bus went "
         "(five events per rank fewer): only events_processed moved, every "
         "sha equal, the other 24 cells untouched.  Before that: "
         "all four families regenerated a third time when casts stopped "
