@@ -13,7 +13,10 @@ Design (paper §2.1):
 * Lightweight-group **data messages** (coordination and C/R traffic of one
   application) are frequent, so they travel point-to-point: the lightweight
   group's coordinator sequences them and relays them only to that group's
-  members — the efficiency argument for lightweight groups.
+  members — the efficiency argument for lightweight groups.  The relays go
+  bare: a member asks for a missing one by sequence number and reports how
+  far it has delivered, so the coordinator keeps only what some member
+  still lacks (DESIGN §27).
 
 The ablation benchmark ``bench_ablation_lwg`` compares this against the
 naive "one full process group per application" design.
