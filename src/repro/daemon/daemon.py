@@ -50,6 +50,9 @@ _APP_COUNTERS = {
         "application ranks respawned by requested migrations",
 }
 
+#: ``AppStatus`` by value, for decoding a record blob.
+_STATUS = {status.value: status for status in AppStatus}
+
 
 class StarfishDaemon:
     """One node's daemon."""
@@ -86,6 +89,8 @@ class StarfishDaemon:
         self._done_cast: Dict[str, int] = {}
         self._listener: Optional[Listener] = None
         self._procs: List = []
+        #: Apps whose LWG upcalls are pumped here: those this daemon has
+        #: spawned a rank or copy of.
         self._lwg_pumps: Set[str] = set()
         self.log: List[Tuple[float, str]] = []
         # Daemon telemetry: the per-node series are fetched once and start
@@ -178,20 +183,17 @@ class StarfishDaemon:
 
     @staticmethod
     def _record_from_blob(b: dict) -> AppRecord:
+        # Nothing is copied: the spec is ``b`` itself, and the containers
+        # a replica changes are replaced, never written in place.
         rec = AppRecord(
-            app_id=b["app_id"], owner=b["owner"], nprocs=b["nprocs"],
-            program=b["program"], params=dict(b["params"]),
-            ft_policy=b["ft_policy"], ckpt_protocol=b["ckpt_protocol"],
-            ckpt_level=b["ckpt_level"], ckpt_interval=b["ckpt_interval"],
-            transport=b["transport"], polling=b["polling"],
-            placement=dict(b["placement"]),
-            status=AppStatus(b["status"]))
-        rec.results = dict(b["results"])
-        rec.done_ranks = list(b["done_ranks"])
-        rec.restarts = b["restarts"]
-        rec.world_version = b["world_version"]
-        rec.replicas = {int(rank): tuple(backups)
-                        for rank, backups in b.get("replicas", {}).items()}
+            app_id=b["app_id"], spec=b, nprocs=b["nprocs"],
+            placement=b["placement"], status=_STATUS[b["status"]],
+            results=b["results"], done_ranks=b["done_ranks"],
+            restarts=b["restarts"], world_version=b["world_version"])
+        replicas = b.get("replicas")
+        if replicas:
+            rec.replicas = {int(rank): tuple(backups)
+                            for rank, backups in replicas.items()}
         return rec
 
     # ------------------------------------------------------------------
@@ -350,7 +352,7 @@ class StarfishDaemon:
         record = self.registry.maybe(app_id)
         if record is None or record.finished:
             return
-        record.placement.update(new_placement)
+        record.placement = {**record.placement, **new_placement}
         record.nprocs = len(record.placement)
         record.world_version = world_version
         spawning = self._spawn_local_ranks(
@@ -381,10 +383,9 @@ class StarfishDaemon:
 
     @staticmethod
     def _merge_done(record: AppRecord, results: Dict[int, Any]) -> None:
-        for rank, result in results.items():
-            if rank not in record.done_ranks:
-                record.done_ranks.append(rank)
-            record.results[rank] = result
+        record.done_ranks = record.done_ranks + [
+            rank for rank in results if rank not in record.done_ranks]
+        record.results = {**record.results, **results}
 
     def _report_done(self, record: AppRecord) -> None:
         """Send every finished rank hosted here to the app authority — the
@@ -443,7 +444,7 @@ class StarfishDaemon:
         if record is None or record.finished \
                 or incarnation != record.restarts:
             return      # a second authority's copy, or rolled back since (R3)
-        record.results = dict(results)
+        record.results = results
         record.done_ranks = list(results)
         record.status = AppStatus.DONE
         self._log(f"app {app_id} done")
@@ -513,6 +514,8 @@ class StarfishDaemon:
                 yield rank, handle
 
     def _kill_local(self, app_id: str, reason: str) -> None:
+        if app_id not in self._lwg_pumps:
+            return      # nothing of the app was ever spawned here
         for rank, handle in self._local(app_id):
             handle.kill(reason)
             del self.handles[(app_id, rank)]
@@ -533,6 +536,8 @@ class StarfishDaemon:
                            only_ranks: Optional[Set[int]] = None):
         """The generator that spawns this node's share of ``record`` (one
         ``SPAWN_COST`` each), or ``None`` when it hosts none of it."""
+        if not record.hosted_on(self.node.node_id):
+            return None
         mine = [(r, 0) for r in record.ranks_on(self.node.node_id)
                 if only_ranks is None or r in only_ranks]
         # Backup copies under active replication: same rank, same program,
@@ -717,8 +722,8 @@ class StarfishDaemon:
         elif policy == "view-notify":
             # The lightweight group already shrank; the registry forgets
             # the dead ranks and processes learn their new dense world.
-            for r in lost:
-                record.placement.pop(r, None)
+            record.placement = {r: n for r, n in record.placement.items()
+                                if r not in lost}
             record.world_version += 1
             self._notify_world(record)
             # Every survivor may have reported already.
@@ -903,13 +908,12 @@ class StarfishDaemon:
         placement = spec.placement \
             or dict(enumerate(self._pick_nodes(spec.nprocs)))
         record = AppRecord(
-            app_id=app_id, owner=spec.owner, nprocs=spec.nprocs,
-            program=spec.program,
-            params=spec.params,
-            ft_policy=spec.ft_policy.value, ckpt_protocol=ckpt.protocol,
-            ckpt_level=ckpt.level, ckpt_interval=ckpt.interval,
-            transport=spec.transport, polling=spec.polling,
-            placement=placement)
+            app_id=app_id, nprocs=spec.nprocs, placement=placement, spec={
+                "owner": spec.owner, "program": spec.program,
+                "params": spec.params, "ft_policy": spec.ft_policy.value,
+                "ckpt_protocol": ckpt.protocol, "ckpt_level": ckpt.level,
+                "ckpt_interval": ckpt.interval, "transport": spec.transport,
+                "polling": spec.polling})
         if ckpt.replicas > 1:
             # Active replication: 1 primary + ``replicas - 1`` backups per
             # rank, each on a distinct node chosen by the ring rule.

@@ -7,14 +7,21 @@ replicas agree in every field but two: while an application runs,
 ``done_ranks`` / ``results`` are application-scoped (DESIGN §21) — exact at
 the app authority, a hosting daemon's own ranks there, empty elsewhere —
 and become identical again when the authority's ``app-done`` is applied.
+What the submit fixes for the application's life (:data:`SPEC_FIELDS`) is
+not replicated at all: every daemon that applied the same cast holds the
+same read-only ``spec`` by reference.  The containers a replica does change
+(``placement``, ``results``, ``done_ranks``, ``replicas``) are replaced on
+every change, never written in place, so a fresh replica starts out on the
+cast's own and copies nothing.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import UnknownApplication
 
@@ -28,22 +35,30 @@ class AppStatus(enum.Enum):
     KILLED = "killed"
 
 
+#: What a submit fixes for the application's life, read from a record's
+#: ``spec``: ``owner``, ``program`` (a program class, opaque to the daemon),
+#: ``params``, ``ft_policy`` ("kill" | "view-notify" | "restart"),
+#: ``ckpt_protocol`` (None or a C/R protocol name), ``ckpt_level`` ("native"
+#: | "vm"), ``ckpt_interval``, ``transport`` and ``polling``.
+SPEC_FIELDS = ("owner", "program", "params", "ft_policy", "ckpt_protocol",
+               "ckpt_level", "ckpt_interval", "transport", "polling")
+
+
+def _spec_field(name: str) -> property:
+    return property(lambda record: record.spec[name],
+                    doc=f"``spec[{name!r}]``, fixed at submit")
+
+
 @dataclass
 class AppRecord:
     """One application as a daemon sees it."""
 
     app_id: str
-    owner: str
+    #: The mapping the record was made from (the ``app-submit`` blob, or a
+    #: state transfer's), shared by reference with every daemon that
+    #: applied it and never written: only its :data:`SPEC_FIELDS` are read.
+    spec: Mapping[str, Any]
     nprocs: int
-    program: Any                   # opaque to the daemon (a program class)
-    params: Dict[str, Any]
-    ft_policy: str                 # "kill" | "view-notify" | "restart"
-    ckpt_protocol: Optional[str]   # None | stop-and-sync | chandy-lamport |
-    #                                uncoordinated
-    ckpt_level: str                # "native" | "vm"
-    ckpt_interval: Optional[float]
-    transport: str
-    polling: bool
     placement: Dict[int, str]      # world rank -> node id
     status: AppStatus = AppStatus.RUNNING
     #: Results of finished ranks, as far as known here until ``DONE``.
@@ -58,6 +73,31 @@ class AppRecord:
     #: protocol, and then absent from the record blob so replication
     #: cannot perturb the determinism goldens.
     replicas: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
+
+    owner = _spec_field("owner")
+    program = _spec_field("program")
+    ft_policy = _spec_field("ft_policy")
+    ckpt_protocol = _spec_field("ckpt_protocol")
+    ckpt_level = _spec_field("ckpt_level")
+    ckpt_interval = _spec_field("ckpt_interval")
+    transport = _spec_field("transport")
+    polling = _spec_field("polling")
+
+    @property
+    def params(self) -> Mapping[str, Any]:
+        """The program's parameters, read-only: every daemon that applied
+        the submit shares them."""
+        return MappingProxyType(self.spec["params"])
+
+    def hosted_on(self, node_id: str) -> bool:
+        """Whether ``node_id`` hosts a rank or a backup copy — without
+        :meth:`ranks_on`'s sort or :meth:`copies_on`'s scan."""
+        if node_id in self.placement.values():
+            return True
+        for backups in self.replicas.values():
+            if node_id in backups:
+                return True
+        return False
 
     def ranks_on(self, node_id: str) -> List[int]:
         return sorted(r for r, n in self.placement.items() if n == node_id)

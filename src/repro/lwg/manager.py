@@ -54,6 +54,8 @@ class _Relay:
     """Sequencer side of relay repair for one epoch (DESIGN §27), made on
     first use: the other replicas of a group never allocate it."""
 
+    #: ``(origin, lseq)`` of every data message sequenced in the epoch.
+    seen_keys: Set[Tuple[EndpointId, int]] = field(default_factory=set)
     #: Relayed copies from gseq ``base`` up: what some member has not
     #: reported yet, kept to answer its ``lwg-nack``.
     history: List[tuple] = field(default_factory=list)
@@ -65,8 +67,23 @@ class _Relay:
 
 
 @dataclass
+class _Order:
+    """Member side of one epoch's delivery, made on first use: a replica
+    at a daemon outside the group never allocates it."""
+
+    next_deliver: int = 0
+    ooo: Dict[int, tuple] = field(default_factory=dict)
+    #: How many gseqs this member knows exist in the epoch.
+    heard: int = 0
+    #: The position this member last reported; a duplicate since then.
+    reported: int = 0
+    duplicate: bool = False
+
+
+@dataclass
 class _LwgState:
-    """Replicated (per daemon) state of one lightweight group."""
+    """Replicated (per daemon) state of one lightweight group: its members
+    and epoch; the rest is made on first use."""
 
     app_id: str
     members: Tuple[EndpointId, ...] = ()
@@ -79,23 +96,16 @@ class _LwgState:
     epoch: int = 0
     # -- sequencer side (only used by the current coordinator) --
     next_gseq: int = 0
-    seen_keys: Set[Tuple[EndpointId, int]] = field(default_factory=set)
+    relay: Optional[_Relay] = None
     #: Data from origins whose membership op we have not applied yet;
     #: re-sequenced at the membership change that admits them.
-    stash: List[tuple] = field(default_factory=list)
-    relay: Optional[_Relay] = None
+    stash: Optional[List[tuple]] = None
     # -- member side --
-    next_deliver: int = 0
-    ooo: Dict[int, tuple] = field(default_factory=dict)
-    #: How many gseqs this member knows exist in the epoch.
-    heard: int = 0
-    #: The position this member last reported; a duplicate since then.
-    reported: int = 0
-    duplicate: bool = False
+    order: Optional[_Order] = None
     #: Ordered messages from a future epoch, replayed once we catch up:
     #: epoch -> gseq -> delivery item.
-    future: Dict[int, Dict[int, tuple]] = field(default_factory=dict)
-    delivered_keys: Set[Tuple[EndpointId, int]] = field(default_factory=set)
+    future: Optional[Dict[int, Dict[int, tuple]]] = None
+    delivered_keys: Optional[Set[Tuple[EndpointId, int]]] = None
 
     @property
     def coordinator(self) -> Optional[EndpointId]:
@@ -104,13 +114,8 @@ class _LwgState:
     def reset_ordering(self) -> None:
         self.epoch += 1
         self.next_gseq = 0
-        self.seen_keys = set()
         self.relay = None
-        self.next_deliver = 0
-        self.ooo = {}
-        self.heard = 0
-        self.reported = 0
-        self.duplicate = False
+        self.order = None
         # delivered_keys survives: dedup across re-sends spanning a change.
         # future survives too: it may hold this very epoch's messages.
 
@@ -228,25 +233,25 @@ class LwgManager:
         """Create a lightweight group spanning ``members`` (daemons)."""
         self.gm.cast(("lwg-op", "create", app_id, tuple(sorted(members))))
 
-    def open(self, app_id: str, members) -> None:
+    def open(self, app_id: str, members: Tuple[EndpointId, ...]) -> None:
         """Create the group *in place*: what a delivered ``create`` does,
         for a caller that is itself applying a totally-ordered main-group
-        cast (so every replica opens it at the same point of the order)."""
+        cast (so every replica opens it at the same point of the order).
+        ``members`` is the sorted tuple that cast carries."""
         if app_id in self.groups:
             return  # duplicate create (e.g. re-cast after view change)
-        state = _LwgState(app_id=app_id, members=tuple(sorted(members)))
-        self.groups[app_id] = state
-        self._emit(app_id, LwgView(app_id=app_id, members=state.members,
-                                   joined=state.members, left=()))
-        self._replay_orphans(app_id)
+        self.groups[app_id] = _LwgState(app_id=app_id, members=members)
+        self._emit(app_id, LwgView, members=members, joined=members, left=())
+        if app_id in self._orphans:
+            self._replay_orphans(app_id)
 
     def close(self, app_id: str) -> None:
         """Destroy the group in place (the counterpart of :meth:`open`)."""
         state = self.groups.pop(app_id, None)
         self._orphans.pop(app_id, None)
         if state is not None:
-            self._emit(app_id, LwgView(app_id=app_id, members=(),
-                                       joined=(), left=state.members))
+            self._emit(app_id, LwgView, members=(), joined=(),
+                       left=state.members)
 
     def join(self, app_id: str, member: Optional[EndpointId] = None) -> None:
         self.gm.cast(("lwg-op", "join", app_id, member or self.endpoint))
@@ -285,10 +290,11 @@ class LwgManager:
             return  # group empty; pending is re-sent on membership change
         # The origin's delivered position rides along: a report it need
         # not send on its tick.
-        state.reported = state.next_deliver
-        state.duplicate = False
+        order = self._order(state)
+        order.reported = order.next_deliver
+        order.duplicate = False
         self.gm.send(coord, ("lwg-data", app_id, self.endpoint, lseq,
-                             payload, kind, state.epoch, state.next_deliver),
+                             payload, kind, state.epoch, order.next_deliver),
                      size=size, kind=kind)
 
     # ------------------------------------------------------------------
@@ -377,8 +383,8 @@ class LwgManager:
         state.reset_ordering()
         joined = tuple(sorted(set(new) - set(old)))
         left = tuple(sorted(set(old) - set(new)))
-        self._emit(state.app_id, LwgView(app_id=state.app_id, members=new,
-                                         joined=joined, left=left))
+        self._emit(state.app_id, LwgView, members=new, joined=joined,
+                   left=left)
         # Re-drive our own unordered messages through the new coordinator.
         if self.endpoint in new:
             for lseq, (payload, kind, size) in sorted(
@@ -386,16 +392,17 @@ class LwgManager:
                 self._send_data(state.app_id, state, lseq, payload, kind, size)
         # Replay ordered messages that arrived under this (then-future)
         # epoch before the change itself did.
-        if self.endpoint in new:
-            for gseq, item in sorted(state.future.pop(state.epoch,
-                                                      {}).items()):
-                self._ingest(state, gseq, item)
-        else:
-            state.future.clear()
+        if state.future:
+            if self.endpoint in new:
+                for gseq, item in sorted(state.future.pop(state.epoch,
+                                                          {}).items()):
+                    self._ingest(state, gseq, item)
+            else:
+                state.future = None
         # Re-sequence parked data whose origin this change just admitted
         # (coordinator side; _sequence re-checks every condition).
         if state.coordinator == self.endpoint and state.stash:
-            parked, state.stash = state.stash, []
+            parked, state.stash = state.stash, None
             for payload in parked:
                 self._sequence(payload)
 
@@ -416,19 +423,22 @@ class LwgManager:
             # message for good — the origin only re-drives its pending
             # on ITS next membership change.  Park it; the join op that
             # admits the origin re-sequences it (``_change_members``).
+            if state.stash is None:
+                state.stash = []
             state.stash.append(payload)
             return
         if epoch == state.epoch:
             self._note_position(state, origin, position)
+        relay = self._relay(state)
         key = (origin, lseq)
-        if key in state.seen_keys:
+        if key in relay.seen_keys:
             return
-        state.seen_keys.add(key)
+        relay.seen_keys.add(key)
         gseq = state.next_gseq
         state.next_gseq += 1
         out = ("lwg-ord", app_id, state.epoch, gseq, origin, lseq, inner,
                kind)
-        self._relay(state).history.append(out)
+        relay.history.append(out)
         if len(state.members) == 1:
             self._trim(state)               # nobody else to keep it for
         # The sequencer is min(members): itself first, then one bare copy
@@ -449,6 +459,8 @@ class LwgManager:
             # our numbering — park it for the replay in
             # ``_change_members``; dropping it would wedge the stream
             # at a gseq hole nobody will ever fill.
+            if state.future is None:
+                state.future = {}
             state.future.setdefault(epoch, {})[gseq] = (origin, lseq,
                                                         inner, kind)
             return
@@ -460,21 +472,22 @@ class LwgManager:
         self._ingest(state, gseq, (origin, lseq, inner, kind))
 
     def _ingest(self, state: _LwgState, gseq: int, item: tuple) -> None:
-        if gseq < state.next_deliver or gseq in state.ooo:
-            state.duplicate = True      # a re-post: report again
+        order = self._order(state)
+        if gseq < order.next_deliver or gseq in order.ooo:
+            order.duplicate = True      # a re-post: report again
             return
-        if gseq > state.heard:
+        if gseq > order.heard:
             # A hole just opened: ask for exactly it, at once.
-            self._nack(state, state.heard, gseq)
-        state.heard = max(state.heard, gseq + 1)
-        if gseq == state.next_deliver:
+            self._nack(state, order.heard, gseq)
+        order.heard = max(order.heard, gseq + 1)
+        if gseq == order.next_deliver:
             self._deliver(state, item)
-            state.next_deliver += 1
-            while state.next_deliver in state.ooo:
-                self._deliver(state, state.ooo.pop(state.next_deliver))
-                state.next_deliver += 1
+            order.next_deliver += 1
+            while order.next_deliver in order.ooo:
+                self._deliver(state, order.ooo.pop(order.next_deliver))
+                order.next_deliver += 1
         else:
-            state.ooo[gseq] = item
+            order.ooo[gseq] = item
 
     # -- repair by sequence number (DESIGN §27) -----------------------------
 
@@ -495,6 +508,12 @@ class LwgManager:
         if state.relay is None:
             state.relay = _Relay()
         return state.relay
+
+    @staticmethod
+    def _order(state: _LwgState) -> _Order:
+        if state.order is None:
+            state.order = _Order()
+        return state.order
 
     def _on_nack(self, source: EndpointId, payload: tuple) -> None:
         """Sequencer: send a member the copies it asks for again, from this
@@ -545,20 +564,23 @@ class LwgManager:
             if state.coordinator == me:
                 self._resend_tail(state, now)
                 continue
-            if state.next_deliver < state.heard:
-                first = state.next_deliver
-                for gseq in sorted(state.ooo):
+            order = state.order
+            if order is None:
+                continue        # nothing heard, nothing to report
+            if order.next_deliver < order.heard:
+                first = order.next_deliver
+                for gseq in sorted(order.ooo):
                     if gseq > first:
                         self._nack(state, first, gseq)
                     first = gseq + 1
-                if first < state.heard:
-                    self._nack(state, first, state.heard)
-            if state.next_deliver > state.reported or state.duplicate:
-                state.reported = state.next_deliver
-                state.duplicate = False
+                if first < order.heard:
+                    self._nack(state, first, order.heard)
+            if order.next_deliver > order.reported or order.duplicate:
+                order.reported = order.next_deliver
+                order.duplicate = False
                 self.gm.post((state.coordinator,),
                              ("lwg-pos", state.app_id, state.epoch,
-                              state.next_deliver))
+                              order.next_deliver))
 
     def _resend_tail(self, state: _LwgState, now: float) -> None:
         relay = state.relay
@@ -581,18 +603,22 @@ class LwgManager:
     def _deliver(self, state: _LwgState, item: tuple) -> None:
         origin, lseq, inner, kind = item
         key = (origin, lseq)
-        if key in state.delivered_keys:
+        if state.delivered_keys is None:
+            state.delivered_keys = set()
+        elif key in state.delivered_keys:
             return  # duplicate from a re-send across a membership change
         state.delivered_keys.add(key)
         if origin == self.endpoint:
             self._pending.get(state.app_id, {}).pop(lseq, None)
-        self._emit(state.app_id, LwgCast(app_id=state.app_id, source=origin,
-                                         payload=inner, kind=kind))
+        self._emit(state.app_id, LwgCast, source=origin, payload=inner,
+                   kind=kind)
 
-    def _emit(self, app_id: str, event) -> None:
+    def _emit(self, app_id: str, event_type, **fields) -> None:
+        """Upcall ``event_type(app_id=app_id, **fields)`` to the group's
+        local subscriber; built only if there is one."""
         ch = self._subs.get(app_id)
         if ch is not None:
-            ch.deliver(event)
+            ch.deliver(event_type(app_id=app_id, **fields))
 
     def __repr__(self) -> str:
         return f"<LwgManager {self.endpoint} groups={sorted(self.groups)}>"

@@ -7,9 +7,11 @@ injection: frame loss (seeded, deterministic), network partitions, and
 detaching the NICs of crashed nodes.
 
 The *fixed* per-layer software costs (Figure 6) are charged by the layers
-themselves (driver in :mod:`repro.net.nic`, VNI in :mod:`repro.vni`, MPI in
-:mod:`repro.mpi`); the fabric charges only the wire term:
-``wire_latency + size / bandwidth``.
+themselves (driver send side in :mod:`repro.net.nic`, VNI in
+:mod:`repro.vni`, MPI in :mod:`repro.mpi`).  The fabric charges the wire
+term ``wire_latency + size / bandwidth`` (serialization at the sending NIC,
+propagation here) and the receiving driver's ``driver_recv``: a frame's
+arrival is one event, at whose end it is in its port's hands.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class Fabric:
         self._nics: Dict[str, "Nic"] = {}          # node_id -> Nic
         self._partitions: Optional[Dict[str, int]] = None
         # In-flight batch of frames transmitted at the same instant: they
-        # all arrive wire-time later, so a burst schedules ONE wakeup
+        # all arrive at once, so a burst schedules ONE arrival event
         # instead of N.  Delivery iterates in transmit order, which is the
         # order the per-frame arrival events would have fired in anyway
         # (equal fire time, consecutive transmit => ascending seq).
@@ -88,7 +90,7 @@ class Fabric:
         #: kind -> (frames counter, bytes counter)
         self._m_kind: Dict[str, Tuple[Counter, Counter]] = {}
         #: Delivery interception point: ``tap(frame) -> bool`` called just
-        #: before a frame reaches the destination NIC; truthy suppresses
+        #: before a frame reaches the destination port; truthy suppresses
         #: the delivery.  Protocol harnesses hook here to drop, reorder,
         #: or observe traffic below every software layer.
         self.delivery_tap = None
@@ -181,8 +183,12 @@ class Fabric:
                 return
 
         # Serialization (size/bandwidth) was charged by the sending NIC;
-        # only propagation/switching remains.  Same-instant transmits join
-        # the open batch instead of scheduling their own arrival event.
+        # propagation/switching and the receiving driver remain, and the
+        # frame reaches its port at the end of both: one event, at the
+        # instant the two charges used to be scheduled one after the other
+        # (``(now + wire) + driver_recv``, not ``now + (wire + ...)``).
+        # Same-instant transmits join the open batch instead of scheduling
+        # their own arrival event.
         engine = self.engine
         perturb = engine._perturb
         if perturb is not None:
@@ -196,24 +202,24 @@ class Fabric:
         batch = [frame]
         self._batch = batch
         self._batch_now = now
-        arrival = Timeout(
-            engine, self.spec.layers.wire, value=batch,
-            name=f"wire:{frame.frame_id}+" if engine.tracer is not None
-            else None)
-        arrival.callbacks.append(self._deliver_batch)
+        layers = self.spec.layers
+        Timeout.at(engine, (now + layers.wire) + layers.driver_recv,
+                   value=batch,
+                   name=f"wire:{frame.frame_id}+" if engine.tracer is not None
+                   else None).callbacks.append(self._deliver_batch)
 
     def _transmit_perturbed(self, frame: Frame, perturb) -> None:
         """Per-frame arrival under a schedule perturbation (repro.check).
 
-        Bypasses the same-instant wire batch — batched frames share one
-        event and could never be reordered by the tie shuffle.  Safe for
-        per-link FIFO even without jitter: NIC tx is serialized (driver
-        cost + link time per frame), so same-instant transmits always come
-        from *different* source nodes.  With jitter enabled, each frame's
-        wire time is stretched by a seeded draw, and a per-link arrival
-        floor keeps FIFO: a frame never lands at or before its predecessor
-        on the same (src, dst) link, so even the tie shuffle (which only
-        reorders *equal* times) cannot swap them.
+        Bypasses the same-instant batch — batched frames share one event
+        and could never be reordered by the tie shuffle.  Safe for per-link
+        FIFO even without jitter: NIC tx is serialized (driver cost + link
+        time per frame), so same-instant transmits always come from
+        *different* source nodes.  With jitter enabled, each frame's wire
+        time is stretched by a seeded draw, and a per-link arrival floor
+        keeps FIFO: a frame never lands at or before its predecessor on the
+        same (src, dst) link, so even the tie shuffle (which only reorders
+        *equal* times) cannot swap them.
         """
         engine = self.engine
         delay = self.spec.layers.wire
@@ -226,28 +232,18 @@ class Fabric:
             arrival_at = floor + 1e-12
             delay = arrival_at - engine._now
         self._jitter_floor[key] = arrival_at
-        arrival = Timeout(
-            engine, delay, value=frame,
-            name=f"wire:{frame.frame_id}~" if engine.tracer is not None
-            else None)
-        arrival.callbacks.append(self._deliver_one)
-
-    def _deliver_one(self, event) -> None:
-        frame = event._value
-        nics = self._nics
-        nic = nics.get(frame.dst)
-        if nic is None or (frame.src not in nics
-                           if self._partitions is None
-                           else not self._reachable(frame.src, frame.dst)):
-            self._m_dropped.inc()
-            return
-        if self.delivery_tap is not None and self.delivery_tap(frame):
-            return
-        nic._receive(frame)
+        Timeout.at(engine, (engine._now + delay)
+                   + self.spec.layers.driver_recv, value=[frame],
+                   name=f"wire:{frame.frame_id}~" if engine.tracer is not None
+                   else None).callbacks.append(self._deliver_batch)
 
     def _deliver_batch(self, event) -> None:
+        """The frames of one arrival event reach their ports, in transmit
+        order.  Each is judged here, once: a destination that crashed (a
+        downed NIC is detached) or was partitioned away since transmit
+        loses it, then the delivery tap may take it."""
         frames = event._value
-        if self._batch is frames:    # zero-wire fabrics deliver in-instant
+        if self._batch is frames:    # zero-delay fabrics deliver in-instant
             self._batch = None
         nics = self._nics
         for frame in frames:
@@ -256,12 +252,16 @@ class Fabric:
                                if self._partitions is None
                                else not self._reachable(frame.src,
                                                         frame.dst)):
-                # Destination crashed or was partitioned away mid-flight.
                 self._m_dropped.inc()
                 continue
             if self.delivery_tap is not None and self.delivery_tap(frame):
                 continue
-            nic._receive(frame)
+            sink = nic._ports.get(frame.port)
+            if sink is not None:
+                sink(frame)
+            else:
+                # No listener — frame dropped, like a closed UDP port.
+                nic._m_rx_dropped.inc()
 
     def __repr__(self) -> str:
         reg, name = self._registry, self.spec.name

@@ -1,10 +1,12 @@
 """Network interface cards.
 
-A :class:`Nic` attaches one node to one fabric.  It charges the *driver*
-layer costs of Figure 6: ``driver_send`` before a frame reaches the wire
-(for TCP this is the syscall + kernel stack; for BIP the user-level doorbell
-write) and ``driver_recv`` before an arriving frame becomes visible to the
-node's software (the VNI / polling thread).
+A :class:`Nic` attaches one node to one fabric.  It charges the send side
+of the *driver* layer costs of Figure 6, ``driver_send`` before a frame
+reaches the wire (for TCP this is the syscall + kernel stack; for BIP the
+user-level doorbell write).  The receive side, ``driver_recv`` before an
+arriving frame becomes visible to the node's software (the VNI / polling
+thread), ends the fabric's arrival event: one event per arrival, at whose
+end the fabric hands the frame to this NIC's port.
 
 The transmit side is serialized: the NIC owns one FIFO of pending frames
 and puts them on the link one at a time, one timeout per frame, which models
@@ -49,7 +51,7 @@ class Nic:
         # all NICs of one fabric share the series).
         self._m_rx_dropped = get_registry(engine).counter(
             "net.nic.rx_dropped", fabric=fabric.spec.name,
-            help="frames to closed ports or downed NICs")
+            help="frames that arrived at a closed port")
         #: Transmit FIFO; the head is the entry being serialized.  A posted
         #: frame waits as its bare ``(dst, port, payload, size, kind)`` and
         #: becomes a :class:`Frame` only then (a 256-node group coordinator
@@ -57,24 +59,14 @@ class Nic:
         self._txq: deque = deque()
         # Per-frame timing constants, cached off the spec's attribute chain.
         self._driver_send = fabric.spec.layers.driver_send
-        self._driver_recv = fabric.spec.layers.driver_recv
         self._bandwidth = fabric.spec.bandwidth
         #: Per-port frame sinks, ``_queues[port].put`` for a queue port;
-        #: ports are opened by the software above.
+        #: ports are opened by the software above, and the fabric hands
+        #: each arriving frame to its port's sink.
         self._ports: Dict[str, Callable[[Frame], None]] = {}
         self._queues: Dict[str, Channel] = {}
         self._on_down: Dict[str, Callable[[BaseException], None]] = {}
         self._up = True
-        # Receive-side batch: consecutive arrivals in one fabric delivery
-        # burst share one driver_recv wakeup.  The seq guard makes the
-        # merge provably order-preserving: a frame may only join the batch
-        # if NO engine event was created since the batch's timeout was
-        # scheduled — its own timeout would have carried the very next
-        # sequence number and the same fire time, i.e. it would have been
-        # adjacent in the heap anyway.
-        self._rx_batch: Optional[list] = None
-        self._rx_batch_now: float = -1.0
-        self._rx_batch_seq: int = -1
         fabric.attach(self)
 
     @property
@@ -88,7 +80,7 @@ class Nic:
                   = None) -> Optional[Channel]:
         """Create (or return) the receive queue for ``port`` — or, given
         ``sink``, hand each arriving frame to ``sink(frame)`` synchronously
-        inside its ``driver_recv`` event instead (no queue); ``on_down(exc)``
+        inside its arrival event instead (no queue); ``on_down(exc)``
         is then called if the NIC goes down while the port is open."""
         if sink is not None:
             self._ports[port] = sink
@@ -173,49 +165,6 @@ class Nic:
             self._tx_start()
         if entry.__class__ is SendDone:
             entry.fire()
-
-    # -- receive path ----------------------------------------------------------
-
-    def _receive(self, frame: Frame) -> None:
-        """Called by the fabric on arrival; charges driver_recv, then queues."""
-        if not self._up:
-            return
-        engine = self.engine
-        batch = self._rx_batch
-        # Under a schedule perturbation (repro.check) every frame gets its
-        # own driver_recv event so the tie shuffle can explore delivery
-        # orders; same-batch frames always come from different senders
-        # (NIC tx is serialized), so per-link FIFO is unaffected.
-        if (batch is not None and self._rx_batch_seq == engine._seq
-                and self._rx_batch_now == engine._now
-                and engine._perturb is None):
-            batch.append(frame)
-            return
-        batch = [frame]
-        self._rx_batch = batch
-        self._rx_batch_now = engine._now
-        done = Timeout(
-            engine, self._driver_recv, value=batch,
-            name=f"drv-rx:{frame.frame_id}+" if engine.tracer is not None
-            else None)
-        done.callbacks.append(self._enqueue_batch)
-        self._rx_batch_seq = engine._seq
-
-    def _enqueue_batch(self, event) -> None:
-        frames = event._value
-        if self._rx_batch is frames:
-            self._rx_batch = None
-        if not self._up:
-            self._m_rx_dropped.inc(len(frames))
-            return
-        ports = self._ports
-        for frame in frames:
-            sink = ports.get(frame.port)
-            if sink is not None:
-                sink(frame)
-            else:
-                # No listener — frame dropped, like a closed UDP port.
-                self._m_rx_dropped.inc()
 
     # -- lifecycle ---------------------------------------------------------------
 

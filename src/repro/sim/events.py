@@ -198,6 +198,26 @@ class Timeout(Event):
         engine._seq = seq = engine._seq + 1
         engine._push((engine._now + delay, _NORMAL, seq, self))
 
+    @classmethod
+    def at(cls, engine, when: float, value: Any = None,
+           name: Optional[str] = None) -> "Timeout":
+        """A timeout that fires at the absolute time ``when``.  For a chain
+        of charges folded into one event: ``(now + a) + b`` is the instant
+        the chain used to reach, ``now + (a + b)`` need not be."""
+        self = cls.__new__(cls)
+        self.engine = engine
+        self.name = name
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self._defused = False
+        self.delay = delay = when - engine._now
+        if delay < 0:
+            raise SimulationError(f"timeout at {when!r} is in the past")
+        engine._seq = seq = engine._seq + 1
+        engine._push((when, _NORMAL, seq, self))
+        return self
+
 
 class Condition(Event):
     """An event that triggers when ``evaluate(events, n_done)`` is true.

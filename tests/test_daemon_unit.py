@@ -7,6 +7,7 @@ from repro.store import CheckpointRecord, CheckpointStore
 from repro.cluster import arch_by_name
 from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
 from repro.daemon import AppRecord, AppStatus, Registry
+from repro.daemon.registry import SPEC_FIELDS
 from repro.errors import DaemonError, PlacementError, UnknownApplication
 
 
@@ -16,7 +17,8 @@ def make_record(app_id="a", **kw):
                     ckpt_interval=None, transport="bip-myrinet",
                     polling=True, placement={0: "n0", 1: "n1"})
     defaults.update(kw)
-    return AppRecord(app_id=app_id, **defaults)
+    spec = {name: defaults.pop(name) for name in SPEC_FIELDS}
+    return AppRecord(app_id=app_id, spec=spec, **defaults)
 
 
 # ---------------------------------------------------------------------------

@@ -167,9 +167,9 @@ def test_control_traffic_stays_off_myrinet():
 
 def test_event_budget_per_frame():
     # A group-communication frame costs one dedicated engine event, its
-    # serialization timeout, plus its share of the batched wire/driver_recv
-    # wakeups and the tickers: an idle member handles the message inside
-    # that driver_recv event (Mailbox.deliver), so an inbox get is paid only
+    # serialization timeout, plus its share of the batched arrival wakeups
+    # and the tickers: an idle member handles the message inside that
+    # arrival event (Mailbox.deliver), so an inbox get is paid only
     # by what queues behind the coordinator's sequencer round — and here by
     # the harness recorders, which read member.events with get().  The run
     # is deterministic, so the totals are pinned exactly: a pump process or
@@ -185,7 +185,9 @@ def test_event_budget_per_frame():
     # acks of ordered copies; the 17 acks of requests stay.  Events 2704 ->
     # 2249: those 140 frames' serialization timeouts, wire and driver_recv
     # wakeups (3 x 140) and the 35 inbox gets of the acks that queued
-    # behind a sequencer round.
+    # behind a sequencer round.  Events 2249 -> 1730 when a frame's
+    # arrival became one event (DESIGN §12): the window's 519 driver_recv
+    # wakeups (Nic._enqueue_batch) are gone, frames unchanged.
     h = Harness(nodes=8)
     h.boot_all()
     h.run(until=2.0)
@@ -196,7 +198,7 @@ def test_event_budget_per_frame():
     h.run(until=4.0)
     assert all(len(h.casts(nid)) == 20 for nid in h.members)
     assert reg.sum("net.frames_sent") - frames == 734
-    assert h.engine.events_processed - events == 2249
+    assert h.engine.events_processed - events == 1730
 
 
 def test_rel_ack_drops_exactly_the_acknowledged_prefix():

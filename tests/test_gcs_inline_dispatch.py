@@ -284,7 +284,7 @@ def test_served_and_unserved_members_deliver_the_same_sequence():
 def test_daemon_event_budget_per_frame():
     # The booted-cluster twin of test_gcs_basic::test_event_budget_per_frame:
     # an idle daemon and an idle LWG pump handle an upcall inside the
-    # frame's driver_recv event, so above the NIC only ops that wait
+    # frame's arrival event, so above the NIC only ops that wait
     # (spawning, the local TCP hop) and what queues behind them cost
     # events.  The run is deterministic, so both totals are pinned exactly:
     # a get:gcs-ev or LWG get put back per frame fails here rather than
@@ -311,6 +311,9 @@ def test_daemon_event_budget_per_frame():
     # 444 events, frames unchanged, when the object bus went (DESIGN §24):
     # five events per rank (its dispatcher's start, two gets of the queued
     # configuration events, the stop's interrupt and its exit) x 9 ranks.
+    # 444 -> 364 events, frames unchanged, when a frame's arrival became
+    # one event (DESIGN §12): the window's 80 driver_recv wakeups
+    # (Nic._enqueue_batch) are gone.
     sf = StarfishCluster.build(nodes=4)
     reg = sf.engine.metrics
     events, frames = sf.engine.events_processed, reg.sum("net.frames_sent")
@@ -320,4 +323,4 @@ def test_daemon_event_budget_per_frame():
     for handle in handles:
         sf.run_to_completion(handle)
     assert reg.sum("net.frames_sent") - frames == 90        # parent: 108
-    assert sf.engine.events_processed - events == 444       # parent: 489
+    assert sf.engine.events_processed - events == 364       # parent: 444

@@ -253,18 +253,19 @@ def pingpong_events(reps):
 
 
 def test_event_budget_per_message():
-    # One MPI message costs seven dispatched events, named by owner — sender:
+    # One MPI message costs six dispatched events, named by owner — sender:
     # Vni._staged (the merged software-stack timeout), Nic._tx_done (the
-    # serialization timeout, which resumes the sender inside it); wire:
-    # Fabric._deliver_batch; receiver: Nic._enqueue_batch (driver_recv),
-    # Vni._polled, MpiEndpoint._dispatched, and the request's own event
-    # app_recv after the match — so a round trip costs 14 (parent: 18, with a
-    # _SendDone hand-back and a separate app_recv timeout per message).  The
-    # run is deterministic, so the totals are pinned exactly: a process or a
-    # get put back on the data path adds one event per message and fails
-    # here rather than showing up as benchmark drift.
+    # serialization timeout, which resumes the sender inside it); arrival:
+    # Fabric._deliver_batch (wire + driver_recv); receiver: Vni._polled,
+    # MpiEndpoint._dispatched, and the request's own event app_recv after
+    # the match — so a round trip costs 12.  The run is deterministic, so
+    # the totals are pinned exactly: a process or a get put back on the
+    # data path adds one event per message and fails here rather than
+    # showing up as benchmark drift.  14 -> 12 when a frame's arrival
+    # became one event (DESIGN §12): the driver_recv event
+    # (Nic._enqueue_batch) of each message is gone, 2 per round trip.
     small, large = pingpong_events(50), pingpong_events(250)
-    assert large - small == 14 * 200            # parent: 18 * 200
+    assert large - small == 12 * 200            # parent: 14 * 200
     # Submit, spawn, MPI_Init wait, completion and teardown of the app do not
     # depend on the number of round trips.  79 -> 51 when an application
     # became two main-group casts (DESIGN §21; five before: lwg-op create,
@@ -278,7 +279,10 @@ def test_event_budget_per_message():
     # §24): each rank's bus dispatcher cost five events — its start, two
     # gets of the queued configuration events, the stop's interrupt and its
     # exit — and was never on the data path, so the 14 does not move.
-    assert small == 14 * 50 + 35                # parent: 14 * 50 + 45
+    # 14 * 50 + 35 -> 12 * 50 + 31 when arrival became one event: the run
+    # of 50 round trips dispatched 104 driver_recv events, 2 * 50 of the
+    # messages and 4 of the control frames.
+    assert small == 12 * 50 + 31                # parent: 14 * 50 + 35
 
 
 class Exchange(StarfishProgram):
@@ -347,15 +351,16 @@ def test_event_budget_per_isend(monkeypatch):
     isends = 2 * 10 * 10                        # both ranks, ten more steps
     assert extra["Vni._staged"] == extra["Nic._tx_done"] == isends
     assert not [who for who in large if "isend" in who]
-    # The message's other five events: the wire, driver_recv, the two
-    # receive stages and the blocking receive's request event, which is
-    # the only one that resumes the rank.  Nothing else grows with the
-    # number of messages but the steps' own bookkeeping.
+    # The message's other four events: its arrival (wire + driver_recv,
+    # one event since DESIGN §12's fold; Nic._enqueue_batch was the
+    # seventh), the two receive stages and the blocking receive's request
+    # event, which is the only one that resumes the rank.  Nothing else
+    # grows with the number of messages but the steps' own bookkeeping.
     per_message = ("Vni._staged", "Nic._tx_done", "Fabric._deliver_batch",
-                   "Nic._enqueue_batch", "Vni._polled",
-                   "MpiEndpoint._dispatched", "app <- Event")
-    assert [extra[who] for who in per_message] == [isends] * 7
-    assert sum(extra.values()) == 7 * isends
+                   "Vni._polled", "MpiEndpoint._dispatched", "app <- Event")
+    assert [extra[who] for who in per_message] == [isends] * 6
+    assert not extra["Nic._enqueue_batch"]
+    assert sum(extra.values()) == 6 * isends    # parent: 7 * isends
     # Under a message-logging protocol the tap may wait (the log precedes
     # the wire), so each isend keeps a process to wait in.
     tapped = exchange_owners(

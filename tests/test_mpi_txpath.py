@@ -324,9 +324,10 @@ def test_recv_resumes_app_recv_after_the_match():
     hist = recv_hist(cluster)
     assert hist.count == 3
     assert hist.sum == 0.0 + (filed[0] - posted[0]) + 0.0 + 0.0
-    # Two messages at seven events each, the receiver's 1 ms timeout, the
+    # Two messages at six events each (seven before a frame's arrival
+    # became one event, DESIGN §12), the receiver's 1 ms timeout, the
     # PROC_NULL request, two process starts and two terminations.
-    assert eng.events_processed - before == 2 * 7 + 1 + 1 + 2 + 2
+    assert eng.events_processed - before == 2 * 6 + 1 + 1 + 2 + 2
 
 
 def test_recv_without_the_polling_thread_still_reports_status():

@@ -216,3 +216,129 @@ def test_frame_to_unopened_port_is_dropped_and_counted():
     assert eng.metrics.value("net.nic.rx_dropped",
                              fabric="tcp-ethernet") == 1
     assert len(somebody) == 0           # handed to no other port either
+
+
+# -- arrival is one event: wire + driver_recv (DESIGN §12) ------------------
+
+def _arrival_window(cluster, size=32):
+    """(instant the frame leaves n0's NIC, instant it reaches n1's port)
+    for a frame posted on the Ethernet at t = 0."""
+    layers = cluster.ethernet.spec.layers
+    left = 0.0 + (layers.driver_send + size / cluster.ethernet.spec.bandwidth)
+    return left, (left + layers.wire) + layers.driver_recv
+
+
+def test_a_frame_reaches_its_sink_one_event_after_it_leaves_the_nic():
+    cluster, n0, n1 = make_pair()
+    eng = cluster.engine
+    nic0 = n0.nic("tcp-ethernet")
+    seen = {}
+    tx_done = nic0._tx_done
+
+    def watched_tx_done(event):
+        seen["left"] = eng.now
+        tx_done(event)
+
+    nic0._tx_done = watched_tx_done
+    n1.nic("tcp-ethernet").open_port(
+        "p", sink=lambda f: seen.setdefault("sink", eng.now))
+    nic0.post("n1", "p", "x", 32)
+    while "left" not in seen:
+        eng.step()
+    assert "sink" not in seen
+    eng.step()                                  # the one arrival event
+    left, arrives = _arrival_window(cluster)
+    assert seen["left"] == left
+    # driver_send + size/bw + wire + driver_recv after the post, summed in
+    # the order the charges are made.
+    assert seen["sink"] == arrives
+    assert eng.pending == 0
+
+
+def _post_and_act_in_window(act):
+    """Post n0 -> n1 at t = 0 and run ``act(cluster)`` halfway through the
+    driver_recv window; returns (payloads delivered, frames dropped)."""
+    cluster, n0, n1 = make_pair()
+    eng = cluster.engine
+    got = []
+    n1.nic("tcp-ethernet").open_port("p", sink=lambda f: got.append(
+        f.payload))
+    n0.nic("tcp-ethernet").post("n1", "p", "x", 32)
+    left, arrives = _arrival_window(cluster)
+    wire_end = left + cluster.ethernet.spec.layers.wire
+    assert left < wire_end < arrives
+    eng.timeout((wire_end + arrives) / 2).callbacks.append(
+        lambda _e: act(cluster))
+    eng.run()
+    return got, eng.metrics.sum("net.frames_dropped", fabric="tcp-ethernet")
+
+
+def test_a_nic_shut_down_inside_driver_recv_drops_the_frame_once():
+    got, dropped = _post_and_act_in_window(
+        lambda c: c.node("n1").nic("tcp-ethernet").shutdown())
+    assert got == [] and dropped == 1
+
+
+def test_a_partition_set_inside_driver_recv_drops_the_frame_once():
+    got, dropped = _post_and_act_in_window(
+        lambda c: c.ethernet.set_partition(["n0"], ["n1"]))
+    assert got == [] and dropped == 1
+
+
+def test_a_partition_healed_inside_driver_recv_delivers_the_frame():
+    # Partitioned while on the wire, healed before driver_recv ends: the
+    # frame is judged once, at the end of the window.
+    cluster, n0, n1 = make_pair()
+    eng = cluster.engine
+    got = []
+    n1.nic("tcp-ethernet").open_port("p", sink=lambda f: got.append(
+        f.payload))
+    n0.nic("tcp-ethernet").post("n1", "p", "x", 32)
+    left, arrives = _arrival_window(cluster)
+    wire_end = left + cluster.ethernet.spec.layers.wire
+    eng.timeout((left + wire_end) / 2).callbacks.append(
+        lambda _e: cluster.ethernet.set_partition(["n0"], ["n1"]))
+    eng.timeout((wire_end + arrives) / 2).callbacks.append(
+        lambda _e: cluster.ethernet.clear_partition())
+    eng.run()
+    assert got == ["x"]
+    assert eng.metrics.sum("net.frames_dropped", fabric="tcp-ethernet") == 0
+
+
+def test_the_delivery_tap_sees_each_frame_once():
+    cluster = Cluster.build(nodes=4)
+    eng = cluster.engine
+    tapped, got = [], []
+    cluster.ethernet.delivery_tap = lambda f: tapped.append(f.payload)
+    for nid in ("n1", "n2", "n3"):
+        cluster.node(nid).nic("tcp-ethernet").open_port(
+            "p", sink=lambda f: got.append(f.payload))
+    # One same-instant batch from three senders, then a lone frame.
+    for k, (src, dst) in enumerate((("n0", "n1"), ("n1", "n2"),
+                                    ("n2", "n3"))):
+        cluster.ethernet.transmit(Frame(src=src, dst=dst, port="p",
+                                        payload=k, size=32))
+    eng.run()
+    cluster.ethernet.transmit(Frame(src="n3", dst="n1", port="p",
+                                    payload=3, size=32))
+    eng.run()
+    assert tapped == got == [0, 1, 2, 3]
+
+
+def test_same_instant_arrivals_are_still_shuffled_under_perturbation():
+    # Under a repro.check perturbation every frame is its own arrival
+    # event, so two frames from different senders that land at one
+    # instant can come in either order.
+    orders = set()
+    for seed in range(1, 13):
+        cluster = Cluster.build(spec=ClusterSpec(nodes=3, perturb_seed=seed))
+        got = []
+        cluster.node("n2").nic("tcp-ethernet").open_port(
+            "p", sink=lambda f: got.append(f.src))
+        for src in ("n0", "n1"):
+            cluster.ethernet.transmit(Frame(src=src, dst="n2", port="p",
+                                            payload=None, size=32))
+        cluster.engine.run()
+        assert sorted(got) == ["n0", "n1"]
+        orders.add(tuple(got))
+    assert orders == {("n0", "n1"), ("n1", "n0")}

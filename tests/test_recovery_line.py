@@ -214,10 +214,10 @@ def test_uncoordinated_restore_truncates_at_unreachable_replicas():
     assert store.peek("app", 0, 2).all_holders() == ["n0"]
 
     record = AppRecord(
-        app_id="app", owner="t", nprocs=2, program=ComputeSleep, params={},
-        ft_policy="restart", ckpt_protocol="uncoordinated", ckpt_level="vm",
-        ckpt_interval=None, transport="bip-myrinet", polling=True,
-        placement={0: "n0", 1: "n1"})
+        app_id="app", nprocs=2, placement={0: "n0", 1: "n1"}, spec=dict(
+            owner="t", program=ComputeSleep, params={}, ft_policy="restart",
+            ckpt_protocol="uncoordinated", ckpt_level="vm",
+            ckpt_interval=None, transport="bip-myrinet", polling=True))
     daemon = sf.daemons["n2"]
     planner = DependencyRollbackPlanner()
 
