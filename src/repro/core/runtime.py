@@ -34,6 +34,7 @@ throws ``_StepAborted`` into the step, under four rules:
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.calibration import RESTART_BASE
@@ -295,14 +296,29 @@ class AppProcess:
         ahead and send into the void.  A world change that arrives during
         the wait (a rank's host crashed under ``view-notify``) is what the
         wait is for: the dead rank never registers.
+
+        Each poll resumes the scan at the rank that blocked the previous
+        one (and wraps round), so a long wait costs O(ranks + polls)
+        checks, not O(ranks × polls).
         """
         book = self.endpoint.addressbook
         placement = self.record.placement
-        while any(r not in book
-                  or (r in placement and book[r][0] != placement[r])
-                  for r in (self._pending_view.new_world
-                            if self._pending_view is not None
-                            else self.mpi.world.group)):
+        start = 0
+        while True:
+            world = (self._pending_view.new_world
+                     if self._pending_view is not None
+                     else self.mpi.world.group)
+            n = len(world)
+            if start >= n:
+                start = 0
+            for i in chain(range(start, n), range(start)):
+                r = world[i]
+                if r not in book or (r in placement
+                                     and book[r][0] != placement[r]):
+                    start = i
+                    break
+            else:
+                return
             yield self.engine.timeout(0.002)
 
     def _cleanup(self) -> None:

@@ -6,13 +6,14 @@ raw material of the checkpoint protocols' quiescence detection and channel
 recording).  Data messages are delivered *eagerly*: the paper's polling
 thread (inside the VNI) moves them off the network whether or not a
 matching receive exists yet, and the dispatcher behind it — the same
-shape, one ``mpi_recv`` timeout per message — files them into the
-matching engine.
+shape, a fixed ``mpi_recv`` per message — files them into the matching
+engine (one event per message, at its filing instant: see
+:class:`repro.vni.Vni`).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.calibration import LayerCosts
@@ -22,7 +23,7 @@ from repro.mpi.datatypes import nbytes_of
 from repro.mpi.matching import InboundMsg, MatchingEngine
 from repro.mpi.request import Request
 from repro.obs.registry import get_registry
-from repro.sim.events import Timeout
+from repro.sim.events import Event
 from repro.vni.interface import Vni
 
 #: Wire packet: ("mpi", comm_id, src_comm_rank, tag, data, nbytes, src_world)
@@ -62,12 +63,11 @@ class MpiEndpoint:
             # rank's world slot but must not clobber the primary's
             # address; a promoted backup registers itself on failover.
             addressbook[world_rank] = (node.node_id, self.port)
+        layers = node.nic(transport).fabric.spec.layers
         self.vni = Vni(engine, node, port=self.port, transport=transport,
-                       polling=polling, sink=self._on_vni_message)
+                       polling=polling, sink=self._on_frame,
+                       sink_cost=layers.mpi_recv)
         self.polling = polling
-        self._mpi_recv = self.layers.mpi_recv
-        #: Polled messages the dispatcher has not filed yet, oldest first.
-        self._dispatching: deque = deque()
         self.matching = MatchingEngine()
         #: Data messages sent to / received from each peer world rank —
         #: per-channel *protocol state* (quiescence detection, channel
@@ -181,13 +181,13 @@ class MpiEndpoint:
               tag: int, data: Any, nbytes: Optional[int] = None) -> Request:
         """Non-blocking eager send: posted to the VNI, and the request
         completes inside the event in which the frame leaves — no process.
-        Under a C/R tap a data message keeps one (the only second send path):
-        ``DeliveryTap.on_send`` / ``route_send`` may wait, and need one."""
+        Under a C/R tap a data message runs :meth:`send`'s body instead,
+        resumed by the callbacks of the events it waits for
+        (``DeliveryTap.on_send`` / ``route_send`` may wait)."""
         req = Request(self.engine, "send")
         message = (dest_world, comm_id, src_comm_rank, tag, data, nbytes)
         if self.tap is not None and tag > CKPT_TAG_BASE:
-            self.node.spawn(self._tapped_isend(req, *message),
-                            name=f"isend:{self.port}")
+            self._drive(self.send(*message), req)
             return req
         (node_id, port), nbytes, _pb, packet = self._packet(*message)
         t0 = self.engine.now
@@ -203,40 +203,56 @@ class MpiEndpoint:
                         self.layers.mpi_send).callbacks.append(left)
         return req
 
-    def _tapped_isend(self, req: Request, *message):
-        try:
-            yield from self.send(*message)
-            req.complete(None)
-        except Interrupt:
-            # Killed mid-send (node crash).  The owning rank died with
-            # us, so the failure may never be observed — defuse it; a
-            # waiter that *is* parked on the request still gets the
-            # exception through its callback.
-            req.fail(MpiError("isend interrupted"))
-            req.event.defuse()
+    def _drive(self, gen, req: Request) -> None:
+        """Run the send generator ``gen`` to its end on event callbacks: its
+        first stretch now (the packet is sampled at entry), each later one
+        in the callbacks of the event it waited for; ``req`` completes when
+        it returns.  A node that died meanwhile ends it as a crash ends a
+        process — ``Interrupt`` at its wait, a channel item it was just
+        handed given back — and ``req`` fails, defused: the rank died with
+        us, so the failure may never be observed, and a waiter that *is*
+        parked on the request still gets it through its callback."""
+        nic = self.vni.nic
+
+        def advance(step, arg) -> None:
+            try:
+                target = step(arg)
+            except StopIteration:
+                req.sent()
+                return
+            except Interrupt:
+                req.fail(MpiError("isend interrupted"))
+                req.event.defuse()
+                return
+            if target.callbacks is None:        # over already: next event
+                bounce = Event(self.engine)
+                bounce.callbacks.append(resume)
+                bounce.trigger_from(target)
+            else:
+                target.callbacks.append(resume)
+
+        def resume(event) -> None:
+            if not event._ok:
+                event._defused = True
+                advance(gen.throw, event._value)
+            elif nic.is_up:
+                advance(gen.send, event._value)
+            else:
+                salvage = getattr(event, "salvage", None)
+                if salvage is not None:
+                    salvage()
+                advance(gen.throw, Interrupt(NodeDown(
+                    f"{self.node.node_id} is down")))
+
+        advance(gen.send, None)
 
     # ------------------------------------------------------------------
     # receive side
     # ------------------------------------------------------------------
 
-    def _on_vni_message(self, vmsg) -> None:
-        """VNI sink: the dispatcher moves polled messages into the matching
-        engine one at a time, each from the later of its arrival and its
-        predecessor's filing."""
-        self._dispatching.append(vmsg.payload)
-        if len(self._dispatching) == 1:
-            self._dispatch_start()
-
-    def _dispatch_start(self) -> None:
-        Timeout(self.engine, self._mpi_recv).callbacks.append(
-            self._dispatched)
-
-    def _dispatched(self, _event) -> None:
-        if self.vni.recv_q.closed:
-            return      # NIC lost or endpoint closed mid-dispatch
-        self._ingest(self._dispatching.popleft())
-        if self._dispatching:
-            self._dispatch_start()
+    def _on_frame(self, frame) -> None:
+        """VNI sink: the dispatcher files one polled message."""
+        self._ingest(frame.payload)
 
     def _ingest(self, payload) -> None:
         """Classify one raw packet and file it."""

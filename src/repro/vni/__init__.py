@@ -6,9 +6,9 @@ network "only requires writing a thin layer of code" inside the VNI.  Two
 drivers exist, matching the testbed: BIP/Myrinet and TCP/IP Ethernet.
 
 The VNI also owns the *polling thread*: a low-priority thread that
-continuously polls the network and moves arriving messages into a received-
-messages queue, so (a) a receive operation rarely has to enter the kernel
-itself and (b) kernel interaction is interleaved with computation.  The
+continuously polls the network and moves arriving messages on to the MPI
+module, so (a) a receive operation rarely has to enter the kernel itself
+and (b) kernel interaction is interleaved with computation.  The
 ``polling=False`` mode preserves the naive blocking-receive behaviour for
 the ``bench_ablation_polling`` benchmark.
 """

@@ -146,6 +146,14 @@ event population, installed one transient view at n3 instead of n1 (4/3 ->
 ``final_time``, verdicts, restart events and the fault log are equal in
 every cell, and the 22 unperturbed cells did not move.
 
+Only ``migrate`` when an MPI message became four events (DESIGN §30: the
+send stage rides the NIC FIFO by ready instant, polling plus dispatch are
+one filing event).  The 7 ``migrate`` full reports were dumped on parent
+and change first: the one differing path is ``events_processed``, in
+``migrate/chandy-lamport`` (2,895 -> 2,811) and ``migrate/diskless``
+(3,438 -> 3,270), whose markers and transfers are MPI messages; every sha
+equal.  The 35 campaign cells pass untouched, ``perturb`` included.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -330,7 +338,13 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("perturb and migrate cells regenerated when a frame's arrival "
+NOTE = ("migrate cells regenerated when an MPI message became four "
+        "events (the send stage rides the NIC FIFO by ready instant; polling "
+        "and dispatch are one filing event): only events_processed moved, "
+        "in migrate/chandy-lamport and migrate/diskless, every sha equal; "
+        "audited against the parent's full reports first, the 35 campaign "
+        "cells untouched.  Before that: "
+        "perturb and migrate cells regenerated when a frame's arrival "
         "became one event (wire + driver_recv; the driver_recv event is "
         "gone): in the 13 perturb cells events_processed moved and, in the "
         "four perturbation-seed-3 cells, the tie shuffle installed one "

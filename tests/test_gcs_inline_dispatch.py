@@ -153,11 +153,9 @@ def test_p2p_upcall_sees_the_rel_ack_already_on_the_nic_fifo():
 
     def hook(ev):
         if isinstance(ev, P2pEvent) and ev.payload == "ping":
-            queued = [e[2] for e in member.nic._txq if isinstance(e, tuple)]
-            seen.append([type(m).__name__ for m in queued])
+            seen.append([type(m).__name__ for m in member.nic.queued()])
             member.send(peer.endpoint, "pong")  # leaves behind the ack
-            queued = [e[2] for e in member.nic._txq if isinstance(e, tuple)]
-            seen.append([type(m).__name__ for m in queued])
+            seen.append([type(m).__name__ for m in member.nic.queued()])
 
     h.on_upcall["n1"] = hook
     peer.send(member.endpoint, "ping")
@@ -176,8 +174,8 @@ def test_view_upcall_comes_after_pending_casts_were_re_sent():
 
     def hook(ev):
         if isinstance(ev, ViewEvent) and len(ev.view) == 2:
-            seen.append([type(e[2].inner).__name__ for e in n1.nic._txq
-                         if isinstance(e, tuple) and hasattr(e[2], "inner")])
+            seen.append([type(m.inner).__name__ for m in n1.nic.queued()
+                         if hasattr(m, "inner")])
 
     h.on_upcall["n1"] = hook
     h.boot_all()

@@ -1,10 +1,12 @@
-"""The receive pipeline: polling thread and MPI dispatcher as callback stages.
+"""The receive pipeline: polling thread and MPI dispatcher as one filing
+event per message.
 
 A data frame handed up by the NIC (``driver_recv``) is moved by the VNI's
-polling stage (one ``vni_recv`` timeout) and then by the endpoint's
-dispatcher stage (one ``mpi_recv`` timeout) before ``_ingest`` files it;
-each stage starts a message at the later of its arrival and the previous
-message's completion.  No process, no queue get.
+polling stage (``vni_recv``) and then by the endpoint's dispatcher stage
+(``mpi_recv``) before ``_ingest`` files it; each stage starts a message at
+the later of its arrival and the previous message's completion.  Both
+instants are fixed when the frame arrives, so the VNI arms one event, at the
+filing instant (``Vni._filed``).  No process, no queue get.
 """
 
 from collections import Counter
@@ -16,7 +18,6 @@ from repro.calibration import BIP_LAYERS, BLOCKING_RECV_SYSCALL
 from repro.cluster import Cluster
 from repro.core import (AppSpec, CheckpointConfig, StarfishCluster,
                         StarfishProgram)
-from repro.errors import NodeDown
 from repro.gcs import GcsConfig
 from repro.sim import Channel, Engine, Process
 from repro.sim.events import Timeout
@@ -78,21 +79,22 @@ def test_idle_endpoint_files_after_vni_recv_plus_mpi_recv():
 
 # -- (b) a burst: the stage rule, against the process pipeline ----------------
 
-def reference_pipeline(eng, filed):
-    """What the two callback stages replaced: the polling-thread process and
-    the dispatcher process, each a get then its layer's timeout."""
+def reference_pipeline(eng, filed, poll_cost=L.vni_recv,
+                       file_cost=L.mpi_recv):
+    """What the filing event replaced: the polling-thread process and the
+    dispatcher process, each a get then its layer's timeout."""
     rx, rq = Channel(eng), Channel(eng)
 
     def poll():
         while True:
             item = yield rx.get()
-            yield Timeout(eng, L.vni_recv)
+            yield Timeout(eng, poll_cost)
             rq.put(item)
 
     def dispatch():
         while True:
             item = yield rq.get()
-            yield Timeout(eng, L.mpi_recv)
+            yield Timeout(eng, file_cost)
             filed.append((eng.now, item))
 
     eng.process(poll())
@@ -129,6 +131,43 @@ def test_burst_is_filed_when_the_process_pipeline_filed_it():
         assert [d[1] for _t, d in filed if d[0] == rank] == list(range(6))
 
 
+def test_burst_closer_than_vni_recv_is_filed_at_the_two_stage_instants():
+    # Three senders post at once, each a different size: the frames arrive
+    # closer together than vni_recv.  A sink stage cheaper than the polling
+    # thread (1 us) lets the polling stage's queueing show in the filing
+    # instants (behind mpi_recv = 5 us > vni_recv it would hide).
+    cluster = Cluster.build(nodes=4)
+    eng = cluster.engine
+    cost = 1e-6
+    arrivals, filed, expected = [], [], []
+    rx = Vni(eng, cluster.node("n0"), port="app:0", sink_cost=cost,
+             sink=lambda frame: filed.append((eng.now, frame.payload)))
+    feed = reference_pipeline(eng, expected, file_cost=cost)
+    sink = rx.nic._ports["app:0"]
+
+    def tee(frame):
+        arrivals.append(eng.now)
+        feed(frame.payload)
+        sink(frame)
+
+    rx.nic._ports["app:0"] = tee
+    for i in (1, 2, 3):
+        tx = Vni(eng, cluster.node(f"n{i}"), port=f"app:{i}", sink=[].append)
+        for k in range(4):
+            tx.submit("n0", "app:0", (i, k), 64 + 40 * i)
+    eng.run()
+    assert len(filed) == 12
+    assert filed == expected                    # same instants, same order
+    assert min(b - a for a, b in zip(arrivals, arrivals[1:])) < L.vni_recv
+    polled = done = 0.0
+    instants = []
+    for arrived in arrivals:
+        polled = max(arrived, polled) + L.vni_recv
+        done = max(polled, done) + cost
+        instants.append(done)
+    assert [t for t, _payload in filed] == instants
+
+
 # -- (c) node crash mid-pipeline ----------------------------------------------
 
 def two_in_flight(act):
@@ -140,7 +179,7 @@ def two_in_flight(act):
     sink = ep.vni.nic._ports[ep.port]
 
     def fire(_ev):
-        assert len(ep._dispatching) == 1 and len(ep.vni._polling) == 1
+        assert ep.vni.in_flight() == (1, 1)
         act(cluster, ep)
 
     def on_frame(frame):
@@ -168,9 +207,7 @@ def test_crash_mid_poll_and_mid_dispatch_files_neither():
         lambda cluster, ep: cluster.node("n0").crash())
     assert len(arrivals) == 2 and filed == []
     assert ep.matching.unexpected == [] and not ep.recv_count
-    assert ep.vni.recv_q.closed
-    with pytest.raises(NodeDown):
-        ep.vni.recv_nowait()
+    assert ep.vni.closed and ep.vni.in_flight() == (0, 0)
     # The first frame was polled before the crash; nothing after it.
     assert cluster.engine.metrics.value("vni.received", port=ep.port,
                                         path="fast") == 1
@@ -186,38 +223,13 @@ def test_close_mid_stage_files_nothing_and_is_idempotent():
     cluster, ep, arrivals, filed = two_in_flight(act)
     assert len(arrivals) == 2 and filed == []
     assert ep.matching.unexpected == [] and not ep.recv_count
-    assert ep.vni.recv_q.closed
+    assert ep.vni.closed and ep.vni.in_flight() == (0, 0)
     ep.close()
     assert not any(p.name.startswith(("poll:", "mpi-disp:"))
                    for p in cluster.node("n0").live_processes)
 
 
-# -- (e) sinkless VNI and the blocking ablation --------------------------------
-
-def test_vni_without_a_sink_queues_polled_messages():
-    cluster = Cluster.build(nodes=2)
-    eng = cluster.engine
-    a = Vni(eng, cluster.node("n0"), port="app:0")
-    b = Vni(eng, cluster.node("n1"), port="app:1")
-
-    def sender():
-        for i in range(4):
-            yield from a.send("n1", "app:1", i, 64)
-
-    eng.process(sender())
-    eng.run()
-    assert b.pending() == 4
-    assert b.recv_nowait()[1].payload == 0
-
-    def receiver():
-        got = []
-        for _ in range(3):
-            got.append((yield from b.recv()).payload)
-        return got
-
-    assert eng.run(eng.process(receiver())) == [1, 2, 3]
-    assert b.recv_nowait() == (False, None)
-
+# -- (e) the blocking ablation ------------------------------------------------
 
 def test_blocking_mode_differs_by_exactly_the_syscall():
     def one_way(polling):
@@ -253,19 +265,23 @@ def pingpong_events(reps):
 
 
 def test_event_budget_per_message():
-    # One MPI message costs six dispatched events, named by owner — sender:
-    # Vni._staged (the merged software-stack timeout), Nic._tx_done (the
-    # serialization timeout, which resumes the sender inside it); arrival:
-    # Fabric._deliver_batch (wire + driver_recv); receiver: Vni._polled,
-    # MpiEndpoint._dispatched, and the request's own event app_recv after
-    # the match — so a round trip costs 12.  The run is deterministic, so
-    # the totals are pinned exactly: a process or a get put back on the
-    # data path adds one event per message and fails here rather than
-    # showing up as benchmark drift.  14 -> 12 when a frame's arrival
-    # became one event (DESIGN §12): the driver_recv event
-    # (Nic._enqueue_batch) of each message is gone, 2 per round trip.
+    # One MPI message costs four dispatched events, named by owner — sender:
+    # Nic._tx_done (the serialization timeout, armed at max(ready, previous
+    # departure) + driver_send + size/bw, which resumes the sender inside
+    # it); arrival: Fabric._deliver_batch (wire + driver_recv); receiver:
+    # Vni._filed (the filing instant, max(polled, previous filed) +
+    # mpi_recv), and the request's own event app_recv after the match — so
+    # a round trip costs 8.  The run is deterministic, so the totals are
+    # pinned exactly: a process or a get put back on the data path adds one
+    # event per message and fails here rather than showing up as benchmark
+    # drift.  14 -> 12 when a frame's arrival became one event (DESIGN
+    # §12): the driver_recv event (Nic._enqueue_batch) of each message is
+    # gone, 2 per round trip.  12 -> 8 when the send stage rode the NIC
+    # FIFO and polling plus dispatch became one filing event (DESIGN §30):
+    # Vni._staged and Vni._polled of each message are gone, 2 * 2 per round
+    # trip.
     small, large = pingpong_events(50), pingpong_events(250)
-    assert large - small == 12 * 200            # parent: 14 * 200
+    assert large - small == 8 * 200             # parent: 12 * 200
     # Submit, spawn, MPI_Init wait, completion and teardown of the app do not
     # depend on the number of round trips.  79 -> 51 when an application
     # became two main-group casts (DESIGN §21; five before: lwg-op create,
@@ -281,8 +297,10 @@ def test_event_budget_per_message():
     # exit — and was never on the data path, so the 14 does not move.
     # 14 * 50 + 35 -> 12 * 50 + 31 when arrival became one event: the run
     # of 50 round trips dispatched 104 driver_recv events, 2 * 50 of the
-    # messages and 4 of the control frames.
-    assert small == 12 * 50 + 31                # parent: 14 * 50 + 35
+    # messages and 4 of the control frames.  12 * 50 + 31 -> 8 * 50 + 31
+    # with the two folds: no control frame carries a VNI send stage or a
+    # polling stage, so only the messages' events went.
+    assert small == 8 * 50 + 31                 # parent: 12 * 50 + 31
 
 
 class Exchange(StarfishProgram):
@@ -341,30 +359,36 @@ def exchange_owners(monkeypatch, steps, **app):
 
 def test_event_budget_per_isend(monkeypatch):
     # An isend with no C/R tap installed is posted, not performed: it pays
-    # the software-stack timeout (Vni._staged) and the NIC's serialization
-    # timeout (Nic._tx_done), in which the request completes — two events
-    # and no process (parent: a process and six, with its start, _SendDone,
-    # termination and the request's own event).
+    # the NIC's serialization timeout (Nic._tx_done), in which the request
+    # completes — one event and no process (its software stage rides the
+    # NIC FIFO as a ready instant, DESIGN §30; Vni._staged was a second
+    # event; before DESIGN §12's send-side fold, a process and six).
     small = exchange_owners(monkeypatch, 2)
     large = exchange_owners(monkeypatch, 12)
     extra = large - small
     isends = 2 * 10 * 10                        # both ranks, ten more steps
-    assert extra["Vni._staged"] == extra["Nic._tx_done"] == isends
+    assert extra["Nic._tx_done"] == isends and not extra["Vni._staged"]
     assert not [who for who in large if "isend" in who]
-    # The message's other four events: its arrival (wire + driver_recv,
-    # one event since DESIGN §12's fold; Nic._enqueue_batch was the
-    # seventh), the two receive stages and the blocking receive's request
-    # event, which is the only one that resumes the rank.  Nothing else
-    # grows with the number of messages but the steps' own bookkeeping.
-    per_message = ("Vni._staged", "Nic._tx_done", "Fabric._deliver_batch",
-                   "Vni._polled", "MpiEndpoint._dispatched", "app <- Event")
-    assert [extra[who] for who in per_message] == [isends] * 6
-    assert not extra["Nic._enqueue_batch"]
-    assert sum(extra.values()) == 6 * isends    # parent: 7 * isends
+    # The message's other three events: its arrival (wire + driver_recv,
+    # one event since DESIGN §12's fold; Nic._enqueue_batch was another),
+    # its filing (Vni._filed: the polling thread's and the dispatcher's
+    # stages, Vni._polled and MpiEndpoint._dispatched before DESIGN §30)
+    # and the blocking receive's request event, which is the only one that
+    # resumes the rank.  Nothing else grows with the number of messages but
+    # the steps' own bookkeeping.
+    per_message = ("Nic._tx_done", "Fabric._deliver_batch", "Vni._filed",
+                   "app <- Event")
+    assert [extra[who] for who in per_message] == [isends] * 4
+    assert not (extra["Nic._enqueue_batch"] or extra["Vni._polled"]
+                or extra["MpiEndpoint._dispatched"])
+    assert sum(extra.values()) == 4 * isends    # parent: 6 * isends
     # Under a message-logging protocol the tap may wait (the log precedes
-    # the wire), so each isend keeps a process to wait in.
+    # the wire): each isend runs the send's body on the callbacks of the
+    # events it waits for — the disk head's get and the log write's timeout
+    # — and spawns no process (parent: a process per isend, three more
+    # events: its start, its end and the request's own event).
     tapped = exchange_owners(
         monkeypatch, 2, checkpoint=CheckpointConfig(
             protocol="sender-logging", level="vm", interval=10.0))
-    assert tapped["(nocb) <- isend"] == 2 * 2 * 10
-    assert tapped["isend <- Event"] >= 2 * 2 * 10
+    assert not [who for who in tapped if "isend" in who]
+    assert tapped["MpiEndpoint._drive.<locals>.resume"] == 2 * 2 * 10 * 2

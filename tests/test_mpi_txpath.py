@@ -1,10 +1,12 @@
 """The send pipeline: a send is posted, not performed.
 
-``Vni.submit`` arms one timeout for the software above the driver
-(``Vni._staged``) and queues the completion on the NIC's transmit FIFO; the
+``Vni.submit`` queues the completion on the NIC's transmit FIFO, ready when
+the software above the driver is done with it — the FIFO orders entries by
+ready instant, then submit order, so that stage costs no event — and the
 completion fires inside the event in which the frame leaves
 (``Nic._tx_done``).  A blocking send is ``submit`` plus one wait; an
-``isend`` with no C/R tap is ``submit`` plus a callback, no process; a
+``isend`` with no C/R tap is ``submit`` plus a callback, no process, and a
+tapped one runs the send's body on event callbacks, no process either; a
 blocking ``recv`` resumes once, on its request's own event ``app_recv`` after
 the match.
 """
@@ -44,7 +46,8 @@ def wire_log(cluster):
 
 
 def vnis(cluster):
-    return [Vni(cluster.engine, cluster.node(f"n{i}"), port=f"app:{i}")
+    return [Vni(cluster.engine, cluster.node(f"n{i}"), port=f"app:{i}",
+                sink=[].append)
             for i in range(len(cluster.nodes))]
 
 
@@ -160,7 +163,9 @@ def test_crash_with_sends_in_software_queued_and_serializing():
 
     rank = cluster.node("n0").spawn(prog(apis[0]), name="rank0")
     eng.run(until=505 * US)
-    assert len(ep.vni.nic._txq) == 2 and sent(cluster, ep.vni) == 2
+    # "a" serializing and "b" queued are in the driver; "c" is not yet.
+    assert [p[4] for p in ep.vni.nic.queued()] == ["a", "b"]
+    assert sent(cluster, ep.vni) == 2
     assert not any(r.done for r in reqs.values())
     counters = dict(ep.sent_count)
     cluster.node("n0").crash()
@@ -211,7 +216,7 @@ def test_withdrawn_send(how, victim, at, leaves, counted):
         lambda _ev: disturb(procs[victim], how))
     eng.run()
     assert [p for _src, p, _t in log] == list(leaves)
-    assert sent(cluster, a) == counted and not a.nic._txq
+    assert sent(cluster, a) == counted and not a.nic.queued()
     assert outcome.pop(victim) == (
         "Interrupt" if how == "interrupt" else "_StepAborted", at)
     departures = {p: t for _src, p, t in log}
@@ -259,7 +264,10 @@ def kill_in_the_departure_instant(pseed):
 
 
 def test_kill_in_the_departure_instant_wins_under_any_tie_order():
-    orders = {kill_in_the_departure_instant(pseed) for pseed in range(1, 6)}
+    # Seeds 1-10: the shuffle draws one number per tie group, and since the
+    # send stage rode the NIC FIFO (DESIGN §30) no staged event ties with the
+    # kill chain's first timeout, so seeds 1-5 alone draw only two orders.
+    orders = {kill_in_the_departure_instant(pseed) for pseed in range(1, 11)}
     # Issued second, the kill finds the sender returned inside ``_tx_done``
     # and ends it in its next wait — where send 1, still in software, is
     # withdrawn.  Issued first, the completion takes the queue behind the
@@ -324,10 +332,13 @@ def test_recv_resumes_app_recv_after_the_match():
     hist = recv_hist(cluster)
     assert hist.count == 3
     assert hist.sum == 0.0 + (filed[0] - posted[0]) + 0.0 + 0.0
-    # Two messages at six events each (seven before a frame's arrival
-    # became one event, DESIGN §12), the receiver's 1 ms timeout, the
-    # PROC_NULL request, two process starts and two terminations.
-    assert eng.events_processed - before == 2 * 6 + 1 + 1 + 2 + 2
+    # Two messages at four events each: Nic._tx_done, the arrival
+    # (Fabric._deliver_batch), the filing (Vni._filed) and the receive
+    # request's own event (six before the send stage rode the NIC FIFO and
+    # polling and dispatch became one filing event, DESIGN §30; seven before
+    # a frame's arrival became one event, §29), the receiver's 1 ms timeout,
+    # the PROC_NULL request, two process starts and two terminations.
+    assert eng.events_processed - before == 2 * 4 + 1 + 1 + 2 + 2
 
 
 def test_recv_without_the_polling_thread_still_reports_status():
@@ -347,3 +358,161 @@ def test_recv_without_the_polling_thread_still_reports_status():
     (data, status), _t = rx.value
     assert data == b"x" * 10 and (status.source, status.tag) == (1, 5)
     assert recv_hist(cluster).count == 1
+
+
+# -- (g) the FIFO by ready instant -----------------------------------------------
+
+def test_a_later_entry_with_an_earlier_ready_instant_overtakes_a_head_not_started():
+    # n0 -> n1 with Vni.send, n2 -> n3 with the two-wait reference (which
+    # enters the NIC FIFO at each frame's ready instant), in one engine.
+    cluster = Cluster.build(nodes=4)
+    eng = cluster.engine
+    a, _b, c, _d = vnis(cluster)
+    log = wire_log(cluster)
+    plan = [  # (tag, submitted at, pre_delay, size)
+        ("x", 0.0, 50 * US, 64),        # the head, in software until 54 us,
+        ("y", 0.0, 0.0, 64),            # overtaken by y, ready at 4 us
+        ("big", 100 * US, 0.0, 30_000),  # serializing from 104 us to ~1.1 ms
+        ("z", 100 * US, 20 * US, 64),   # in software until 124 us,
+        ("w", 110 * US, 0.0, 64),       # ready at 114 us: passes z, not big
+    ]
+    seen = {}
+
+    def sender(send, vni, dst, tag, at, pre_delay, size):
+        yield eng.timeout(at)
+        yield from send(vni, f"n{dst}", f"app:{dst}", tag, size,
+                        pre_delay=pre_delay)
+
+    def look(_ev):
+        seen[eng.now] = ([p for p in a.nic.queued()], sent(cluster, a))
+
+    for send, vni, dst in ((Vni.send, a, 1), (two_wait_send, c, 3)):
+        for tag, at, pre_delay, size in plan:
+            eng.process(sender(send, vni, dst, tag, at, pre_delay, size))
+    for at in (110 * US, 120 * US):
+        eng.timeout(at).callbacks.append(look)
+    eng.run()
+    left = {src: [(p, t) for s, p, t in log if s == src]
+            for src in ("n0", "n2")}
+    assert left["n0"] == left["n2"]                 # bit for bit
+    assert [p for p, _t in left["n0"]] == ["y", "x", "big", "w", "z"]
+    assert left["n0"][0][1] == L.vni_send + tx_time(64)
+    assert left["n0"][1][1] == (50 * US + L.vni_send) + tx_time(64)
+    # In the driver: what has reached its ready instant, the started head
+    # first; counted from that instant on.
+    assert seen == {110 * US: (["big"], 3), 120 * US: (["big", "w"], 4)}
+    assert sent(cluster, a) == 5
+
+
+def test_withdrawing_a_head_not_started_lets_the_next_start_at_its_own_ready():
+    cluster = Cluster.build(nodes=2)
+    eng = cluster.engine
+    a, _b = vnis(cluster)
+    log = wire_log(cluster)
+    outcome = {}
+
+    def sender(tag, pre_delay):
+        try:
+            yield from a.send("n1", "app:1", tag, 64, pre_delay=pre_delay)
+            outcome[tag] = "sent"
+        except Interrupt:
+            outcome[tag] = "withdrawn"
+
+    # x is the head, in software until 20 us; y is ready at 30 us.
+    procs = {tag: eng.process(sender(tag, pre_delay))
+             for tag, pre_delay in (("x", 16 * US), ("y", 26 * US))}
+    eng.timeout(10 * US).callbacks.append(
+        lambda _ev: procs["x"].interrupt("stop"))
+    eng.run()
+    assert outcome == {"x": "withdrawn", "y": "sent"}
+    assert [(p, t) for _src, p, t in log] == [
+        ("y", (26 * US + L.vni_send) + tx_time(64))]
+    assert sent(cluster, a) == 1 and not a.nic.queued()
+
+
+# -- (h) a tapped isend: the send's body on event callbacks ----------------------
+
+class WaitingTap:
+    """A C/R tap whose pre-wire hook waits ``hold`` (a log write)."""
+
+    def __init__(self, eng, hold):
+        self.eng, self.hold, self.log = eng, hold, []
+
+    def piggyback(self, dest):
+        return ("pb", dest)
+
+    def on_send(self, dest, comm_id, src_rank, tag, data, nbytes, pb):
+        self.log.append(("on_send", data, pb, self.eng.now))
+        try:
+            yield self.eng.timeout(self.hold)
+            self.log.append(("logged", data, self.eng.now))
+        finally:
+            self.log.append(("hook over", data, self.eng.now))
+
+    def route_send(self, dest, comm_id, src_rank, tag, data, nbytes, pb,
+                   pre_delay):
+        self.log.append(("route", data, self.eng.now))
+
+    def on_deliver(self, src, inbound, pb):
+        return False
+
+    def on_control(self, msg, src):
+        pass
+
+
+def test_tapped_isend_runs_the_hooks_without_a_process():
+    cluster, apis = make_world(2)
+    eng = cluster.engine
+    log = wire_log(cluster)
+    ep = apis[0].endpoint
+    tap = ep.tap = WaitingTap(eng, 10 * US)
+    node = cluster.node("n0")
+    out = {}
+
+    def prog(mpi):
+        req = mpi.isend("m", dest=1, tag=0, size=64)
+        # Sampled at entry, as an untapped isend: the counter and the
+        # piggyback; the hook has started.
+        out["entry"] = (dict(ep.sent_count), list(tap.log))
+        assert not node.live_processes[1:]          # just this one
+        yield from req.wait()
+        out["done"] = eng.now
+
+    proc = node.spawn(prog(apis[0]), name="rank0")
+    eng.run(until=1.0)
+    assert proc.ok
+    assert out["entry"] == ({1: 1}, [("on_send", "m", ("pb", 1), 0.0)])
+    assert tap.log[1:] == [("logged", "m", 10 * US),
+                           ("hook over", "m", 10 * US),
+                           ("route", "m", 10 * US)]
+    (_src, payload, t), = log
+    assert payload[4] == "m"
+    assert t == out["done"] == (10 * US + (0.0 + L.mpi_send + L.vni_send)) \
+        + tx_time(64 + 48)
+
+
+def test_tapped_isend_whose_node_dies_inside_the_hook_fails_defused():
+    cluster, apis = make_world(2)
+    eng = cluster.engine
+    log = wire_log(cluster)
+    ep = apis[0].endpoint
+    tap = ep.tap = WaitingTap(eng, 1e-3)
+    reqs = []
+
+    def prog(mpi):
+        reqs.append(mpi.isend("m", dest=1, tag=0, size=64))
+        try:
+            yield eng.timeout(1.0)
+        except Interrupt:
+            return "killed"
+
+    rank = cluster.node("n0").spawn(prog(apis[0]), name="rank0")
+    eng.timeout(500 * US).callbacks.append(
+        lambda _ev: cluster.node("n0").crash())
+    eng.run(until=1.0)                  # no unhandled failure surfaces
+    (req,) = reqs
+    assert rank.value == "killed" and req.done and not req.event.ok
+    # As a killed process: Interrupt at the hook's wait, its finally ran,
+    # nothing after it — no route, no frame, nothing counted.
+    assert [entry[0] for entry in tap.log] == ["on_send", "hook over"]
+    assert log == [] and sent(cluster, ep.vni) == 0

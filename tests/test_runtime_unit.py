@@ -418,3 +418,81 @@ def test_abandoned_succeeded_get_gives_its_item_back():
     # Salvaged into the channel, and the redo's get() received it.
     assert rt.program.state["log"] == ["cargo"]
     assert rt.done.value == ("ok", 1)
+
+
+# -- MPI_Init: the world-up wait ------------------------------------------------
+
+class CountingBook(dict):
+    """An address book that counts its membership checks."""
+
+    checks = 0
+
+    def __contains__(self, rank):
+        self.checks += 1
+        return dict.__contains__(self, rank)
+
+
+def rescanning_wait(self):
+    """The wait as it was: every 2 ms poll rescans the world from rank 0."""
+    book = self.endpoint.addressbook
+    placement = self.record.placement
+    while any(r not in book
+              or (r in placement and book[r][0] != placement[r])
+              for r in (self._pending_view.new_world
+                        if self._pending_view is not None
+                        else self.mpi.world.group)):
+        yield self.engine.timeout(0.002)
+
+
+def world_up_waits(monkeypatch, wait, ranks):
+    """Boot a ``ranks``-rank Jacobi on as many nodes with ``wait`` as
+    ``AppProcess._wait_world_up``: per rank, the instants it polled at and
+    the membership checks its wait made."""
+    from repro.apps import Jacobi1D
+    from repro.core.runtime import AppProcess
+
+    book = CountingBook()
+    polls = {r: [] for r in range(ranks)}
+    checks = dict.fromkeys(range(ranks), 0)
+
+    def counted(self):
+        it = wait(self)
+        before = book.checks
+        try:
+            event = next(it)
+            while True:
+                checks[self.rank] += book.checks - before
+                polls[self.rank].append(self.engine.now)
+                value = yield event
+                before = book.checks
+                event = it.send(value)
+        except StopIteration:
+            checks[self.rank] += book.checks - before
+
+    monkeypatch.setattr(AppProcess, "_wait_world_up", counted)
+    sf = StarfishCluster.build(nodes=ranks)
+    sf.books["app"] = book
+    handle = sf.submit(AppSpec(program=Jacobi1D, nprocs=ranks,
+                               params={"n": 8 * ranks, "iterations": 4}),
+                       app_id="app")
+    sf.run_to_completion(handle)
+    return polls, checks
+
+
+def test_world_up_wait_resumes_its_scan_at_the_blocking_rank(monkeypatch):
+    from repro.core.runtime import AppProcess
+
+    ranks = 32
+    polls, checks = world_up_waits(monkeypatch, AppProcess._wait_world_up,
+                                   ranks)
+    ref_polls, ref_checks = world_up_waits(monkeypatch, rescanning_wait,
+                                           ranks)
+    # any() does not depend on the order of its scan: every rank polls at
+    # the same instants as with the full rescan.
+    assert polls == ref_polls and sum(map(len, polls.values())) > ranks
+    # O(ranks + polls) checks per rank — one pass up to the blocker, one
+    # check per poll while it blocks, the rest of the world once and the
+    # wrap-around once — where the full rescan paid O(ranks × polls).
+    assert all(checks[r] <= 2 * ranks + len(polls[r]) for r in checks)
+    assert any(ref_checks[r] > 2 * ranks + len(ref_polls[r])
+               for r in ref_checks)

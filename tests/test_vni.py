@@ -11,12 +11,20 @@ from repro.vni import Vni
 
 
 def make_pair(transport="bip-myrinet", polling=True, nodes=2):
+    """Two VNIs; a polling one hands each frame to a list-appending sink,
+    ``vni.got``, as ``(instant, frame)``."""
     cluster = Cluster.build(nodes=nodes)
-    a = Vni(cluster.engine, cluster.node("n0"), port="app:0",
-            transport=transport, polling=polling)
-    b = Vni(cluster.engine, cluster.node("n1"), port="app:1",
-            transport=transport, polling=polling)
-    return cluster, a, b
+    pair = []
+    for i in (0, 1):
+        got = []
+        vni = Vni(cluster.engine, cluster.node(f"n{i}"), port=f"app:{i}",
+                  transport=transport, polling=polling,
+                  sink=(lambda frame, got=got:
+                        got.append((cluster.engine.now, frame)))
+                  if polling else None)
+        vni.got = got
+        pair.append(vni)
+    return cluster, pair[0], pair[1]
 
 
 def one_way(cluster, a, b, size=64):
@@ -28,20 +36,24 @@ def one_way(cluster, a, b, size=64):
 
     def receiver():
         msg = yield from b.recv()
-        out["msg"] = msg
-        out["t"] = eng.now
+        out["src"], out["payload"], out["t"] = msg.src_node, msg.payload, \
+            eng.now
 
     eng.process(sender())
-    p = eng.process(receiver())
-    eng.run(p)
+    if b.polling:
+        eng.run()
+        (out["t"], frame), = b.got
+        out["src"], out["payload"] = frame.src, frame.payload
+    else:
+        eng.run(eng.process(receiver()))
     return out
 
 
 def test_message_delivered_with_payload():
     cluster, a, b = make_pair()
     out = one_way(cluster, a, b)
-    assert out["msg"].payload == b"payload"
-    assert out["msg"].src_node == "n0"
+    assert out["payload"] == b"payload"
+    assert out["src"] == "n0"
     metrics = cluster.engine.metrics
     assert metrics.value("vni.sent", port="app:0", path="fast") == 1
     assert metrics.value("vni.received", port="app:1", path="fast") == 1
@@ -71,10 +83,8 @@ def test_polling_thread_quietly_queues_messages():
 
     eng.process(sender())
     eng.run()
-    # Nobody called recv, yet the messages sit in the received queue.
-    assert b.pending() == 3
-    ok, msg = b.recv_nowait()
-    assert ok and msg.payload == 0
+    # Nobody called recv, yet every message reached the sink.
+    assert [frame.payload for _t, frame in b.got] == [0, 1, 2]
 
 
 def test_blocking_mode_charges_syscall_per_receive():
@@ -93,19 +103,15 @@ def test_messages_arrive_in_send_order():
         for i in range(10):
             yield from a.send("n1", "app:1", i, 64)
 
-    def receiver():
-        got = []
-        for _ in range(10):
-            msg = yield from b.recv()
-            got.append(msg.payload)
-        return got
-
-    eng.process(sender())
-    assert eng.run(eng.process(receiver())) == list(range(10))
+    eng.run(eng.process(sender()))
+    eng.run()
+    assert [frame.payload for _t, frame in b.got] == list(range(10))
 
 
 def test_recv_fails_when_node_crashes():
-    cluster, a, b = make_pair()
+    # Blocking mode: the receiver's own wait fails.  Polling mode: the VNI
+    # closes and its sink is handed nothing more.
+    cluster, a, b = make_pair(polling=False)
     eng = cluster.engine
 
     def receiver():
@@ -117,10 +123,15 @@ def test_recv_fails_when_node_crashes():
     cluster.faults.at(0.01, CrashNode(node="n1"))
     assert eng.run(p)
 
+    cluster, a, b = make_pair()
+    cluster.faults.at(0.01, CrashNode(node="n1"))
+    cluster.engine.run(until=0.02)
+    assert b.closed and not b.got
+
 
 def test_close_is_idempotent_and_stops_poller():
     cluster, a, b = make_pair()
     b.close()
     b.close()
     cluster.engine.run()
-    assert b.recv_q.closed
+    assert b.closed
