@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.calibration import (ENSEMBLE_PER_MEMBER, ENSEMBLE_ROUND_BASE,
                                HEARTBEAT_PERIOD, SUSPECT_TIMEOUT)
@@ -23,6 +24,20 @@ REL_BACKOFF_MAX = 0.8
 #: Retries before giving a destination up for dead (failure suspicion and
 #: the next flush handle it from there).
 REL_MAX_TRIES = 20
+
+#: What a retransmitting sender does at a tick (:func:`retry_step`).
+WAIT, RETRY, GIVE_UP = "wait", "retry", "give up"
+
+
+def retry_step(tries: int, last: Optional[float], now: float) -> str:
+    """The one retry schedule (``Rel``, the LWG tail re-post): after
+    ``tries`` retries, the last at ``last`` (``None``: no wait), wait
+    ``REL_RETRY`` doubled per try up to ``REL_BACKOFF_MAX``, then retry —
+    or give up once ``REL_MAX_TRIES`` are spent."""
+    if last is not None and now - last < min(REL_RETRY * 2 ** tries,
+                                             REL_BACKOFF_MAX):
+        return WAIT
+    return RETRY if tries < REL_MAX_TRIES else GIVE_UP
 
 
 @dataclass(frozen=True)

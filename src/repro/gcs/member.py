@@ -12,11 +12,11 @@ the moving parts inside each member:
   sequence — an ``Ordered`` past it, or a coordinator ``Hb`` counting more
   casts than it has seen — asks the coordinator for the range
   (``Nack``), at once and every tick while it lasts, and the coordinator
-  answers from the view's delivery history.  A ``Datagram`` (``post``)
-  goes bare too: the layer above repairs it the same way.  Every other
-  message that is not periodic rides the ``Rel`` sublayer
-  (per-destination sequence numbers, cumulative ``RelAck``,
-  retransmission);
+  answers from the view's delivery history (``repro.net.seqwin``'s window
+  and history, which every numbered stream here uses).  A ``Datagram``
+  (``post``) goes bare too: the layer above repairs it the same way.
+  Every other message that is not periodic rides the ``Rel`` sublayer
+  (per-destination sequence numbers, cumulative ``RelAck``, retransmission);
 * ``_dispatch`` — the protocol state machine: one handler per message type,
   run strictly one message at a time (a real daemon's event loop).  An idle
   member handles a message inside the event that delivered it — the frame's
@@ -47,19 +47,20 @@ is in progress: no new casts are ordered, no deliveries happen, incoming
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import takewhile
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import Interrupt, NotMember
-from repro.gcs.config import (CONTROL_SIZE, JOIN_RETRY, REL_BACKOFF_MAX,
-                              REL_MAX_TRIES, REL_RETRY, SEQUENCER_BASE,
-                              SEQUENCER_PER_MEMBER, GcsConfig)
+from repro.gcs.config import (CONTROL_SIZE, GIVE_UP, JOIN_RETRY, WAIT,
+                              SEQUENCER_BASE, SEQUENCER_PER_MEMBER,
+                              GcsConfig, retry_step)
 from repro.gcs.endpoint import EndpointId, View, fresh_incarnation
 from repro.gcs.events import CastEvent, P2pEvent, ViewEvent
 from repro.gcs.messages import (Announce, CastReq, Datagram, Flush, FlushOk,
                                 Hb, Join, Leave, Msg, Nack, Ordered, P2p, Rel,
                                 RelAck, Sync, ViewMsg)
+from repro.net.seqwin import RecvWindow, SendHistory
 from repro.obs.registry import get_registry
 from repro.sim.channel import Mailbox
 
@@ -78,9 +79,8 @@ class _FlushState:
 class _RelOut:
     """Per-destination sender state of the reliable-delivery sublayer."""
 
-    next_seq: int = 0
-    #: seq -> (Rel envelope, frame kind), awaiting cumulative ack.
-    unacked: Dict[int, Tuple[Rel, str]] = field(default_factory=dict)
+    #: (Rel envelope, frame kind) from the first seq not acknowledged up.
+    unacked: SendHistory = field(default_factory=SendHistory)
     last_tx: float = 0.0
     tries: int = 0
 
@@ -153,15 +153,12 @@ class GroupMember:
 
         # --- reliable-delivery sublayer (per-destination ARQ) ---
         self._rel_out: Dict[EndpointId, _RelOut] = {}
-        self._rel_in_next: Dict[EndpointId, int] = {}
-        self._rel_in_ooo: Dict[EndpointId, Dict[int, Msg]] = {}
+        self._rel_in: Dict[EndpointId, RecvWindow] = defaultdict(RecvWindow)
         self._resync_at = -1.0
 
         # --- multicast state (reset per view) ---
-        self._global_next = 0                       # next gseq to deliver
-        self._gseq_seen = 0                         # casts known to exist
-        self._ooo: Dict[int, Ordered] = {}          # gseq -> msg
-        self._delivered_view: List[Ordered] = []    # this view, in order
+        self._casts = RecvWindow()                  # by gseq
+        self._delivered = SendHistory()             # this view, in order
         self._next_gseq = 0                         # sequencer counter
         self._ordered_keys: Set[Tuple[EndpointId, int]] = set()  # sequencer
 
@@ -360,11 +357,9 @@ class GroupMember:
                 out = rel_out.get(ep)
                 if out is None:
                     out = rel_out[ep] = _RelOut()
-                seq = out.next_seq
-                out.next_seq = seq + 1
                 out.last_tx = now
-                wire = Rel(self.group, self.endpoint, seq, msg)
-                out.unacked[seq] = (wire, kind)
+                wire = Rel(self.group, self.endpoint, out.unacked.end, msg)
+                out.unacked.held.append((wire, kind))
             post(ep.node, port, wire, size, kind)
 
     def _frame_size(self, msg: Msg) -> int:
@@ -407,42 +402,29 @@ class GroupMember:
 
     def _on_rel(self, msg: Rel):
         """Receive side: per-sender reorder + dedup, cumulative ack."""
-        src = msg.sender
-        if msg.seq >= self._rel_in_next.get(src, 0):
-            self._rel_in_ooo.setdefault(src, {})[msg.seq] = msg.inner
-        return self._rel_drain(src)
+        window = self._rel_in[msg.sender]
+        window.offer(msg.seq, msg.inner)
+        return self._rel_drain(msg.sender, window)
 
-    def _rel_drain(self, src: EndpointId):
+    def _rel_drain(self, src: EndpointId, window: RecvWindow):
         """Dispatch ``src``'s in-order envelopes, then ack.  An inner
         handler that waits is finished first (``_rel_resume``)."""
-        ooo = self._rel_in_ooo.get(src, ())
-        nxt = self._rel_in_next.get(src, 0)
-        while nxt in ooo:
-            inner = ooo.pop(nxt)
-            nxt += 1
-            self._rel_in_next[src] = nxt
+        for inner in window.drain():
             waiting = self._dispatch(inner)
             if waiting is not None:
-                return self._rel_resume(waiting, src)
+                return self._rel_resume(waiting, src, window)
         # Ack duplicates too: the original ack may have been the lost frame.
         self._sendto(src, RelAck(group=self.group, sender=self.endpoint,
-                                 cum=nxt - 1))
+                                 cum=window.next - 1))
 
-    def _rel_resume(self, waiting, src: EndpointId):
+    def _rel_resume(self, waiting, src: EndpointId, window: RecvWindow):
         while waiting is not None:
             yield from waiting
-            waiting = self._rel_drain(src)
+            waiting = self._rel_drain(src, window)
 
     def _on_rel_ack(self, msg: RelAck) -> None:
         out = self._rel_out.get(msg.sender)
-        if out is None:
-            return
-        # Envelopes are sequenced in ascending order and dicts keep insertion
-        # order: what ``cum`` covers is a prefix.
-        acked = list(takewhile(msg.cum.__ge__, out.unacked))
-        for seq in acked:
-            del out.unacked[seq]
-        if acked:
+        if out is not None and out.unacked.drop_below(msg.cum + 1):
             out.tries = 0
 
     def _rel_tick(self, now: float) -> None:
@@ -451,20 +433,19 @@ class GroupMember:
         and the next flush take it from there)."""
         for ep in sorted(self._rel_out):
             out = self._rel_out[ep]
-            if not out.unacked:
+            if not out.unacked.held:
                 continue
-            rto = min(REL_RETRY * (2 ** out.tries), REL_BACKOFF_MAX)
-            if now - out.last_tx < rto:
+            step = retry_step(out.tries, out.last_tx, now)
+            if step == WAIT:
                 continue
             out.tries += 1
-            if out.tries > REL_MAX_TRIES:
-                out.unacked.clear()
+            if step == GIVE_UP:
+                out.unacked.drop_below(out.unacked.end)
                 continue
             self._m_retx.inc()
             out.last_tx = now
             port = self._peer_ports[ep]
-            for seq in sorted(out.unacked):
-                rel, kind = out.unacked[seq]
+            for rel, kind in out.unacked.held:
                 self.nic.post(ep.node, port, rel, self._frame_size(rel),
                               kind)
 
@@ -538,8 +519,8 @@ class GroupMember:
                         self._recast_pending()
                     continue
 
-                if self._global_next < self._gseq_seen:
-                    self._nack_holes()
+                for first, upto in self._casts.holes():
+                    self._nack(first, upto)
 
                 if stale or (self.is_coordinator and self._joiners):
                     candidate = min(alive) if alive else self.endpoint
@@ -579,7 +560,7 @@ class GroupMember:
         # contact with backoff; don't pile a duplicate on top.
         out = self._rel_out.get(contact)
         if out is not None and any(isinstance(rel.inner, Join)
-                                   for rel, _k in out.unacked.values()):
+                                   for rel, _k in out.unacked.held):
             return
         self._sendto(contact, Join(group=self.group, sender=self.endpoint))
 
@@ -630,10 +611,11 @@ class GroupMember:
         self.blocked = True
         self._block_since = self.engine.now
         old_epoch = self.view.epoch if self.view is not None else -1
+        held = self._casts.buffer
         reply = FlushOk(group=self.group, sender=self.endpoint,
                         epoch=msg.epoch, old_epoch=old_epoch,
-                        delivered=tuple(self._delivered_view),
-                        ooo=tuple(self._ooo[k] for k in sorted(self._ooo)),
+                        delivered=tuple(self._delivered.held),
+                        ooo=tuple(held[k] for k in sorted(held)),
                         pending=tuple((lseq, p, s) for lseq, (p, s)
                                       in sorted(self._pending.items())))
         self._sendto(msg.sender, reply)
@@ -708,10 +690,8 @@ class GroupMember:
         for m in msg.members:
             self.last_heard[m] = now
         # Reset per-view multicast machinery.
-        self._global_next = 0
-        self._gseq_seen = 0
-        self._ooo.clear()
-        self._delivered_view = []
+        self._casts = RecvWindow()
+        self._delivered = SendHistory()
         self._next_gseq = 0
         self._ordered_keys = set()
         self.blocked = False
@@ -763,54 +743,33 @@ class GroupMember:
     def _on_ordered(self, msg: Ordered) -> None:
         if self.view is None or msg.epoch != self.view.epoch:
             return
+        casts = self._casts
         if self.blocked:
-            self._ooo[msg.gseq] = msg
+            casts.buffer[msg.gseq] = msg    # held for the flush report
             return
-        self._heard_of(msg.gseq)
-        self._gseq_seen = max(self._gseq_seen, msg.gseq + 1)
-        if msg.gseq == self._global_next:
-            self._deliver(msg)
-            self._global_next += 1
-            while self._global_next in self._ooo:
-                self._deliver(self._ooo.pop(self._global_next))
-                self._global_next += 1
-        elif msg.gseq > self._global_next:
-            self._ooo[msg.gseq] = msg
-
-    def _heard_of(self, count: int) -> None:
-        """At least ``count`` casts exist in this view: ask at once for the
-        ones this member had not heard of (a hole just opened)."""
-        if count > self._gseq_seen:
-            self._nack(self._gseq_seen, count)
-            self._gseq_seen = count
+        for first, upto in casts.hear(msg.gseq):
+            self._nack(first, upto)     # a copy was lost mid-stream
+        casts.offer(msg.gseq, msg)
+        for o in casts.drain():
+            self._deliver(o)
 
     def _nack(self, first: int, upto: int) -> None:
         self._sendto(self.view.coordinator,
                      Nack(group=self.group, sender=self.endpoint,
                           epoch=self.view.epoch, first=first, upto=upto))
 
-    def _nack_holes(self) -> None:
-        """Ask again for every range of casts still missing, one each."""
-        first = self._global_next
-        for gseq in sorted(self._ooo):
-            if gseq > first:
-                self._nack(first, gseq)
-            first = max(first, gseq + 1)
-        if first < self._gseq_seen:
-            self._nack(first, self._gseq_seen)
-
     def _on_nack(self, msg: Nack) -> None:
         """Coordinator: send a member the casts it asks for again, from this
         view's history (the one a flush reports; the coordinator delivers
-        every cast it orders, in order, so the list is indexed by gseq)."""
+        every cast it orders, in order, so it is numbered by gseq)."""
         if (not self.is_coordinator or self.blocked
                 or msg.epoch != self.view.epoch):
             return
-        for o in self._delivered_view[msg.first:msg.upto]:
+        for o in self._delivered.slice(msg.first, msg.upto):
             self._sendto(msg.sender, o)
 
     def _deliver(self, o: Ordered) -> None:
-        self._delivered_view.append(o)
+        self._delivered.held.append(o)
         if o.origin == self.endpoint:
             self._pending.pop(o.lseq, None)
         if o.key in self._delivered_keys:
@@ -887,7 +846,8 @@ class GroupMember:
         # member has seen means the tail of the stream was lost.
         if (self.view is not None and msg.sender == self.view.coordinator
                 and msg.epoch == self.view.epoch and not self.blocked):
-            self._heard_of(msg.gseq)
+            for first, upto in self._casts.hear(msg.gseq):
+                self._nack(first, upto)
 
     def _on_p2p(self, msg: P2p) -> None:
         self._m["p2p"].inc()

@@ -19,15 +19,16 @@ Protocol envelopes on the main group:
   carrying the origin's delivered position) and ``("lwg-ord", app_id,
   epoch, gseq, origin, lseq, payload, kind)`` from the sequencer to
   members;
-* repair (bare datagrams, DESIGN §27): the sequencer posts each
-  ``lwg-ord`` copy bare and keeps the epoch's copies until every member
-  has reported past them.  A member that finds a hole asks for it with
-  ``("lwg-nack", app_id, epoch, first, upto)`` — at once, and every tick
-  while it lasts — and reports its delivered position with ``("lwg-pos",
-  app_id, epoch, position)`` at most once a tick, when it advanced or a
-  duplicate arrived.  On its tick the sequencer re-posts its newest copy
-  to each member whose report is behind it: the member delivers it, finds
-  the hole and asks, or — it had it — reports.
+* repair (bare datagrams, DESIGN §27; ``repro.net.seqwin``'s window and
+  history, as main-group casts): the sequencer posts each ``lwg-ord`` copy
+  bare and keeps the epoch's copies until every member has reported past
+  them.  A member that finds a hole asks for it with ``("lwg-nack",
+  app_id, epoch, first, upto)`` — at once, and every tick while it lasts —
+  and reports its delivered position with ``("lwg-pos", app_id, epoch,
+  position)`` at most once a tick, when it advanced or a duplicate
+  arrived.  On its tick the sequencer re-posts its newest copy to each
+  member whose report is behind it: it delivers it, finds the hole and
+  asks, or — it had it — reports.
 
 Because membership ops are totally ordered, every daemon holds an identical
 replica of every group's member list, and a main-group view change shrinks
@@ -41,11 +42,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NotMember
-from repro.gcs.config import REL_BACKOFF_MAX, REL_MAX_TRIES, REL_RETRY
+from repro.gcs.config import RETRY, retry_step
 from repro.gcs.endpoint import EndpointId
 from repro.gcs.events import CastEvent, GcsEvent, P2pEvent, ViewEvent
 from repro.gcs.member import GroupMember
 from repro.lwg.events import LwgCast, LwgP2p, LwgView
+from repro.net.seqwin import RecvWindow, SendHistory
 from repro.sim.channel import Mailbox
 
 
@@ -56,28 +58,13 @@ class _Relay:
 
     #: ``(origin, lseq)`` of every data message sequenced in the epoch.
     seen_keys: Set[Tuple[EndpointId, int]] = field(default_factory=set)
-    #: Relayed copies from gseq ``base`` up: what some member has not
-    #: reported yet, kept to answer its ``lwg-nack``.
-    history: List[tuple] = field(default_factory=list)
-    base: int = 0
+    #: Relayed copies by gseq, from the lowest one some member has not
+    #: reported up: kept to answer its ``lwg-nack``.
+    history: SendHistory = field(default_factory=SendHistory)
     #: Each member's last reported position (the gseq it awaits).
     positions: Dict[EndpointId, int] = field(default_factory=dict)
     #: member -> (re-posts so far, time of the last) of the tail re-post.
     resends: Dict[EndpointId, Tuple[int, float]] = field(default_factory=dict)
-
-
-@dataclass
-class _Order:
-    """Member side of one epoch's delivery, made on first use: a replica
-    at a daemon outside the group never allocates it."""
-
-    next_deliver: int = 0
-    ooo: Dict[int, tuple] = field(default_factory=dict)
-    #: How many gseqs this member knows exist in the epoch.
-    heard: int = 0
-    #: The position this member last reported; a duplicate since then.
-    reported: int = 0
-    duplicate: bool = False
 
 
 @dataclass
@@ -95,15 +82,18 @@ class _LwgState:
     #: against the main group's total order, so both happen).
     epoch: int = 0
     # -- sequencer side (only used by the current coordinator) --
-    next_gseq: int = 0
     relay: Optional[_Relay] = None
     #: Data from origins whose membership op we have not applied yet;
     #: re-sequenced at the membership change that admits them.
     stash: Optional[List[tuple]] = None
     # -- member side --
-    order: Optional[_Order] = None
-    #: Ordered messages from a future epoch, replayed once we catch up:
-    #: epoch -> gseq -> delivery item.
+    #: This epoch's relays, by gseq.
+    order: Optional[RecvWindow] = None
+    #: The position this member last reported; a duplicate since then.
+    reported: int = 0
+    duplicate: bool = False
+    #: ``lwg-ord`` payloads from a future epoch, replayed once we catch
+    #: up: epoch -> gseq -> payload.
     future: Optional[Dict[int, Dict[int, tuple]]] = None
     delivered_keys: Optional[Set[Tuple[EndpointId, int]]] = None
 
@@ -111,11 +101,17 @@ class _LwgState:
     def coordinator(self) -> Optional[EndpointId]:
         return min(self.members) if self.members else None
 
+    @property
+    def next_gseq(self) -> int:
+        """The gseq the sequencer gives the epoch's next data message."""
+        return self.relay.history.end if self.relay is not None else 0
+
     def reset_ordering(self) -> None:
         self.epoch += 1
-        self.next_gseq = 0
         self.relay = None
         self.order = None
+        self.reported = 0
+        self.duplicate = False
         # delivered_keys survives: dedup across re-sends spanning a change.
         # future survives too: it may hold this very epoch's messages.
 
@@ -290,11 +286,11 @@ class LwgManager:
             return  # group empty; pending is re-sent on membership change
         # The origin's delivered position rides along: a report it need
         # not send on its tick.
-        order = self._order(state)
-        order.reported = order.next_deliver
-        order.duplicate = False
+        position = state.order.next if state.order is not None else 0
+        state.reported = position
+        state.duplicate = False
         self.gm.send(coord, ("lwg-data", app_id, self.endpoint, lseq,
-                             payload, kind, state.epoch, order.next_deliver),
+                             payload, kind, state.epoch, position),
                      size=size, kind=kind)
 
     # ------------------------------------------------------------------
@@ -394,9 +390,9 @@ class LwgManager:
         # epoch before the change itself did.
         if state.future:
             if self.endpoint in new:
-                for gseq, item in sorted(state.future.pop(state.epoch,
-                                                          {}).items()):
-                    self._ingest(state, gseq, item)
+                for _gseq, payload in sorted(state.future.pop(state.epoch,
+                                                              {}).items()):
+                    self._receive_ordered(payload)
             else:
                 state.future = None
         # Re-sequence parked data whose origin this change just admitted
@@ -429,18 +425,16 @@ class LwgManager:
             return
         if epoch == state.epoch:
             self._note_position(state, origin, position)
-        relay = self._relay(state)
+        relay = state.relay = state.relay or _Relay()
         key = (origin, lseq)
         if key in relay.seen_keys:
             return
         relay.seen_keys.add(key)
-        gseq = state.next_gseq
-        state.next_gseq += 1
-        out = ("lwg-ord", app_id, state.epoch, gseq, origin, lseq, inner,
-               kind)
-        relay.history.append(out)
-        if len(state.members) == 1:
-            self._trim(state)               # nobody else to keep it for
+        out = ("lwg-ord", app_id, state.epoch, relay.history.end, origin,
+               lseq, inner, kind)
+        relay.history.held.append(out)
+        if len(state.members) == 1:         # nobody else to keep it for
+            relay.history.drop_below(relay.history.end)
         # The sequencer is min(members): itself first, then one bare copy
         # to every other member.
         self._receive_ordered(out)
@@ -461,33 +455,20 @@ class LwgManager:
             # at a gseq hole nobody will ever fill.
             if state.future is None:
                 state.future = {}
-            state.future.setdefault(epoch, {})[gseq] = (origin, lseq,
-                                                        inner, kind)
+            state.future.setdefault(epoch, {})[gseq] = payload
             return
         if epoch < state.epoch or self.endpoint not in state.members:
             # Stale epoch: the change that obsoleted it re-drove every
             # origin's unacknowledged casts, and ``delivered_keys``
             # dedups whatever did land before the reset.
             return
-        self._ingest(state, gseq, (origin, lseq, inner, kind))
-
-    def _ingest(self, state: _LwgState, gseq: int, item: tuple) -> None:
-        order = self._order(state)
-        if gseq < order.next_deliver or gseq in order.ooo:
-            order.duplicate = True      # a re-post: report again
-            return
-        if gseq > order.heard:
-            # A hole just opened: ask for exactly it, at once.
-            self._nack(state, order.heard, gseq)
-        order.heard = max(order.heard, gseq + 1)
-        if gseq == order.next_deliver:
+        order = state.order = state.order or RecvWindow()
+        for first, upto in order.hear(gseq):
+            self._nack(state, first, upto)  # a copy was lost: ask at once
+        if not order.offer(gseq, (origin, lseq, inner, kind)):
+            state.duplicate = True      # a re-post: report again
+        for item in order.drain():
             self._deliver(state, item)
-            order.next_deliver += 1
-            while order.next_deliver in order.ooo:
-                self._deliver(state, order.ooo.pop(order.next_deliver))
-                order.next_deliver += 1
-        else:
-            order.ooo[gseq] = item
 
     # -- repair by sequence number (DESIGN §27) -----------------------------
 
@@ -503,18 +484,6 @@ class LwgManager:
             return None
         return state
 
-    @staticmethod
-    def _relay(state: _LwgState) -> _Relay:
-        if state.relay is None:
-            state.relay = _Relay()
-        return state.relay
-
-    @staticmethod
-    def _order(state: _LwgState) -> _Order:
-        if state.order is None:
-            state.order = _Order()
-        return state.order
-
     def _on_nack(self, source: EndpointId, payload: tuple) -> None:
         """Sequencer: send a member the copies it asks for again, from this
         epoch's history."""
@@ -522,9 +491,7 @@ class LwgManager:
         state = self._sequencing(app_id, epoch)
         if state is None or state.relay is None:
             return
-        relay = state.relay
-        for out in relay.history[max(first - relay.base, 0):
-                                 max(upto - relay.base, 0)]:
+        for out in state.relay.history.slice(first, upto):
             self.gm.post((source,), out, size=256, kind=out[-1])
 
     def _on_position(self, source: EndpointId, payload: tuple) -> None:
@@ -536,22 +503,15 @@ class LwgManager:
     def _note_position(self, state: _LwgState, member: EndpointId,
                        position: int) -> None:
         """Sequencer: ``member`` has delivered everything below
-        ``position``."""
-        relay = self._relay(state)
+        ``position``; drop the copies every other member has."""
+        relay = state.relay = state.relay or _Relay()
         if position <= relay.positions.get(member, 0):
             return
         relay.positions[member] = position
         relay.resends.pop(member, None)
-        self._trim(state)
-
-    def _trim(self, state: _LwgState) -> None:
-        """Drop the copies every other member has reported past."""
-        relay = state.relay
-        low = min((relay.positions.get(m, 0) for m in state.members
-                   if m != self.endpoint), default=state.next_gseq)
-        if low > relay.base:
-            del relay.history[:low - relay.base]
-            relay.base = low
+        relay.history.drop_below(min(
+            (relay.positions.get(m, 0) for m in state.members
+             if m != self.endpoint), default=relay.history.end))
 
     def _tick(self, now: float) -> None:
         """Every GCS tick: a member asks again for its holes and reports a
@@ -567,35 +527,27 @@ class LwgManager:
             order = state.order
             if order is None:
                 continue        # nothing heard, nothing to report
-            if order.next_deliver < order.heard:
-                first = order.next_deliver
-                for gseq in sorted(order.ooo):
-                    if gseq > first:
-                        self._nack(state, first, gseq)
-                    first = gseq + 1
-                if first < order.heard:
-                    self._nack(state, first, order.heard)
-            if order.next_deliver > order.reported or order.duplicate:
-                order.reported = order.next_deliver
-                order.duplicate = False
+            for first, upto in order.holes():
+                self._nack(state, first, upto)
+            if order.next > state.reported or state.duplicate:
+                state.reported = order.next
+                state.duplicate = False
                 self.gm.post((state.coordinator,),
                              ("lwg-pos", state.app_id, state.epoch,
-                              order.next_deliver))
+                              order.next))
 
     def _resend_tail(self, state: _LwgState, now: float) -> None:
         relay = state.relay
-        if relay is None or relay.base == state.next_gseq:
+        if relay is None or not relay.history.held:
             return      # every member has reported everything
-        newest = relay.history[-1]
+        newest = relay.history.held[-1]
         for m in state.members:
             if (m == self.endpoint
                     or relay.positions.get(m, 0) >= state.next_gseq):
                 continue
             tries, last = relay.resends.get(m, (0, None))
-            if tries >= REL_MAX_TRIES:
-                continue    # given up: the failure detector takes over
-            if (last is not None and now - last
-                    < min(REL_RETRY * 2 ** tries, REL_BACKOFF_MAX)):
+            # Given up after REL_MAX_TRIES: the failure detector's business.
+            if retry_step(tries, last, now) != RETRY:
                 continue
             relay.resends[m] = (tries + 1, now)
             self.gm.post((m,), newest, size=256, kind=newest[-1])

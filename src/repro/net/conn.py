@@ -6,7 +6,9 @@ user sessions.  This module provides that abstraction:
 * :class:`Listener` — accepts connections on a well-known port;
 * :class:`Connection` — an ARQ-protected (sequence numbers, cumulative
   acks, retransmission) in-order message stream that survives the fabric's
-  configured frame loss and transient partitions.
+  configured frame loss and transient partitions; its two ends are a
+  :class:`~repro.net.seqwin.SendHistory` and a
+  :class:`~repro.net.seqwin.RecvWindow`.
 
 The local daemon↔application-process link is not a connection: the daemon
 calls a rank's modules directly and charges the paper's local TCP hop
@@ -19,12 +21,12 @@ and ``recv()`` returns an event (``msg = yield conn.recv()``).
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConnectionClosed, NetworkError, RequestTimeout
 from repro.net.message import Frame
 from repro.net.nic import Nic
+from repro.net.seqwin import RecvWindow, SendHistory
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
 
@@ -100,11 +102,9 @@ class Connection:
         self.local_port = f"conn-{next(_port_ids)}"
         self._rx = nic.open_port(self.local_port)
         self._inbox = Channel(engine, name=f"in:{self.local_port}")
-        self._next_tx_seq = 0
-        self._next_rx_seq = 0
-        self._ooo: Dict[int, Tuple[Any, str]] = {}   # seq -> (payload, kind)
-        self._unacked: Dict[int, Frame] = {}
-        self._retrans_count: Dict[int, int] = defaultdict(int)
+        #: [frame, retransmissions] from the first seq not acknowledged up.
+        self._sent = SendHistory()
+        self._received = RecvWindow()
         self._m_retransmits = get_registry(engine).counter(
             "net.conn.retransmits", fabric=nic.fabric.spec.name,
             help="ARQ retransmissions across all connections")
@@ -151,6 +151,7 @@ class Connection:
     # -- internal receive pump --------------------------------------------------
 
     def _run(self):
+        received = self._received
         while True:
             try:
                 frame = yield self._rx.get()
@@ -159,10 +160,15 @@ class Connection:
                 return
             tag = frame.payload[0]
             if tag == "DATA":
-                _, seq, payload, kind = frame.payload
-                yield from self._on_data(seq, payload, kind)
+                _, seq, payload, _kind = frame.payload
+                received.offer(seq, payload)
+                for item in received.drain():
+                    if not self._inbox.closed:
+                        self._inbox.put(item)
+                # A duplicate is acked again: the first ack may have been lost.
+                yield from self._send_ctrl("ACK", received.next)
             elif tag == "ACK":
-                self._on_ack(frame.payload[1])
+                self._sent.drop_below(frame.payload[1])
             elif tag == "SYNACK":
                 hs = getattr(self, "_handshake", None)
                 if hs is not None and not hs.closed:
@@ -171,28 +177,6 @@ class Connection:
                 self._teardown(ConnectionClosed(
                     f"{self.peer_node} closed the connection"))
                 return
-
-    def _on_data(self, seq: int, payload: Any, kind: str):
-        if seq == self._next_rx_seq:
-            self._deliver(payload)
-            self._next_rx_seq += 1
-            while self._next_rx_seq in self._ooo:
-                buffered, _k = self._ooo.pop(self._next_rx_seq)
-                self._deliver(buffered)
-                self._next_rx_seq += 1
-        elif seq > self._next_rx_seq:
-            self._ooo[seq] = (payload, kind)
-        # duplicate (seq < expected): just re-ack
-        yield from self._send_ctrl("ACK", self._next_rx_seq)
-
-    def _deliver(self, payload: Any) -> None:
-        if not self._inbox.closed:
-            self._inbox.put(payload)
-
-    def _on_ack(self, cum_ack: int) -> None:
-        for seq in [s for s in self._unacked if s < cum_ack]:
-            del self._unacked[seq]
-            self._retrans_count.pop(seq, None)
 
     def _send_ctrl(self, tag: str, arg: Any):
         frame = Frame(src=self.nic.node_id, dst=self.peer_node,
@@ -206,21 +190,22 @@ class Connection:
     # -- retransmission ---------------------------------------------------------
 
     def _retransmit_loop(self):
-        while self._unacked and not self._closed:
+        sent = self._sent
+        while sent.held and not self._closed:
             yield self.engine.timeout(RTO)
-            # Snapshot: acks may arrive (and mutate _unacked) while we are
+            # Snapshot: acks may arrive (and trim the history) while we are
             # suspended inside nic.send below.
-            for seq, frame in sorted(list(self._unacked.items())):
-                if seq not in self._unacked or self._closed:
+            for seq, entry in enumerate(list(sent.held), sent.base):
+                if seq < sent.base or self._closed:
                     continue
-                self._retrans_count[seq] += 1
+                entry[1] += 1
                 self._m_retransmits.inc()
-                if self._retrans_count[seq] > MAX_RETRANSMITS:
+                if entry[1] > MAX_RETRANSMITS:
                     self._teardown(ConnectionClosed(
                         f"gave up retransmitting to {self.peer_node}"))
                     return
                 try:
-                    yield from self.nic.send(frame)
+                    yield from self.nic.send(entry[0])
                 except NetworkError:
                     self._teardown(ConnectionClosed("local NIC down"))
                     return
@@ -241,13 +226,11 @@ class Connection:
         if self._closed:
             raise ConnectionClosed(f"send on closed connection to "
                                    f"{self.peer_node}")
-        seq = self._next_tx_seq
-        self._next_tx_seq += 1
         frame = Frame(src=self.nic.node_id, dst=self.peer_node,
                       port=self.peer_port,
-                      payload=("DATA", seq, payload, kind),
+                      payload=("DATA", self._sent.end, payload, kind),
                       size=size + HEADER_SIZE, kind=kind)
-        self._unacked[seq] = frame
+        self._sent.held.append([frame, 0])
         if self._retransmitter is None or self._retransmitter.triggered:
             self._retransmitter = self.engine.process(
                 self._retransmit_loop(), name=f"rto:{self.local_port}")
@@ -274,7 +257,7 @@ class Connection:
         if self._closed:
             return
         self._closed = True
-        self._unacked.clear()
+        self._sent.drop_below(self._sent.end)
         self.nic.close_port(self.local_port)
         if not self._inbox.closed:
             if not isinstance(exc, ConnectionClosed):

@@ -202,7 +202,7 @@ def test_event_budget_per_frame():
 
 
 def test_rel_ack_drops_exactly_the_acknowledged_prefix():
-    # Cumulative acks arriving out of order, duplicated and beyond next_seq:
+    # Cumulative acks arriving out of order, duplicated and beyond the end:
     # each drops the envelopes with seq <= cum and nothing else, and only an
     # ack that drops something resets the retry backoff.
     h = Harness(nodes=2)
@@ -210,12 +210,12 @@ def test_rel_ack_drops_exactly_the_acknowledged_prefix():
     for i in range(6):
         gm.send(peer, i)
     out = gm._rel_out[peer]
-    assert list(out.unacked) == [0, 1, 2, 3, 4, 5]
+    assert [rel.seq for rel, _k in out.unacked.held] == [0, 1, 2, 3, 4, 5]
 
     def ack(cum, expect_left, expect_tries):
         out.tries = 3
         gm._on_rel_ack(RelAck(group=gm.group, sender=peer, cum=cum))
-        assert list(out.unacked) == expect_left
+        assert [rel.seq for rel, _k in out.unacked.held] == expect_left
         assert out.tries == expect_tries
 
     ack(2, [3, 4, 5], 0)
@@ -224,9 +224,9 @@ def test_rel_ack_drops_exactly_the_acknowledged_prefix():
     ack(-1, [3, 4, 5], 3)           # "nothing delivered yet"
     ack(4, [5], 0)
     gm.send(peer, 6)
-    ack(99, [], 0)                  # beyond next_seq: all of it
+    ack(99, [], 0)                  # beyond the end: all of it
     ack(99, [], 3)
-    assert out.next_seq == 7
+    assert out.unacked.end == 7
     # An ack from someone never sent to is ignored.
     gm._on_rel_ack(RelAck(group=gm.group, sender=gm.endpoint, cum=0))
 

@@ -139,7 +139,7 @@ def test_a_cast_costs_n_plus_one_frames(n):
     assert all(not isinstance(rel.inner, Ordered)
                for gm in h.members.values()
                for out in gm._rel_out.values()
-               for rel, _kind in out.unacked.values())
+               for rel, _kind in out.unacked.held)
 
 
 # -- repair of one dropped copy ---------------------------------------------------

@@ -181,13 +181,13 @@ def test_a_cast_costs_m_plus_one_frames(m):
     reposts = posted.pop("Datagram:lwg-ord", 0)
     assert posted == {"Datagram:lwg-pos": (m - 1) + reposts}
     assert reposts <= m - 1
-    assert _relay(h).history == []
+    assert _relay(h).history.held == []
     # No code path wraps a relay in the reliable sublayer any more.
     assert all(not (isinstance(rel.inner.payload, tuple)
                     and rel.inner.payload[0] == "lwg-ord")
                for gm in h.members.values()
                for out in gm._rel_out.values()
-               for rel, _kind in out.unacked.values()
+               for rel, _kind in out.unacked.held
                if hasattr(rel.inner, "payload"))
 
 
@@ -270,7 +270,7 @@ def test_the_history_empties_once_every_member_has_reported():
         relay = state.relay
         slowest = min(relay.positions.get(h.members[nid].endpoint, 0)
                       for nid in ("n1", "n2", "n3"))
-        sizes.append((len(relay.history), state.next_gseq - slowest))
+        sizes.append((len(relay.history.held), state.next_gseq - slowest))
 
     h.lwg["n0"]._sequence = sequence
     for k in range(12):
@@ -282,7 +282,8 @@ def test_the_history_empties_once_every_member_has_reported():
     assert max(kept for kept, _ in sizes) > 1
     h.run(until=h.engine.now + 3 * CFG.heartbeat_period)
     relay = state.relay
-    assert relay.history == [] and relay.base == state.next_gseq == 12
+    assert relay.history.held == [] \
+        and relay.history.base == state.next_gseq == 12
     assert all(relay.positions[h.members[nid].endpoint] == 12
                for nid in ("n1", "n2", "n3"))
 
@@ -312,7 +313,7 @@ def test_a_lost_report_is_made_again_after_the_tail_repost():
     h.lwg["n1"].cast(APP, "x")
     h.run(until=h.engine.now + 6 * CFG.heartbeat_period)
     assert len(dropped) == 1
-    assert _relay(h).history == []
+    assert _relay(h).history.held == []
     assert posted["Datagram:lwg-pos"] >= 4          # n1..n3, n2 twice
     assert posted["Datagram:lwg-ord"] >= 3 + 1      # copies + the re-post
 
@@ -331,7 +332,7 @@ def test_the_sequencer_gives_a_silent_member_up_after_rel_max_tries():
     # One copy, then REL_MAX_TRIES re-posts, backing off to 0.8 s apart.
     assert len(to_n2) == 1 + REL_MAX_TRIES
     assert to_n2[-1] - to_n2[-2] == pytest.approx(0.8, abs=0.06)
-    assert len(_relay(h).history) == 1              # n2 never reported
+    assert len(_relay(h).history.held) == 1         # n2 never reported
 
 
 def test_a_membership_change_drops_the_history():
@@ -342,7 +343,7 @@ def test_a_membership_change_drops_the_history():
     h.lwg["n1"].cast(APP, "x")
     h.run(until=h.engine.now + 0.01)
     state = _state(h)
-    assert state.relay.history and state.next_gseq == 1
+    assert state.relay.history.held and state.next_gseq == 1
     h.lwg["n4"].join(APP)
     h.run(until=h.engine.now + 0.5)
     assert len(state.members) == 5
@@ -369,7 +370,7 @@ def test_a_member_paused_for_over_a_second_catches_up():
     assert max(at.values()) - resumed <= 0.8 + config.heartbeat_period \
         + 2 * ROUND_TRIP
     h.run(until=h.engine.now + 1.0)
-    assert _relay(h).history == []
+    assert _relay(h).history.held == []
 
 
 # -- loss ---------------------------------------------------------------------
