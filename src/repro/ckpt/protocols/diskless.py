@@ -16,7 +16,7 @@ rank's copy of each version, and since the crash also always leaves the
 recoverable (the restart coordinator uses
 :meth:`~repro.store.CheckpointStore.latest_restorable`).
 
-Trade-offs measured in ``benchmarks/bench_ablation_diskless.py``:
+Trade-offs measured by the ``ABL-DISKLESS`` row of ``benchmarks/paper.py``:
 checkpoints are ~5x faster, restores skip the disk read, but a crash can
 invalidate the newest line (extra rollback distance) and memory holds the
 images instead of stable storage.

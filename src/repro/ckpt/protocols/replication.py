@@ -8,8 +8,8 @@ on distinct nodes — the primary's ring successors
 the computation never rolls back.  The steady-state price is the
 replication tax this trades for: every data send is carried by the GCS
 total-order multicast instead of a point-to-point wire send
-(``benchmarks/bench_recovery_modes.py`` measures it against the C/R and
-logging modes).
+(the ``RECOVERY-MODES`` row of ``benchmarks/paper.py`` measures it
+against the C/R and logging modes).
 
 How the three guarantees fall out of the ordering substrate:
 

@@ -5,7 +5,8 @@ and a plan factory.  Plans are *campaign-relative*: time 0 is the moment
 the runner applies the plan (right after the booted group settles).
 
 The ``standard`` campaign is the acceptance gate exercised across every
-C/R protocol x FT policy pair by ``benchmarks/bench_campaign_matrix.py``:
+C/R protocol x FT policy pair by the ``CAMPAIGN-MATRIX`` row of
+``benchmarks/paper.py``:
 a crash of an app-hosting node, recovery, a partition that isolates a
 spare node (healing itself), and a frame-loss window on the Ethernet
 control path.

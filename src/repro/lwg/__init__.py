@@ -18,7 +18,7 @@ Design (paper §2.1):
   far it has delivered, so the coordinator keeps only what some member
   still lacks (DESIGN §27).
 
-The ablation benchmark ``bench_ablation_lwg`` compares this against the
+The ``ABL-LWG`` row of ``benchmarks/paper.py`` compares this against the
 naive "one full process group per application" design.
 """
 

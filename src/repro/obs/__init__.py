@@ -22,7 +22,8 @@ from :class:`~repro.sim.trace.Tracer` records and the event log,
 
 Telemetry is on by default and zero-cost-ish when disabled: a registry
 built with ``enabled=False`` hands out shared no-op instruments
-(``bench_ablation_telemetry.py`` quantifies the difference).
+(the ``ABL-TELEMETRY`` row of ``benchmarks/paper.py`` quantifies the
+difference).
 """
 
 from repro.obs.events import EventLog, ObsEvent

@@ -16,7 +16,7 @@ heads and its cost shows up in sim time.  With budget *B*, fabric bandwidth *W*
 and a backlog of *D* missing copies of *S*-byte records, the repair
 window is ``D * (S / min(B, W) + S / disk_bw)`` plus per-copy latency —
 the number DESIGN.md §13 derives and
-``benchmarks/bench_store_replication.py`` measures.
+the ``STORE-K`` row of ``benchmarks/paper.py`` measures.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ continuously polls the network and moves arriving messages on to the MPI
 module, so (a) a receive operation rarely has to enter the kernel itself
 and (b) kernel interaction is interleaved with computation.  The
 ``polling=False`` mode preserves the naive blocking-receive behaviour for
-the ``bench_ablation_polling`` benchmark.
+the ``ABL-POLLING`` row of ``benchmarks/paper.py``.
 """
 
 from repro.vni.interface import Vni, VniMessage
