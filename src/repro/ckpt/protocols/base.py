@@ -16,7 +16,7 @@ from repro.ckpt.protocols.roles import (CoordinatedLinePlanner,
                                         CoordinatedWaveScheduler,
                                         StateCapturer)
 from repro.errors import CheckpointError, Interrupt, OracleViolation
-from repro.obs.instruments import (NULL_COUNTER, NULL_HISTOGRAM)
+from repro.obs.instruments import NULL_COUNTER
 from repro.obs.registry import get_registry
 from repro.sim.channel import Channel
 from repro.sim.events import Event
@@ -133,8 +133,6 @@ class CrProtocol:
         # engine); until then the no-op twins absorb the writes.
         self._m_checkpoints = NULL_COUNTER
         self._m_bytes = NULL_COUNTER
-        self._m_commits = NULL_COUNTER
-        self._h_sync = NULL_HISTOGRAM
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -148,15 +146,8 @@ class CrProtocol:
             help="local checkpoints taken by this rank's module")
         self._m_bytes = reg.counter("ckpt.protocol.bytes", **labels,
                                     help="checkpoint bytes produced")
-        self._m_commits = reg.counter(
-            "ckpt.protocol.commits", **labels,
-            help="recovery lines this module observed committing")
-        self._h_sync = reg.histogram(
-            "ckpt.protocol.sync_seconds", protocol=self.name,
-            help="simulated seconds spent in the protocol's sync/drain "
-                 "phase per checkpoint")
         # A restarted rank gets a fresh module: per-instance series reset.
-        for m in (self._m_checkpoints, self._m_bytes, self._m_commits):
+        for m in (self._m_checkpoints, self._m_bytes):
             m.reset()
         self.inbox = Channel(ctx.engine, name=f"cr:{ctx.app_id}:{ctx.rank}")
         if self.tap is not None:
@@ -254,14 +245,9 @@ class CrProtocol:
         self._m_checkpoints.inc()
         self._m_bytes.inc(nbytes)
 
-    def record_sync(self, seconds: float) -> None:
-        """Record one sync/drain phase duration (coordinated protocols)."""
-        self._h_sync.observe(seconds)
-
     def _committed(self, version: int, *, participating: bool = True) -> None:
         self.oracle.committed(version, participating=participating)
         self.last_committed = version
-        self._m_commits.inc()
         for v, ev in self._waiters[:]:
             if v <= version and not ev.triggered:
                 ev.succeed(version)

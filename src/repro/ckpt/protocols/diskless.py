@@ -85,13 +85,11 @@ class DisklessProtocol(StopAndSyncProtocol):
         live = self.live_peers()
         expected = {r: counts.get(me, 0) for r, counts in
                     self._counts.items() if r != me and r in live}
-        t0 = ctx.engine.now
         while any(ctx.endpoint.recv_count.get(r, 0) < n
                   for r, n in expected.items()):
             if self._active != version:
                 return               # wave aborted by a membership change
             yield ctx.engine.timeout(DRAIN_POLL)
-        self.record_sync(ctx.engine.now - t0)
         if self._active != version:
             return
 

@@ -74,7 +74,7 @@ class ReplayTap(DeliveryTap):
         ssn = pb[1]
         fresh = p.ctx.store.log_append(
             p.ctx.app_id, p.ctx.rank, dest_world, ssn,
-            (comm_id, src_comm_rank, tag, data, nbytes), nbytes=nbytes)
+            (comm_id, src_comm_rank, tag, data, nbytes))
         if fresh:
             # A re-executed send (same ssn) is already covered: charging
             # it again would bill the same log entry twice.

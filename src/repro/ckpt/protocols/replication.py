@@ -82,13 +82,11 @@ class ReplicaTap(DeliveryTap):
             yield proto.ctx.engine.timeout(pre_delay)
             proto.ctx.cast(("repl-data", dest_world, pb[1], comm_id,
                             src_comm_rank, tag, data, nbytes))
-            proto._m_casts.inc()
         return _carry()
 
     def on_deliver(self, src_world: int, inbound, pb):
         # The replicated delivery path IS the cast; a wire data arrival
         # can only be a stale frame from before a full restart.
-        self.protocol._m_wire_suppressed.inc()
         return True
 
 
@@ -152,10 +150,6 @@ class ReplicationProtocol(CrProtocol):
         #: ``(src_world, ssn, tag, repr(data))`` — the replica-consistency
         #: property asserts all copies of a rank log identical sequences.
         self.inbound_log: List[Tuple[int, int, int, str]] = []
-        self._m_casts = NULL_COUNTER
-        self._m_delivered = NULL_COUNTER
-        self._m_dups = NULL_COUNTER
-        self._m_wire_suppressed = NULL_COUNTER
         self._m_promotions = NULL_COUNTER
 
     @classmethod
@@ -165,28 +159,10 @@ class ReplicationProtocol(CrProtocol):
 
     def start(self, ctx) -> None:
         super().start(ctx)
-        copy = self.copy_index()
-        self.replica_oracle.bind(ctx.rank, primary=copy == 0)
-        reg = get_registry(ctx.engine)
-        labels = dict(app=ctx.app_id, rank=str(ctx.rank), copy=str(copy))
-        self._m_casts = reg.counter(
-            "repl.casts", **labels,
-            help="data sends this copy carried on the total-order multicast")
-        self._m_delivered = reg.counter(
-            "repl.delivered", **labels,
-            help="inbound data messages accepted (first sighting)")
-        self._m_dups = reg.counter(
-            "repl.dups_suppressed", **labels,
-            help="sibling-copy duplicates dropped by ssn")
-        self._m_wire_suppressed = reg.counter(
-            "repl.wire_suppressed", **labels,
-            help="stale point-to-point data frames dropped")
-        self._m_promotions = reg.counter(
+        self.replica_oracle.bind(ctx.rank, primary=self.copy_index() == 0)
+        self._m_promotions = get_registry(ctx.engine).counter(
             "repl.promotions", app=ctx.app_id, rank=str(ctx.rank),
             help="backup copies promoted to primary (failovers)")
-        for m in (self._m_casts, self._m_delivered, self._m_dups,
-                  self._m_wire_suppressed):
-            m.reset()
 
     def copy_index(self) -> int:
         getter = getattr(self.ctx, "replica_index", None)
@@ -204,14 +180,12 @@ class ReplicationProtocol(CrProtocol):
         rc = ep.recv_count.get(source, 0)
         if ssn <= rc:
             # A sibling copy's re-emission of a send we already took.
-            self._m_dups.inc()
             return
         self.replica_oracle.delivered(source, ssn, rc + 1)
         ep.recv_count[source] = ssn
         ep.matching.arrived(InboundMsg(comm_id=comm_id, source=src_comm_rank,
                                        tag=tag, data=data, nbytes=nbytes))
         self.inbound_log.append((source, ssn, tag, repr(data)))
-        self._m_delivered.inc()
 
     # -- failover ----------------------------------------------------------
 

@@ -148,13 +148,11 @@ class StopAndSyncProtocol(CrProtocol):
         expected = {r: counts.get(me, 0) for r, counts in
                     self._counts.items() if r != me and r in live}
         # Sync: wait until every message sent to us has been ingested.
-        t0 = ctx.engine.now
         while any(ctx.endpoint.recv_count.get(r, 0) < n
                   for r, n in expected.items()):
             if self._active != version:
                 return               # wave aborted by a membership change
             yield ctx.engine.timeout(DRAIN_POLL)
-        self.record_sync(ctx.engine.now - t0)
         if self._active != version:
             return
         # Dump (StateCapturer role: the app is paused, so runtime meta is

@@ -247,10 +247,6 @@ class CampaignRunner:
 
         report = self._report(sf, ctx, checks, status, error)
         n_viol = sum(len(c["violations"]) for c in checks)
-        registry.counter("campaign.runs",
-                         outcome="green" if (status == "completed"
-                                             and n_viol == 0) else "red",
-                         help="campaign runs by outcome").inc()
         registry.events.emit(sf.engine.now, "campaign.end",
                              campaign=self.campaign.name, status=status,
                              violations=n_viol)

@@ -36,6 +36,14 @@ def _integer(key: str, value: Any) -> int:
     return value
 
 
+def _string(key: str, value: Any) -> str:
+    """``value`` if it is a JSON string; anything else is a ``TypeError``
+    (``BadRequest``), never coerced."""
+    if not isinstance(value, str):
+        raise TypeError(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
 class ControlAPI:
     """Dispatches JSON requests against one :class:`FleetController`."""
 
@@ -69,6 +77,9 @@ class ControlAPI:
             raise KeyError(
                 f"unknown program {program_name!r}; known: "
                 f"{sorted(self.sf.program_registry)}")
+        tenant = req.get("tenant")
+        if tenant is not None:
+            _string("tenant", tenant)
         checkpoint = CheckpointConfig(
             protocol=req.get("ckpt"),
             level=str(req.get("level", "vm")),
@@ -80,8 +91,8 @@ class ControlAPI:
             params=dict(req.get("params", {})),
             ft_policy=str(req.get("ft", "kill")),
             checkpoint=checkpoint,
-            owner=str(req.get("tenant", "local")),
-            tenant=req.get("tenant"),
+            owner="local" if tenant is None else tenant,
+            tenant=tenant,
             priority=_integer("priority", req.get("priority", 0)))
         job = self.controller.submit(spec)
         return {"job": job.snapshot()}
@@ -126,7 +137,7 @@ class ControlAPI:
         registry = self.controller.registry
         tenant = req.get("tenant")
         if tenant is not None:
-            registry = registry.view(tenant=str(tenant))
+            registry = registry.view(tenant=_string("tenant", tenant))
         return {"text": to_prometheus(registry)}
 
     def _op_step(self, req: Dict[str, Any]) -> Dict[str, Any]:

@@ -161,32 +161,20 @@ class FleetController:
             if rec.status is AppStatus.RESTARTING:
                 continue
             ranks = rec.ranks_on(node_id)
-            if not ranks:
-                continue
-            if rec.replicas:
-                self.registry.counter(
-                    "fleet.migrations_refused", reason="replicated",
-                    help="proactive migrations the daemon layer refuses"
-                ).inc()
+            # The daemon layer refuses to migrate a replicated rank.
+            if not ranks or rec.replicas:
                 continue
             rank = min(ranks)
             target = self._migration_target(exclude=node_id)
             if target is None:
-                self.registry.counter(
-                    "fleet.migrations_refused", reason="no-target").inc()
                 continue
             try:
                 self.sf.migrate(AppHandle(self.sf, rec.app_id), rank,
                                 target)
             except (PlacementError, StarfishError):
-                self.registry.counter(
-                    "fleet.migrations_refused", reason="refused").inc()
                 continue
             self.migrations.append((now, rec.app_id, rank, node_id,
                                     target))
-            self.registry.counter(
-                "fleet.migrations", node=node_id,
-                help="ranks proactively migrated off this node").inc()
             self._event("fleet.migrate", app=rec.app_id, rank=rank,
                         src=node_id, dst=target)
 

@@ -187,7 +187,6 @@ class GroupMember:
                               "re-deliveries suppressed by key"),
             "views": _mk("views", "views installed"),
             "flushes": _mk("flushes", "flush rounds started"),
-            "p2p": _mk("p2p", "point-to-point messages delivered"),
             "heartbeats": _mk("heartbeats", "heartbeats sent"),
         }
         for m in self._m.values():
@@ -850,7 +849,6 @@ class GroupMember:
                 self._nack(first, upto)
 
     def _on_p2p(self, msg: P2p) -> None:
-        self._m["p2p"].inc()
         self.events.deliver(P2pEvent(source=msg.sender, payload=msg.payload))
 
     def __repr__(self) -> str:

@@ -6,7 +6,7 @@ Three instrument kinds, modelled on the usual time-series vocabulary:
   checkpoints written);
 * :class:`Gauge` — a value that can go both ways (queue depth, nodes up);
 * :class:`Histogram` — a distribution over *fixed* buckets (latencies),
-  tracking per-bucket counts plus count/sum/min/max.
+  tracking per-bucket counts plus count and sum.
 
 An instrument is identified by ``(name, labels)`` where ``labels`` is a
 sorted tuple of ``(key, value)`` string pairs; instances are created and
@@ -87,7 +87,7 @@ class Counter(Instrument):
 
 
 class Gauge(Instrument):
-    """Point-in-time value; settable, incrementable, decrementable."""
+    """Point-in-time value, replaced by each ``set``."""
 
     kind = "gauge"
 
@@ -97,12 +97,6 @@ class Gauge(Instrument):
 
     def set(self, v: float) -> None:
         self._value = v
-
-    def inc(self, n: float = 1) -> None:
-        self._value += n
-
-    def dec(self, n: float = 1) -> None:
-        self._value -= n
 
     @property
     def value(self) -> float:
@@ -136,10 +130,6 @@ class Histogram(Instrument):
     def observe(self, v: float) -> None:
         self._counts[bisect_left(self.bounds, v)] += 1
         self._sum += v
-        if v < self._min:
-            self._min = v
-        if v > self._max:
-            self._max = v
 
     @property
     def count(self) -> int:
@@ -148,19 +138,6 @@ class Histogram(Instrument):
     @property
     def sum(self) -> float:
         return self._sum
-
-    @property
-    def mean(self) -> float:
-        count = self.count
-        return self._sum / count if count else 0.0
-
-    @property
-    def min(self) -> Optional[float]:
-        return self._min if self._min != inf else None
-
-    @property
-    def max(self) -> Optional[float]:
-        return self._max if self._max != -inf else None
 
     def bucket_counts(self) -> Dict[float, int]:
         """Cumulative counts per upper bound (Prometheus ``le`` style),
@@ -173,28 +150,9 @@ class Histogram(Instrument):
         out[inf] = running + self._counts[-1]
         return out
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket
-        holding the q-th observation); 0.0 when empty."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        count = self.count
-        if count == 0:
-            return 0.0
-        target = q * count
-        running = 0
-        for bound, n in zip(self.bounds, self._counts):
-            running += n
-            if running >= target:
-                return bound
-        return self._max
-
     def reset(self) -> None:
         self._counts = [0] * (len(self.bounds) + 1)
         self._sum = 0.0
-        # +-inf sentinels: observe() compares without an ``is None`` test.
-        self._min = inf
-        self._max = -inf
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +168,6 @@ class NullCounter(Counter):
 
 class NullGauge(Gauge):
     def set(self, v: float) -> None:
-        pass
-
-    def inc(self, n: float = 1) -> None:
-        pass
-
-    def dec(self, n: float = 1) -> None:
         pass
 
 

@@ -221,9 +221,6 @@ class CheckpointStore:
         if self.promotion == WRITE_BACK:
             self._flush_wake = Channel(engine, name="store-tier-flush")
             engine.process(self._flush_loop(), name="store-tier-flush")
-            get_registry(engine).gauge_fn(
-                "store.tier.flush_backlog",
-                lambda: float(len(self._backlog)))
 
     def _init_metrics(self, reg) -> None:
         self._m_writes = reg.counter(
@@ -232,35 +229,14 @@ class CheckpointStore:
             "ckpt.store.reads", help="checkpoint records loaded")
         self._m_bytes = reg.counter(
             "ckpt.store.bytes_written", help="checkpoint bytes stored")
-        self._m_volatile_lost = reg.counter(
-            "ckpt.store.volatile_lost",
-            help="diskless records whose last in-memory copy died")
-        self._m_log_appends = reg.counter(
-            "ckpt.store.log_appends", help="message-log entries appended")
-        self._m_log_bytes = reg.counter(
-            "ckpt.store.log_bytes", help="message-log payload bytes logged")
         self._m_repl_ok = reg.counter(
             "store.replica.writes", help="replica copies registered")
-        self._m_repl_bytes = reg.counter(
-            "store.replica.bytes", help="bytes shipped to replica holders")
         self._m_repl_failed = reg.counter(
             "store.replica.failed",
             help="replica transfers lost to crashes/partitions")
-        self._m_repl_lost = reg.counter(
-            "store.replica.lost",
-            help="records whose last holder disappeared")
         self._m_remote_reads = reg.counter(
             "store.replica.remote_reads",
             help="restores served from a non-local holder")
-        self._h_fanout = reg.histogram(
-            "store.replica.fanout_seconds",
-            help="time to replicate one record to its holders",
-            buckets=(0.001, 0.005, 0.02, 0.1, 0.5, 2.0))
-        # Without a target there is no deficit to report — and a gauge_fn
-        # keeps the store (and every image in it) alive as long as the
-        # registry, which the default configuration need not pay.
-        if self.k is not None:
-            reg.gauge_fn("store.replica.deficit", self.replica_deficit)
         self._m_tier_writes = {
             t: reg.counter("store.tier.writes", tier=t,
                            help="tier copies written") for t in TIER_ORDER}
@@ -268,19 +244,9 @@ class CheckpointStore:
             t: reg.counter("store.tier.reads", tier=t,
                            help="chain-link reads served per tier")
             for t in TIER_ORDER}
-        self._m_deltas = reg.counter(
-            "store.delta.records", help="incremental (delta) dumps stored")
         self._m_delta_saved = reg.counter(
             "store.delta.bytes_saved",
             help="bytes NOT written thanks to delta capture")
-        self._m_squashes = reg.counter(
-            "store.delta.squashes",
-            help="delta chains cut with a fresh full base")
-        self._m_flushes = reg.counter(
-            "store.tier.flushes", help="write-back flushes completed")
-        self._m_flush_dropped = reg.counter(
-            "store.tier.flush_dropped",
-            help="write-back flushes abandoned (writer died / record GCed)")
 
     # ------------------------------------------------------------------
     # cluster probes (no cluster = every node up and reachable)
@@ -384,7 +350,6 @@ class CheckpointStore:
             return
         engine = self.engine
         fabric = self.cluster.myrinet
-        t0 = engine.now
         in_flight = []
         for target in targets:
             # The sender serializes each copy back to back on its NIC;
@@ -403,7 +368,6 @@ class CheckpointStore:
             in_flight.append(proc)
         for proc in in_flight:
             yield proc
-        self._h_fanout.observe(engine.now - t0)
 
     def _ingest(self, record: CheckpointRecord, target: str, fabric,
                 tier: str):
@@ -427,7 +391,6 @@ class CheckpointStore:
             return
         record.add_holder(tier, target)
         self._m_repl_ok.inc()
-        self._m_repl_bytes.inc(record.nbytes)
 
     def _flush_loop(self):
         """Write-back daemon: push deferred tiers in arrival order."""
@@ -436,19 +399,12 @@ class CheckpointStore:
             while self._backlog:
                 node_id, record, tiers = self._backlog.popleft()
                 if self._records.get(_key(record)) is not record:
-                    self._m_flush_dropped.inc()      # GCed before flush
-                    continue
+                    continue                         # GCed before flush
                 node = self.cluster.nodes.get(node_id)
-                ok = True
                 for tier in tiers:
                     if node is None or not self.node_up(node_id):
-                        ok = False                   # writer died first
-                        break
+                        break                        # writer died first
                     yield from self._write_into(node, record, tier)
-                if ok:
-                    self._m_flushes.inc()
-                else:
-                    self._m_flush_dropped.inc()
 
     def write_tier(self, record: CheckpointRecord, tier: str,
                    holder_node: str) -> None:
@@ -502,7 +458,6 @@ class CheckpointStore:
         if chain >= self.delta_depth:
             # Chain squash: cut a fresh full base.
             self._chain_len[rkey] = 0
-            self._m_squashes.inc()
             return
         prev_version, prev_full = prev
         delta = delta_encode(prev_full, full)
@@ -511,7 +466,6 @@ class CheckpointStore:
         record.image = delta
         record.nbytes = max(delta.nbytes, MIN_DELTA_NBYTES)
         self._chain_len[rkey] = chain + 1
-        self._m_deltas.inc()
         self._m_delta_saved.inc(max(0, record.full_nbytes - record.nbytes))
 
     def _chain(self, app_id: str, rank: int, version: int):
@@ -772,8 +726,6 @@ class CheckpointStore:
             if hit and (durable or rec.tier == TIER_MEMORY) \
                     and not any(rec.holders.values()):
                 del self._records[key]
-                (self._m_repl_lost if durable
-                 else self._m_volatile_lost).inc()
                 lost += 1
         return lost
 
@@ -849,7 +801,7 @@ class CheckpointStore:
     # ------------------------------------------------------------------
 
     def log_append(self, app_id: str, sender: int, dest: int, ssn: int,
-                   entry: Tuple, nbytes: int = 0) -> bool:
+                   entry: Tuple) -> bool:
         """Append one sent message to the (sender → dest) channel log.
 
         ``ssn`` is the sender's per-channel sequence number; the log is
@@ -862,8 +814,6 @@ class CheckpointStore:
         if log and log[-1][0] >= ssn:
             return False
         log.append((ssn, entry))
-        self._m_log_appends.inc()
-        self._m_log_bytes.inc(nbytes)
         return True
 
     def log_end(self, app_id: str, sender: int, dest: int) -> int:

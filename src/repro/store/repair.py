@@ -52,10 +52,6 @@ class RepairService:
             help="repair copies by outcome")
         self._m_bytes = reg.counter(
             "store.repair.bytes", help="bytes re-replicated")
-        self._h_job = reg.histogram(
-            "store.repair.seconds",
-            help="duration of one repair copy",
-            buckets=(0.001, 0.01, 0.05, 0.2, 1.0, 5.0))
         self._proc = engine.process(self._run(), name="store-repair")
 
     # ------------------------------------------------------------------
@@ -125,7 +121,6 @@ class RepairService:
 
     def _repair_one(self, key, rec, source, target, tier):
         engine = self.engine
-        t0 = engine.now
         fabric = self.cluster.myrinet
         rate = min(REPAIR_BANDWIDTH, fabric.spec.bandwidth)
         yield engine.timeout(fabric.spec.layers.one_way_fixed
@@ -152,7 +147,6 @@ class RepairService:
         rec.add_holder(tier, target)
         self._m_jobs_ok.inc()
         self._m_bytes.inc(rec.nbytes)
-        self._h_job.observe(engine.now - t0)
         return True
 
     def __repr__(self) -> str:

@@ -100,6 +100,23 @@ def test_submit_takes_json_integers_only(api, field, value):
     assert api.handle({"op": "jobs"})["jobs"] == []
 
 
+def test_a_non_string_tenant_is_refused_and_admission_goes_on(api):
+    # Parent: tenant 7 was queued beside "acme"; the next step's queue sort
+    # raised TypeError inside the controller loop, which died, and both
+    # jobs were still queued at t = 3.5.
+    good = _submit(api)["job"]["job_id"]
+    bad = _submit(api, tenant=7)
+    assert not bad["ok"] and bad["error"] == "BadRequest"
+    assert "tenant" in bad["message"]
+    for _ in range(5):
+        assert api.handle({"op": "step", "dt": 0.5})["ok"]
+    status = api.handle({"op": "status", "job_id": good})
+    assert status["job"]["state"] == "done"
+    assert [j["job_id"] for j in api.handle({"op": "jobs"})["jobs"]] == [good]
+    metrics = api.handle({"op": "metrics", "tenant": 7})
+    assert not metrics["ok"] and metrics["error"] == "BadRequest"
+
+
 @pytest.mark.parametrize("rank", [0.0, True, "0"])
 def test_migrate_rank_takes_json_integers_only(api, rank):
     # Parent: each was taken as rank 0 (and refused only for the target).

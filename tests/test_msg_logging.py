@@ -32,11 +32,10 @@ def _store():
 
 def test_log_append_is_idempotent_per_ssn():
     store = _store()
-    assert store.log_append("app", 0, 1, 1, ("c", 0, 10, "x", 8), nbytes=8)
+    assert store.log_append("app", 0, 1, 1, ("c", 0, 10, "x", 8))
     # A restarted sender re-executing its past re-appends the same ssn:
     # no log growth, no IO billed (the caller keys IO off the False).
-    assert not store.log_append("app", 0, 1, 1, ("c", 0, 10, "x", 8),
-                                nbytes=8)
+    assert not store.log_append("app", 0, 1, 1, ("c", 0, 10, "x", 8))
     assert store.log_end("app", 0, 1) == 1
     assert len(store.log_tail("app", 0, 1)) == 1
 
@@ -44,8 +43,8 @@ def test_log_append_is_idempotent_per_ssn():
 def test_log_tail_end_and_senders():
     store = _store()
     for ssn in (1, 2, 3):
-        store.log_append("app", 0, 2, ssn, ("c", 0, 10, ssn, 4), nbytes=4)
-    store.log_append("app", 1, 2, 1, ("c", 1, 11, "y", 4), nbytes=4)
+        store.log_append("app", 0, 2, ssn, ("c", 0, 10, ssn, 4))
+    store.log_append("app", 1, 2, 1, ("c", 1, 11, "y", 4))
     assert store.log_end("app", 0, 2) == 3
     assert store.log_end("app", 9, 2) == 0          # empty channel
     assert [ssn for ssn, _e in store.log_tail("app", 0, 2, after_ssn=1)] \
@@ -203,7 +202,7 @@ def test_tap_stashes_live_traffic_while_restoring_and_replays_log():
     comm = h.apis[1].world.comm_id
     for ssn in (1, 2, 3):
         store.log_append("testapp", 0, 1, ssn,
-                         (comm, 0, 10, f"m{ssn}", 16), nbytes=16)
+                         (comm, 0, 10, f"m{ssn}", 16))
     proto = h.protocols[1]
     tap = proto.tap
     ep = h.apis[1].endpoint
