@@ -44,7 +44,7 @@ from repro.fleet import FleetController, FleetOracle, JobState
 from repro.gcs import GcsConfig, GroupMember
 from repro.hetero import portable_nbytes
 from repro.lwg import LwgManager
-from repro.mpi import MpiApi, MpiEndpoint
+from repro.mpi import Communicator, MpiEndpoint
 
 
 @dataclass(frozen=True)
@@ -269,18 +269,19 @@ def one_way(transport: str, size: int) -> float:
     """One MPI message's latency between two bare endpoints."""
     cluster = Cluster.build(nodes=2)
     book = {}
-    apis = [MpiApi(MpiEndpoint(cluster.engine, cluster.node(f"n{r}"),
-                               app_id="fig6", world_rank=r, addressbook=book,
-                               transport=transport), nprocs=2)
-            for r in range(2)]
+    comms = [Communicator(MpiEndpoint(cluster.engine, cluster.node(f"n{r}"),
+                                      app_id="fig6", world_rank=r,
+                                      addressbook=book, transport=transport),
+                          "world:fig6:v0", (0, 1))
+             for r in range(2)]
     out = {}
 
     def sender():
-        yield from apis[0].send(b"", dest=1, tag=0, size=size)
+        yield from comms[0].send(b"", dest=1, tag=0, size=size)
 
     def receiver():
         t0 = cluster.engine.now
-        yield from apis[1].recv(source=0, tag=0)
+        yield from comms[1].recv(source=0, tag=0)
         out["t"] = cluster.engine.now - t0
 
     cluster.engine.process(sender())

@@ -7,7 +7,7 @@ Two of the paper's dynamicity stories in one script:
    absorbs TWO node crashes with no rollback: the survivors get a
    view-change upcall, agree on the most advanced state, and keep going.
 2. A master/worker bag-of-tasks grows itself mid-run with the MPI-2
-   dynamic process management downcall (``mpi.spawn``) and re-queues the
+   dynamic process management downcall (``ctx.spawn``) and re-queues the
    tasks of a worker that dies.
 
 Run:  python examples/dynamic_repartitioning.py

@@ -7,7 +7,7 @@ dynamic-application features of the paper:
   that were assigned to lost workers, so the job survives worker deaths
   with no rollback at all;
 * with ``grow_after`` set, the master calls the MPI-2 dynamic process
-  management downcall (``mpi.spawn``) once that many tasks have finished,
+  management downcall (``ctx.spawn``) once that many tasks have finished,
   and newly spawned workers join the pull loop.
 
 Parameters
@@ -68,13 +68,13 @@ class BagOfTasks(StarfishProgram):
         if (not state["grew"] and grow_after >= 0
                 and len(state["results"]) >= grow_after):
             state["grew"] = True
-            yield from mpi.spawn(int(ctx.params.get("grow_by", 2)))
+            yield from ctx.spawn(int(ctx.params.get("grow_by", 2)))
             return
         msg, status = yield from mpi.recv(source=ANY_SOURCE,
                                           with_status=True)
         kind = msg[0]
         worker = status.source            # comm rank of the worker
-        worker_world = mpi.world.group[worker]
+        worker_world = mpi.group[worker]
         if kind == "ready":
             # A worker whose step was aborted re-sends "ready"; whatever it
             # held goes back in the bag (results are de-duplicated anyway).

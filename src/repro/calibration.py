@@ -55,15 +55,6 @@ class LayerCosts:
                 + self.driver_send + self.wire + self.driver_recv
                 + self.vni_recv + self.mpi_recv + self.app_recv)
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "app_send": self.app_send, "mpi_send": self.mpi_send,
-            "vni_send": self.vni_send, "driver_send": self.driver_send,
-            "wire": self.wire, "driver_recv": self.driver_recv,
-            "vni_recv": self.vni_recv, "mpi_recv": self.mpi_recv,
-            "app_recv": self.app_recv,
-        }
-
 
 #: Effective application-level wire bandwidth (bytes/second).  These set the
 #: linear slope of Figure 5; the paper only asserts linear growth, so we use

@@ -24,11 +24,8 @@ images instead of stable storage.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.ckpt.protocols.roles import DeliveryTap
-from repro.ckpt.protocols.stop_and_sync import (DRAIN_POLL,
-                                                StopAndSyncProtocol)
+from repro.ckpt.protocols.stop_and_sync import StopAndSyncProtocol
 from repro.mpi.constants import CKPT_TAG_BASE
 from repro.store.checkpoint import TIER_MEMORY
 from repro.store.placement import rotating_mirrors
@@ -80,23 +77,11 @@ class DisklessProtocol(StopAndSyncProtocol):
     # ------------------------------------------------------------------
 
     def _drain_and_dump(self, version: int):
-        ctx = self.ctx
-        me = ctx.rank
-        live = self.live_peers()
-        expected = {r: counts.get(me, 0) for r, counts in
-                    self._counts.items() if r != me and r in live}
-        while any(ctx.endpoint.recv_count.get(r, 0) < n
-                  for r, n in expected.items()):
-            if self._active != version:
-                return               # wave aborted by a membership change
-            yield ctx.engine.timeout(DRAIN_POLL)
-        if self._active != version:
+        captured = yield from self._drain_and_capture(version)
+        if captured is None:
             return
-
-        state, mpi_state = self.capturer.snapshot(ctx)
-        image, nbytes = self.capturer.materialize(ctx, state)
-        record = self.capturer.build_record(ctx, version, image, nbytes,
-                                            mpi_state)
+        record, nbytes = captured
+        ctx = self.ctx
         buddies = self._buddies(version)
         if not buddies:
             # Singleton application: nowhere to mirror; keep it in our own
@@ -110,13 +95,8 @@ class DisklessProtocol(StopAndSyncProtocol):
         self._acks_pending = len(buddies)
         for buddy in buddies:
             yield from ctx.endpoint.send(
-                buddy, f"cr:{ctx.app_id}", me, DL_TAG,
-                ("dl-store", version, me, record), nbytes=nbytes)
-
-    def _after_dump(self, version: int, nbytes: int) -> None:
-        self.oracle.dumped(version)
-        self.record_checkpoint(nbytes)
-        self.ctx.cast(("ss-done", version, self.ctx.rank))
+                buddy, f"cr:{ctx.app_id}", ctx.rank, DL_TAG,
+                ("dl-store", version, ctx.rank, record), nbytes=nbytes)
 
     # ------------------------------------------------------------------
     # buddy-side storage + ack

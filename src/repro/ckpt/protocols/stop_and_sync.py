@@ -142,29 +142,43 @@ class StopAndSyncProtocol(CrProtocol):
             yield from self._drain_and_dump(version)
 
     def _drain_and_dump(self, version: int):
+        captured = yield from self._drain_and_capture(version)
+        if captured is None:
+            return
+        record, nbytes = captured
+        yield from self.capturer.persist(self.ctx, record)
+        self._after_dump(version, nbytes)
+
+    def _drain_and_capture(self, version: int):
+        """Process generator: wait until every message sent to this rank
+        has been ingested, then capture its checkpoint record.  Returns
+        ``(record, nbytes)``, or ``None`` once the wave has been aborted
+        by a membership change.  Diskless shares it and stores the record
+        its own way."""
         ctx = self.ctx
         me = ctx.rank
         live = self.live_peers()
         expected = {r: counts.get(me, 0) for r, counts in
                     self._counts.items() if r != me and r in live}
-        # Sync: wait until every message sent to us has been ingested.
         while any(ctx.endpoint.recv_count.get(r, 0) < n
                   for r, n in expected.items()):
             if self._active != version:
-                return               # wave aborted by a membership change
+                return None
             yield ctx.engine.timeout(DRAIN_POLL)
         if self._active != version:
-            return
-        # Dump (StateCapturer role: the app is paused, so runtime meta is
-        # sampled together with the MPI state).
+            return None
+        # StateCapturer role: the app is paused, so runtime meta is sampled
+        # together with the MPI state.
         state, mpi_state = self.capturer.snapshot(ctx)
         image, nbytes = self.capturer.materialize(ctx, state)
         record = self.capturer.build_record(ctx, version, image, nbytes,
                                             mpi_state)
-        yield from self.capturer.persist(ctx, record)
+        return record, nbytes
+
+    def _after_dump(self, version: int, nbytes: int) -> None:
         self.oracle.dumped(version)
         self.record_checkpoint(nbytes)
-        ctx.cast(("ss-done", version, me))
+        self.ctx.cast(("ss-done", version, self.ctx.rank))
 
     def on_ss_done(self, payload, source):
         _, version, rank = payload

@@ -80,6 +80,18 @@ class AppSpec:
     priority: int = 0
 
     def __post_init__(self):
+        # The fleet scheduler sorts and groups jobs by these (the tenant is
+        # ``tenant or owner``): a wrong type would surface in its loop, far
+        # from the caller, so refuse it here (nothing is coerced).
+        if not isinstance(self.owner, str):
+            raise DaemonError(f"owner must be a str, got {self.owner!r}")
+        if self.tenant is not None and not isinstance(self.tenant, str):
+            raise DaemonError(
+                f"tenant must be None or a str, got {self.tenant!r}")
+        if isinstance(self.priority, bool) or \
+                not isinstance(self.priority, int):
+            raise DaemonError(
+                f"priority must be an int, got {self.priority!r}")
         if not 1 <= self.nprocs <= MAX_NPROCS:
             raise DaemonError(
                 f"nprocs must be in [1, {MAX_NPROCS}], got {self.nprocs}")

@@ -14,9 +14,13 @@ DESIGN.md §2):
   ``self.state`` only once the step's communication has succeeded
   (at-least-once step semantics).
 
-Programs that override none of the optional hooks are conventional MPI
-programs; Starfish runs them unmodified — they just don't get the dynamic
-features (exactly the paper's API compatibility story).
+``ctx.mpi`` is the world communicator itself: the plain MPI surface.  The
+Starfish downcalls — ``ctx.checkpoint()`` and ``ctx.spawn(n)`` — live on
+the context, beside ``ctx.coordinate``, and are serviced by the daemon.
+Programs that call none of them and override none of the optional hooks
+are conventional MPI programs; Starfish runs them unmodified — they just
+don't get the dynamic features (exactly the paper's API compatibility
+story).
 
 Example::
 
@@ -42,6 +46,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.errors import MpiError
+from repro.mpi import Communicator
+from repro.sim.events import Event
+
 
 class ProgramContext:
     """What every program hook receives."""
@@ -50,17 +58,18 @@ class ProgramContext:
         self._rt = runtime
 
     @property
-    def mpi(self):
-        """The MPI facade (world communicator + Starfish extensions)."""
-        return self._rt.mpi
+    def mpi(self) -> Communicator:
+        """The world communicator.  A world change swaps in a new one, so
+        read it afresh in every step rather than keeping it."""
+        return self._rt.world
 
     @property
     def rank(self) -> int:
-        return self._rt.mpi.rank
+        return self._rt.world.rank
 
     @property
     def size(self) -> int:
-        return self._rt.mpi.size
+        return self._rt.world.size
 
     @property
     def params(self) -> Dict[str, Any]:
@@ -95,6 +104,41 @@ class ProgramContext:
         path).  Delivered via :meth:`StarfishProgram.on_coordination`."""
         self._rt.daemon.coord_cast(self._rt.record.app_id,
                                    self._rt.rank, payload)
+
+    def checkpoint(self):
+        """Process generator, Starfish downcall: checkpoint the application
+        now (§3.2.2).  Returns the committed version (blocks until the
+        commit; call it as the last communication-free action of a
+        step)."""
+        rt = self._rt
+        if rt.protocol is None:
+            raise MpiError(
+                "checkpoint() called but the application was submitted "
+                "without a checkpoint protocol")
+        ev = rt.protocol.request_checkpoint()
+        # The caller blocks mid-step until the commit; that wait is a safe
+        # point (the program promises its state is step-consistent here),
+        # otherwise the protocol's own pause() could never be satisfied.
+        rt._ckpt_blocked += 1
+        try:
+            version = yield ev
+        finally:
+            rt._ckpt_blocked -= 1
+        return version
+
+    def spawn(self, nprocs: int):
+        """Process generator, MPI-2 dynamic process management: ask the
+        daemons for ``nprocs`` more processes of this application.
+        Returns the new world size once they have joined."""
+        rt = self._rt
+        if nprocs < 1:
+            raise MpiError("spawn() needs nprocs >= 1")
+        want = len(rt.world.group) + nprocs
+        ev = Event(rt.engine, name=f"spawn-wait:{rt.rank}")
+        rt._spawn_waiters.append((want, ev))
+        rt.daemon.request_spawn(rt.record.app_id, nprocs)
+        new_size = yield ev
+        return new_size
 
     def log(self, message: str) -> None:
         self._rt.app_log.append((self._rt.engine.now, self.rank, message))

@@ -43,8 +43,7 @@ from repro.ckpt.protocols import PROTOCOLS, make_protocol
 from repro.ckpt.protocols.base import CrContext
 from repro.core.program import ProgramContext, ViewInfo
 from repro.errors import CheckpointError, Interrupt, MpiError
-from repro.mpi import MpiApi, MpiEndpoint
-from repro.mpi.api import RuntimeServices
+from repro.mpi import Communicator, MpiEndpoint
 from repro.obs.registry import get_registry
 from repro.sim.events import Event
 
@@ -77,11 +76,10 @@ class AppProcess:
             self.engine, self.node, app_id=record.app_id, world_rank=rank,
             addressbook=addressbook, transport=record.transport,
             polling=record.polling, register=replica == 0)
-        self.services = _Services(self)
-        world = tuple(sorted(record.placement))
-        self.mpi = MpiApi(self.endpoint, nprocs=len(world),
-                          services=self.services, world_group=world,
-                          world_version=record.world_version)
+        #: The world communicator (``ctx.mpi``), swapped for a densely
+        #: renumbered one at each world change (:meth:`_apply_view`).
+        self.world_version = record.world_version
+        self.world = self._world_comm(tuple(sorted(record.placement)))
         self.program = record.program()
         self.ctx = ProgramContext(self)
         self.protocol = None
@@ -111,7 +109,7 @@ class AppProcess:
         self._step = None
         self._disturbed = False
         #: >0 while the program itself is blocked awaiting a checkpoint
-        #: commit (mpi.checkpoint()): that wait is itself a safe point.
+        #: commit (ctx.checkpoint()): that wait is itself a safe point.
         self._ckpt_blocked = 0
         #: Last step-boundary MPI state (message-logging protocols only):
         #: channel counters, unexpected queue, and communicator sequences
@@ -215,9 +213,9 @@ class AppProcess:
     def deliver_membership(self, world_ranks: Tuple[int, ...],
                            world_version: int,
                            placement: Dict[int, str]) -> None:
-        if world_version <= self.mpi.world_version:
+        if world_version <= self.world_version:
             return
-        old = self.mpi.world.group
+        old = self.world.group
         if tuple(world_ranks) == old:
             return
         info = ViewInfo(old_world=old, new_world=tuple(world_ranks),
@@ -263,7 +261,7 @@ class AppProcess:
                 # run the view upcall so any program-level resynchron-
                 # ization collectives include this rank too.
                 yield from self._apply_view(ViewInfo(
-                    old_world=(), new_world=self.mpi.world.group,
+                    old_world=(), new_world=self.world.group,
                     my_old_rank=None,
                     world_version=self.record.world_version))
             while True:
@@ -307,7 +305,7 @@ class AppProcess:
         while True:
             world = (self._pending_view.new_world
                      if self._pending_view is not None
-                     else self.mpi.world.group)
+                     else self.world.group)
             n = len(world)
             if start >= n:
                 start = 0
@@ -430,7 +428,7 @@ class AppProcess:
             return
         self._boundary_state = {
             **self.endpoint.export_state(),
-            "comm_seqs": self.mpi.export_comm_state(),
+            "comm_seqs": {self.world.comm_id: self.world.export_seqs()},
         }
 
     def _pause_eligible(self) -> bool:
@@ -492,14 +490,22 @@ class AppProcess:
 
     def _apply_view(self, info: ViewInfo):
         self._m_views.inc()
-        if info.new_world != self.mpi.world.group:
-            self.mpi._refresh_world(info.new_world, info.world_version)
-        self.mpi.world_version = info.world_version
+        # The cluster-assigned version names the new communicator, so
+        # every process derives the same id even if some of them
+        # coalesced several view changes into one.
+        self.world_version = info.world_version
+        if info.new_world != self.world.group:
+            self.world = self._world_comm(info.new_world)
         handler = self.program.on_view_change(self.ctx, info)
         if handler is not None and hasattr(handler, "__next__"):
             yield from handler
         return
         yield  # pragma: no cover
+
+    def _world_comm(self, group: Tuple[int, ...]) -> Communicator:
+        return Communicator(
+            self.endpoint,
+            f"world:{self.record.app_id}:v{self.world_version}", group)
 
     def _release_pause(self) -> None:
         if self._pause_req > 0:
@@ -594,7 +600,10 @@ class AppProcess:
             self.program.state = state
             self.steps_completed = record.mpi_state.get("steps_completed", 0)
             self.endpoint.import_state(record.mpi_state)
-            self.mpi.import_comm_state(record.mpi_state.get("comm_seqs", {}))
+            seqs = record.mpi_state.get("comm_seqs", {}).get(
+                self.world.comm_id)
+            if seqs is not None:
+                self.world.import_seqs(seqs)
         self.was_restored = True
         if tap is not None and hasattr(tap, "replay"):
             yield from tap.replay(self.endpoint, self.daemon.store)
@@ -605,39 +614,6 @@ class AppProcess:
     def __repr__(self) -> str:
         return (f"<AppProcess {self.record.app_id}#{self.rank} on "
                 f"{self.node.node_id}>")
-
-
-class _Services(RuntimeServices):
-    """Starfish extension downcalls, serviced through the daemon."""
-
-    def __init__(self, rt: AppProcess):
-        self.rt = rt
-
-    def request_checkpoint(self):
-        if self.rt.protocol is None:
-            raise MpiError(
-                "checkpoint() called but the application was submitted "
-                "without a checkpoint protocol")
-        ev = self.rt.protocol.request_checkpoint()
-        # The caller blocks mid-step until the commit; that wait is a safe
-        # point (the program promises its state is step-consistent here),
-        # otherwise the protocol's own pause() could never be satisfied.
-        self.rt._ckpt_blocked += 1
-        try:
-            version = yield ev
-        finally:
-            self.rt._ckpt_blocked -= 1
-        return version
-
-    def request_spawn(self, nprocs: int):
-        if nprocs < 1:
-            raise MpiError("spawn() needs nprocs >= 1")
-        want = len(self.rt.mpi.world.group) + nprocs
-        ev = Event(self.rt.engine, name=f"spawn-wait:{self.rt.rank}")
-        self.rt._spawn_waiters.append((want, ev))
-        self.rt.daemon.request_spawn(self.rt.record.app_id, nprocs)
-        new_size = yield ev
-        return new_size
 
 
 class _CrContextImpl(CrContext):
@@ -655,7 +631,7 @@ class _CrContextImpl(CrContext):
         self.store = rt.daemon.store
 
     def peers(self):
-        return sorted(self.rt.mpi.world.group)
+        return sorted(self.rt.world.group)
 
     def cast(self, payload):
         self.rt.daemon.cr_cast(self.app_id, self.rank, payload)
@@ -685,7 +661,8 @@ class _CrContextImpl(CrContext):
         return self.rt.replica
 
     def comm_state(self) -> dict:
-        return self.rt.mpi.export_comm_state()
+        world = self.rt.world
+        return {world.comm_id: world.export_seqs()}
 
     def boundary_state(self):
         return self.rt._boundary_state

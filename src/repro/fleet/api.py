@@ -146,5 +146,10 @@ class ControlAPI:
         if not (math.isfinite(dt) and dt >= 0):
             raise ValueError(f"dt must be a finite number >= 0, got {dt!r}")
         engine = self.controller.engine
-        engine.run(until=engine.now + dt)
+        try:
+            engine.run(until=engine.now + dt)
+        finally:
+            # A dead control loop is the answer, whether it died in this
+            # run (its error propagates out of ``run``) or before it.
+            self.controller.check_running()
         return {"time": engine.now}

@@ -30,7 +30,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.appspec import AppSpec
 from repro.core.starfish import AppHandle, StarfishCluster
 from repro.daemon import AppStatus
-from repro.errors import DaemonError, PlacementError, StarfishError
+from repro.errors import (DaemonError, FleetError, PlacementError,
+                          StarfishError)
 from repro.fleet.scheduler import (FleetJob, JobScheduler, JobState,
                                    REJECT_PLACEMENT, REJECT_SHUTDOWN,
                                    TenantQuota)
@@ -75,6 +76,15 @@ class FleetController:
                 # A dead or still-converging cluster is not the
                 # controller's emergency; keep ticking.
                 continue
+
+    def check_running(self) -> None:
+        """Raise :class:`FleetError` naming the loop's error if the control
+        loop ended without :meth:`close` — no job would be admitted again."""
+        if self._closed or self._proc.is_alive:
+            return
+        exc = self._proc.value
+        raise FleetError(
+            f"fleet control loop ended: {type(exc).__name__}: {exc}")
 
     def step(self) -> None:
         """One synchronous control-loop iteration (tests call this too)."""

@@ -11,13 +11,14 @@ over the VNI fast path:
 * collectives: barrier, bcast (binomial tree), reduce, allreduce, scatter,
   gather, allgather, alltoall, scan — over point-to-point with reserved
   internal tags;
-* MPI-2 dynamic process management and the Starfish extension downcalls
-  (user-initiated checkpoint, dynamic reconfiguration) are exposed through
-  :class:`~repro.mpi.api.MpiApi` and serviced by the runtime
-  (:mod:`repro.core.runtime`).
+* a program's ``ctx.mpi`` is its world :class:`Communicator`; MPI-2
+  dynamic process management and the Starfish extension downcalls
+  (user-initiated checkpoint) are ``ctx.spawn`` / ``ctx.checkpoint`` on
+  the :class:`~repro.core.program.ProgramContext`, serviced by the
+  runtime (:mod:`repro.core.runtime`).
 
 API style follows mpi4py's lowercase, pickle-ish object methods: ``data =
-yield from mpi.recv(source=0)``.  Every MPI call that can block is a
+yield from comm.recv(source=0)``.  Every MPI call that can block is a
 generator to be driven with ``yield from``.
 """
 
@@ -29,11 +30,9 @@ from repro.mpi.status import Status
 from repro.mpi.request import Request
 from repro.mpi.endpoint import MpiEndpoint
 from repro.mpi.communicator import Communicator
-from repro.mpi.api import MpiApi
 
 __all__ = [
     "ANY_SOURCE", "ANY_TAG", "BAND", "BOR", "Communicator", "LAND", "LOR",
-    "MAX", "MAXLOC", "MAX_USER_TAG", "MIN", "MINLOC", "MpiApi",
-    "MpiEndpoint", "PROC_NULL", "PROD", "Request", "SUM", "Status",
-    "UNDEFINED",
+    "MAX", "MAXLOC", "MAX_USER_TAG", "MIN", "MINLOC", "MpiEndpoint",
+    "PROC_NULL", "PROD", "Request", "SUM", "Status", "UNDEFINED",
 ]

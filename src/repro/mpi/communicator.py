@@ -113,9 +113,6 @@ class Communicator:
         """Process generator: blocking standard-mode (eager) send."""
         self._check_rank(dest)
         self._check_tag(tag)
-        yield from self._send_internal(data, dest, tag, size)
-
-    def _send_internal(self, data, dest, tag, size=None):
         if dest == PROC_NULL:
             return
         # app_send rides down as pre_delay: the whole software send stack
@@ -203,13 +200,6 @@ class Communicator:
         self._coll_seq += 1
         return COLL_TAG_BASE - 16 * self._coll_seq
 
-    def _vsend(self, data, comm_rank, tag, size=None):
-        yield from self._send_internal(data, comm_rank, tag, size)
-
-    def _vrecv(self, comm_rank, tag):
-        out = yield from self.recv(source=comm_rank, tag=tag)
-        return out
-
     @_timed_collective
     def bcast(self, data: Any, root: int = 0):
         """Process generator: binomial-tree broadcast; returns the data."""
@@ -221,14 +211,16 @@ class Communicator:
         while mask < size:
             if vrank & mask:
                 src = ((vrank - mask) + root) % size
-                data = yield from self._vrecv(src, tag)
+                data = yield from self.recv(source=src, tag=tag)
                 break
             mask <<= 1
         mask >>= 1
         while mask > 0:
             if vrank + mask < size:
                 dst = ((vrank + mask) + root) % size
-                yield from self._vsend(data, dst, tag)
+                yield from self.endpoint.send(
+                    self.group[dst], self.comm_id, self._rank, tag, data,
+                    pre_delay=self.endpoint.layers.app_send)
             mask >>= 1
         return data
 
@@ -247,11 +239,14 @@ class Communicator:
         while mask < size:
             if vrank & mask:
                 dst = ((vrank - mask) + root) % size
-                yield from self._vsend(result, dst, tag)
+                yield from self.endpoint.send(
+                    self.group[dst], self.comm_id, self._rank, tag, result,
+                    pre_delay=self.endpoint.layers.app_send)
                 return None
             peer = vrank + mask
             if peer < size:
-                contrib = yield from self._vrecv(((peer + root) % size), tag)
+                contrib = yield from self.recv(source=(peer + root) % size,
+                                               tag=tag)
                 result = apply_op(op, result, contrib)
             mask <<= 1
         return result
@@ -274,7 +269,9 @@ class Communicator:
         self._check_rank(root)
         tag = self._next_coll_tag()
         if self._rank != root:
-            yield from self._vsend(data, root, tag)
+            yield from self.endpoint.send(
+                self.group[root], self.comm_id, self._rank, tag, data,
+                pre_delay=self.endpoint.layers.app_send)
             return None
         out: List[Any] = [None] * self.size
         out[root] = data
@@ -295,9 +292,11 @@ class Communicator:
                                "at the root")
             for r in range(self.size):
                 if r != root:
-                    yield from self._vsend(data[r], r, tag)
+                    yield from self.endpoint.send(
+                        self.group[r], self.comm_id, self._rank, tag, data[r],
+                        pre_delay=self.endpoint.layers.app_send)
             return data[root]
-        out = yield from self._vrecv(root, tag)
+        out = yield from self.recv(source=root, tag=tag)
         return out
 
     @_timed_collective
@@ -332,10 +331,12 @@ class Communicator:
         tag = self._next_coll_tag()
         acc = data
         if self._rank > 0:
-            prev = yield from self._vrecv(self._rank - 1, tag)
+            prev = yield from self.recv(source=self._rank - 1, tag=tag)
             acc = apply_op(op, prev, data)
         if self._rank < self.size - 1:
-            yield from self._vsend(acc, self._rank + 1, tag)
+            yield from self.endpoint.send(
+                self.group[self._rank + 1], self.comm_id, self._rank, tag, acc,
+                pre_delay=self.endpoint.layers.app_send)
         return acc
 
     # ------------------------------------------------------------------

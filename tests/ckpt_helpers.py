@@ -15,7 +15,7 @@ from repro.ckpt import make_checkpointer
 from repro.ckpt.protocols import make_protocol
 from repro.ckpt.protocols.base import CrContext
 from repro.cluster import Cluster
-from repro.mpi import MpiApi, MpiEndpoint
+from repro.mpi import Communicator, MpiEndpoint
 from repro.sim.events import Event
 from repro.store import CheckpointStore
 
@@ -65,12 +65,13 @@ class CrHarness:
         self.store = CheckpointStore(self.engine)
         self.safe_point_delay = safe_point_delay
         book: Dict[int, tuple] = {}
-        self.apis: List[MpiApi] = []
+        self.apis: List[Communicator] = []
         for rank in range(nranks):
             ep = MpiEndpoint(self.engine, self.cluster.node(f"n{rank}"),
                              app_id="testapp", world_rank=rank,
                              addressbook=book)
-            self.apis.append(MpiApi(ep, nprocs=nranks))
+            self.apis.append(Communicator(ep, "world:testapp:v0",
+                                          tuple(range(nranks))))
         self.app_state = {r: {"counter": 0, "rank": r}
                           for r in range(nranks)}
         self.ctxs = [FakeContext(self, r) for r in range(nranks)]

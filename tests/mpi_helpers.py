@@ -1,17 +1,17 @@
 """Helpers to run multi-rank MPI programs in tests without the full
-Starfish runtime: one MpiApi per rank on its own node."""
+Starfish runtime: one world communicator per rank on its own node."""
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List
 
 from repro.cluster import Cluster
-from repro.mpi import MpiApi, MpiEndpoint
+from repro.mpi import Communicator, MpiEndpoint
 
 
 def make_world(nprocs: int, seed: int = 0, transport: str = "bip-myrinet",
                polling: bool = True, app_id: str = "test"):
-    """Returns (cluster, [MpiApi per rank])."""
+    """Returns (cluster, [world Communicator per rank])."""
     cluster = Cluster.build(nodes=nprocs, seed=seed)
     book: Dict[int, tuple] = {}
     apis = []
@@ -19,7 +19,8 @@ def make_world(nprocs: int, seed: int = 0, transport: str = "bip-myrinet",
         ep = MpiEndpoint(cluster.engine, cluster.node(f"n{rank}"),
                          app_id=app_id, world_rank=rank, addressbook=book,
                          transport=transport, polling=polling)
-        apis.append(MpiApi(ep, nprocs=nprocs))
+        apis.append(Communicator(ep, f"world:{app_id}:v0",
+                                 tuple(range(nprocs))))
     return cluster, apis
 
 

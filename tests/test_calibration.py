@@ -1,5 +1,6 @@
 """Unit tests for the calibration models (DESIGN.md §6)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,9 +10,9 @@ from repro import calibration as cal
 
 def test_layer_costs_sum():
     assert cal.BIP_LAYERS.one_way_fixed == pytest.approx(
-        sum(cal.BIP_LAYERS.as_dict().values()))
+        sum(dataclasses.astuple(cal.BIP_LAYERS)))
     assert cal.TCP_LAYERS.one_way_fixed == pytest.approx(
-        sum(cal.TCP_LAYERS.as_dict().values()))
+        sum(dataclasses.astuple(cal.TCP_LAYERS)))
 
 
 def test_one_byte_rtt_anchors():

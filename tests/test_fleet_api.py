@@ -13,7 +13,9 @@ import urllib.request
 
 import pytest
 
-from repro.core import StarfishCluster
+from repro.apps import ComputeSleep
+from repro.core import AppSpec, StarfishCluster
+from repro.errors import DaemonError
 from repro.fleet import (ControlAPI, FleetController, FleetHTTPServer,
                          TenantQuota)
 
@@ -115,6 +117,49 @@ def test_a_non_string_tenant_is_refused_and_admission_goes_on(api):
     assert [j["job_id"] for j in api.handle({"op": "jobs"})["jobs"]] == [good]
     metrics = api.handle({"op": "metrics", "tenant": 7})
     assert not metrics["ok"] and metrics["error"] == "BadRequest"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("tenant", 7), ("tenant", b"acme"), ("owner", 7), ("owner", None),
+    ("priority", 1.5), ("priority", True), ("priority", "3")])
+def test_appspec_refuses_a_wrong_tenant_owner_or_priority_type(field, value):
+    # Parent: accepted; the fleet scheduler met the value in its queue sort.
+    with pytest.raises(DaemonError, match=field):
+        AppSpec(ComputeSleep, nprocs=1, **{field: value})
+
+
+def test_a_library_submit_of_a_non_string_tenant_leaves_admission_alive(api):
+    # Parent: FleetController.submit queued tenant 7 beside "acme"; the next
+    # step answered BadRequest (TypeError from JobScheduler.pending()), every
+    # later one answered ok, and both jobs stayed queued.
+    good = _submit(api)["job"]["job_id"]
+    with pytest.raises(DaemonError, match="tenant"):
+        api.controller.submit(AppSpec(ComputeSleep, nprocs=1, tenant=7,
+                                      params={"steps": 1}))
+    for _ in range(5):
+        assert api.handle({"op": "step", "dt": 0.5})["ok"]
+    assert api.handle({"op": "status", "job_id": good})["job"]["state"] \
+        == "done"
+    assert api.controller._proc.is_alive
+
+
+def test_step_after_the_control_loop_died_is_a_fleet_error(api, monkeypatch):
+    # Parent: the step in which the loop died answered BadRequest and every
+    # later step answered ok, while no job was ever admitted again.
+    def broken():
+        raise TypeError("queue sort broke")
+
+    monkeypatch.setattr(api.controller.scheduler, "pending", broken)
+    job = _submit(api)["job"]["job_id"]
+    for _ in range(3):
+        response = api.handle({"op": "step", "dt": 0.5})
+        assert not response["ok"] and response["error"] == "FleetError"
+        assert "TypeError: queue sort broke" in response["message"]
+    assert api.handle({"op": "status", "job_id": job})["job"]["state"] \
+        == "queued"
+    monkeypatch.undo()
+    api.controller.close()          # a closed controller's loop may end
+    assert api.handle({"op": "step", "dt": 0.5})["ok"]
 
 
 @pytest.mark.parametrize("rank", [0.0, True, "0"])

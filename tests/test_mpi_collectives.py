@@ -245,11 +245,11 @@ def test_dup_isolates_traffic():
     def prog(mpi, rank):
         dup = yield from mpi.dup()
         if rank == 0:
-            yield from mpi.world.send("on-world", dest=1, tag=5)
+            yield from mpi.send("on-world", dest=1, tag=5)
             yield from dup.send("on-dup", dest=1, tag=5)
         else:
             got_dup = yield from dup.recv(source=0, tag=5)
-            got_world = yield from mpi.world.recv(source=0, tag=5)
+            got_world = yield from mpi.recv(source=0, tag=5)
             return got_dup, got_world
 
     assert run_ranks(cluster, apis, prog)[1] == ("on-dup", "on-world")

@@ -6,6 +6,7 @@ import pytest
 from repro.calibration import BIP_LAYERS
 from repro.errors import InvalidRank, InvalidTag, MpiError
 from repro.mpi import ANY_SOURCE, ANY_TAG, PROC_NULL
+from repro.mpi.request import waitall, waitany
 from repro.net import BIP_MYRINET
 
 from tests.mpi_helpers import make_world, run_ranks
@@ -127,10 +128,10 @@ def test_isend_irecv_waitall():
     def prog(mpi, rank):
         if rank == 0:
             reqs = [mpi.isend(i, dest=1, tag=i) for i in range(5)]
-            yield from mpi.waitall(reqs)
+            yield from waitall(cluster.engine, reqs)
         else:
             reqs = [mpi.irecv(source=0, tag=i) for i in range(5)]
-            data = yield from mpi.waitall(reqs)
+            data = yield from waitall(cluster.engine, reqs)
             return data
 
     assert run_ranks(cluster, apis, prog)[1] == [0, 1, 2, 3, 4]
@@ -181,7 +182,7 @@ def test_waitany_returns_first():
             yield from mpi.send("fast", dest=2, tag=1)
         else:
             reqs = [mpi.irecv(source=0, tag=0), mpi.irecv(source=1, tag=1)]
-            idx, data = yield from mpi.waitany(reqs)
+            idx, data = yield from waitany(cluster.engine, reqs)
             return idx, data
 
     assert run_ranks(cluster, apis, prog)[2] == (1, "fast")

@@ -19,6 +19,7 @@ from repro.cluster import Cluster
 from repro.core.runtime import _StepAborted
 from repro.errors import Interrupt
 from repro.mpi import PROC_NULL
+from repro.mpi.request import waitall, waitany
 from repro.mpi.status import Status
 from repro.net import BIP_MYRINET, Frame
 from repro.sim.events import Timeout
@@ -118,10 +119,10 @@ def test_isend_completes_at_the_departure_instant_without_a_process():
             assert not req.done and req.test() == (False, None)
             req.event.callbacks.append(
                 lambda _ev: completed.append(eng.now))
-        first = yield from mpi.waitany(reqs)
+        first = yield from waitany(eng, reqs)
         assert first == (0, None) and eng.now == completed[0]
         assert [r.done for r in reqs] == [True, False, False]
-        out = yield from mpi.waitall(reqs)
+        out = yield from waitall(eng, reqs)
         assert out == [None] * 3 and eng.now == completed[2]
         for req in reqs:
             assert req.test() == (True, None)
@@ -157,7 +158,7 @@ def test_crash_with_sends_in_software_queued_and_serializing():
         yield eng.timeout(500 * US)
         reqs["c"] = mpi.isend("c", dest=1, tag=2, size=64)
         try:
-            yield from mpi.waitall(list(reqs.values()))
+            yield from waitall(eng, list(reqs.values()))
         except Interrupt:
             return "killed"
 

@@ -189,7 +189,7 @@ def test_tap_suppresses_duplicate_ssn_deliveries():
     assert tap.on_deliver(0, object(), ("ssn", 1)) is True
     # The next fresh ssn (logged by its sender first — the pessimistic
     # ordering the oracle enforces) passes through to the matching engine.
-    comm = h.apis[1].world.comm_id
+    comm = h.apis[1].comm_id
     h.store.log_append("testapp", 0, 1, 3, (comm, 0, 10, "three", 8))
     assert tap.on_deliver(0, object(), ("ssn", 3)) is False
 
@@ -199,7 +199,7 @@ def test_tap_stashes_live_traffic_while_restoring_and_replays_log():
     h = CrHarness(nranks=2, protocol="sender-logging")
     store, engine = h.store, h.engine
     # Sender log: three messages toward rank 1 on the world communicator.
-    comm = h.apis[1].world.comm_id
+    comm = h.apis[1].comm_id
     for ssn in (1, 2, 3):
         store.log_append("testapp", 0, 1, ssn,
                          (comm, 0, 10, f"m{ssn}", 16))

@@ -202,7 +202,7 @@ class Waiter(StarfishProgram):
         if kind == "recv":
             yield from mpi.allreduce(1)
         elif kind == "checkpoint" and mpi.rank == 0:
-            yield from mpi.checkpoint()
+            yield from ctx.checkpoint()
         yield from ctx.sleep(0.05)
         self.state["i"] += 1
 
@@ -274,7 +274,7 @@ def scripted(script, **params):
     rt = procs[0]
 
     def shrink():
-        rt.deliver_membership((0,), rt.mpi.world_version + 1,
+        rt.deliver_membership((0,), rt.world_version + 1,
                               {0: rt.node.node_id})
 
     return sf, rt, shrink
@@ -301,7 +301,7 @@ def test_abort_is_delivered_through_the_queue_not_inside_the_caller():
     assert rt._awaited is not None and aborted(sf, rt) == 0
     sf.engine.run(until=sf.engine.now)          # this instant only
     assert aborted(sf, rt) == 1
-    assert rt.mpi.world.group == (0,)           # redo runs on the new world
+    assert rt.world.group == (0,)       # redo runs on the new world
 
 
 def test_step_event_processed_first_is_consumed_and_the_next_wait_aborts():
@@ -328,7 +328,7 @@ def test_step_event_processed_first_is_consumed_and_the_next_wait_aborts():
     # the wait after it was aborted in the same instant, not 5 s later.
     assert rt.program.state["log"] == [("first wait over", at[0])]
     assert aborted(sf, rt) == 1 and rt.steps_completed == 0
-    assert rt.mpi.world.group == (0,)
+    assert rt.world.group == (0,)
 
 
 def test_step_that_catches_the_abort_and_waits_again_is_aborted_again():
@@ -440,7 +440,7 @@ def rescanning_wait(self):
               or (r in placement and book[r][0] != placement[r])
               for r in (self._pending_view.new_world
                         if self._pending_view is not None
-                        else self.mpi.world.group)):
+                        else self.world.group)):
         yield self.engine.timeout(0.002)
 
 

@@ -137,7 +137,7 @@ def test_user_initiated_checkpoint_downcall():
             yield from ctx.sleep(0.005)
             self.state["i"] += 1
             if self.state["i"] == 2 and ctx.rank == 0:
-                v = yield from ctx.mpi.checkpoint()
+                v = yield from ctx.checkpoint()
                 self.state["versions"].append(v)
 
         def is_done(self, ctx):

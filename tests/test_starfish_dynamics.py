@@ -150,7 +150,7 @@ def test_montecarlo_uses_joiner_after_spawn():
             if (ctx.rank == 0 and not self.state.get("grew")
                     and self.state["done"] >= 20_000):
                 self.state["grew"] = True
-                yield from ctx.mpi.spawn(2)
+                yield from ctx.spawn(2)
                 return
             yield from MonteCarloPi.step(self, ctx)
 
