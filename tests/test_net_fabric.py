@@ -7,8 +7,9 @@ from repro.calibration import (BIP_LAYERS, RTT_1BYTE_BIP, RTT_1BYTE_TCP,
 from repro.cluster import Cluster, ClusterSpec
 from repro.faults import CrashNode
 from repro.errors import NodeDown, Unreachable
-from repro.net import BIP_MYRINET, Frame, TCP_ETHERNET
+from repro.net import BIP_MYRINET, Frame, Nic, TCP_ETHERNET
 from repro.net.message import MIN_WIRE_SIZE
+from repro.vni import Vni
 
 
 def make_pair():
@@ -342,3 +343,271 @@ def test_same_instant_arrivals_are_still_shuffled_under_perturbation():
         assert sorted(got) == ["n0", "n1"]
         orders.add(tuple(got))
     assert orders == {("n0", "n1"), ("n1", "n0")}
+
+
+# -- the same edges on a polling VNI port (Myrinet) ---------------------------
+#
+# A frame bound for a polling VNI is judged at its arrival instant exactly
+# as a frame bound for a queue port or a GCS sink: each case below acts
+# inside (transmit, arrival], inside (arrival, polled] or inside (polled,
+# filed] of one frame and checks the drops, the counters and the filing
+# instants.
+
+MYRI = BIP_MYRINET.layers
+
+
+def vni_link(nodes=2):
+    """A polling VNI on n1 (the MPI dispatcher's stage cost behind it) that
+    records ``(instant, payload)`` as it files, one sending VNI on every
+    other node, and the ``(instant, payload)`` of every frame handed to the
+    Myrinet's wire."""
+    cluster = Cluster.build(nodes=nodes)
+    eng = cluster.engine
+    filed, sent = [], []
+    rx = Vni(eng, cluster.node("n1"), port="rx", sink_cost=MYRI.mpi_recv,
+             sink=lambda frame: filed.append((eng.now, frame.payload)))
+    txs = {nid: Vni(eng, cluster.node(nid), port=f"tx:{nid}", sink=[].append)
+           for nid in sorted(cluster.nodes) if nid != "n1"}
+    transmit = cluster.myrinet.transmit
+
+    def watched(frame):
+        sent.append((eng.now, frame.payload))
+        transmit(frame)
+
+    cluster.myrinet.transmit = watched
+    return cluster, rx, txs, filed, sent
+
+
+def arrives(left):
+    return (left + MYRI.wire) + MYRI.driver_recv
+
+
+def stage_instants(arrivals):
+    """Filing instants of frames arriving at ``arrivals`` at an idle VNI."""
+    polled = done = 0.0
+    out = []
+    for arrived in arrivals:
+        polled = max(arrived, polled) + MYRI.vni_recv
+        done = max(polled, done) + MYRI.mpi_recv
+        out.append(done)
+    return out
+
+
+def link_counts(cluster):
+    m = cluster.engine.metrics
+    return (m.sum("net.frames_dropped", fabric="bip-myrinet"),
+            m.value("net.nic.rx_dropped", fabric="bip-myrinet"),
+            m.value("vni.received", port="rx", path="fast"))
+
+
+def one_frame_with(act, window, size=64, before=None):
+    """n0 submits one frame to n1's VNI at t = 0; ``act(cluster, rx)`` runs
+    in the middle of ``window`` of that frame (``before(cluster)``, if
+    given, halfway between the frame's departure and then).  Returns
+    ``(cluster, filed, (left, arrival, polled, filed instant))``."""
+    cluster, rx, txs, filed, sent = vni_link()
+    eng = cluster.engine
+    txs["n0"].submit("n1", "rx", "x", size)
+    left = 0.0 + (0.0 + MYRI.vni_send) + (MYRI.driver_send
+                                          + size / BIP_MYRINET.bandwidth)
+    arrival = arrives(left)
+    polled = arrival + MYRI.vni_recv
+    lo, hi = {"in flight": (left, arrival), "polling": (arrival, polled),
+              "dispatch": (polled, polled + MYRI.mpi_recv)}[window]
+    mid = (lo + hi) / 2
+    if before is not None:
+        eng.timeout((left + mid) / 2).callbacks.append(
+            lambda _e: before(cluster))
+    eng.timeout(mid).callbacks.append(lambda _e: act(cluster, rx))
+    eng.run()
+    assert [t for t, _ in sent] == [left]
+    return cluster, filed, (left, arrival, polled, polled + MYRI.mpi_recv)
+
+
+WINDOWS = ("in flight", "polling", "dispatch")
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_receiver_crash(window):
+    cluster, filed, _at = one_frame_with(
+        lambda c, rx: c.node("n1").crash(), window)
+    assert filed == []
+    # Lost on the wire before it arrived; from its polled instant on it was
+    # received, but nothing is filed after the crash.
+    assert link_counts(cluster) == {"in flight": (1, 0, 0),
+                                    "polling": (0, 0, 0),
+                                    "dispatch": (0, 0, 1)}[window]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_sender_crash(window):
+    cluster, filed, (_l, _a, _p, done) = one_frame_with(
+        lambda c, rx: c.node("n0").crash(), window)
+    if window == "in flight":
+        assert filed == [] and link_counts(cluster) == (1, 0, 0)
+    else:
+        assert filed == [(done, "x")] and link_counts(cluster) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_partition_set(window):
+    cluster, filed, (_l, _a, _p, done) = one_frame_with(
+        lambda c, rx: c.myrinet.set_partition(["n0"], ["n1"]), window)
+    if window == "in flight":
+        assert filed == [] and link_counts(cluster) == (1, 0, 0)
+    else:
+        assert filed == [(done, "x")] and link_counts(cluster) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_partition_healed(window):
+    # Partitioned while on the wire, healed in ``window``: judged once, at
+    # the arrival instant, under whatever holds then.
+    def act(cluster, rx):
+        cluster.myrinet.clear_partition()
+
+    cluster, filed, (left, arrival, _p, done), = one_frame_with(
+        act, window, before=lambda c: c.myrinet.set_partition(["n0"],
+                                                              ["n1"]))
+    if window == "in flight":
+        assert filed == [(done, "x")] and link_counts(cluster) == (0, 0, 1)
+    else:
+        assert filed == [] and link_counts(cluster) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_port_closed(window):
+    cluster, filed, _at = one_frame_with(lambda c, rx: rx.close(), window)
+    assert filed == []
+    # A closed port drops an arriving frame at the NIC; one already in the
+    # VNI's hands is received from its polled instant, never filed.
+    assert link_counts(cluster) == {"in flight": (0, 1, 0),
+                                    "polling": (0, 0, 0),
+                                    "dispatch": (0, 0, 1)}[window]
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_nic_replaced(window):
+    # A second NIC attached for n1 takes its place on the fabric: a frame
+    # still on the wire arrives at the new NIC, which has no such port.
+    cluster, filed, (_l, _a, _p, done) = one_frame_with(
+        lambda c, rx: Nic(c.engine, "n1", c.myrinet), window)
+    if window == "in flight":
+        assert filed == [] and link_counts(cluster) == (0, 1, 0)
+    else:
+        assert filed == [(done, "x")] and link_counts(cluster) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_received_counts_from_the_polled_instant(window):
+    seen = []
+    cluster, filed, (_l, _a, _p, done) = one_frame_with(
+        lambda c, rx: seen.append(link_counts(c)[2]), window)
+    assert seen == [{"in flight": 0, "polling": 0, "dispatch": 1}[window]]
+    assert filed == [(done, "x")] and link_counts(cluster) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_received_reset_by_a_second_vni_on_the_port(window):
+    # A backup rank's VNI on another node reuses the port's series: the
+    # reset forgets what was polled by then, and what is still ahead counts
+    # after it.
+    cluster, filed, (_l, _a, _p, done) = one_frame_with(
+        lambda c, rx: Vni(c.engine, c.node("n0"), port="rx",
+                          sink_cost=MYRI.mpi_recv, sink=[].append), window)
+    assert filed == [(done, "x")]
+    assert link_counts(cluster) == (0, 0, 0 if window == "dispatch" else 1)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_delivery_tap_installed(window):
+    tapped = []
+
+    def act(cluster, rx):
+        cluster.myrinet.delivery_tap = lambda f: tapped.append(
+            (cluster.engine.now, f.payload))
+
+    cluster, filed, (_l, arrival, _p, done) = one_frame_with(act, window)
+    # Installed while the frame was on the wire, the tap sees it once, at
+    # its arrival instant; installed after, never.
+    assert tapped == ([(arrival, "x")] if window == "in flight" else [])
+    assert filed == [(done, "x")] and link_counts(cluster) == (0, 0, 1)
+
+
+def test_vni_delivery_tap_sees_each_frame_once_and_may_take_it():
+    cluster, rx, txs, filed, sent = vni_link(nodes=3)
+    eng = cluster.engine
+    tapped = []
+
+    def tap(frame):
+        tapped.append((eng.now, frame.payload))
+        return frame.payload == "taken"
+
+    cluster.myrinet.delivery_tap = tap
+    txs["n0"].submit("n1", "rx", "kept", 64)
+    txs["n2"].submit("n1", "rx", "taken", 64)
+    txs["n0"].submit("n1", "rx", "after", 64)
+    eng.run()
+    # One same-instant pair (two senders), then n0's second frame.
+    assert [p for _t, p in sent] == ["kept", "taken", "after"]
+    at = [arrives(t) for t, _p in sent]
+    assert tapped == list(zip(at, ["kept", "taken", "after"]))
+    assert filed == list(zip(stage_instants([at[0], at[2]]),
+                             ["kept", "after"]))
+    assert link_counts(cluster) == (0, 0, 2)
+
+
+def test_vni_burst_survivors_behind_a_frame_lost_in_flight():
+    # n0's frame arrives first and n2's two frames queue behind it in the
+    # polling stage.  n0 crashes while its frame is on the wire: the frame
+    # is lost at its arrival instant and n2's frames are filed at the
+    # instants they would have had without it.
+    def run(crash):
+        cluster, rx, txs, filed, sent = vni_link(nodes=3)
+        eng = cluster.engine
+        txs["n0"].submit("n1", "rx", "a0", 64)
+        txs["n2"].submit("n1", "rx", "b0", 104)
+        txs["n2"].submit("n1", "rx", "b1", 16)
+        if crash:
+            left = 0.0 + (0.0 + MYRI.vni_send) + (
+                MYRI.driver_send + 64 / BIP_MYRINET.bandwidth)
+            eng.timeout((left + arrives(left)) / 2).callbacks.append(
+                lambda _e: cluster.node("n0").crash())
+        eng.run()
+        return cluster, filed, {p: arrives(t) for t, p in sent}
+
+    cluster, filed, at = run(crash=False)
+    assert at["a0"] < at["b0"] < at["a0"] + MYRI.vni_recv       # queued
+    assert filed == list(zip(stage_instants([at["a0"], at["b0"], at["b1"]]),
+                             ["a0", "b0", "b1"]))
+    cluster, filed, at = run(crash=True)
+    assert filed == list(zip(stage_instants([at["b0"], at["b1"]]),
+                             ["b0", "b1"]))
+    assert link_counts(cluster) == (1, 0, 2)
+
+
+def test_vni_port_refolded_while_a_frame_is_in_flight():
+    # n1's port closes while n0's frame is on the wire and a new VNI opens
+    # it; n2's frame to the new VNI leaves before n0's arrives.  n0's frame
+    # reaches the new VNI at its arrival instant, ahead of n2's.
+    cluster, rx, txs, filed, sent = vni_link(nodes=3)
+    eng = cluster.engine
+    refiled = []
+    txs["n0"].submit("n1", "rx", "a", 64)
+    left = 0.0 + (0.0 + MYRI.vni_send) + (MYRI.driver_send
+                                          + 64 / BIP_MYRINET.bandwidth)
+
+    def reopen(_e):
+        rx.close()
+        Vni(eng, cluster.node("n1"), port="rx", sink_cost=MYRI.mpi_recv,
+            sink=lambda frame: refiled.append((eng.now, frame.payload)))
+        txs["n2"].submit("n1", "rx", "b", 16)
+
+    eng.timeout(left + 1e-6).callbacks.append(reopen)
+    eng.run()
+    at = {p: arrives(t) for t, p in sent}
+    assert sent[1][0] < at["a"] < at["b"]       # b left while a was in flight
+    assert filed == []
+    assert refiled == list(zip(stage_instants([at["a"], at["b"]]),
+                               ["a", "b"]))
+    assert link_counts(cluster) == (0, 0, 2)

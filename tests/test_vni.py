@@ -1,5 +1,8 @@
 """VNI unit tests: fast path timing, polling thread, both drivers."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.calibration import BLOCKING_RECV_SYSCALL
@@ -47,6 +50,18 @@ def one_way(cluster, a, b, size=64):
     else:
         eng.run(eng.process(receiver()))
     return out
+
+
+def test_a_rebound_port_lets_the_old_vni_go():
+    # A restarted rank on the same node opens the port again; nothing of
+    # the old VNI (its sink holds the rank's endpoint) outlives its last
+    # reference, the received series included.
+    cluster, a, b = make_pair()
+    ref = weakref.ref(b)
+    Vni(cluster.engine, cluster.node("n1"), port="app:1", sink=[].append)
+    del b
+    gc.collect()
+    assert ref() is None
 
 
 def test_message_delivered_with_payload():
