@@ -78,7 +78,7 @@ class ProgramContext:
 
     @property
     def now(self) -> float:
-        return self._rt.engine.now
+        return self._rt.engine._now
 
     @property
     def node_id(self) -> str:

@@ -59,6 +59,8 @@ class Communicator:
         self.endpoint = endpoint
         self.comm_id = comm_id
         self.group = tuple(group)
+        #: Number of ranks (the group is fixed for the communicator's life).
+        self.size = len(self.group)
         self._rank = self.group.index(endpoint.world_rank)
         self._coll_seq = 0
         self._split_seq = 0
@@ -73,10 +75,6 @@ class Communicator:
     def rank(self) -> int:
         return self._rank
 
-    @property
-    def size(self) -> int:
-        return len(self.group)
-
     def world_rank_of(self, comm_rank: int) -> int:
         self._check_rank(comm_rank)
         return self.group[comm_rank]
@@ -89,6 +87,10 @@ class Communicator:
 
     def import_seqs(self, seqs) -> None:
         self._coll_seq, self._split_seq, self._dup_seq = seqs
+
+    # The point-to-point calls test the common case inline (not freed, a
+    # rank of the group, a user tag) and call these only outside it: they
+    # pass PROC_NULL (and ANY_SOURCE with ``wildcard_ok``), raise otherwise.
 
     def _check_rank(self, r: int, wildcard_ok: bool = False) -> None:
         if self._freed:
@@ -111,25 +113,30 @@ class Communicator:
     def send(self, data: Any, dest: int, tag: int = 0,
              size: Optional[int] = None):
         """Process generator: blocking standard-mode (eager) send."""
-        self._check_rank(dest)
-        self._check_tag(tag)
-        if dest == PROC_NULL:
-            return
+        if (self._freed or not 0 <= dest < self.size
+                or not 0 <= tag <= MAX_USER_TAG):
+            self._check_rank(dest)
+            self._check_tag(tag)
+            if dest == PROC_NULL:
+                return
         # app_send rides down as pre_delay: the whole software send stack
         # (app + MPI + VNI layers) charges one merged timeout.
-        yield from self.endpoint.send(self.group[dest], self.comm_id,
-                                      self._rank, tag, data, size,
-                                      pre_delay=self.endpoint.layers.app_send)
+        endpoint = self.endpoint
+        yield from endpoint.send(self.group[dest], self.comm_id, self._rank,
+                                 tag, data, size,
+                                 pre_delay=endpoint.layers.app_send)
 
     def isend(self, data: Any, dest: int, tag: int = 0,
               size: Optional[int] = None) -> Request:
         """Non-blocking send; returns a :class:`Request`."""
-        self._check_rank(dest)
-        self._check_tag(tag)
-        if dest == PROC_NULL:
-            req = Request(self.endpoint.engine, "send")
-            req.complete(None)
-            return req
+        if (self._freed or not 0 <= dest < self.size
+                or not 0 <= tag <= MAX_USER_TAG):
+            self._check_rank(dest)
+            self._check_tag(tag)
+            if dest == PROC_NULL:
+                req = Request(self.endpoint.engine, "send")
+                req.complete(None)
+                return req
         return self.endpoint.isend(self.group[dest], self.comm_id,
                                    self._rank, tag, data, size)
 
@@ -140,10 +147,11 @@ class Communicator:
                                source, tag)
 
     def _post_recv(self, req: Request, source: int, tag: int) -> Request:
-        self._check_rank(source, wildcard_ok=True)
-        if source == PROC_NULL:
-            req.complete(None, Status(PROC_NULL, tag, 0))
-            return req
+        if self._freed or not 0 <= source < self.size:
+            self._check_rank(source, wildcard_ok=True)
+            if source == PROC_NULL:
+                req.complete(None, Status(PROC_NULL, tag, 0))
+                return req
         self.endpoint.matching.post(
             PostedRecv(comm_id=self.comm_id, source=source, tag=tag,
                        request=req))
@@ -153,12 +161,17 @@ class Communicator:
              with_status: bool = False):
         """Process generator: blocking receive; returns the data (or
         ``(data, status)`` with ``with_status=True``)."""
-        req = self._post_recv(BlockingRecv(self.endpoint), source, tag)
-        if not self.endpoint.polling:
+        endpoint = self.endpoint
+        req = self._post_recv(BlockingRecv(endpoint), source, tag)
+        if not endpoint.polling:
             # No polling thread: the receiver itself drains the NIC.
             while not req.done:
-                yield from self.endpoint.pump_blocking()
-        data = yield from req.wait()
+                yield from endpoint.pump_blocking()
+        # req.wait()'s body: one generator frame fewer on the data path.
+        event = req.event
+        if event.callbacks is not None:         # not processed yet
+            yield event
+        data = event._value[0]
         if with_status:
             return data, req.status
         return data

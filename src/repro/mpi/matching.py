@@ -75,11 +75,12 @@ class MatchingEngine:
         comm_id, source, tag = msg.comm_id, msg.source, msg.tag
         for i, recv in enumerate(self.posted):
             if (recv.comm_id == comm_id
-                    and recv.source in (ANY_SOURCE, source)
+                    and (recv.source == source or recv.source == ANY_SOURCE)
                     and (tag >= 0 if recv.tag == ANY_TAG
                          else recv.tag == tag)):
                 del self.posted[i]
-                recv.request.complete(msg.data, msg.status())
+                recv.request.complete(msg.data,
+                                      Status(source, tag, msg.nbytes))
                 return recv
         self.unexpected.append(msg)
         return None

@@ -6,7 +6,7 @@ from typing import Any, Optional, Tuple
 
 from repro.errors import MpiError
 from repro.mpi.status import Status
-from repro.sim.events import Event
+from repro.sim.events import _NORMAL, _PENDING, Event
 
 
 class Request:
@@ -53,9 +53,10 @@ class Request:
 
     def wait(self):
         """Process generator: block until complete; returns the data."""
-        if not self.event.processed:
-            yield self.event
-        data, _status = self.event.value
+        event = self.event
+        if event.callbacks is not None:         # not processed yet
+            yield event
+        data, _status = event.value
         return data
 
     def test(self) -> Tuple[bool, Any]:
@@ -76,18 +77,27 @@ class BlockingRecv(Request):
     once.  ``done`` is true from the match on."""
 
     def __init__(self, endpoint):
-        super().__init__(endpoint.engine, "recv")
+        Request.__init__(self, endpoint.engine, "recv")
         self._endpoint = endpoint
-        self._posted_at = endpoint.engine.now
+        self._posted_at = endpoint.engine._now
 
     def complete(self, data: Any = None, status: Optional[Status] = None):
-        if self.event.triggered:
+        event = self.event
+        if event._value is not _PENDING:
             raise MpiError("request completed twice")
         self._data = data
         self._status = status
         endpoint = self._endpoint
-        endpoint.observe_recv(self.engine.now - self._posted_at)
-        self.event.succeed((data, status), delay=endpoint.layers.app_recv)
+        engine = self.engine
+        now = engine._now
+        # How long the receive waited for its match.
+        endpoint._h_recv.observe(now - self._posted_at)
+        # event.succeed((data, status), delay=app_recv), inlined: one per
+        # received message.
+        event._ok = True
+        event._value = (data, status)
+        engine._seq = seq = engine._seq + 1
+        engine._push((now + endpoint.layers.app_recv, _NORMAL, seq, event))
 
 
 def waitall(engine, requests):

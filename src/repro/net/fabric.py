@@ -11,13 +11,17 @@ themselves (driver send side in :mod:`repro.net.nic`, VNI in
 :mod:`repro.vni`, MPI in :mod:`repro.mpi`).  The fabric charges the wire
 term ``wire_latency + size / bandwidth`` (serialization at the sending NIC,
 propagation here) and the receiving driver's ``driver_recv``: a frame's
-arrival is one event, at whose end it is in its port's hands.
+arrival is one event, at whose end it is in its port's hands — except a
+frame bound for a polling VNI, which is handed over at transmit with its
+arrival instant and judged there only if something that judgement reads
+changes while it is in flight (``docs/records/34-three-events-per-message.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.calibration import (BIP_BANDWIDTH, BIP_LAYERS, LayerCosts,
                                TCP_BANDWIDTH, TCP_LAYERS)
@@ -69,6 +73,14 @@ class Fabric:
         self.loss_prob = loss_prob
         self._nics: Dict[str, "Nic"] = {}          # node_id -> Nic
         self._partitions: Optional[Dict[str, int]] = None
+        self._wire = spec.layers.wire
+        self._driver_recv = spec.layers.driver_recv
+        #: Folded ports open on this fabric (``Nic.fold_port``): their
+        #: frames skip the arrival event.
+        self._folding = 0
+        #: Arrival instant -> ``(frame, vni)`` of the folded frames to be
+        #: judged there, in arrival order (``_judge``).
+        self._judgements: Dict[float, List[tuple]] = {}
         # In-flight batch of frames transmitted at the same instant: they
         # all arrive at once, so a burst schedules ONE arrival event
         # instead of N.  Delivery iterates in transmit order, which is the
@@ -89,11 +101,21 @@ class Fabric:
             help="frames lost to crash/partition/injected loss")
         #: kind -> (frames counter, bytes counter)
         self._m_kind: Dict[str, Tuple[Counter, Counter]] = {}
-        #: Delivery interception point: ``tap(frame) -> bool`` called just
-        #: before a frame reaches the destination port; truthy suppresses
-        #: the delivery.  Protocol harnesses hook here to drop, reorder,
-        #: or observe traffic below every software layer.
-        self.delivery_tap = None
+        self._tap = None
+
+    @property
+    def delivery_tap(self):
+        """Delivery interception point: ``tap(frame) -> bool`` called just
+        before a frame reaches the destination port; truthy suppresses the
+        delivery.  Protocol harnesses hook here to drop, reorder, or
+        observe traffic below every software layer."""
+        return self._tap
+
+    @delivery_tap.setter
+    def delivery_tap(self, tap) -> None:
+        self._tap = tap
+        if tap is not None and self._folding:
+            self._recall(self._folded_vnis())
 
     def _kind_instruments(self, kind: str) -> Tuple[Counter, Counter]:
         pair = self._m_kind.get(kind)
@@ -110,10 +132,14 @@ class Fabric:
     # -- attachment --------------------------------------------------------
 
     def attach(self, nic: "Nic") -> None:
+        if nic.node_id in self._nics and self._folding:
+            self._recall(self._folded_vnis())
         self._nics[nic.node_id] = nic
 
     def detach(self, node_id: str) -> None:
         """Remove a node's NIC (node crash or removal)."""
+        if node_id in self._nics and self._folding:
+            self._recall(self._folded_vnis())
         self._nics.pop(node_id, None)
 
     # -- fault injection -----------------------------------------------------
@@ -129,10 +155,13 @@ class Fabric:
         for gi, group in enumerate(groups):
             for node in group:
                 mapping[node] = gi
+        if self._folding:
+            self._recall(self._folded_vnis())
         self._partitions = mapping
 
     def clear_partition(self) -> None:
-        """Remove any partition."""
+        """Remove any partition.  (No folded frame is recalled: one that was
+        reachable when sent stays reachable.)"""
         self._partitions = None
 
     def set_loss(self, prob: float) -> float:
@@ -165,36 +194,43 @@ class Fabric:
         if frame.src not in nics:
             raise Unreachable(
                 f"node {frame.src!r} is not attached to {self.spec.name}")
-        frames, nbytes = self._kind_instruments(frame.kind)
+        kind = frame.kind
+        frames, nbytes = (self._m_kind.get(kind)
+                          or self._kind_instruments(kind))
         frames.inc()
         nbytes.inc(frame.size)
-        frame.sent_at = self.engine.now
+        engine = self.engine
+        now = frame.sent_at = engine._now
 
-        if self._partitions is None:
-            reachable = frame.dst in nics
-        else:
-            reachable = self._reachable(frame.src, frame.dst)
-        if not reachable:
+        dst = frame.dst
+        if (dst not in nics if self._partitions is None
+                else not self._reachable(frame.src, dst)):
             self._m_dropped.inc()
             return
         if self.loss_prob > 0.0:
-            if self.engine.rng.stream("net.loss").random() < self.loss_prob:
+            if engine.rng.stream("net.loss").random() < self.loss_prob:
                 self._m_dropped.inc()
                 return
 
         # Serialization (size/bandwidth) was charged by the sending NIC;
         # propagation/switching and the receiving driver remain, and the
-        # frame reaches its port at the end of both: one event, at the
-        # instant the two charges used to be scheduled one after the other
-        # (``(now + wire) + driver_recv``, not ``now + (wire + ...)``).
-        # Same-instant transmits join the open batch instead of scheduling
-        # their own arrival event.
-        engine = self.engine
+        # frame reaches its port at the end of both, at the instant the two
+        # charges used to be scheduled one after the other (``(now + wire)
+        # + driver_recv``, not ``now + (wire + ...)``).  A frame for a
+        # polling VNI is handed to it now, with that instant; any other is
+        # delivered by one arrival event, which same-instant transmits join.
         perturb = engine._perturb
         if perturb is not None:
             self._transmit_perturbed(frame, perturb)
             return
-        now = engine._now
+        if self._folding:
+            vni = nics[dst]._folds.get(frame.port)
+            if vni is not None:
+                arrival = (now + self._wire) + self._driver_recv
+                vni._arrive(frame, arrival)
+                if self._tap is not None:
+                    self._judge_at(arrival, frame, vni)
+                return
         batch = self._batch
         if batch is not None and self._batch_now == now:
             batch.append(frame)
@@ -202,8 +238,7 @@ class Fabric:
         batch = [frame]
         self._batch = batch
         self._batch_now = now
-        layers = self.spec.layers
-        Timeout.at(engine, (now + layers.wire) + layers.driver_recv,
+        Timeout.at(engine, (now + self._wire) + self._driver_recv,
                    value=batch,
                    name=f"wire:{frame.frame_id}+" if engine.tracer is not None
                    else None).callbacks.append(self._deliver_batch)
@@ -212,14 +247,15 @@ class Fabric:
         """Per-frame arrival under a schedule perturbation (repro.check).
 
         Bypasses the same-instant batch — batched frames share one event
-        and could never be reordered by the tie shuffle.  Safe for per-link
-        FIFO even without jitter: NIC tx is serialized (driver cost + link
-        time per frame), so same-instant transmits always come from
-        *different* source nodes.  With jitter enabled, each frame's wire
-        time is stretched by a seeded draw, and a per-link arrival floor
-        keeps FIFO: a frame never lands at or before its predecessor on the
-        same (src, dst) link, so even the tie shuffle (which only reorders
-        *equal* times) cannot swap them.
+        and could never be reordered by the tie shuffle — and the fold into
+        a polling VNI's filing event, so the shuffle sees every arrival.
+        Safe for per-link FIFO even without jitter: NIC tx is serialized
+        (driver cost + link time per frame), so same-instant transmits
+        always come from *different* source nodes.  With jitter enabled,
+        each frame's wire time is stretched by a seeded draw, and a
+        per-link arrival floor keeps FIFO: a frame never lands at or before
+        its predecessor on the same (src, dst) link, so even the tie
+        shuffle (which only reorders *equal* times) cannot swap them.
         """
         engine = self.engine
         delay = self.spec.layers.wire
@@ -254,7 +290,7 @@ class Fabric:
                                                         frame.dst)):
                 self._m_dropped.inc()
                 continue
-            if self.delivery_tap is not None and self.delivery_tap(frame):
+            if self._tap is not None and self._tap(frame):
                 continue
             sink = nic._ports.get(frame.port)
             if sink is not None:
@@ -262,6 +298,58 @@ class Fabric:
             else:
                 # No listener — frame dropped, like a closed UDP port.
                 nic._m_rx_dropped.inc()
+
+    # -- folded frames: judged at arrival when something changed ---------------
+
+    def _folded_vnis(self) -> List:
+        return [vni for nic in self._nics.values()
+                for vni in nic._folds.values()]
+
+    def _recall(self, vnis) -> None:
+        """Something a frame's judgement at arrival reads is about to change:
+        every folded frame of ``vnis`` whose arrival instant has not passed
+        is judged at that instant (``_judge``) instead of being taken as
+        delivered."""
+        now = self.engine._now
+        ahead = sorted(((filing.arrival, filing.frame, vni)
+                        for vni in vnis for filing in vni._filing
+                        if filing.arrival >= now), key=itemgetter(0))
+        for arrival, frame, vni in ahead:
+            pending = self._judgements.get(arrival)
+            if pending is None or all(f is not frame for f, _vni in pending):
+                self._judge_at(arrival, frame, vni)
+
+    def _judge_at(self, arrival: float, frame: Frame, vni) -> None:
+        pending = self._judgements.get(arrival)
+        if pending is None:
+            pending = self._judgements[arrival] = []
+            Timeout.at(self.engine, arrival, value=arrival).callbacks.append(
+                self._judge)
+        pending.append((frame, vni))
+
+    def _judge(self, event) -> None:
+        """``_deliver_batch``'s checks, in its order and with its counters,
+        for folded frames already in their VNI's FIFO: one judged lost
+        leaves it (``Vni._drop``); one whose port another sink took since
+        goes to that sink."""
+        nics = self._nics
+        for frame, vni in self._judgements.pop(event._value):
+            nic = nics.get(frame.dst)
+            if nic is None or (frame.src not in nics
+                               if self._partitions is None
+                               else not self._reachable(frame.src,
+                                                        frame.dst)):
+                self._m_dropped.inc()
+                vni._drop(frame)
+            elif self._tap is not None and self._tap(frame):
+                vni._drop(frame)
+            elif nic._folds.get(frame.port) is not vni:
+                vni._drop(frame)
+                sink = nic._ports.get(frame.port)
+                if sink is not None:
+                    sink(frame)
+                else:
+                    nic._m_rx_dropped.inc()
 
     def __repr__(self) -> str:
         reg, name = self._registry, self.spec.name

@@ -19,7 +19,8 @@ its place in the FIFO by ready instant, then submit order, so the FIFO's
 software stage costs no event of its own.  A receive port is a queue, or a
 *sink* callable handed each arriving frame synchronously; a sink's owner
 may ask to be told when the NIC goes down (a queue port learns it from its
-queue being closed).
+queue being closed).  A polling VNI also *folds* its port: the fabric hands
+it each frame at transmit, with the frame's arrival instant.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ class Nic:
         self._ports: Dict[str, Callable[[Frame], None]] = {}
         self._queues: Dict[str, Channel] = {}
         self._on_down: Dict[str, Callable[[BaseException], None]] = {}
+        #: Folded ports: port -> the polling VNI handed each frame for it at
+        #: transmit (``Vni._arrive``), with no arrival event.
+        self._folds: Dict[str, object] = {}
         self._up = True
         fabric.attach(self)
 
@@ -99,6 +103,7 @@ class Nic:
         ``sink``, hand each arriving frame to ``sink(frame)`` synchronously
         inside its arrival event instead (no queue); ``on_down(exc)``
         is then called if the NIC goes down while the port is open."""
+        self._unfold(port)
         if sink is not None:
             self._ports[port] = sink
             if on_down is not None:
@@ -111,7 +116,23 @@ class Nic:
             self._ports[port] = ch.put
         return ch
 
+    def fold_port(self, port: str, vni) -> None:
+        """Hand each frame for the open sink port ``port`` to
+        ``vni._arrive(frame, arrival)`` when it is transmitted, instead of
+        to the sink when it arrives.  Until the port closes, ``vni`` must
+        take frames in arrival order from both paths."""
+        self._unfold(port)
+        self._folds[port] = vni
+        self.fabric._folding += 1
+
+    def _unfold(self, port: str) -> None:
+        vni = self._folds.pop(port, None)
+        if vni is not None:
+            self.fabric._folding -= 1
+            self.fabric._recall((vni,))
+
     def close_port(self, port: str) -> None:
+        self._unfold(port)
         self._ports.pop(port, None)
         self._queues.pop(port, None)
         self._on_down.pop(port, None)
@@ -264,6 +285,8 @@ class Nic:
             ch.close(err)
         self._queues.clear()
         self._ports.clear()
+        self.fabric._folding -= len(self._folds)
+        self._folds.clear()
         for on_down in self._on_down.values():
             on_down(err)
         self._on_down.clear()

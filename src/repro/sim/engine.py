@@ -69,7 +69,8 @@ class Engine:
 
     __slots__ = ("_now", "_queue", "_seq", "active_process", "rng",
                  "tracer", "_nprocessed", "metrics", "_perturb",
-                 "_tie_pending", "_sched", "_push", "scheduler")
+                 "_tie_pending", "_sched", "_push", "scheduler",
+                 "_interrupts_due")
 
     def __init__(self, seed: int = 0, trace: bool = False,
                  telemetry: bool = True, scheduler: str = "heap"):
@@ -87,6 +88,9 @@ class Engine:
             self._sched = None
             self._push = partial(heappush, self._queue)
         self.active_process: Optional[Process] = None
+        #: Interrupts posted and not yet delivered (``Process.interrupt``):
+        #: while none is, no waiter of an ``Event.fire`` has one in flight.
+        self._interrupts_due = 0
         self.rng = RngStreams(seed)
         self.tracer: Optional[Tracer] = Tracer() if trace else None
         self._nprocessed = 0

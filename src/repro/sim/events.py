@@ -113,13 +113,15 @@ class Event:
         """
         if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
-        if self.engine.active_process is not None:
+        engine = self.engine
+        if engine.active_process is not None:
             self.succeed(value)
             return
-        for cb in self.callbacks:
-            if getattr(getattr(cb, "__self__", None), "_interrupts", None):
-                self.succeed(value)
-                return
+        if engine._interrupts_due:
+            for cb in self.callbacks:
+                if getattr(getattr(cb, "__self__", None), "_interrupts", None):
+                    self.succeed(value)
+                    return
         self._ok = True
         self._value = value
         callbacks, self.callbacks = self.callbacks, None

@@ -76,10 +76,12 @@ class Process(Event):
                     name=f"interrupt:{self.name}"
                     if self.engine.tracer is not None else None)
         self._interrupts.append(cause)
+        self.engine._interrupts_due += 1
         hit.callbacks.append(self._deliver_interrupt)
         hit.succeed()
 
     def _deliver_interrupt(self, _event: Event) -> None:
+        self.engine._interrupts_due -= 1
         if self.triggered or not self._interrupts:
             return
         self.abandon_wait(Interrupt(self._interrupts.pop(0)))
@@ -110,7 +112,7 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         self._target = None
         if event._ok:
-            self._step(send=event._value)
+            self._step(event._value)
         else:
             event._defused = True
             self._step(throw=event._value)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
+from weakref import WeakSet
 from typing import Any, Callable, Optional, Tuple
 
 from repro.calibration import BLOCKING_RECV_SYSCALL
@@ -12,7 +14,7 @@ from repro.net.message import Frame
 from repro.net.nic import SendDone
 from repro.obs.instruments import Counter
 from repro.obs.registry import get_registry
-from repro.sim.events import Timeout
+from repro.sim.events import _NORMAL, Timeout
 
 
 @dataclass(frozen=True)
@@ -25,12 +27,11 @@ class VniMessage:
 
 
 class _FromReady(Counter):
-    """``vni.sent`` / ``vni.received``: each parked item counts from its
-    ``ready`` instant on — a send from when it reaches the driver, a message
-    from when the polling thread hands it on — unless its ``frame`` became
-    ``None`` before then.  No event marks that instant, so the count is
-    settled when read; a reset forgets what was ready by then, and what is
-    still ahead counts after it."""
+    """``vni.sent``: each parked send counts from its ``ready`` instant on
+    (when it reaches the driver) unless its ``frame`` became ``None`` before
+    then.  No event marks that instant, so the count is settled when read;
+    a reset forgets what was ready by then, and what is still ahead counts
+    after it."""
 
     def __init__(self, name: str, labels=(), help: str = ""):
         super().__init__(name, labels, help)
@@ -40,14 +41,21 @@ class _FromReady(Counter):
         self._parked: Optional[deque] = None
 
     def park(self, item) -> None:
+        # Settles what is ready at the head as it goes, so a message's item
+        # is let go once the next one is parked.
         parked = self._parked
-        if parked is None:
-            parked = self._parked = deque()
-        now = self.engine._now
-        while parked and parked[0].ready <= now:
-            if parked.popleft().frame is not None:
-                self._value += 1
-        parked.append(item)
+        if parked:
+            now = self.engine._now
+            while parked[0].ready <= now:
+                if parked.popleft().frame is not None:
+                    self._value += 1
+                if not parked:
+                    break
+            parked.append(item)
+        elif parked is None:
+            self._parked = deque((item,))
+        else:
+            parked.append(item)
 
     @property
     def value(self) -> float:
@@ -66,10 +74,41 @@ class _FromReady(Counter):
         self._value = 0
 
 
-def _from_ready(engine, name: str, help: str, **labels) -> _FromReady:
+class _Received(Counter):
+    """``vni.received``: a message counts from its polled instant
+    (``_Filing.ready``) on, if its VNI was still open then.  It is counted
+    when it is filed (``Vni._filed``) or when its VNI closes (``Vni._shut``);
+    in between, a read adds the messages still in the open polling VNIs'
+    pipelines whose polled instant has passed.  A reset forgets what was
+    ready by then: those still in a pipeline are taken off in advance, and
+    what is still ahead counts after it.  A blocking VNI counts with
+    ``inc()``."""
+
+    def __init__(self, name: str, labels=(), help: str = ""):
+        super().__init__(name, labels, help)
+        self.engine = None
+        #: The open polling VNIs counting here (a port reused by a restarted
+        #: or backup rank has more than one).  Weak: the series must not keep
+        #: a finished rank's VNI, and its endpoint, alive; a VNI with a
+        #: message in its FIFO is held by that message's filing event.
+        self.vnis: WeakSet = WeakSet()
+
+    def _polled_at(self, vni) -> int:
+        now = self.engine._now
+        return sum(1 for filing in vni._filing if filing.ready <= now)
+
+    @property
+    def value(self) -> float:
+        return self._value + sum(map(self._polled_at, self.vnis))
+
+    def reset(self) -> None:
+        self._value = -sum(map(self._polled_at, self.vnis))
+
+
+def _from_ready(engine, name: str, help: str, cls=_FromReady, **labels):
     reg = get_registry(engine)
-    counter = (reg._get_or_create(_FromReady, name, labels, help)
-               if reg.enabled else _FromReady(name, help=help))
+    counter = (reg._get_or_create(cls, name, labels, help)
+               if reg.enabled else cls(name, help=help))
     counter.engine = engine
     # A restarted process reuses its port: the series restarts at zero, to
     # keep per-instance semantics.
@@ -78,11 +117,31 @@ def _from_ready(engine, name: str, help: str, **labels) -> _FromReady:
 
 
 class _Filing(Timeout):
-    """One arrived message's filing event.  ``ready`` is the instant the
-    polling thread hands it on; ``frame`` turns ``None`` if the VNI closes
-    before that."""
+    """One message's filing event, armed when its frame is handed to the VNI
+    (at transmit, or at arrival).  ``arrival`` is the instant the frame
+    reaches the VNI, ``ready`` the instant the polling thread hands it on,
+    ``filed`` this event's own instant; ``frame`` turns ``None`` if the
+    frame is lost before ``arrival`` (``Vni._drop``)."""
 
-    __slots__ = ("ready", "frame")
+    __slots__ = ("arrival", "ready", "filed", "frame")
+
+    def __init__(self, vni: "Vni", frame: Frame, arrival: float,
+                 ready: float, filed: float):
+        # Timeout.at inlined: one filing per MPI message.
+        engine = vni.engine
+        self.engine = engine
+        self.name = None
+        self.callbacks = [vni._filed]
+        self._value = None
+        self._ok = True
+        self._defused = False
+        self.delay = filed - engine._now
+        self.arrival = arrival
+        self.ready = ready
+        self.filed = filed
+        self.frame = frame
+        engine._seq = seq = engine._seq + 1
+        engine._push((filed, _NORMAL, seq, self))
 
 
 class Vni:
@@ -112,8 +171,9 @@ class Vni:
     in series, the receive-side mirror of the NIC's transmit FIFO: a frame
     arriving at ``a`` is handed on at ``polled = max(a, previous polled) +
     vni_recv`` and filed at ``max(polled, previous filed) + sink_cost``.
-    Both instants are known at arrival, so a message costs one event, at
-    its filing instant.
+    Both instants follow from the arrival instant, which the fabric knows
+    at transmit: a polling VNI folds its port (``Nic.fold_port``), so a
+    message costs one event, at its filing instant.
     """
 
     def __init__(self, engine, node, port: str,
@@ -126,6 +186,7 @@ class Vni:
         self.transport = transport
         self.polling = polling
         self.nic = node.nic(transport)
+        self.layers = self.nic.fabric.spec.layers
         self._vni_send = self.layers.vni_send
         self._vni_recv = self.layers.vni_recv
         self._sink = sink
@@ -140,19 +201,17 @@ class Vni:
         self._m_sent = _from_ready(engine, "vni.sent", port=port, path=path,
                                    help="messages handed to the driver")
         self._m_received = _from_ready(engine, "vni.received", port=port,
-                                       path=path,
+                                       path=path, cls=_Received,
                                        help="messages delivered upward")
         if polling:
             if sink is None:
                 raise ValueError(f"polling VNI {port} needs a sink")
             self._rx = self.nic.open_port(port, sink=self._on_frame,
                                           on_down=self._shut)
+            self.nic.fold_port(port, self)
+            self._m_received.vnis.add(self)
         else:
             self._rx = self.nic.open_port(port)
-
-    @property
-    def layers(self):
-        return self.nic.fabric.spec.layers
 
     @property
     def closed(self) -> bool:
@@ -196,46 +255,99 @@ class Vni:
     # receive path
     # ------------------------------------------------------------------
 
-    def _on_frame(self, frame: Frame) -> None:
-        """NIC sink, inside the frame's arrival event: both stages' instants
-        are fixed now, so arm the one filing event."""
-        engine = self.engine
-        now = engine._now
+    def _arrive(self, frame: Frame, arrival: float) -> None:
+        """``frame`` reaches the VNI at ``arrival`` (now, or later when the
+        fabric hands it over at transmit; calls come in arrival order): both
+        stages' instants are fixed, so arm the one filing event."""
         prev = self._polled_at
-        polled = self._polled_at = (now if now > prev else prev) \
+        polled = self._polled_at = (arrival if arrival > prev else prev) \
             + self._vni_recv
         prev = self._filed_at
         filed = self._filed_at = (polled if polled > prev else prev) \
             + self._sink_cost
-        filing = _Filing.at(engine, filed)
-        filing.ready = polled
-        filing.frame = frame
-        filing.callbacks.append(self._filed)
-        self._filing.append(filing)
-        self._m_received.park(filing)
+        self._filing.append(_Filing(self, frame, arrival, polled, filed))
+
+    def _on_frame(self, frame: Frame) -> None:
+        """NIC sink, inside the frame's arrival event: a frame that was not
+        folded (under a schedule perturbation, or judged for this port
+        after another VNI's close).  It takes its place by arrival instant,
+        ahead of folded frames that arrive later."""
+        now = self.engine._now
+        fifo = self._filing
+        if not fifo or fifo[-1].arrival <= now:
+            self._arrive(frame, now)
+            return
+        i = next(i for i, filing in enumerate(fifo) if filing.arrival > now)
+        # Instants unknown yet: _rechain gives it its filing event.
+        fifo.insert(i, SimpleNamespace(arrival=now, ready=None, filed=None,
+                                       frame=frame, callbacks=[]))
+        self._rechain(i)
 
     def _filed(self, event) -> None:
         if self._closed:
             return      # NIC lost or VNI closed mid-pipeline: nothing filed
         self._filing.popleft()
+        self._m_received._value += 1    # _Received: polled, VNI open then
         self._sink(event.frame)
+
+    def _drop(self, frame: Frame) -> None:
+        """``frame``, handed over at transmit, was judged lost at its arrival
+        instant (now): it is never polled, and the messages behind it are
+        re-chained."""
+        if self._closed:
+            return
+        fifo = self._filing
+        for i, filing in enumerate(fifo):
+            if filing.frame is frame:
+                break
+        else:
+            return
+        del fifo[i]
+        filing.frame = None
+        filing.callbacks.clear()
+        self._rechain(i)
+
+    def _rechain(self, i: int) -> None:
+        """The FIFO changed at position ``i`` (now, no later than any
+        arrival from there on): re-derive the two stages' instants from
+        there, from each message's arrival instant.  A message whose
+        instants move gets a new filing event, and so does every one after
+        it, so the events keep FIFO order.  Before ``i`` every message is
+        in the FIFO or filed by now, so the head starts from zero."""
+        fifo = self._filing
+        polled, filed = (fifo[i - 1].ready, fifo[i - 1].filed) if i \
+            else (0.0, 0.0)
+        moved = False
+        for j in range(i, len(fifo)):
+            old = fifo[j]
+            polled = max(old.arrival, polled) + self._vni_recv
+            filed = max(polled, filed) + self._sink_cost
+            if moved or polled != old.ready or filed != old.filed:
+                moved = True
+                fifo[j] = _Filing(self, old.frame, old.arrival, polled, filed)
+                old.frame = None
+                old.callbacks.clear()
+        self._polled_at, self._filed_at = polled, filed
 
     def _shut(self, _exc=None) -> None:
         if self._closed:
             return
         self._closed = True
-        now = self.engine._now
-        for filing in self._filing:
-            if filing.ready > now:
-                filing.frame = None     # not polled yet: never received
+        if self.polling:
+            # Polled by now: received; not polled yet: never received.
+            received = self._m_received
+            received._value += received._polled_at(self)
+            received.vnis.discard(self)
         self._filing.clear()
 
     def in_flight(self) -> Tuple[int, int]:
         """``(held by the polling thread, in the sink's stage)``: the
         messages arrived and not yet filed, by where they are now."""
         now = self.engine._now
-        polling = sum(1 for filing in self._filing if filing.ready > now)
-        return polling, len(self._filing) - polling
+        polling = sum(1 for filing in self._filing
+                      if filing.arrival <= now < filing.ready)
+        return polling, sum(1 for filing in self._filing
+                            if filing.ready <= now)
 
     def recv(self):
         """Process generator (blocking mode only): the next message; the

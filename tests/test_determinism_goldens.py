@@ -338,7 +338,14 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("migrate cells regenerated when an MPI message became four "
+NOTE = ("migrate cells regenerated when an MPI message became three "
+        "events (a frame bound for a polling VNI is handed over at "
+        "transmit with its arrival instant; no arrival event): only "
+        "events_processed moved, migrate/chandy-lamport 2811 -> 2769 and "
+        "migrate/diskless 3270 -> 3186, every sha equal; audited against "
+        "the parent's full reports first, the 35 campaign cells untouched.  "
+        "Before that: "
+        "migrate cells regenerated when an MPI message became four "
         "events (the send stage rides the NIC FIFO by ready instant; polling "
         "and dispatch are one filing event): only events_processed moved, "
         "in migrate/chandy-lamport and migrate/diskless, every sha equal; "

@@ -30,23 +30,38 @@ L = BIP_LAYERS
 
 def spy(cluster, ep):
     """``(arrivals, filed)``: the instants at which frames for ``ep`` left
-    ``driver_recv`` and at which ``_ingest`` filed them, with the data."""
-    eng = cluster.engine
-    nic, port = ep.vni.nic, ep.port
+    ``driver_recv`` and at which ``_ingest`` filed them, with the data.  A
+    frame reaches the VNI with its arrival instant (``Vni._arrive``, handed
+    over at transmit), so the arrival is read there."""
+    vni = ep.vni
     arrivals, filed = [], []
-    sink, ingest = nic._ports[port], ep._ingest
+    arrive, ingest = vni._arrive, ep._ingest
 
-    def on_frame(frame):
-        arrivals.append((eng.now, frame.payload[4]))
-        sink(frame)
+    def on_arrive(frame, arrival):
+        arrivals.append((arrival, frame.payload[4]))
+        arrive(frame, arrival)
 
     def on_ingest(payload):
-        filed.append((eng.now, payload[4]))
+        filed.append((cluster.engine.now, payload[4]))
         ingest(payload)
 
-    nic._ports[port] = on_frame
+    vni._arrive = on_arrive
     ep._ingest = on_ingest
     return arrivals, filed
+
+
+def tee_arrivals(vni, feed, payload_of):
+    """Also hand every frame ``vni`` receives to ``feed``, at its arrival
+    instant."""
+    eng = vni.engine
+    arrive = vni._arrive
+
+    def tee(frame, arrival):
+        Timeout.at(eng, arrival).callbacks.append(
+            lambda _e: feed(payload_of(frame)))
+        arrive(frame, arrival)
+
+    vni._arrive = tee
 
 
 def burst(apis, k=6):
@@ -109,14 +124,8 @@ def test_burst_is_filed_when_the_process_pipeline_filed_it():
     # Tee every arriving frame into the reference, in the same engine: both
     # pipelines see the same arrival instants, bit for bit.
     expected = []
-    feed = reference_pipeline(cluster.engine, expected)
-    sink = ep.vni.nic._ports[ep.port]
-
-    def tee(frame):
-        feed(frame.payload[4])
-        sink(frame)
-
-    ep.vni.nic._ports[ep.port] = tee
+    tee_arrivals(ep.vni, reference_pipeline(cluster.engine, expected),
+                 lambda frame: frame.payload[4])
     run_ranks(cluster, apis, burst(apis))
     assert len(filed) == 18
     assert filed == expected                    # same instants, same order
@@ -142,15 +151,15 @@ def test_burst_closer_than_vni_recv_is_filed_at_the_two_stage_instants():
     arrivals, filed, expected = [], [], []
     rx = Vni(eng, cluster.node("n0"), port="app:0", sink_cost=cost,
              sink=lambda frame: filed.append((eng.now, frame.payload)))
-    feed = reference_pipeline(eng, expected, file_cost=cost)
-    sink = rx.nic._ports["app:0"]
+    tee_arrivals(rx, reference_pipeline(eng, expected, file_cost=cost),
+                 lambda frame: frame.payload)
+    arrive = rx._arrive
 
-    def tee(frame):
-        arrivals.append(eng.now)
-        feed(frame.payload)
-        sink(frame)
+    def on_arrive(frame, arrival):
+        arrivals.append(arrival)
+        arrive(frame, arrival)
 
-    rx.nic._ports["app:0"] = tee
+    rx._arrive = on_arrive
     for i in (1, 2, 3):
         tx = Vni(eng, cluster.node(f"n{i}"), port=f"app:{i}", sink=[].append)
         for k in range(4):
@@ -176,20 +185,21 @@ def two_in_flight(act):
     cluster, apis = make_world(2)
     ep = apis[0].endpoint
     arrivals, filed = spy(cluster, ep)
-    sink = ep.vni.nic._ports[ep.port]
+    arrive = ep.vni._arrive
 
     def fire(_ev):
         assert ep.vni.in_flight() == (1, 1)
         act(cluster, ep)
 
-    def on_frame(frame):
+    def on_arrive(frame, arrival):
         if not arrivals:
             # First arrival at a: polled at a+4us, filed at a+9us; the second
             # frame (~5.6 us behind) is polled from a+5.6 to a+9.6 us.
-            Timeout(cluster.engine, L.vni_recv + 3e-6).callbacks.append(fire)
-        sink(frame)
+            Timeout.at(cluster.engine, arrival + (L.vni_recv + 3e-6)
+                       ).callbacks.append(fire)
+        arrive(frame, arrival)
 
-    ep.vni.nic._ports[ep.port] = on_frame
+    ep.vni._arrive = on_arrive
 
     def prog(mpi, rank):
         if rank:
@@ -265,23 +275,27 @@ def pingpong_events(reps):
 
 
 def test_event_budget_per_message():
-    # One MPI message costs four dispatched events, named by owner — sender:
-    # Nic._tx_done (the serialization timeout, armed at max(ready, previous
-    # departure) + driver_send + size/bw, which resumes the sender inside
-    # it); arrival: Fabric._deliver_batch (wire + driver_recv); receiver:
-    # Vni._filed (the filing instant, max(polled, previous filed) +
-    # mpi_recv), and the request's own event app_recv after the match — so
-    # a round trip costs 8.  The run is deterministic, so the totals are
-    # pinned exactly: a process or a get put back on the data path adds one
-    # event per message and fails here rather than showing up as benchmark
-    # drift.  14 -> 12 when a frame's arrival became one event (DESIGN
-    # §12): the driver_recv event (Nic._enqueue_batch) of each message is
-    # gone, 2 per round trip.  12 -> 8 when the send stage rode the NIC
-    # FIFO and polling plus dispatch became one filing event (DESIGN §30):
-    # Vni._staged and Vni._polled of each message are gone, 2 * 2 per round
-    # trip.
+    # One MPI message costs three dispatched events, named by owner —
+    # sender: Nic._tx_done (the serialization timeout, armed at max(ready,
+    # previous departure) + driver_send + size/bw, which resumes the sender
+    # inside it, and in which the fabric hands the frame to the receiving
+    # VNI with its arrival instant); receiver: Vni._filed (the filing
+    # instant, max(polled, previous filed) + mpi_recv, polled = max(arrival,
+    # previous polled) + vni_recv), and the request's own event app_recv
+    # after the match — so a round trip costs 6.  The run is deterministic,
+    # so the totals are pinned exactly: a process or a get put back on the
+    # data path adds one event per message and fails here rather than
+    # showing up as benchmark drift.  14 -> 12 when a frame's arrival
+    # became one event (DESIGN §12): the driver_recv event
+    # (Nic._enqueue_batch) of each message is gone, 2 per round trip.
+    # 12 -> 8 when the send stage rode the NIC FIFO and polling plus
+    # dispatch became one filing event (DESIGN §30): Vni._staged and
+    # Vni._polled of each message are gone, 2 * 2 per round trip.  8 -> 6
+    # when a frame bound for a polling VNI stopped having an arrival event
+    # (docs/records/34-three-events-per-message.md): Fabric._deliver_batch
+    # of each message is gone, 2 per round trip.
     small, large = pingpong_events(50), pingpong_events(250)
-    assert large - small == 8 * 200             # parent: 12 * 200
+    assert large - small == 6 * 200             # parent: 8 * 200
     # Submit, spawn, MPI_Init wait, completion and teardown of the app do not
     # depend on the number of round trips.  79 -> 51 when an application
     # became two main-group casts (DESIGN §21; five before: lwg-op create,
@@ -299,8 +313,10 @@ def test_event_budget_per_message():
     # of 50 round trips dispatched 104 driver_recv events, 2 * 50 of the
     # messages and 4 of the control frames.  12 * 50 + 31 -> 8 * 50 + 31
     # with the two folds: no control frame carries a VNI send stage or a
-    # polling stage, so only the messages' events went.
-    assert small == 8 * 50 + 31                 # parent: 12 * 50 + 31
+    # polling stage, so only the messages' events went; 8 * 50 + 31 ->
+    # 6 * 50 + 31 likewise (control frames go to GCS sinks, which keep
+    # their arrival event).
+    assert small == 6 * 50 + 31                 # parent: 8 * 50 + 31
 
 
 class Exchange(StarfishProgram):
@@ -369,19 +385,21 @@ def test_event_budget_per_isend(monkeypatch):
     isends = 2 * 10 * 10                        # both ranks, ten more steps
     assert extra["Nic._tx_done"] == isends and not extra["Vni._staged"]
     assert not [who for who in large if "isend" in who]
-    # The message's other three events: its arrival (wire + driver_recv,
-    # one event since DESIGN §12's fold; Nic._enqueue_batch was another),
-    # its filing (Vni._filed: the polling thread's and the dispatcher's
-    # stages, Vni._polled and MpiEndpoint._dispatched before DESIGN §30)
-    # and the blocking receive's request event, which is the only one that
-    # resumes the rank.  Nothing else grows with the number of messages but
-    # the steps' own bookkeeping.
-    per_message = ("Nic._tx_done", "Fabric._deliver_batch", "Vni._filed",
-                   "app <- Event")
-    assert [extra[who] for who in per_message] == [isends] * 4
-    assert not (extra["Nic._enqueue_batch"] or extra["Vni._polled"]
+    # The message's other two events: its filing (Vni._filed: the polling
+    # thread's and the dispatcher's stages, Vni._polled and
+    # MpiEndpoint._dispatched before DESIGN §30, reached from the arrival
+    # instant the fabric hands over at transmit — Fabric._deliver_batch
+    # was the arrival's own event before the fold of
+    # docs/records/34-three-events-per-message.md, Nic._enqueue_batch
+    # another before DESIGN §12's) and the blocking receive's request
+    # event, which is the only one that resumes the rank.  Nothing else
+    # grows with the number of messages but the steps' own bookkeeping.
+    per_message = ("Nic._tx_done", "Vni._filed", "app <- Event")
+    assert [extra[who] for who in per_message] == [isends] * 3
+    assert not (extra["Fabric._deliver_batch"] or extra["Fabric._judge"]
+                or extra["Nic._enqueue_batch"] or extra["Vni._polled"]
                 or extra["MpiEndpoint._dispatched"])
-    assert sum(extra.values()) == 4 * isends    # parent: 6 * isends
+    assert sum(extra.values()) == 3 * isends    # parent: 4 * isends
     # Under a message-logging protocol the tap may wait (the log precedes
     # the wire): each isend runs the send's body on the callbacks of the
     # events it waits for — the disk head's get and the log write's timeout

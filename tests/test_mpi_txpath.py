@@ -333,13 +333,16 @@ def test_recv_resumes_app_recv_after_the_match():
     hist = recv_hist(cluster)
     assert hist.count == 3
     assert hist.sum == 0.0 + (filed[0] - posted[0]) + 0.0 + 0.0
-    # Two messages at four events each: Nic._tx_done, the arrival
-    # (Fabric._deliver_batch), the filing (Vni._filed) and the receive
-    # request's own event (six before the send stage rode the NIC FIFO and
-    # polling and dispatch became one filing event, DESIGN §30; seven before
-    # a frame's arrival became one event, §29), the receiver's 1 ms timeout,
-    # the PROC_NULL request, two process starts and two terminations.
-    assert eng.events_processed - before == 2 * 4 + 1 + 1 + 2 + 2
+    # Two messages at three events each: Nic._tx_done (in which the fabric
+    # hands the frame to the receiving VNI with its arrival instant), the
+    # filing (Vni._filed) and the receive request's own event (four while
+    # the arrival was an event of its own, Fabric._deliver_batch, before
+    # docs/records/34-three-events-per-message.md; six before the send
+    # stage rode the NIC FIFO and polling and dispatch became one filing
+    # event, DESIGN §30; seven before a frame's arrival became one event,
+    # §29), the receiver's 1 ms timeout, the PROC_NULL request, two process
+    # starts and two terminations.
+    assert eng.events_processed - before == 2 * 3 + 1 + 1 + 2 + 2
 
 
 def test_recv_without_the_polling_thread_still_reports_status():
