@@ -119,8 +119,9 @@ class Nic:
     def fold_port(self, port: str, vni) -> None:
         """Hand each frame for the open sink port ``port`` to
         ``vni._arrive(frame, arrival)`` when it is transmitted, instead of
-        to the sink when it arrives.  Until the port closes, ``vni`` must
-        take frames in arrival order from both paths."""
+        to the sink when it arrives.  A frame the fabric judges at its
+        arrival still comes through the sink, so ``vni`` must file the
+        frames of both paths in arrival order."""
         self._unfold(port)
         self._folds[port] = vni
         self.fabric._folding += 1

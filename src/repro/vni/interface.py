@@ -5,8 +5,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
-from weakref import WeakSet
 from typing import Any, Callable, Optional, Tuple
+from weakref import WeakSet
 
 from repro.calibration import BLOCKING_RECV_SYSCALL
 from repro.errors import NetworkError
