@@ -154,6 +154,16 @@ and change first: the one differing path is ``events_processed``, in
 (3,438 -> 3,270), whose markers and transfers are MPI messages; every sha
 equal.  The 35 campaign cells pass untouched, ``perturb`` included.
 
+No family above makes three of the restart decisions: promoting a
+surviving backup copy in place (``replication``), restarting only the
+crashed rank from the sender logs (``causal-logging``) and the
+dependency-graph rollback (``uncoordinated``).  The ``restart`` family
+pins them: ``replica-failover`` x ``replication`` and ``solo-crash`` x
+``causal-logging`` / ``uncoordinated``, campaign seeds 0-2, unperturbed,
+through the same test as the campaign cells.  They were generated on the
+code that still decided restarts with one planner class per protocol,
+before the decision became one ``RestartPlan`` value.
+
 What is digested:
 
 * the full campaign report (actions, checks, per-rank results, series,
@@ -171,7 +181,7 @@ only the family it changes — cells outside ``--family`` are carried over
 from the file untouched; record the reason in ``NOTE``)::
 
     PYTHONPATH=src python tests/test_determinism_goldens.py --regen \\
-        --family {standard,store,perturb,migrate}
+        --family {standard,store,perturb,restart,migrate}
 """
 
 from __future__ import annotations
@@ -202,6 +212,14 @@ STORE_PROTOCOLS = ("stop-and-sync", "diskless")
 
 STORE_MATRIX = [(campaign, seed, protocol) for campaign in STORE_CAMPAIGNS
                 for seed in STORE_SEEDS for protocol in STORE_PROTOCOLS]
+
+#: ``(campaign, protocol)`` of the restart decisions the other families
+#: never make: promoting a backup copy in place, restarting the crashed
+#: rank alone from the sender logs, and the dependency rollback.
+RESTART_CELLS = (("replica-failover", "replication"),
+                 ("solo-crash", "causal-logging"),
+                 ("solo-crash", "uncoordinated"))
+RESTART_SEEDS = (0, 1, 2)
 
 PERTURB_CAMPAIGNS = ("crash-recover", "partition-flap")
 PERTURB_PROTOCOLS = ("stop-and-sync", "sender-logging")
@@ -333,12 +351,20 @@ FAMILIES = {
                  for seed, protocol in MATRIX],
     "store": [cell + (None, 0.0) for cell in STORE_MATRIX],
     "perturb": PERTURB_MATRIX,
+    "restart": [(campaign, seed, protocol, None, 0.0)
+                for campaign, protocol in RESTART_CELLS
+                for seed in RESTART_SEEDS],
 }
 ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("migrate cells regenerated when an MPI message became three "
+NOTE = ("restart cells added on untouched code (replica-failover x "
+        "replication, solo-crash x causal-logging / uncoordinated, seeds "
+        "0-2: the failover, solo log-replay and dependency-rollback "
+        "restart decisions), the 42 older entries carried over.  "
+        "Before that: "
+        "migrate cells regenerated when an MPI message became three "
         "events (a frame bound for a polling VNI is handed over at "
         "transmit with its arrival instant; no arrival event): only "
         "events_processed moved, migrate/chandy-lamport 2811 -> 2769 and "
