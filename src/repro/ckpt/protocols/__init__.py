@@ -7,34 +7,29 @@ the paper means by the architecture making it possible to "implement
 several different distributed C/R protocols, both coordinated and
 uncoordinated, and to run them side by side".
 
-Each protocol is a composition of four pluggable roles (see
+Each protocol is a composition of three pluggable roles (see
 :mod:`repro.ckpt.protocols.roles`): a :class:`WaveScheduler` decides *when*
-to snapshot, a :class:`StateCapturer` decides *what to save*, a
+to snapshot, a :class:`StateCapturer` decides *what to save*, and a
 :class:`DeliveryTap` intercepts the message path (piggyback, log, record,
-suppress), and a :class:`RestartPlanner` decides *who rolls back to which
-version* after a failure.
+suppress).  Its ``restart_mode`` (:class:`~repro.ckpt.restart.RestartMode`)
+says *who rolls back to which version* after a failure;
+:func:`~repro.ckpt.restart.plan_restart` decides it.
 
 :data:`PROTOCOLS` is the single registry: the CLI, the fault campaigns,
 the check harness, and the benchmarks all enumerate protocols from here.
 """
 
 from repro.ckpt.protocols.base import CrContext, CrProtocol
-from repro.ckpt.protocols.roles import (CoordinatedLinePlanner,
-                                        CoordinatedWaveScheduler,
-                                        DeliveryTap,
-                                        DependencyRollbackPlanner,
-                                        RestartPlanner,
-                                        SelfPacedWaveScheduler,
-                                        SoloReplayPlanner, StateCapturer,
-                                        WaveScheduler)
+from repro.ckpt.protocols.roles import (CoordinatedWaveScheduler,
+                                        DeliveryTap, SelfPacedWaveScheduler,
+                                        StateCapturer, WaveScheduler)
 from repro.ckpt.protocols.stop_and_sync import StopAndSyncProtocol
 from repro.ckpt.protocols.chandy_lamport import ChandyLamportProtocol
 from repro.ckpt.protocols.uncoordinated import UncoordinatedProtocol
 from repro.ckpt.protocols.diskless import DisklessProtocol
 from repro.ckpt.protocols.msg_logging import (CausalLoggingProtocol,
                                               SenderLoggingProtocol)
-from repro.ckpt.protocols.replication import (ReplicaFailoverPlanner,
-                                              ReplicationProtocol)
+from repro.ckpt.protocols.replication import ReplicationProtocol
 
 PROTOCOLS = {
     "stop-and-sync": StopAndSyncProtocol,
@@ -59,20 +54,15 @@ def make_protocol(name: str, **kwargs) -> CrProtocol:
 __all__ = [
     "CausalLoggingProtocol",
     "ChandyLamportProtocol",
-    "CoordinatedLinePlanner",
     "CoordinatedWaveScheduler",
     "CrContext",
     "CrProtocol",
     "DeliveryTap",
-    "DependencyRollbackPlanner",
     "DisklessProtocol",
     "PROTOCOLS",
-    "ReplicaFailoverPlanner",
     "ReplicationProtocol",
-    "RestartPlanner",
     "SelfPacedWaveScheduler",
     "SenderLoggingProtocol",
-    "SoloReplayPlanner",
     "StateCapturer",
     "StopAndSyncProtocol",
     "UncoordinatedProtocol",

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Any, List, Optional, Set, Tuple
 
 from repro.check.oracles import WaveOracle
-from repro.ckpt.protocols.roles import (CoordinatedLinePlanner,
-                                        CoordinatedWaveScheduler,
-                                        StateCapturer)
+from repro.ckpt.protocols.roles import CoordinatedWaveScheduler, StateCapturer
+from repro.ckpt.restart import RestartMode
 from repro.errors import CheckpointError, Interrupt, OracleViolation
 from repro.obs.instruments import NULL_COUNTER
 from repro.obs.registry import get_registry
@@ -74,8 +73,8 @@ class CrContext:
         return {"steps_completed": self.current_step()}
 
     def restoring(self) -> bool:
-        """True while this rank is being restored solo (log-replay mode):
-        live traffic must be held back until replay finishes."""
+        """True while this rank is being restored solo (the survivors kept
+        running): live traffic must be held back until replay finishes."""
         return False
 
     def replica_index(self) -> int:
@@ -103,17 +102,16 @@ class CrContext:
 class CrProtocol:
     """Base: inbox plumbing, lifecycle, and completion events.
 
-    A protocol is a composition of four roles (see
+    A protocol is a composition of three roles (see
     :mod:`repro.ckpt.protocols.roles`): ``scheduler`` decides when waves
-    start, ``capturer`` takes/persists the local snapshot, ``tap`` (when
-    not ``None``) intercepts the endpoint's message path, and the
-    ``planner`` class attribute is instantiated inside the restart
-    coordinator daemon to compute the restore plan.
+    start, ``capturer`` takes/persists the local snapshot, and ``tap``
+    (when not ``None``) intercepts the endpoint's message path.  The
+    ``restart_mode`` class attribute tells the daemons how the app
+    recovers after a failure (:func:`~repro.ckpt.restart.plan_restart`).
     """
 
     name = "abstract"
-    #: RestartPlanner class used by the daemons after a failure.
-    planner = CoordinatedLinePlanner
+    restart_mode = RestartMode.COORDINATED
 
     def __init__(self):
         self.ctx: Optional[CrContext] = None

@@ -3,8 +3,8 @@
 Both protocols here checkpoint *independently* (self-paced, like the
 uncoordinated protocol) but additionally log every sent data message —
 with its per-channel send sequence number (ssn) — to stable storage via
-the checkpoint store.  After a failure the :class:`SoloReplayPlanner`
-restarts **only the crashed rank**: it resumes from its own latest
+the checkpoint store.  After a failure their restart mode
+(``LOG_REPLAY``) restarts **only the crashed rank**: it resumes from its own latest
 checkpoint (channel counters included) and the inbound side of every
 channel is re-fed from the sender logs through the delivery tap, in the
 original receive order.  Survivors never roll back; the restarted rank's
@@ -38,8 +38,8 @@ from typing import List, Optional, Tuple
 
 from repro.check.oracles import ReplayOracle
 from repro.ckpt.protocols.base import CrProtocol
-from repro.ckpt.protocols.roles import (DeliveryTap, SelfPacedWaveScheduler,
-                                        SoloReplayPlanner)
+from repro.ckpt.protocols.roles import DeliveryTap, SelfPacedWaveScheduler
+from repro.ckpt.restart import RestartMode
 from repro.mpi.matching import InboundMsg
 from repro.sim.events import Event
 
@@ -162,7 +162,7 @@ class SenderLoggingProtocol(CrProtocol):
     """Pessimistic sender-based message logging (solo restart)."""
 
     name = "sender-logging"
-    planner = SoloReplayPlanner
+    restart_mode = RestartMode.LOG_REPLAY
     #: Ask the runtime to snapshot channel state at every step commit:
     #: solo replay restores counters, so they must be consistent with the
     #: step boundary the checkpoint resumes from (a pause may freeze the

@@ -26,15 +26,14 @@ How the three guarantees fall out of the ordering substrate:
   stream is FIFO through the total order, ssn can never *exceed*
   recv_count + 1; the :class:`~repro.check.oracles.ReplicaOracle`
   asserts exactly that (no-orphan-send).
-* **instant failover** — the :class:`ReplicaFailoverPlanner` is a solo
-  planner whose plan respawns nothing: it promotes a surviving copy of
-  each lost rank to primary (``mode="failover"``).  Survivors keep
-  running, the world version does not bump, ``daemon.ranks_restarted``
-  stays at zero, and there is no rollback wave to wait out.
+* **instant failover** — the protocol's restart mode (``FAILOVER``) is
+  solo and its plan respawns nothing: it promotes a surviving copy of
+  each lost rank to primary.  Survivors keep running, the world version
+  does not bump, ``daemon.ranks_restarted`` stays at zero, and there is
+  no rollback wave to wait out.
 
 Degenerate paths: if every copy of some lost rank is gone (k exhausted),
-the planner returns ``None`` and the daemons fall back to a full restart
-from the initial state — replication takes no checkpoints, so there is
+the plan falls back to a full restart from the initial state — replication takes no checkpoints, so there is
 nothing between "a copy survived" and "start over".  Recovered nodes are
 not re-seeded with fresh copies (no re-replication service yet), and
 migration of replicated apps is unsupported.
@@ -42,12 +41,12 @@ migration of replicated apps is unsupported.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 from repro.check.oracles import ReplicaOracle
 from repro.ckpt.protocols.base import CrProtocol
-from repro.ckpt.protocols.roles import (DeliveryTap, RestartPlanner,
-                                        WaveScheduler)
+from repro.ckpt.protocols.roles import DeliveryTap, WaveScheduler
+from repro.ckpt.restart import RestartMode
 from repro.mpi.matching import InboundMsg
 from repro.obs.instruments import NULL_COUNTER
 from repro.obs.registry import get_registry
@@ -90,39 +89,6 @@ class ReplicaTap(DeliveryTap):
         return True
 
 
-class ReplicaFailoverPlanner(RestartPlanner):
-    """Promote a surviving copy of each lost rank; respawn nothing.
-
-    ``solo`` keeps the survivors running (no kill-everyone step, no
-    world-version bump).  The plan maps each failed rank to the first
-    live node of its replica set and prunes promoted/dead nodes from the
-    record's replica map; if any lost rank has no live copy left, the
-    plan is ``None`` — full restart from the initial state.
-    """
-
-    solo = True
-
-    def plan(self, daemon, record, failed_ranks: List[int]) -> Optional[dict]:
-        view = daemon.gm.view
-        alive = ({m.node for m in view.members} if view is not None
-                 else set())
-        promote = {}
-        for rank in sorted(failed_ranks):
-            survivors = [n for n in record.replicas.get(rank, ())
-                         if n in alive]
-            if not survivors:
-                return None          # k exhausted: start the app over
-            promote[rank] = survivors[0]
-        replicas = {}
-        for rank, backups in record.replicas.items():
-            keep = tuple(n for n in backups
-                         if n in alive and n != promote.get(rank))
-            if keep:
-                replicas[rank] = keep
-        return {"mode": "failover", "promote": promote,
-                "replicas": replicas, "ranks": sorted(failed_ranks)}
-
-
 class ReplicationProtocol(CrProtocol):
     """k-replica groups per rank with instant failover (FTHP-MPI).
 
@@ -130,11 +96,11 @@ class ReplicationProtocol(CrProtocol):
     :class:`~repro.ckpt.protocols.roles.WaveScheduler` never ticks,
     :meth:`request_checkpoint` succeeds immediately with nothing, and
     the whole recovery story lives in the tap (replica-consistent
-    delivery) and the planner (failover).
+    delivery) and the restart mode (failover).
     """
 
     name = "replication"
-    planner = ReplicaFailoverPlanner
+    restart_mode = RestartMode.FAILOVER
     #: The runtime must not sample step-boundary channel state for us.
     wants_boundary_capture = False
 

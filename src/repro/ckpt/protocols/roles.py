@@ -1,8 +1,9 @@
-"""The four separable roles of a recovery stack.
+"""The three separable roles of a recovery stack.
 
 A checkpoint/restart protocol answers four independent questions, and the
 monolithic :class:`~repro.ckpt.protocols.base.CrProtocol` used to fuse all
-four.  This module splits them out so protocols compose them instead:
+four.  This module splits out the three a rank's protocol module plays,
+so protocols compose them instead:
 
 * :class:`WaveScheduler` — *when* to snapshot.  Coordinated protocols are
   driven by one runtime-side ticker on the lowest rank (a wave reaches
@@ -15,22 +16,22 @@ four.  This module splits them out so protocols compose them instead:
   Protocols piggyback metadata on outgoing data messages, log or record
   arriving ones, and may suppress a delivery entirely (duplicate
   suppression under message-logging recovery).
-* :class:`RestartPlanner` — *who* rolls back after a failure, to which
-  checkpoint version, replaying what.  This runs inside the restart
-  coordinator daemon; its plan is broadcast with the ``app-restart`` op.
+The fourth — *who* rolls back after a failure, to which checkpoint
+version, replaying what — is not a role object: each protocol names a
+:class:`~repro.ckpt.restart.RestartMode`, and the restart coordinator
+daemon decides with :func:`~repro.ckpt.restart.plan_restart`.
 
 The four existing C/R protocols are re-expressed on these roles without
 changing a single scheduled event (the determinism goldens gate that);
 the message-logging family (:mod:`repro.ckpt.protocols.msg_logging`) is
 the first protocol whose roles differ in *shape*: a self-paced scheduler,
-a logging tap, and a planner that restarts only the crashed rank.
+a logging tap, and a restart mode that restarts only the crashed rank.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-from repro.ckpt.recovery_line import DependencyGraph, compute_recovery_line
 from repro.errors import Interrupt
 from repro.store.checkpoint import CheckpointRecord
 
@@ -224,106 +225,3 @@ class DeliveryTap:
         """A control message (``tag <= CKPT_TAG_BASE``: Chandy–Lamport
         markers, diskless transfers).  A plain call from the dispatcher's
         filing callback: it cannot wait."""
-
-
-# ----------------------------------------------------------------------
-# RestartPlanner — who rolls back, to what, replaying what
-# ----------------------------------------------------------------------
-
-class RestartPlanner:
-    """Computes the restore plan broadcast with the ``app-restart`` op.
-
-    ``solo`` marks planners that restart *only* the failed ranks:
-    survivors keep running, the world version does not bump, and the
-    daemons skip the kill-everyone step.
-    """
-
-    solo = False
-
-    def plan(self, daemon, record, failed_ranks: List[int]) -> Optional[dict]:
-        """The restore payload (``None`` = restart from initial state)."""
-        raise NotImplementedError
-
-
-class CoordinatedLinePlanner(RestartPlanner):
-    """Roll every rank back to the latest intact committed line.
-
-    ``latest_restorable``: diskless copies held on the crashed node are
-    gone — and under a replicated store, versions whose replicas are
-    unreachable from the coordinator's partition don't count — so
-    recovery may have to fall back to an older intact line.
-    """
-
-    def plan(self, daemon, record, failed_ranks):
-        version = daemon.store.latest_restorable(
-            record.app_id, sorted(record.placement),
-            from_node=daemon.node.node_id)
-        if version is None:
-            return None
-        return {"mode": "coordinated", "version": version}
-
-
-class DependencyRollbackPlanner(RestartPlanner):
-    """Compute the recovery line from stored dependency logs.
-
-    The uncoordinated protocol's transitive rollback: every rank restarts
-    from the consistent cut on the rollback-dependency graph, dominoing
-    survivors back as far as orphan messages force them.
-    """
-
-    def plan(self, daemon, record, failed_ranks):
-        app_id = record.app_id
-        ranks = sorted(record.placement)
-        graph = DependencyGraph(ranks)
-        deps_seen = set()
-        for rank in ranks:
-            versions = daemon.store.versions_of(app_id, rank)
-            # Only the usable *prefix* counts: a checkpoint whose every
-            # replica is down or unreachable (replica loss under the
-            # replicated store) cannot anchor a rollback, and neither
-            # can anything after it — uncoordinated versions are the
-            # rank's checkpoint indices, so the recovery-line cut must
-            # map 1:1 onto restorable versions.  Dropping the tail may
-            # domino other ranks further back; compute_recovery_line
-            # handles that (and detects full domino).
-            usable = []
-            for version in versions:
-                if not daemon.store.record_available(
-                        app_id, rank, version,
-                        from_node=daemon.node.node_id):
-                    break
-                usable.append(version)
-            graph.ckpt_count[rank] = len(usable)
-            if usable:
-                latest = daemon.store.peek(app_id, rank, usable[-1])
-                for dep in latest.deps:
-                    if (rank, tuple(dep)) not in deps_seen:
-                        deps_seen.add((rank, tuple(dep)))
-                        graph.record_message(dep[0], dep[1], rank, dep[2])
-        # Everyone restarts from stable storage (volatile state of the
-        # survivors is discarded by the rollback).
-        line = compute_recovery_line(graph, failed=ranks)
-        return {"mode": "uncoordinated", "line": dict(line.cut),
-                "discarded": line.discarded_intervals}
-
-
-class SoloReplayPlanner(RestartPlanner):
-    """Restart only the crashed ranks; survivors keep running.
-
-    Each lost rank resumes from its own latest usable checkpoint (``-1``
-    = initial state) and replays its inbound channels from the
-    sender-side message logs — no recovery line, no domino.
-    """
-
-    solo = True
-
-    def plan(self, daemon, record, failed_ranks):
-        app_id = record.app_id
-        line = {}
-        for rank in sorted(failed_ranks):
-            usable = [v for v in daemon.store.versions_of(app_id, rank)
-                      if daemon.store.record_available(
-                          app_id, rank, v, from_node=daemon.node.node_id)]
-            line[rank] = usable[-1] if usable else -1
-        return {"mode": "log-replay", "line": line,
-                "ranks": sorted(failed_ranks)}

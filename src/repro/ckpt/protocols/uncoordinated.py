@@ -15,7 +15,8 @@ Mechanics:
   log so the graph can be rebuilt from stable storage alone.
 
 Recovery-line computation lives in :mod:`repro.ckpt.recovery_line`; the
-runtime collects the per-checkpoint dependency logs and calls it.  The
+restart coordinator reads the stored dependency logs and
+:func:`~repro.ckpt.restart.plan_restart` calls it.  The
 versions of uncoordinated checkpointing that restart *only* the failed
 process (paper §3.2.2) are the message-logging protocols of
 :mod:`repro.ckpt.protocols.msg_logging`.
@@ -26,9 +27,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.ckpt.protocols.base import CrProtocol
-from repro.ckpt.protocols.roles import (DeliveryTap,
-                                        DependencyRollbackPlanner,
-                                        SelfPacedWaveScheduler)
+from repro.ckpt.protocols.roles import DeliveryTap, SelfPacedWaveScheduler
+from repro.ckpt.restart import RestartMode
 from repro.sim.events import Event
 
 
@@ -54,7 +54,7 @@ class UncoordinatedProtocol(CrProtocol):
     """One rank's independent checkpointing module."""
 
     name = "uncoordinated"
-    planner = DependencyRollbackPlanner
+    restart_mode = RestartMode.UNCOORDINATED
 
     def __init__(self, interval: Optional[float] = None):
         """``interval``: checkpoint period in simulated seconds (``None``

@@ -55,7 +55,7 @@ class _StepAborted(Exception):
 class AppProcess:
     """One rank of one application, hosted on one node."""
 
-    def __init__(self, daemon, record, rank: int, restore: Optional[dict],
+    def __init__(self, daemon, record, rank: int, plan,
                  addressbook: Dict[int, Tuple[str, str]],
                  replica: int = 0):
         self.daemon = daemon
@@ -67,7 +67,8 @@ class AppProcess:
         #: the identical program but own no address and report no result
         #: until :meth:`promote` makes them the rank's primary.
         self.replica = replica
-        self.restore_info = restore
+        #: The ``RestartPlan`` it resumes by (``None``: a first start).
+        self.plan = plan
         self.was_restored = False
         self.app_log: List[Tuple[float, int, str]] = []
 
@@ -247,7 +248,7 @@ class AppProcess:
     def _run(self):
         try:
             yield from self._wait_world_up()
-            if self.restore_info is not None:
+            if self.plan is not None:
                 yield from self._restore()
             else:
                 self.program.setup(self.ctx)
@@ -542,55 +543,21 @@ class AppProcess:
     # ------------------------------------------------------------------
 
     def _restore(self):
-        info = self.restore_info
-        if info["mode"] == "log-replay":
-            yield from self._restore_log_replay(info)
-            return
-        version: Optional[int]
-        if info["mode"] == "coordinated":
-            version = info["version"]
-        else:
-            version = info["line"].get(self.rank, -1)
-            if version is not None and version < 0:
-                version = None
+        """Resume from this rank's version of the plan's line (``None``:
+        the initial state).  After a rollback the re-execution regenerates
+        the in-flight traffic a snapshot holds, so the fresh endpoint starts
+        with empty queues and zero counters.  A rank restarted solo (the
+        survivors' counters never reset) also takes back its channel
+        counters and communicator sequences, and the messages it consumed
+        after its checkpoint are re-fed from the sender-side logs."""
+        solo = self.plan.mode.solo
+        version = self.plan.line.get(self.rank)
         if version is None:
-            # Nothing stored for us (initial-state rollback): fresh start.
+            # A fresh start (solo: the whole logs are replayed, and the
+            # re-sends are duplicate-suppressed at the survivors).
             self.program.setup(self.ctx)
-            return
-        record = yield from self.daemon.store.read(
-            self.node, self.record.app_id, self.rank, version)
-        state, convert_cost = self.checkpointer.restore(
-            record.image, record.nbytes, self.node.arch)
-        yield self.engine.timeout(RESTART_BASE + convert_cost)
-        self.program.state = state
-        self.steps_completed = record.mpi_state.get("steps_completed", 0)
-        # The execution model replays from the captured step boundary, so
-        # in-flight traffic captured with the snapshot (unexpected queues,
-        # Chandy–Lamport channel recordings) is regenerated by the replay
-        # itself — the stored copies are diagnostic, not restored.  The
-        # fresh endpoint starts with empty queues and zero counters.
-        self.was_restored = True
-        hook = self.program.on_restart(self.ctx)
-        if hook is not None and hasattr(hook, "__next__"):
-            yield from hook
-
-    def _restore_log_replay(self, info):
-        """Solo restart under a message-logging protocol.
-
-        Only this rank rolled back — the survivors kept running — so
-        unlike the coordinated path the endpoint's channel counters MUST
-        be restored (the peers' counters never reset), and the messages
-        this incarnation consumed after its checkpoint are re-fed from
-        the sender-side logs through the protocol's delivery tap.
-        """
-        version = info["line"].get(self.rank, -1)
-        tap = self.endpoint.tap
-        if version is None or version < 0:
-            # No checkpoint yet: fresh start + full-log replay.  The
-            # replayed messages sit in the matching engine as unexpected;
-            # re-execution from step 0 consumes them in order, and its
-            # re-sends are duplicate-suppressed at the survivors.
-            self.program.setup(self.ctx)
+            if not solo:
+                return
         else:
             record = yield from self.daemon.store.read(
                 self.node, self.record.app_id, self.rank, version)
@@ -599,13 +566,15 @@ class AppProcess:
             yield self.engine.timeout(RESTART_BASE + convert_cost)
             self.program.state = state
             self.steps_completed = record.mpi_state.get("steps_completed", 0)
-            self.endpoint.import_state(record.mpi_state)
-            seqs = record.mpi_state.get("comm_seqs", {}).get(
-                self.world.comm_id)
-            if seqs is not None:
-                self.world.import_seqs(seqs)
+            if solo:
+                self.endpoint.import_state(record.mpi_state)
+                seqs = record.mpi_state.get("comm_seqs", {}).get(
+                    self.world.comm_id)
+                if seqs is not None:
+                    self.world.import_seqs(seqs)
         self.was_restored = True
-        if tap is not None and hasattr(tap, "replay"):
+        tap = self.endpoint.tap
+        if solo and tap is not None and hasattr(tap, "replay"):
             yield from tap.replay(self.endpoint, self.daemon.store)
         hook = self.program.on_restart(self.ctx)
         if hook is not None and hasattr(hook, "__next__"):
@@ -654,8 +623,7 @@ class _CrContextImpl(CrContext):
         return {"steps_completed": self.rt.steps_completed}
 
     def restoring(self) -> bool:
-        info = self.rt.restore_info
-        return bool(info) and info.get("mode") == "log-replay"
+        return self.rt.plan is not None and self.rt.plan.mode.solo
 
     def replica_index(self) -> int:
         return self.rt.replica

@@ -156,9 +156,9 @@ class StarfishCluster:
         return daemon
 
     def _make_process(self, daemon: StarfishDaemon, record: AppRecord,
-                      rank: int, restore, replica: int = 0) -> AppProcess:
+                      rank: int, plan, replica: int = 0) -> AppProcess:
         book = self.books.setdefault(record.app_id, {})
-        return AppProcess(daemon, record, rank, restore, book,
+        return AppProcess(daemon, record, rank, plan, book,
                           replica=replica)
 
     # ------------------------------------------------------------------

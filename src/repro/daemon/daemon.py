@@ -25,6 +25,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.calibration import LOCAL_TCP_HOP, SPAWN_COST
+from repro.ckpt.restart import (RestartInputs, StoredVersion, least_loaded,
+                                plan_restart, restart_coordinator)
 from repro.cluster.node import NodeState
 from repro.daemon.protocol import CTL_PORT
 from repro.daemon.registry import AppRecord, AppStatus, Registry
@@ -281,71 +283,60 @@ class StarfishDaemon:
         self._pending_submits.discard(record.app_id)
         self._log(f"submit {record.app_id} x{record.nprocs} "
                   f"-> {record.placement}")
-        return self._spawn_local_ranks(record, restore=None)
+        return self._spawn_local_ranks(record, plan=None)
 
     def _op_app_restart(self, payload, source):
-        # Failure restarts cast 5-tuples (byte-stable with older runs).
         # Migrations append a cause: their respawns land on
         # ``daemon.ranks_migrated``, so ``daemon.ranks_restarted`` measures
         # recovery work paid to *failures* only and a proactively-migrated
         # app can prove it never paid one (the fleet's gate).
-        _, app_id, placement, restore, world_version = payload[:5]
-        respawned = ("daemon.ranks_migrated" if payload[5:] == ("migration",)
+        _, app_id, plan = payload[:3]
+        respawned = ("daemon.ranks_migrated" if payload[3:] == ("migration",)
                      else "daemon.ranks_restarted")
         record = self.registry.maybe(app_id)
         if record is None or record.finished:
             return None
-        mode = restore.get("mode") if restore else None
-        record.placement = dict(placement)
-        record.world_version = world_version
+        record.placement = dict(plan.placement)
+        record.world_version = plan.world_version
         record.restarts += 1
         self._count("daemon.restarts", app_id)
         self._registry.events.emit(
             self.engine.now, "daemon.restart", node=self.node.node_id,
             app=app_id)
         record.status = AppStatus.RUNNING
-        if mode == "failover":
+        if plan.mode.solo:
+            # Only ``plan.line``'s ranks respawn (none under a failover):
+            # survivors, and their "done" bookkeeping, are untouched.
+            ranks = set(plan.line)
+            record.done_ranks = [r for r in record.done_ranks
+                                 if r not in ranks]
+            for rank in sorted(ranks):
+                self._kill_rank(app_id, rank, "solo restart")
+        else:
+            # Every rank re-executes from the recovery line: "done"
+            # bookkeeping from the rolled-back execution is void.
+            ranks = None
+            record.done_ranks = []
+            self._kill_local(app_id, "rollback")
+        if plan.promote:
             # Active replication: a surviving copy of each lost rank is
             # promoted to primary *in place*.  Nothing respawns, survivors
             # never stopped, and ``daemon.ranks_restarted`` stays absent
             # — that is the mode's whole point.
-            record.replicas = {int(r): tuple(backups) for r, backups
-                               in restore["replicas"].items()}
-            for rank, node_id in sorted(restore["promote"].items()):
+            record.replicas = dict(plan.replicas)
+            for rank, node_id in sorted(plan.promote.items()):
                 if node_id != self.node.node_id:
                     continue
-                # (A copy that finished as a backup is still in ``handles``;
-                # promoting it reports the result it holds.)
+                # (A copy that finished as a backup is still in
+                # ``handles``; promoting it reports the result it holds.)
                 handle = self.handles.get((app_id, rank))
                 if handle is not None and hasattr(handle, "promote"):
                     handle.promote()
-            self._new_incarnation(record)
-            return None
-        solo = mode == "log-replay"
-        if solo:
-            # Log-based recovery (planner.solo): only the crashed ranks
-            # restart — survivors, and their "done" bookkeeping, are
-            # untouched.  The world version did not bump.
-            lost = set(restore["ranks"])
-            record.done_ranks = [r for r in record.done_ranks
-                                 if r not in lost]
-            for rank in sorted(lost):
-                self._kill_rank(app_id, rank, "solo restart")
-            mine = [r for r in record.ranks_on(self.node.node_id)
-                    if r in lost]
-            self._count(respawned, app_id, len(mine))
-            self._new_incarnation(record)
-            return self._spawn_local_ranks(record, restore=restore,
-                                           only_ranks=lost)
-        # The rollback re-executes every rank from the recovery line, so
-        # "done" bookkeeping from the rolled-back execution is void.
-        record.done_ranks = []
-        # Kill any local survivors: coordinated rollback restarts everyone.
-        self._kill_local(app_id, "rollback")
-        self._count(respawned, app_id,
-                    len(record.ranks_on(self.node.node_id)))
+        self._count(respawned, app_id, sum(
+            1 for r in record.ranks_on(self.node.node_id)
+            if ranks is None or r in ranks))
         self._new_incarnation(record)
-        return self._spawn_local_ranks(record, restore=restore)
+        return self._spawn_local_ranks(record, plan=plan, only_ranks=ranks)
 
     def _op_app_grow(self, payload, source):
         _, app_id, new_placement, world_version = payload
@@ -356,7 +347,7 @@ class StarfishDaemon:
         record.nprocs = len(record.placement)
         record.world_version = world_version
         spawning = self._spawn_local_ranks(
-            record, restore=None, only_ranks=set(new_placement))
+            record, plan=None, only_ranks=set(new_placement))
         if spawning is not None:
             yield from spawning
         # Tell running processes about the grown world.
@@ -532,10 +523,11 @@ class StarfishDaemon:
     # spawning
     # ------------------------------------------------------------------
 
-    def _spawn_local_ranks(self, record: AppRecord, restore,
+    def _spawn_local_ranks(self, record: AppRecord, plan,
                            only_ranks: Optional[Set[int]] = None):
         """The generator that spawns this node's share of ``record`` (one
-        ``SPAWN_COST`` each), or ``None`` when it hosts none of it."""
+        ``SPAWN_COST`` each; ``plan``: the restart they resume by, if
+        any), or ``None`` when it hosts none of it."""
         if not record.hosted_on(self.node.node_id):
             return None
         mine = [(r, 0) for r in record.ranks_on(self.node.node_id)
@@ -549,16 +541,16 @@ class StarfishDaemon:
         if not mine:
             return None
         self._ensure_lwg_pump(record.app_id)
-        return self._spawn(record, mine, restore)
+        return self._spawn(record, mine, plan)
 
-    def _spawn(self, record: AppRecord, mine, restore):
+    def _spawn(self, record: AppRecord, mine, plan):
         for rank, copy in mine:
             yield self.engine.timeout(SPAWN_COST)
             if copy:
-                handle = self.process_factory(self, record, rank, restore,
+                handle = self.process_factory(self, record, rank, plan,
                                               replica=copy)
             else:
-                handle = self.process_factory(self, record, rank, restore)
+                handle = self.process_factory(self, record, rank, plan)
             self.handles[(record.app_id, rank)] = handle
             handle.start()
             # Initialization configuration messages (Table 1): the rank
@@ -742,100 +734,78 @@ class StarfishDaemon:
         their node died (each gets a fresh node) or because ``moves``
         names the node they go to (a migration; empty for a failure).
         """
-        planner = self._planner_for(record)
+        mode = self._restart_mode(record)
         record.status = AppStatus.RESTARTING
-        if planner is None or not planner.solo:
-            # Rollback recovery restarts everyone; log-based (solo)
-            # recovery leaves the survivors computing.
+        if mode is None or not mode.solo:
+            # Rollback recovery restarts everyone; log-based recovery and
+            # failover (solo) leave the survivors computing.
             self._kill_local(record.app_id, why)
         else:
             for rank in moves:          # lost ranks died with their node
                 self._kill_rank(record.app_id, rank, why)
-        if self._is_restart_coordinator(record, alive_nodes):
+        if restart_coordinator(self.gm.view.members, record.placement,
+                               alive_nodes) == self.endpoint:
             self._coordinate_restart(record, ranks, moves)
 
     def _is_app_authority(self, record: AppRecord) -> bool:
         members = self.lwg.members(record.app_id)
         return bool(members) and min(members) == self.endpoint
 
-    def _is_restart_coordinator(self, record: AppRecord,
-                                alive_nodes: Set[str]) -> bool:
-        hosts = [n for n in record.placement.values() if n in alive_nodes]
-        if hosts:
-            candidates = [m for m in self.gm.view.members
-                          if m.node in hosts]
-        else:
-            candidates = list(self.gm.view.members)
-        return bool(candidates) and min(candidates) == self.endpoint
-
-    def _planner_for(self, record: AppRecord):
-        """The restart-planner role of the app's C/R protocol (or None
-        when the app checkpoints nothing)."""
+    @staticmethod
+    def _restart_mode(record: AppRecord):
+        """The restart mode of the app's C/R protocol (or None when the app
+        checkpoints nothing)."""
         from repro.ckpt.protocols import PROTOCOLS
         cls = PROTOCOLS.get(record.ckpt_protocol)
-        return None if cls is None else cls.planner()
+        return None if cls is None else cls.restart_mode
 
     def _coordinate_restart(self, record: AppRecord, lost: List[int],
                             moves: Dict[int, str]) -> None:
         app_id = record.app_id
-        # Where does the computation resume from?  The protocol's restart
-        # planner decides (latest committed line, dependency rollback, solo
-        # log replay, or promoting a surviving copy); reachability caveats
-        # — diskless copies held on the crashed node are gone, and under a
-        # replicated store versions whose replicas are unreachable from
-        # this coordinator's partition don't count — live inside the
-        # planners.
-        planner = self._planner_for(record)
-        restore = planner.plan(self, record, lost) \
-            if planner is not None else None
-        mode = restore["mode"] if restore else None
-        placement = dict(record.placement)
-        backups = record.replicas
-        if mode == "failover":
-            # Active replication: a surviving copy of each lost rank takes
-            # over in place — no replacement nodes to pick, no respawns.
-            placement.update(restore["promote"])
-            backups = restore["replicas"]
-        else:
-            for rank in sorted(lost):
-                placement[rank] = moves.get(rank) or self._pick_nodes(
-                    1, require_repr=self._restore_repr(record, rank,
-                                                       restore))[0]
+        plan = plan_restart(self._restart_inputs(record, lost, moves))
         # Fix the lightweight group membership before respawning: the
         # hosts of every rank and of every backup copy (after a k-exhausted
         # replication fallback the pruned backup hosts respawn theirs too).
-        hosting = set(placement.values())
-        hosting.update(*backups.values())
-        self._reconcile_lwg(app_id, hosting)
-        # The world only changes when everyone rolls back: a promoted copy
-        # or a solo-replayed rank rejoins the world the survivors are in.
-        bump = 0 if mode in ("failover", "log-replay") else 1
-        op = ("app-restart", app_id, placement, restore,
-              record.world_version + bump)
+        self._reconcile_lwg(app_id, plan.hosting)
+        op = ("app-restart", app_id, plan)
         self.gm.cast(op + ("migration",) if moves else op)
+        line = f"{plan.mode.value} {plan.line}"
         if moves:
             (rank, node_id), = moves.items()
             self._log(f"migrate {app_id} rank {rank} -> {node_id} "
-                      f"(from {restore})")
-        elif mode == "failover":
-            self._log(f"failover {app_id}: promote {restore['promote']}")
+                      f"(from {line})")
+        elif plan.promote:
+            self._log(f"failover {app_id}: promote {plan.promote}")
         else:
-            self._log(f"restart {app_id} from {restore} on {placement}")
+            self._log(f"restart {app_id} from {line} on {plan.placement}")
 
-    def _restore_repr(self, record: AppRecord, rank: int, restore):
-        """The data representation ``rank`` must restart on, or ``None``:
-        a native-level checkpoint only restores on the representation that
-        wrote it (paper §4)."""
-        if restore is None or record.ckpt_level != "native":
-            return None
-        version = (restore.get("version") if restore["mode"] == "coordinated"
-                   else restore["line"].get(rank))
-        if version is None or version < 0 \
-                or not self.store.has(record.app_id, rank, version):
-            return None
-        from repro.cluster.arch import arch_by_name
-        return arch_by_name(
-            self.store.peek(record.app_id, rank, version).arch_name)
+    def _restart_inputs(self, record: AppRecord, lost: List[int],
+                        moves: Dict[int, str]) -> RestartInputs:
+        """What :func:`plan_restart` decides from, read once here (a
+        checkpoint is usable if it can be restored from this node)."""
+        schedulable, nodes = self._schedulable(), self.cluster.nodes
+        return RestartInputs(
+            mode=self._restart_mode(record), lost=tuple(lost),
+            alive=frozenset(m.node for m in self.gm.view.members),
+            placement=dict(record.placement), moves=dict(moves),
+            replicas=dict(record.replicas), level=record.ckpt_level,
+            world_version=record.world_version,
+            stored={rank: tuple(self._stored(record.app_id, rank))
+                    for rank in sorted(record.placement)},
+            committed=tuple(self.store.committed_versions(record.app_id)),
+            load={n: load for load, n in schedulable},
+            archs={n: nodes[n].arch for _load, n in schedulable
+                   if n in nodes})
+
+    def _stored(self, app_id: str, rank: int):
+        """``rank``'s stored checkpoints, as the restart plan reads them."""
+        store, me = self.store, self.node.node_id
+        for version in store.versions_of(app_id, rank):
+            rec = store.peek(app_id, rank, version)
+            yield StoredVersion(
+                version, store.record_available(app_id, rank, version,
+                                                from_node=me),
+                rec.arch_name, tuple(rec.deps))
 
     def _reconcile_lwg(self, app_id: str, hosting: Set[str]) -> None:
         """Make the app's lightweight group span the daemons on ``hosting``:
@@ -850,40 +820,30 @@ class StarfishDaemon:
             if ep.node not in hosting or ep not in self.gm.view.members:
                 self.lwg.leave(app_id, ep)
 
-    def _pick_nodes(self, count: int, exclude: Optional[Set[str]] = None,
-                    require_repr=None) -> List[str]:
+    def _pick_nodes(self, count: int, require_repr=None) -> List[str]:
         """Least-loaded schedulable nodes (round-robin on ties).
 
         ``require_repr``: restrict to machines with this data
         representation (native-checkpoint restart rule).
         """
-        exclude = exclude or set()
-        candidates = []
+        nodes = self.cluster.nodes
+        return least_loaded(
+            [(load, n) for load, n in self._schedulable()
+             if require_repr is None or (
+                 n in nodes and nodes[n].arch.same_representation(
+                     require_repr))], count)
+
+    def _schedulable(self) -> List[Tuple[int, str]]:
+        """``(ranks of active apps placed there, node)`` of each view
+        member's node that is not disabled."""
         if self.gm.view is None:
             raise PlacementError("daemon has no view of the cluster")
         load: Dict[str, int] = {}
         for rec in self.registry.active():
             for node_id in rec.placement.values():
                 load[node_id] = load.get(node_id, 0) + 1
-        for member in self.gm.view.members:
-            node_id = member.node
-            if node_id in exclude or node_id in self.disabled_nodes:
-                continue
-            if require_repr is not None:
-                node = self.cluster.nodes.get(node_id)
-                if node is None or \
-                        not node.arch.same_representation(require_repr):
-                    continue
-            candidates.append((load.get(node_id, 0), node_id))
-        if not candidates:
-            raise PlacementError("no schedulable nodes")
-        candidates.sort()
-        out = []
-        i = 0
-        while len(out) < count:
-            out.append(candidates[i % len(candidates)][1])
-            i += 1
-        return out
+        return [(load.get(m.node, 0), m.node) for m in self.gm.view.members
+                if m.node not in self.disabled_nodes]
 
     def _absorb_state(self, blob: dict) -> None:
         self.config = dict(blob.get("config", {}))
@@ -968,8 +928,8 @@ class StarfishDaemon:
         if record.ckpt_protocol and record.ckpt_level == "native" \
                 and origin is not None \
                 and not origin.arch.same_representation(node.arch):
-            # The rule ``_coordinate_restart`` applies to the nodes it
-            # picks (paper §4), applied to the node the caller picked.
+            # The rule ``plan_restart`` applies to the nodes it picks
+            # (paper §4), applied to the node the caller picked.
             raise PlacementError(
                 f"app {app_id} checkpoints at native level: rank {rank} "
                 f"restores only on {source!r}'s data representation, which "

@@ -154,6 +154,17 @@ and change first: the one differing path is ``events_processed``, in
 (3,438 -> 3,270), whose markers and transfers are MPI messages; every sha
 equal.  The 35 campaign cells pass untouched, ``perturb`` included.
 
+The ``migrate`` cells were regenerated once more when the restart decision
+became one ``RestartPlan`` value (``docs/records/35-restart-plan.md``).
+The full undigested cells were dumped on parent and change first; the
+only differing paths are ``logs/n0[1]`` and ``logs/n2[2]`` of each of the
+five ``migrate/*`` cells, the text of the coordinator's ``migrate …
+(from …)`` and ``restart … from …`` lines, which now name the plan's mode
+and line (``coordinated {0: 3, 1: 3, 2: 3}``) instead of the restore dict
+(``{'mode': 'coordinated', 'version': 3}``).  Timestamps,
+``events_processed`` and every other field are equal, and both
+``fleet-churn`` cells did not move.
+
 No family above makes three of the restart decisions: promoting a
 surviving backup copy in place (``replication``), restarting only the
 crashed rank from the sender logs (``causal-logging``) and the
@@ -359,7 +370,14 @@ ALL_CELLS = [cell for cells in FAMILIES.values() for cell in cells]
 FAMILY_NAMES = sorted(FAMILIES) + ["migrate"]
 
 #: Written into the JSON: why each family holds the digests it does.
-NOTE = ("restart cells added on untouched code (replica-failover x "
+NOTE = ("migrate cells regenerated when the restart decision became one "
+        "RestartPlan value: the one differing path is the text of two "
+        "daemon log lines per cell, logs/n0[1] 'migrate ... (from ...)' and "
+        "logs/n2[2] 'restart ... from ...' (the plan's mode and line in "
+        "place of the restore dict), at equal timestamps; events_processed "
+        "and everything else equal, fleet-churn untouched; audited against "
+        "the parent's full dumps first.  Before that: "
+        "restart cells added on untouched code (replica-failover x "
         "replication, solo-crash x causal-logging / uncoordinated, seeds "
         "0-2: the failover, solo log-replay and dependency-rollback "
         "restart decisions), the 42 older entries carried over.  "

@@ -1,9 +1,9 @@
-"""Message-logging protocols: sender logs, solo replay, planners, e2e.
+"""Message-logging protocols: sender logs, solo replay, plans, e2e.
 
-Covers the pieces the logging protocols add on top of the four-role
-protocol layer: the store's sender-side channel logs, the
-:class:`SoloReplayPlanner` (restart only the crashed rank) against the
-:class:`DependencyRollbackPlanner` domino, the :class:`ReplayTap`'s
+Covers the pieces the logging protocols add on top of the protocol
+layer: the store's sender-side channel logs, the ``LOG_REPLAY`` restart
+plan (restart only the crashed rank) against the ``UNCOORDINATED``
+domino, the :class:`ReplayTap`'s
 duplicate suppression and restore-time replay, the :class:`ReplayOracle`
 invariants, and full solo restarts through the Starfish stack.
 """
@@ -12,11 +12,11 @@ import pytest
 
 from repro.ckpt.protocols.msg_logging import (CausalLoggingProtocol,
                                               SenderLoggingProtocol)
-from repro.ckpt.protocols.roles import (DependencyRollbackPlanner,
-                                        SoloReplayPlanner)
+from repro.ckpt.restart import (RestartInputs, RestartMode, StoredVersion,
+                                plan_restart)
 from repro.cluster import Cluster
 from repro.errors import OracleViolation
-from repro.store import CheckpointRecord, CheckpointStore
+from repro.store import CheckpointStore
 
 from ckpt_helpers import CrHarness
 
@@ -63,77 +63,45 @@ def test_drop_app_clears_message_logs():
 
 
 # ---------------------------------------------------------------------------
-# planners: solo replay vs dependency-rollback domino (same store state)
+# restart plans: solo replay vs dependency-rollback domino (same inputs)
 # ---------------------------------------------------------------------------
 
-class _StubDaemon:
-    """Just enough daemon for RestartPlanner.plan()."""
-
-    def __init__(self, store, node):
-        self.store = store
-        self.node = node
-
-
-class _StubRecord:
-    def __init__(self, app_id, placement):
-        self.app_id = app_id
-        self.placement = placement
-
-
-def _write(engine, store, node, rank, version, deps=()):
-    rec = CheckpointRecord(
-        app_id="app", rank=rank, version=version, level="vm", nbytes=100,
-        image=b"s", arch_name="sparc-sunos", taken_at=engine.now,
-        deps=list(deps))
-    engine.process(store.write(node, rec))
-    engine.run(until=engine.now + 0.5)
-
-
-def _domino_fixture():
+def _domino_inputs(mode):
     """rank0 checkpointed once, then sent a message (its interval 1) that
     rank1 received *before* its own checkpoint: rolling rank0 back to v0
-    orphans the receive inside rank1's v0."""
-    cluster = Cluster.build(nodes=2, seed=0)
-    engine = cluster.engine
-    store = CheckpointStore(engine)
-    n0 = cluster.node("n0")
-    _write(engine, store, n0, rank=0, version=0)
-    _write(engine, store, n0, rank=1, version=0, deps=[(0, 1, 0)])
-    daemon = _StubDaemon(store, n0)
-    record = _StubRecord("app", {0: "n0", 1: "n1"})
-    return daemon, record
+    orphans the receive inside rank1's v0.  Rank 0's node died."""
+    return RestartInputs(
+        mode=mode, lost=(0,), alive=frozenset({"n1"}),
+        placement={0: "n0", 1: "n1"}, load={"n1": 1},
+        stored={0: (StoredVersion(0, True, "sparc-sunos"),),
+                1: (StoredVersion(0, True, "sparc-sunos", ((0, 1, 0),)),)})
 
 
 def test_solo_planner_restarts_exactly_the_failed_rank():
-    daemon, record = _domino_fixture()
-    plan = SoloReplayPlanner().plan(daemon, record, failed_ranks=[0])
-    assert SoloReplayPlanner.solo
-    assert plan["mode"] == "log-replay"
-    assert plan["ranks"] == [0]                  # survivors keep running
-    assert plan["line"] == {0: 0}                # own latest checkpoint
+    plan = plan_restart(_domino_inputs(RestartMode.LOG_REPLAY))
+    assert RestartMode.LOG_REPLAY.solo
+    assert plan.mode is RestartMode.LOG_REPLAY
+    assert sorted(plan.line) == [0]              # survivors keep running
+    assert plan.line == {0: 0}                   # own latest checkpoint
 
 
 def test_dependency_rollback_dominoes_the_survivor():
-    # The SAME store state under the uncoordinated planner: rank0's
-    # re-execution of interval 1 orphans rank1's checkpoint, so the
-    # recovery line rolls BOTH ranks back (rank1 to initial state).
-    daemon, record = _domino_fixture()
-    plan = DependencyRollbackPlanner().plan(daemon, record,
-                                            failed_ranks=[0])
-    assert not DependencyRollbackPlanner.solo
-    assert plan["mode"] == "uncoordinated"
-    assert plan["line"] == {0: 0, 1: -1}
-    rolled_back = [r for r, v in plan["line"].items()]
+    # The SAME inputs under the uncoordinated mode: rank0's re-execution
+    # of interval 1 orphans rank1's checkpoint, so the recovery line rolls
+    # BOTH ranks back (rank1 to initial state).
+    plan = plan_restart(_domino_inputs(RestartMode.UNCOORDINATED))
+    assert not RestartMode.UNCOORDINATED.solo
+    assert plan.mode is RestartMode.UNCOORDINATED
+    assert plan.line == {0: 0, 1: None}
+    rolled_back = [r for r, v in plan.line.items()]
     assert len(rolled_back) >= 2                 # everyone restarts
 
 
 def test_solo_planner_falls_to_initial_without_checkpoints():
-    cluster = Cluster.build(nodes=1, seed=0)
-    store = CheckpointStore(cluster.engine)
-    daemon = _StubDaemon(store, cluster.node("n0"))
-    record = _StubRecord("app", {0: "n0", 1: "n0"})
-    plan = SoloReplayPlanner().plan(daemon, record, failed_ranks=[1])
-    assert plan["line"] == {1: -1}
+    plan = plan_restart(RestartInputs(
+        mode=RestartMode.LOG_REPLAY, lost=(1,), alive=frozenset({"n1"}),
+        placement={0: "n1", 1: "n0"}, load={"n1": 1}))
+    assert plan.line == {1: None}
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +203,9 @@ def test_replay_oracle_rejects_orphans_and_double_replay():
         oracle.delivered(0, ssn=9, log_end=3)     # beyond the stable log
 
 
-def test_protocol_classes_expose_planner_and_boundary_flag():
+def test_protocol_classes_expose_restart_mode_and_boundary_flag():
     for cls in (SenderLoggingProtocol, CausalLoggingProtocol):
-        assert cls.planner is SoloReplayPlanner
+        assert cls.restart_mode is RestartMode.LOG_REPLAY
         assert cls.wants_boundary_capture
     assert SenderLoggingProtocol.name == "sender-logging"
     assert CausalLoggingProtocol.name == "causal-logging"

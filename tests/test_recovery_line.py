@@ -186,7 +186,7 @@ def test_uncoordinated_restore_truncates_at_unreachable_replicas():
     """End to end through the daemon: the recovery line falls back (and
     dominoes) when a checkpoint's every replica is gone."""
     from repro.apps import ComputeSleep
-    from repro.ckpt.protocols.roles import DependencyRollbackPlanner
+    from repro.ckpt.restart import plan_restart
     from repro.store import CheckpointRecord
     from repro.cluster.spec import ClusterSpec
     from repro.core import StarfishCluster
@@ -219,18 +219,18 @@ def test_uncoordinated_restore_truncates_at_unreachable_replicas():
             ckpt_protocol="uncoordinated", ckpt_level="vm",
             ckpt_interval=None, transport="bip-myrinet", polling=True))
     daemon = sf.daemons["n2"]
-    planner = DependencyRollbackPlanner()
 
-    restore = planner.plan(daemon, record, failed_ranks=[0, 1])
-    assert restore["line"] == {0: 1, 1: 0}       # intact: latest ckpts
+    def plan():
+        return plan_restart(daemon._restart_inputs(record, [0, 1], {}))
+
+    assert plan().line == {0: 1, 1: 0}           # intact: latest ckpts
 
     # Crash the only holder of v2 (v1 survives on its n1 replica): rank0's
     # usable prefix shrinks to [v1] and the dependency log dominoes rank1
     # all the way back to initial state.
     cluster.crash_node("n0")
-    restore = planner.plan(daemon, record, failed_ranks=[0, 1])
-    assert restore["line"] == {0: 0, 1: -1}
-    assert restore["discarded"] > 0
+    assert plan().line == {0: 0, 1: None}
+    assert store.versions_of("app", 1) == [1]    # a stored version discarded
 
 
 # -- departed / dynamic ranks ---------------------------------------------

@@ -1,7 +1,7 @@
-"""Active rank replication: failover planner, oracle, tap, e2e, property.
+"""Active rank replication: failover plan, oracle, tap, e2e, property.
 
-Covers the pieces the replication protocol adds on top of the four-role
-layer: the :class:`ReplicaFailoverPlanner` (promote, never respawn), the
+Covers the pieces the replication protocol adds on top of the protocol
+layer: the ``FAILOVER`` restart plan (promote, never respawn), the
 :class:`ReplicaOracle` invariants (failover-exactly-once, no-orphan-send),
 submit-time replica placement (never co-located), full failover through
 the Starfish stack with ``ranks_restarted == 0``, and the Hypothesis
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from repro.apps import ComputeSleep
 from repro.apps.jacobi import Jacobi1D
-from repro.ckpt.protocols.replication import (ReplicaFailoverPlanner,
-                                              ReplicationProtocol)
+from repro.ckpt.protocols.replication import ReplicationProtocol
+from repro.ckpt.restart import RestartInputs, RestartMode, plan_restart
 from repro.cluster.spec import ClusterSpec
 from repro.core.appspec import AppSpec, CheckpointConfig
 from repro.core.policies import FaultPolicy
@@ -59,52 +59,34 @@ def test_replica_oracle_rejects_promoting_a_primary():
 
 
 # ---------------------------------------------------------------------------
-# the planner: promote, prune, k-exhausted fallback
+# the failover plan: promote, prune, k-exhausted fallback
 # ---------------------------------------------------------------------------
 
-class _Member:
-    def __init__(self, node):
-        self.node = node
-
-
-class _StubView:
-    def __init__(self, nodes):
-        self.members = [_Member(n) for n in nodes]
-
-
-class _StubGm:
-    def __init__(self, nodes):
-        self.view = _StubView(nodes)
-
-
-class _StubDaemon:
-    def __init__(self, alive):
-        self.gm = _StubGm(alive)
-
-
-class _StubRecord:
-    def __init__(self, placement, replicas):
-        self.placement = placement
-        self.replicas = replicas
+def _failover(alive, placement, replicas, lost):
+    return plan_restart(RestartInputs(
+        mode=RestartMode.FAILOVER, lost=tuple(lost), alive=frozenset(alive),
+        placement=placement, replicas=replicas,
+        load={n: 0 for n in alive}))
 
 
 def test_failover_planner_promotes_first_live_copy():
-    daemon = _StubDaemon(alive=["n0", "n2", "n3"])
-    record = _StubRecord({0: "n0", 1: "n1"}, {0: ("n2",), 1: ("n2", "n3")})
-    plan = ReplicaFailoverPlanner().plan(daemon, record, failed_ranks=[1])
-    assert ReplicaFailoverPlanner.solo
-    assert plan["mode"] == "failover"
-    assert plan["promote"] == {1: "n2"}
-    assert plan["ranks"] == [1]
+    plan = _failover(["n0", "n2", "n3"], {0: "n0", 1: "n1"},
+                     {0: ("n2",), 1: ("n2", "n3")}, lost=[1])
+    assert RestartMode.FAILOVER.solo
+    assert plan.mode is RestartMode.FAILOVER
+    assert plan.promote == {1: "n2"}
+    assert sorted(plan.promote) == [1]
     # The promoted node leaves rank 1's backup set; rank 0's is untouched.
-    assert plan["replicas"] == {0: ("n2",), 1: ("n3",)}
+    assert plan.replicas == {0: ("n2",), 1: ("n3",)}
 
 
-def test_failover_planner_returns_none_when_k_exhausted():
-    daemon = _StubDaemon(alive=["n0"])
-    record = _StubRecord({0: "n0", 1: "n1"}, {1: ("n2",)})  # n2 also dead
-    assert ReplicaFailoverPlanner().plan(daemon, record,
-                                         failed_ranks=[1]) is None
+def test_failover_planner_restarts_from_initial_when_k_exhausted():
+    plan = _failover(["n0"], {0: "n0", 1: "n1"}, {1: ("n2",)},  # n2 dead
+                     lost=[1])
+    assert not plan.promote
+    assert plan.mode is RestartMode.COORDINATED
+    assert plan.line == {0: None, 1: None}
+    assert plan.world_version == 1               # a rollback: a new world
 
 
 # ---------------------------------------------------------------------------
