@@ -68,6 +68,8 @@ class MpiEndpoint:
         self.vni = Vni(engine, node, port=self.port, transport=transport,
                        polling=polling, sink=self._on_frame,
                        sink_cost=self.layers.mpi_recv)
+        if register:
+            self.vni.restart_counts()
         self.polling = polling
         self.matching = MatchingEngine()
         #: Data messages sent to / received from each peer world rank —

@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, Callable, Optional, Tuple
-from weakref import WeakSet
+from weakref import WeakSet, ref
 
 from repro.calibration import BLOCKING_RECV_SYSCALL
 from repro.errors import NetworkError
@@ -87,11 +87,24 @@ class _Received(Counter):
     def __init__(self, name: str, labels=(), help: str = ""):
         super().__init__(name, labels, help)
         self.engine = None
-        #: The open polling VNIs counting here (a port reused by a restarted
-        #: or backup rank has more than one).  Weak: the series must not keep
-        #: a finished rank's VNI, and its endpoint, alive; a VNI with a
-        #: message in its FIFO is held by that message's filing event.
-        self.vnis: WeakSet = WeakSet()
+        #: The polling VNIs counting here: a weak reference to the one, or a
+        #: ``WeakSet`` once a second opens (a port reused by a restarted or
+        #: backup rank).  Weak: the series must not keep a finished rank's
+        #: VNI, and its endpoint, alive; a VNI with a message in its FIFO is
+        #: held by that message's filing event.  A closed VNI's FIFO is
+        #: empty.
+        self._held = None
+
+    def open(self, vni) -> None:
+        held = self._vnis()
+        self._held = WeakSet((*held, vni)) if held else ref(vni)
+
+    def _vnis(self):
+        held = self._held
+        if held is None or isinstance(held, WeakSet):
+            return held or ()
+        vni = held()
+        return () if vni is None else (vni,)
 
     def _polled_at(self, vni) -> int:
         now = self.engine._now
@@ -99,10 +112,10 @@ class _Received(Counter):
 
     @property
     def value(self) -> float:
-        return self._value + sum(map(self._polled_at, self.vnis))
+        return self._value + sum(map(self._polled_at, self._vnis()))
 
     def reset(self) -> None:
-        self._value = -sum(map(self._polled_at, self.vnis))
+        self._value = -sum(map(self._polled_at, self._vnis()))
 
 
 def _from_ready(engine, name: str, help: str, cls=_FromReady, **labels):
@@ -110,9 +123,6 @@ def _from_ready(engine, name: str, help: str, cls=_FromReady, **labels):
     counter = (reg._get_or_create(cls, name, labels, help)
                if reg.enabled else cls(name, help=help))
     counter.engine = engine
-    # A restarted process reuses its port: the series restarts at zero, to
-    # keep per-instance semantics.
-    counter.reset()
     return counter
 
 
@@ -209,7 +219,7 @@ class Vni:
             self._rx = self.nic.open_port(port, sink=self._on_frame,
                                           on_down=self._shut)
             self.nic.fold_port(port, self)
-            self._m_received.vnis.add(self)
+            self._m_received.open(self)
         else:
             self._rx = self.nic.open_port(port)
 
@@ -337,7 +347,6 @@ class Vni:
             # Polled by now: received; not polled yet: never received.
             received = self._m_received
             received._value += received._polled_at(self)
-            received.vnis.discard(self)
         self._filing.clear()
 
     def in_flight(self) -> Tuple[int, int]:
@@ -364,6 +373,12 @@ class Vni:
     def close(self) -> None:
         self.nic.close_port(self.port)
         self._shut()
+
+    def restart_counts(self) -> None:
+        """A restarted rank reuses its port: the ``vni.*`` series start
+        again at zero (not for a backup copy: they are the primary's)."""
+        self._m_sent.reset()
+        self._m_received.reset()
 
     def __repr__(self) -> str:
         mode = "polling" if self.polling else "blocking"

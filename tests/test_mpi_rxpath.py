@@ -19,6 +19,7 @@ from repro.cluster import Cluster
 from repro.core import (AppSpec, CheckpointConfig, StarfishCluster,
                         StarfishProgram)
 from repro.gcs import GcsConfig
+from repro.mpi import MpiEndpoint
 from repro.sim import Channel, Engine, Process
 from repro.sim.events import Timeout
 from repro.vni import Vni
@@ -221,6 +222,32 @@ def test_crash_mid_poll_and_mid_dispatch_files_neither():
     # The first frame was polled before the crash; nothing after it.
     assert cluster.engine.metrics.value("vni.received", port=ep.port,
                                         path="fast") == 1
+
+
+def test_only_the_ranks_registering_endpoint_restarts_its_vni_series():
+    # Rank 0 has received one message.  A backup copy of it (another node,
+    # the rank's port, no address) leaves the series alone; a restarted
+    # rank 0 takes the address and its series starts again at zero.
+    cluster, apis = make_world(3)
+    apis.pop()                                  # n2 stays free
+
+    def prog(mpi, rank):
+        if rank:
+            yield from mpi.send("x", dest=0, tag=1)
+        else:
+            yield from mpi.recv(source=1, tag=1)
+
+    run_ranks(cluster, apis, prog)
+    metrics, book = cluster.engine.metrics, apis[0].endpoint.addressbook
+
+    def copy_on_n2(register):
+        MpiEndpoint(cluster.engine, cluster.node("n2"), app_id="test",
+                    world_rank=0, addressbook=book, register=register)
+        return (metrics.value("vni.received", port="mpi:test:0",
+                              path="fast"), book[0][0])
+
+    assert copy_on_n2(register=False) == (1, "n0")
+    assert copy_on_n2(register=True) == (0, "n2")
 
 
 # -- (d) close() mid-stage -----------------------------------------------------

@@ -509,13 +509,34 @@ def test_vni_received_counts_from_the_polled_instant(window):
 
 @pytest.mark.parametrize("window", WINDOWS)
 def test_vni_received_reset_by_a_second_vni_on_the_port(window):
-    # A backup rank's VNI on another node reuses the port's series: the
-    # reset forgets what was polled by then, and what is still ahead counts
-    # after it.
-    cluster, filed, (_l, _a, _p, done) = one_frame_with(
-        lambda c, rx: Vni(c.engine, c.node("n0"), port="rx",
-                          sink_cost=MYRI.mpi_recv, sink=[].append), window)
+    # A backup rank's VNI on another node reuses the port's series and
+    # leaves it alone: the live primary's message counts from its polled
+    # instant, whatever the primary had polled or filed by then.
+    seen = []
+
+    def backup(c, rx):
+        Vni(c.engine, c.node("n0"), port="rx", sink_cost=MYRI.mpi_recv,
+            sink=[].append)
+        seen.append(link_counts(c)[2])
+
+    cluster, filed, (_l, _a, _p, done) = one_frame_with(backup, window)
+    assert seen == [1 if window == "dispatch" else 0]
     assert filed == [(done, "x")]
+    assert link_counts(cluster) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_vni_received_reset_by_a_restarted_rank_on_the_port(window):
+    # The rank restarts on the same node: its VNI re-binds the port and
+    # restarts the series.  The reset forgets what was polled by then, and
+    # what is still ahead counts after it; a frame still on the wire goes
+    # to the new VNI.
+    def restart(c, rx):
+        Vni(c.engine, c.node("n1"), port="rx", sink_cost=MYRI.mpi_recv,
+            sink=[].append).restart_counts()
+
+    cluster, filed, (_l, _a, _p, done) = one_frame_with(restart, window)
+    assert filed == ([] if window == "in flight" else [(done, "x")])
     assert link_counts(cluster) == (0, 0, 0 if window == "dispatch" else 1)
 
 

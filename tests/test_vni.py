@@ -64,6 +64,17 @@ def test_a_rebound_port_lets_the_old_vni_go():
     assert ref() is None
 
 
+def test_a_port_closed_under_its_vni_lets_the_vni_go():
+    # The NIC port closed under the VNI, which was never closed itself:
+    # its received series holds it weakly, and nothing else holds it.
+    cluster, a, b = make_pair()
+    ref = weakref.ref(b)
+    cluster.node("n1").nic("bip-myrinet").close_port("app:1")
+    del b
+    gc.collect()
+    assert ref() is None
+
+
 def test_message_delivered_with_payload():
     cluster, a, b = make_pair()
     out = one_way(cluster, a, b)
