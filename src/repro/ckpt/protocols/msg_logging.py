@@ -3,11 +3,11 @@
 Both protocols here checkpoint *independently* (self-paced, like the
 uncoordinated protocol) but additionally log every sent data message —
 with its per-channel send sequence number (ssn) — to stable storage via
-the checkpoint store.  After a failure their restart mode
-(``LOG_REPLAY``) restarts **only the crashed rank**: it resumes from its own latest
-checkpoint (channel counters included) and the inbound side of every
-channel is re-fed from the sender logs through the delivery tap, in the
-original receive order.  Survivors never roll back; the restarted rank's
+the checkpoint store.  After a failure their restart mode,
+``LOG_REPLAY``, restarts **only the crashed rank**: it resumes from its
+own latest checkpoint (channel counters included) and the inbound side
+of every channel is re-fed from the sender logs through the delivery
+tap, in the original receive order.  Survivors never roll back; the restarted rank's
 re-sends are duplicate-suppressed at the receivers by their ssn.
 
 Two flavours, differing only in *when the log IO is charged*:

@@ -33,8 +33,9 @@ How the three guarantees fall out of the ordering substrate:
   no rollback wave to wait out.
 
 Degenerate paths: if every copy of some lost rank is gone (k exhausted),
-the plan falls back to a full restart from the initial state — replication takes no checkpoints, so there is
-nothing between "a copy survived" and "start over".  Recovered nodes are
+the plan falls back to a full restart from the initial state —
+replication takes no checkpoints, so there is nothing between "a copy
+survived" and "start over".  Recovered nodes are
 not re-seeded with fresh copies (no re-replication service yet), and
 migration of replicated apps is unsupported.
 """

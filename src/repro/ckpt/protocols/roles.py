@@ -16,6 +16,7 @@ so protocols compose them instead:
   Protocols piggyback metadata on outgoing data messages, log or record
   arriving ones, and may suppress a delivery entirely (duplicate
   suppression under message-logging recovery).
+
 The fourth — *who* rolls back after a failure, to which checkpoint
 version, replaying what — is not a role object: each protocol names a
 :class:`~repro.ckpt.restart.RestartMode`, and the restart coordinator
