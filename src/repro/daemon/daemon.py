@@ -820,18 +820,9 @@ class StarfishDaemon:
             if ep.node not in hosting or ep not in self.gm.view.members:
                 self.lwg.leave(app_id, ep)
 
-    def _pick_nodes(self, count: int, require_repr=None) -> List[str]:
-        """Least-loaded schedulable nodes (round-robin on ties).
-
-        ``require_repr``: restrict to machines with this data
-        representation (native-checkpoint restart rule).
-        """
-        nodes = self.cluster.nodes
-        return least_loaded(
-            [(load, n) for load, n in self._schedulable()
-             if require_repr is None or (
-                 n in nodes and nodes[n].arch.same_representation(
-                     require_repr))], count)
+    def _pick_nodes(self, count: int) -> List[str]:
+        """Least-loaded schedulable nodes (round-robin on ties)."""
+        return least_loaded(self._schedulable(), count)
 
     def _schedulable(self) -> List[Tuple[int, str]]:
         """``(ranks of active apps placed there, node)`` of each view

@@ -4,6 +4,8 @@ import pytest
 
 from repro.apps import ComputeSleep
 from repro.store import CheckpointRecord, CheckpointStore
+from repro.ckpt.restart import (RestartInputs, RestartMode, StoredVersion,
+                                plan_restart)
 from repro.cluster import arch_by_name
 from repro.core import AppSpec, CheckpointConfig, FaultPolicy, StarfishCluster
 from repro.daemon import AppRecord, AppStatus, Registry
@@ -117,16 +119,25 @@ def test_pick_nodes_prefers_least_loaded():
     assert len(picks) == 5 and set(picks) == {"n0", "n1", "n2"}
 
 
-def test_pick_nodes_representation_filter():
+def test_restart_placement_representation_filter():
+    # A native-level image restores only on the representation that wrote
+    # it: four ranks lost with n0, each with a stored image of ``image``.
     linux = arch_by_name("Intel P-II 350 MHz, i686")
     sun = arch_by_name("Sun Ultra Enterprise 3000")
-    sf = StarfishCluster.build(nodes=3, archs=[linux, sun, linux])
-    daemon = sf.any_daemon()
-    picks = daemon._pick_nodes(4, require_repr=sun)
-    assert set(picks) == {"n1"}
+    archs = {"n0": linux, "n1": sun, "n2": linux}
+
+    def placed(image):
+        return plan_restart(RestartInputs(
+            mode=RestartMode.LOG_REPLAY, lost=(0, 1, 2, 3),
+            alive=frozenset({"n1", "n2"}), placement=dict.fromkeys(
+                range(4), "n0"), level="native",
+            stored=dict.fromkeys(range(4), (StoredVersion(1, True,
+                                                          image.name),)),
+            load={"n1": 0, "n2": 0}, archs=archs)).placement
+
+    assert set(placed(sun).values()) == {"n1"}
     with pytest.raises(PlacementError):
-        daemon._pick_nodes(1, require_repr=arch_by_name(
-            "Dual Alpha DS20 500 MHz"))
+        placed(arch_by_name("Dual Alpha DS20 500 MHz"))
 
 
 def test_submit_rejects_duplicates_and_bad_nprocs():
